@@ -7,7 +7,9 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
     int |grad u|^2 dx = int int (u_s^2 + u_theta^2) ds dtheta  (+ center cap),
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
-interpolant in (s, theta), cap included.
+interpolant in (s, theta), cap included.  One bilinear form computes it:
+`energy(u)` is the form on the diagonal and `grad_inner(u, v)`, the Dirichlet
+inner product, is the same form off it.
 
 Dislocations: deflation sends u to j^{-1/2} u(zeta + z^j); the image of the
 grid under the power map is again log-uniform, so the deflated function is
@@ -38,8 +40,7 @@ __all__ = [
     "GridResolutionError",
     "inflate",
     "deflate",
-    "deflate_profile",
-    "angular_mean_profile",
+    "angular_profile_around",
     "energy",
     "grad_norm_disc",
     "grad_inner",
@@ -235,26 +236,48 @@ class DislocationParam:
 
 # -- energy and inner products ------------------------------------------------
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _next_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, sum over m of a[m] b[m + 1], cyclic in m."""
+    return _rowdot(a[:, :-1], b[:, 1:]) + a[:, -1] * b[:, 0]
+
+
+def _form(u: DiscFunction, v: DiscFunction) -> float:
+    """Dirichlet bilinear form of the bilinear interpolants, exact cap included.
+
+    A cell's edge differences (A, B radial; C, D angular) enter as
+    (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3.  B is A shifted by one
+    column and C, D are rows i, i+1 of one angular difference G, so every
+    term is a row dot product of two shared difference arrays.
+    """
+    if u.grid != v.grid:
+        raise ValueError("disc functions live on different grids")
+    s = _ring_s(u.grid)
+    dth = u.grid.dtheta
+    ds = s[:-1] - s[1:]  # positive
+    Au = np.diff(u.rings, axis=0)
+    Av = Au if v is u else np.diff(v.rings, axis=0)
+    cross = _next_dot(Au, Av) + _next_dot(Av, Au)
+    e_s = np.dot(dth / ds, 2.0 * _rowdot(Au, Av) + 0.5 * cross) / 3.0
+    del Au, Av
+    Gu = np.roll(u.rings, -1, axis=1) - u.rings
+    Gv = Gu if v is u else np.roll(v.rings, -1, axis=1) - v.rings
+    P = _rowdot(Gu, Gv)
+    Q = _rowdot(Gu[:-1], Gv[1:]) + _rowdot(Gu[1:], Gv[:-1])
+    e_t = np.dot(ds / dth, P[:-1] + P[1:] + 0.5 * Q) / 3.0
+    a0u, a0v = u.rings[0] - u.center, v.rings[0] - v.center
+    a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1)
+    cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v) / 6.0
+    cap_t = 0.5 * P[0] / dth
+    return float(e_s + e_t + cap_r + cap_t)
+
+
 def energy(u: DiscFunction) -> float:
     """Dirichlet energy of the bilinear interpolant, exact cap included."""
-    grid = u.grid
-    s = _ring_s(grid)
-    V = u.rings
-    dth = grid.dtheta
-    ds = s[:-1] - s[1:]  # positive
-    Vn = np.roll(V, -1, axis=1)
-    A = V[1:] - V[:-1]
-    B = Vn[1:] - Vn[:-1]
-    e_s = np.sum((dth / ds)[:, None] * (A * A + A * B + B * B) / 3.0)
-    C = Vn[:-1] - V[:-1]
-    D = Vn[1:] - V[1:]
-    e_t = np.sum((ds / dth)[:, None] * (C * C + C * D + D * D) / 3.0)
-    a0 = V[0] - u.center
-    a1 = np.roll(a0, -1)
-    cap_r = 0.5 * dth * np.sum(a0 * a0 + a0 * a1 + a1 * a1) / 3.0
-    dv = np.roll(V[0], -1) - V[0]
-    cap_t = 0.5 * np.sum(dv * dv) / dth
-    return float(e_s + e_t + cap_r + cap_t)
+    return _form(u, u)
 
 
 def grad_norm_disc(u: DiscFunction) -> float:
@@ -288,8 +311,8 @@ def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
 
 
 def grad_inner(u: DiscFunction, v: DiscFunction) -> float:
-    """Dirichlet inner product by polarization of the exact quadratic form."""
-    return 0.25 * (energy(add(u, v)) - energy(subtract_disc(u, v)))
+    """Dirichlet inner product: the bilinear form of the discrete energy."""
+    return _form(u, v)
 
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
@@ -378,31 +401,6 @@ def _input_s_extent(grid: PolarGrid) -> float:
     return float(-math.log(_ring_radii(grid)[0]))
 
 
-def _deflate_block(u: DiscFunction, d: DislocationParam):
-    """Samples of j^{-1/2} u(zeta + e^{-sigma} e^{i phi}) on the source grid scale.
-
-    Returns (block, out_grid) where block has shape (n_r, n_theta_in): row i
-    holds sigma = j * s_out_i, columns the base angles; the deflated function
-    is the j-fold angular tiling of the block on out_grid.
-    """
-    j, zeta = d.j, d.zeta
-    grid = u.grid
-    s_in = _input_s_extent(grid)
-    out_grid = PolarGrid(
-        n_r=grid.n_r,
-        n_theta=grid.n_theta * j,
-        spacing="geometric",
-        s_max=s_in / j,
-    )
-    sigma = _ring_s(out_grid) * j
-    phis = _thetas(grid)
-    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    block = u.interpolate(pts.ravel()).reshape(grid.n_r, grid.n_theta)
-    block = block / math.sqrt(j)
-    block[-1, :] = 0.0
-    return block, out_grid
-
-
 def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     """(g u)(z) = j^{-1/2} u(zeta + z^j) on the adapted output grid.
 
@@ -412,22 +410,24 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     of the resampled source and converges to the input energy under grid
     refinement (the continuum operator is an isometry).
     """
-    block, out_grid = _deflate_block(u, d)
-    rings = np.tile(block, (1, d.j))
-    center = float(u.interpolate(d.zeta)) / math.sqrt(d.j)
-    sup = min(1.0, (min(1.0, u.support_radius + abs(d.zeta))) ** (1.0 / d.j))
+    j, zeta = d.j, d.zeta
+    grid = u.grid
+    out_grid = PolarGrid(
+        n_r=grid.n_r,
+        n_theta=grid.n_theta * j,
+        spacing="geometric",
+        s_max=_input_s_extent(grid) / j,
+    )
+    sigma = _ring_s(out_grid) * j
+    phis = _thetas(grid)
+    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
+    block = u.interpolate(pts.ravel()).reshape(grid.n_r, grid.n_theta)
+    block = block / math.sqrt(j)
+    block[-1, :] = 0.0
+    rings = np.tile(block, (1, j))
+    center = float(u.interpolate(zeta)) / math.sqrt(j)
+    sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
     return DiscFunction(out_grid, center, rings, support_radius=sup)
-
-
-def deflate_profile(u: DiscFunction, d: DislocationParam) -> RadialProfile:
-    """Angular mean of the deflation, as an exact PL radial profile."""
-    block, out_grid = _deflate_block(u, d)
-    means = block.mean(axis=1)
-    s_desc = _ring_s(out_grid)
-    nodes = s_desc[::-1].copy()
-    vals = means[::-1].copy()
-    vals[0] = 0.0
-    return RadialProfile.from_arrays(nodes, vals, 2)
 
 
 def angular_profile_around(
@@ -450,15 +450,6 @@ def angular_profile_around(
     out = vals[::-1].copy()
     out[0] = 0.0
     return RadialProfile.from_arrays(nodes, out, 2)
-
-
-def angular_mean_profile(u: DiscFunction) -> RadialProfile:
-    means = u.rings.mean(axis=1)
-    s_desc = _ring_s(u.grid)
-    nodes = s_desc[::-1].copy()
-    vals = means[::-1].copy()
-    vals[0] = 0.0
-    return RadialProfile.from_arrays(nodes, vals, 2)
 
 
 # -- averaging operator ---------------------------------------------------------
@@ -597,35 +588,46 @@ def concentration_detect(
     results = []
     for score, j, rho, zeta in kept:
         if refine:
-            score, j, zeta = _refine_candidate(u, score, j, rho, zeta, j_max)
+            score, zeta = _refine_center(u, zeta, rho, j, score)
+            js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
+            scores = _scan_scales(u, zeta, rho, js)
+            k = int(np.argmax(scores))
+            if scores[k] > score:
+                score, j = float(scores[k]), int(js[k])
         results.append((DislocationParam(j, zeta), float(score)))
     results.sort(key=lambda c: (-c[1], c[0].j, c[0].zeta.real, c[0].zeta.imag))
     return results
 
 
-def _refine_candidate(u, score, j, rho, zeta, j_max):
-    best = (score, j, zeta)
-    for spacing in (0.012, 0.003):
-        grid_pts = [
-            best[2] + spacing * (dx + 1j * dy)
-            for dx in range(-2, 3)
-            for dy in range(-2, 3)
-        ]
-        grid_pts = [z for z in grid_pts if abs(z) <= 0.5]
-        zs = np.asarray(grid_pts, dtype=complex)
+# 5x5 center stencil, searched at a coarse then a fine spacing
+_STENCIL = np.array([dx + 1j * dy for dx in range(-2, 3) for dy in range(-2, 3)])
+_REFINE_SPACINGS = (0.012, 0.003)
+
+
+def _refine_center(u, zeta, rho, j, score=-math.inf) -> tuple[float, complex]:
+    """Local maximum of j^{-1/2} |A_{rho^j} u| over stencils inside |z| <= 1/2.
+
+    A stencil point replaces the current center only if it beats `score`.
+    """
+    best = (score, complex(zeta))
+    for spacing in _REFINE_SPACINGS:
+        zs = best[1] + spacing * _STENCIL
+        zs = zs[np.abs(zs) <= 0.5]
         if zs.size == 0:
             break
-        scores = np.abs(average_many(u, rho ** best[1], zs)) / math.sqrt(best[1])
+        scores = np.abs(average_many(u, rho**j, zs)) / math.sqrt(j)
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
-            best = (float(scores[k]), best[1], zs[k])
-    j_lo = max(1, best[1] // 2)
-    j_hi = min(j_max, 2 * best[1])
-    for jj in range(j_lo, j_hi + 1):
-        sc = abs(average_many(u, rho**jj, np.array([best[2]]))[0]) / math.sqrt(jj)
-        if sc > best[0]:
-            best = (float(sc), jj, best[2])
+            best = (float(scores[k]), complex(zs[k]))
     return best
+
+
+def _scan_scales(u, zeta, rho, js) -> np.ndarray:
+    """Scores j^{-1/2} |A_{rho^j} u(zeta)| for every j in js, in one interpolation."""
+    offsets = np.stack([_ball_offsets(rho ** int(j))[0] for j in js])
+    weights = _ball_offsets(1.0)[1]
+    vals = u.interpolate((zeta + offsets).ravel()).reshape(offsets.shape)
+    return np.abs(vals @ weights) / np.sqrt(js)
 
 
 # -- probe set -------------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
     "WeakDiscontinuityReport",
     "weak_discontinuity_demo",
     "dilation_concentration_demo",
+    "tail_decayed",
 ]
 
 ALPHA_2 = critical_exponent(2)  # 4*pi
@@ -281,16 +282,29 @@ def _pairing_table(members, probes):
     return table
 
 
-def _classify(pairings, j_values, decay_factor=0.7, j_floor=0.1) -> str:
-    # decay is judged against the peak pairing: for slowly spreading ramps the
-    # probe overlap saturates after a few members before the decay law sets in
+def tail_decayed(pairings, slow_ratio: float, floor: float) -> bool:
+    """Whether the last pairing has decayed against the peak of the sequence.
+
+    Decay is strong when the tail is at most 5% of the peak (or at most
+    `floor`), and slow when it is at most `slow_ratio` of the peak while the
+    last three pairings still fall strictly.
+    """
     peak = max(pairings)
+    tail = pairings[-1]
     tail_monotone = all(b < a for a, b in zip(pairings[-3:], pairings[-2:]))
-    strong_decay = pairings[-1] <= 0.05 * peak
-    decayed = strong_decay or (
-        pairings[-1] <= max(decay_factor * peak, 1e-12) and tail_monotone
+    return tail <= max(0.05 * peak, floor) or (
+        tail <= max(slow_ratio * peak, 1e-12) and tail_monotone
     )
-    if not decayed:
+
+
+# decay is judged against the peak pairing: for slowly spreading ramps the
+# probe overlap saturates after a few members before the decay law sets in
+_DECAY_SLOW_RATIO = 0.7
+_DECAY_FLOOR = 0.0
+
+
+def _classify(pairings, j_values, j_floor=0.1) -> str:
+    if not tail_decayed(pairings, _DECAY_SLOW_RATIO, _DECAY_FLOOR):
         return "non-concentrating"
     if j_values[-1] >= j_floor:
         return "moser-concentrating"

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disc
+from .functional import tail_decayed
 from .radial import RadialProfile, gauge_apply, grad_norm, h1_inner
 from .rearrange import expl2_quasinorm, rearrange_disc
 
@@ -182,36 +183,6 @@ def _trim_profile_support(w: RadialProfile, t_min: float) -> RadialProfile:
     return RadialProfile.from_arrays(nodes, vals, 2)
 
 
-def _scan_scales(u, zeta, rho, j_max) -> tuple[int, float]:
-    js = np.arange(1, j_max + 1)
-    scores = np.empty(js.size)
-    for i, j in enumerate(js):
-        val = disc.average_many(u, rho ** int(j), np.array([zeta]))[0]
-        scores[i] = abs(val) / math.sqrt(j)
-    k = int(np.argmax(scores))
-    return int(js[k]), float(scores[k])
-
-
-def _refine_center(u, zeta, rho, j) -> complex:
-    best = (-math.inf, complex(zeta))
-    for spacing in (0.01, 0.0025):
-        zs = np.array(
-            [
-                best[1] + spacing * (dx + 1j * dy)
-                for dx in range(-2, 3)
-                for dy in range(-2, 3)
-            ]
-        )
-        zs = zs[np.abs(zs) <= 0.5]
-        if zs.size == 0:
-            break
-        sc = np.abs(disc.average_many(u, rho**j, zs)) / math.sqrt(j)
-        i = int(np.argmax(sc))
-        if sc[i] > best[0]:
-            best = (float(sc[i]), complex(zs[i]))
-    return best[1]
-
-
 def _tail_average(base_profiles, js, k_tail: int) -> RadialProfile:
     """Average the scale-j dilations of the per-member mean profiles (tail only)."""
     tail = range(max(0, len(base_profiles) - k_tail), len(base_profiles))
@@ -237,9 +208,10 @@ def _track_candidate(members, d0: disc.DislocationParam, rho: float, j_max: int,
     self-consistent across members.
     """
     zetas, base_profiles, js = [], [], []
+    j_all = np.arange(1, j_max + 1)
     for u in members:
-        j0, _ = _scan_scales(u, d0.zeta, rho, j_max)
-        zeta = _refine_center(u, d0.zeta, rho, j0)
+        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, rho, j_all))])
+        _, zeta = disc._refine_center(u, d0.zeta, rho, j0)
         zetas.append(zeta)
         base_profiles.append(disc.angular_profile_around(u, zeta, n_phi=64))
         js.append(j0)
@@ -410,6 +382,10 @@ def extract(
 
 # -- dislocation-weak vanishing test ---------------------------------------------
 
+_DWEAK_SLOW_RATIO = 0.5
+_DWEAK_FLOOR = 0.05
+
+
 @dataclass(frozen=True)
 class DWeakReport:
     per_member: tuple  # max |pairing| per member over tracks and probes
@@ -479,12 +455,7 @@ def dweak_test(
                     best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
         per_member.append(best)
         witness = best_track if best_track is not None else witness
-    tail = per_member[-1]
-    peak = max(per_member)
-    tail_monotone = all(
-        b < a for a, b in zip(per_member[-3:], per_member[-2:])
-    )
-    if tail <= max(0.05 * peak, 0.05) or (tail <= 0.5 * peak and tail_monotone):
+    if tail_decayed(per_member, _DWEAK_SLOW_RATIO, _DWEAK_FLOOR):
         verdict = "dweak-null-evidence"
     else:
         verdict = "non-vanishing"

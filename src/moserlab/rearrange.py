@@ -121,17 +121,12 @@ class RearrangedFunction:
         Each piece is affine in ell with value f_lo at ell_lo (large-tau side)
         and f_hi at ell_hi; the cap piece is constant equal to the ess sup.
         """
-        bp, va = self.breakpoints, self.values
-        ells = _ell(bp)
+        va = self.values
+        lo = _ell(self.breakpoints)
+        hi = np.concatenate(([np.inf], lo[:-1]))
         if self.kind == "step":
-            lo = ells
-            hi = np.concatenate(([np.inf], ells[:-1]))
-            return lo, hi, va.astype(float), va.astype(float)
-        lo = ells
-        hi = np.concatenate(([np.inf], ells[:-1]))
-        f_lo = np.concatenate((va[:1], va[2:]))
-        f_hi = va[:-1].copy()
-        return lo, hi, f_lo, f_hi
+            return lo, hi, va, va
+        return lo, hi, np.concatenate((va[:1], va[2:])), va[:-1]
 
 
 @dataclass(frozen=True)
