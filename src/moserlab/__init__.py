@@ -29,6 +29,7 @@ from .functional import (
 from .rearrange import (
     LZIndex,
     RearrangedFunction,
+    expl2_disc,
     expl2_quasinorm,
     lz_quasinorm,
     rearrange_disc,

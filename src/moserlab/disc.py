@@ -143,13 +143,15 @@ class DiscFunction:
         rings = np.asarray(self.rings, dtype=float)
         if rings.shape != (self.grid.n_r, self.grid.n_theta):
             raise ValueError("ring values must have shape (n_r, n_theta)")
-        if not np.all(np.isfinite(rings)) or not math.isfinite(self.center):
+        # NaN and inf propagate into the extremes, so the largest magnitude
+        # both validates the samples and gives the zero-trace scale
+        peak = max(float(rings.max()), -float(rings.min()))
+        if not math.isfinite(peak) or not math.isfinite(self.center):
             raise ValueError("disc samples must be finite")
         if not (0.0 < self.support_radius <= 1.0):
             raise ValueError("support radius must lie in (0, 1]")
         if self.zero_trace:
-            scale_ref = max(1.0, float(np.max(np.abs(rings))))
-            if np.max(np.abs(rings[-1])) > 1e-9 * scale_ref:
+            if np.max(np.abs(rings[-1])) > 1e-9 * max(1.0, peak):
                 raise ValueError("boundary ring must vanish (zero trace)")
         rings = rings.copy()
         rings.setflags(write=False)

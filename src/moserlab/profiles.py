@@ -10,10 +10,17 @@ until the remainder is small in the working exponential-class quasinorm or a
 term cap is reached.
 
 Candidate selection keeps every detection whose score is at least half the
-best one and greedily picks the candidate whose subtraction leaves the least
-tail energy, with deterministic tie-breaking (smaller scale, then
+best one and greedily picks, among the candidates that keep the term
+energies inside the input energy budget, the one whose subtraction leaves
+the least tail energy, with deterministic tie-breaking (smaller scale, then
 lexicographic center).  Two consecutive increases of the tail remainder
 energy abort the run with diagnostics.
+
+The members carry one running residual: a term's bubbles are subtracted once,
+when the term is chosen (the tail bubble already subtracted while ranking the
+candidates is reused), and a refine sweep adds a term's bubbles back to get
+the members cleaned of every other term, then subtracts the refit's bubbles
+if the refit is accepted.  Nothing is rebuilt from the original members.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from . import disc
 from .functional import tail_decayed
 from .radial import RadialProfile, gauge_apply, grad_norm, h1_inner
-from .rearrange import expl2_quasinorm, rearrange_disc
+from .rearrange import expl2_disc
 
 __all__ = [
     "FunctionSequence",
@@ -119,11 +126,16 @@ class Decomposition:
         object.__setattr__(
             self, "remainder_expl2", tuple(float(r) for r in self.remainder_expl2)
         )
-        if self.energy() > self.input_energy_limsup + 1e-6:
+        if not _within_budget(self.terms, self.input_energy_limsup):
             raise ValueError("term energies exceed the input energy budget")
 
     def energy(self) -> float:
         return sum(t.energy() for t in self.terms)
+
+
+def _within_budget(terms, limit: float) -> bool:
+    """True iff the term energies sum to at most the budget, up to 1e-6."""
+    return sum(t.energy() for t in terms) <= limit + 1e-6
 
 
 def orthogonality_check(
@@ -239,15 +251,6 @@ def _synthesize(term: ProfileTerm, idx: int, grid) -> disc.DiscFunction:
     )
 
 
-def _residuals(originals, terms, grid):
-    out = []
-    for idx, u in enumerate(originals):
-        for t in terms:
-            u = disc.subtract_disc(u, _synthesize(t, idx, grid))
-        out.append(u)
-    return out
-
-
 def _fit_term(members, d0, rho, j_max, k_tail, grid) -> ProfileTerm | None:
     track, w = _track_candidate(members, d0, rho, j_max, k_tail)
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
@@ -286,14 +289,15 @@ def extract(
     twice in a row.  After the greedy pass, `refine_sweeps` re-estimation
     sweeps refit each term against the members with all other terms removed,
     which suppresses the first-order cross-talk between separated terms.
+    Neither pass accepts terms whose energies exceed the input budget.
     """
     if not seq.is_disc():
         raise ValueError("extraction operates on disc-sampled sequences")
     if eps_stop <= 0:
         raise ValueError("stop threshold must be positive")
-    originals = list(seq.members)
-    members = list(originals)
+    members = list(seq.members)
     grid = members[0].grid
+    tail = len(members) - 1
     input_limsup = max(disc.energy(u) for u in members)
     eps_detect = eps_detect if eps_detect is not None else eps_stop / 4.0
 
@@ -303,7 +307,7 @@ def extract(
     increases = 0
 
     for _ in range(max_terms):
-        rem = expl2_quasinorm(rearrange_disc(members[-1]))
+        rem = expl2_disc(members[-1])
         if rem < eps_stop:
             break
         cands = disc.concentration_detect(
@@ -320,24 +324,26 @@ def extract(
             cand_term = _fit_term(members, d0, rho, j_max, k_tail, grid)
             if cand_term is None:
                 continue
+            if not _within_budget(terms + [cand_term], input_limsup):
+                continue
             resid = disc.subtract_disc(
-                members[-1], _synthesize(cand_term, len(members) - 1, grid)
+                members[tail], _synthesize(cand_term, tail, grid)
             )
-            e_tail = disc.energy(resid)
             zl = cand_term.zeta_track[-1]
-            key = (e_tail, cand_term.j_track[-1], zl.real, zl.imag)
+            key = (disc.energy(resid), cand_term.j_track[-1], zl.real, zl.imag)
             if chosen is None or key < chosen[0]:
-                chosen = (key, cand_term)
+                chosen = (key, cand_term, resid)
+            del resid  # a losing residual is freed before the next fit
         if chosen is None:
             status = "no-candidates"
             break
-        term = chosen[1]
-        members = [
-            disc.subtract_disc(u, _synthesize(term, idx, grid))
-            for idx, u in enumerate(members)
-        ]
+        key, term, members[tail] = chosen
+        tail_energy = key[0]
+        for idx in range(tail):
+            members[idx] = disc.subtract_disc(
+                members[idx], _synthesize(term, idx, grid)
+            )
         terms.append(term)
-        tail_energy = disc.energy(members[-1])
         if tail_energy > prev_tail_energy + 1e-12:
             increases += 1
             if increases >= 2:
@@ -355,23 +361,27 @@ def extract(
 
     if len(terms) > 1:
         for _ in range(max(0, refine_sweeps)):
-            for i, old in enumerate(terms):
-                cleaned = _residuals(
-                    originals, [t for m, t in enumerate(terms) if m != i], grid
-                )
+            for i in range(len(terms)):
+                old = terms[i]
+                # the running residual plus term i: every other term removed
+                cleaned = [
+                    disc.add(u, _synthesize(old, idx, grid))
+                    for idx, u in enumerate(members)
+                ]
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 refit = _fit_term(cleaned, d0, rho, j_max, k_tail, grid)
-                if refit is None:
-                    continue
-                trial = terms.copy()
-                trial[i] = refit
-                if sum(t.energy() for t in trial) <= input_limsup + 1e-6:
-                    terms = trial
-        members = _residuals(originals, terms, grid)
+                if refit is not None and _within_budget(
+                    terms[:i] + [refit] + terms[i + 1:], input_limsup
+                ):
+                    terms[i] = refit
+                    for idx in range(len(members)):
+                        members[idx] = disc.subtract_disc(
+                            cleaned[idx], _synthesize(refit, idx, grid)
+                        )
+                        cleaned[idx] = None
+                del cleaned
 
-    remainder = tuple(
-        expl2_quasinorm(rearrange_disc(u)) for u in members
-    )
+    remainder = tuple(expl2_disc(u) for u in members)
     return Decomposition(
         terms=tuple(terms),
         remainder_expl2=remainder,

@@ -52,6 +52,35 @@ class TestDiscFunction:
         with pytest.raises(ValueError, match="boundary"):
             disc.DiscFunction(grid, 1.0, rings)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("zero_trace", [True, False])
+    @pytest.mark.parametrize("where", ["interior", "boundary", "center"])
+    def test_nonfinite_samples_rejected(self, grid, bad, zero_trace, where):
+        rings = np.zeros((grid.n_r, grid.n_theta))
+        center = 0.0
+        if where == "interior":
+            rings[grid.n_r // 2, 3] = bad
+        elif where == "boundary":
+            rings[-1, 5] = bad
+        else:
+            center = bad
+        with pytest.raises(ValueError, match="finite"):
+            disc.DiscFunction(grid, center, rings, zero_trace=zero_trace)
+
+    def test_validation_keeps_a_private_copy(self, grid):
+        rings = np.zeros((grid.n_r, grid.n_theta))
+        rings[3, 4] = 2.0
+        u = disc.DiscFunction(grid, 0.0, rings)
+        rings[3, 4] = 5.0
+        assert u.rings[3, 4] == 2.0
+        assert not u.rings.flags.writeable
+        # the zero-trace scale is the largest sample, at least 1
+        rings[-1, 0] = 0.9e-9 * 5.0
+        disc.DiscFunction(grid, 0.0, rings)
+        rings[-1, 0] = 1.1e-9 * 5.0
+        with pytest.raises(ValueError, match="boundary"):
+            disc.DiscFunction(grid, 0.0, rings)
+
     def test_serialization_round_trip(self, bump, tmp_path):
         doc = disc.disc_to_dict(bump)
         v = disc.disc_from_dict(doc)
