@@ -6,7 +6,6 @@ extractor, plus deterministic sequence generators and a batch CLI."""
 
 from .radial import (
     LogRadialGrid,
-    MoserParams,
     RadialProfile,
     gauge_apply,
     grad_norm,

@@ -125,6 +125,16 @@ def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
     return cap, ann
 
 
+# a 1024^2 grid's array is 8 MiB: keep only a few grids
+@lru_cache(maxsize=4)
+def _cell_area_array(grid: PolarGrid) -> np.ndarray:
+    """Per-cell absolute areas, cap first, in the order of cell values."""
+    cap, ann = cell_areas(grid)
+    areas = np.concatenate(([cap], np.repeat(ann, grid.n_theta)))
+    areas.setflags(write=False)
+    return areas
+
+
 @dataclass(frozen=True)
 class DiscFunction:
     """Node samples on a polar grid: ring values (n_r, n_theta) plus a center.
@@ -206,18 +216,16 @@ class DiscFunction:
         return row[m] * (1 - eta) + row[(m + 1) % grid.n_theta] * eta
 
     def cell_values_and_areas(self):
-        """Per-cell representative values and absolute areas (cap first)."""
-        grid = self.grid
+        """Per-cell representative values and absolute areas (cap first).
+
+        The areas depend only on the grid and are a shared read-only array.
+        """
         V = self.rings
         Vn = np.roll(V, -1, axis=1)
         cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
-        cap_area, ann = cell_areas(grid)
         cap_val = 0.5 * (self.center + float(np.mean(V[0])))
         values = np.concatenate(([cap_val], cell_vals.ravel()))
-        areas = np.concatenate(
-            ([cap_area], np.repeat(ann, grid.n_theta))
-        )
-        return values, areas
+        return values, _cell_area_array(self.grid)
 
 
 @dataclass(frozen=True)
@@ -526,58 +534,59 @@ def average_field(u: DiscFunction, radius: float) -> DiscFunction:
 
 # -- concentration detection ----------------------------------------------------
 
-def _default_centers(max_radius: float = 0.5) -> np.ndarray:
+# the ball radii of the detector and the extractor's tracker are RHO^j
+RHO = math.exp(-1.0)
+_MERGE_RADIUS = 0.05
+
+
+def _scan_centers() -> np.ndarray:
+    """The origin and ten rings of centers out to |zeta| = 1/2."""
     pts = [0.0 + 0.0j]
-    for rad in np.linspace(0.05, max_radius, 10):
+    for rad in np.linspace(0.05, 0.5, 10):
         n_ang = max(8, int(round(2.0 * math.pi * rad / 0.045)))
         ang = 2.0 * math.pi * np.arange(n_ang) / n_ang
         pts.extend(rad * np.exp(1j * ang))
-    return np.asarray(pts, dtype=complex)
+    centers = np.asarray(pts, dtype=complex)
+    centers.setflags(write=False)
+    return centers
+
+
+_CENTERS = _scan_centers()
 
 
 def concentration_detect(
     u: DiscFunction,
     eps: float,
-    rho_grid=None,
     j_max: int = 64,
-    centers: np.ndarray | None = None,
-    merge_radius: float = 0.05,
     refine: bool = True,
     top_k: int = 8,
 ) -> list[tuple[DislocationParam, float]]:
-    """Scan (j, zeta, rho) for scores j^{-1/2} |A_{rho^j} u(zeta)| >= eps.
+    """Scan (j, zeta) for scores j^{-1/2} |A_{RHO^j} u(zeta)| >= eps.
 
     Balls below grid resolution degrade continuously to interpolated point
     values (the scan intentionally runs past the resolving exponent; planted
     scales beyond j_max would be reported at the cap).  Candidates closer
-    than max(rho^j, merge_radius) with log-scale gap below log 2 are merged,
+    than max(RHO^j, _MERGE_RADIUS) with log-scale gap below log 2 are merged,
     keeping the higher score.  An empty list is a valid outcome.
     """
     if eps <= 0:
         raise ValueError("detection threshold must be positive")
-    if rho_grid is None:
-        rho_grid = (math.exp(-1.0),)
-    if centers is None:
-        centers = _default_centers()
-    centers = np.asarray(centers, dtype=complex)
 
-    raw: list[tuple[float, int, float, complex]] = []
+    raw: list[tuple[float, int, complex]] = []
     for j in range(1, j_max + 1):
         pref = 1.0 / math.sqrt(j)
-        for rho in rho_grid:
-            rad = rho**j
-            scores = pref * np.abs(average_many(u, rad, centers))
-            for idx in np.nonzero(scores >= eps)[0]:
-                raw.append((float(scores[idx]), j, float(rho), centers[idx]))
-    raw.sort(key=lambda c: (-c[0], c[1], c[3].real, c[3].imag))
+        scores = pref * np.abs(average_many(u, RHO**j, _CENTERS))
+        for idx in np.nonzero(scores >= eps)[0]:
+            raw.append((float(scores[idx]), j, _CENTERS[idx]))
+    raw.sort(key=lambda c: (-c[0], c[1], c[2].real, c[2].imag))
 
-    kept: list[tuple[float, int, float, complex]] = []
+    kept: list[tuple[float, int, complex]] = []
     for cand in raw:
         merged = False
         for k in kept:
-            dist_tol = max(cand[2] ** cand[1], merge_radius)
+            dist_tol = max(RHO ** cand[1], _MERGE_RADIUS)
             if (
-                abs(cand[3] - k[3]) < dist_tol
+                abs(cand[2] - k[2]) < dist_tol
                 and abs(math.log(cand[1]) - math.log(k[1])) < math.log(2.0)
             ):
                 merged = True
@@ -588,11 +597,11 @@ def concentration_detect(
             break
 
     results = []
-    for score, j, rho, zeta in kept:
+    for score, j, zeta in kept:
         if refine:
-            score, zeta = _refine_center(u, zeta, rho, j, score)
+            score, zeta = _refine_center(u, zeta, RHO, j, score)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
-            scores = _scan_scales(u, zeta, rho, js)
+            scores = _scan_scales(u, zeta, RHO, js)
             k = int(np.argmax(scores))
             if scores[k] > score:
                 score, j = float(scores[k]), int(js[k])

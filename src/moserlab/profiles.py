@@ -9,18 +9,20 @@ the weak limit, subtract the synthesized term from every member, and repeat
 until the remainder is small in the working exponential-class quasinorm or a
 term cap is reached.
 
-Candidate selection keeps every detection whose score is at least half the
-best one and greedily picks, among the candidates that keep the term
-energies inside the input energy budget, the one whose subtraction leaves
-the least tail energy, with deterministic tie-breaking (smaller scale, then
-lexicographic center).  Two consecutive increases of the tail remainder
-energy abort the run with diagnostics.
+One placement step, `_place_term`, fits and subtracts for both passes: it
+fits a term from each starting (scale, center) and keeps, among the terms
+that fit the input energy budget, the one whose subtraction leaves the least
+tail energy, ties broken by smaller scale, then lexicographic center, then
+the whole track.  The greedy pass starts it from every detection scoring at
+least half the best one; two consecutive increases of the tail remainder
+energy abort the run with diagnostics.  A refine sweep starts it from a
+term's last (scale, center) on the members cleaned of every other term.
 
-The members carry one running residual: a term's bubbles are subtracted once,
-when the term is chosen (the tail bubble already subtracted while ranking the
-candidates is reused), and a refine sweep adds a term's bubbles back to get
-the members cleaned of every other term, then subtracts the refit's bubbles
-if the refit is accepted.  Nothing is rebuilt from the original members.
+The members carry one running residual: the chosen term's bubbles are
+subtracted once (the fit's tail bubble, already subtracted to rank it, is
+reused), and a refine sweep adds a term's bubbles back to get the cleaned
+members, which become the residual if the refit is accepted.  Nothing is
+rebuilt from the original members.
 """
 
 from __future__ import annotations
@@ -195,9 +197,12 @@ def _trim_profile_support(w: RadialProfile, t_min: float) -> RadialProfile:
     return RadialProfile.from_arrays(nodes, vals, 2)
 
 
-def _tail_average(base_profiles, js, k_tail: int) -> RadialProfile:
+_K_TAIL = 3  # members averaged as the finite weak-limit stand-in
+
+
+def _tail_average(base_profiles, js) -> RadialProfile:
     """Average the scale-j dilations of the per-member mean profiles (tail only)."""
-    tail = range(max(0, len(base_profiles) - k_tail), len(base_profiles))
+    tail = range(max(0, len(base_profiles) - _K_TAIL), len(base_profiles))
     profs = [gauge_apply(base_profiles[i], float(js[i])) for i in tail]
     ref = profs[-1]
     acc = np.zeros_like(ref.values)
@@ -208,8 +213,7 @@ def _tail_average(base_profiles, js, k_tail: int) -> RadialProfile:
     return RadialProfile.from_arrays(ref.nodes, acc, 2)
 
 
-def _track_candidate(members, d0: disc.DislocationParam, rho: float, j_max: int,
-                     k_tail: int):
+def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     """Per-member (scale, center) plus the averaged profile for one detection.
 
     Centers are refined by local score maximization.  Scales are locked by a
@@ -222,13 +226,13 @@ def _track_candidate(members, d0: disc.DislocationParam, rho: float, j_max: int,
     zetas, base_profiles, js = [], [], []
     j_all = np.arange(1, j_max + 1)
     for u in members:
-        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, rho, j_all))])
-        _, zeta = disc._refine_center(u, d0.zeta, rho, j0)
+        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, disc.RHO, j_all))])
+        _, zeta = disc._refine_center(u, d0.zeta, disc.RHO, j0)
         zetas.append(zeta)
         base_profiles.append(disc.angular_profile_around(u, zeta, n_phi=64))
         js.append(j0)
     for _ in range(2):
-        ref = _tail_average(base_profiles, js, k_tail)
+        ref = _tail_average(base_profiles, js)
         nrm = grad_norm(ref, 2)
         if nrm < 1e-12:
             break
@@ -241,7 +245,7 @@ def _track_candidate(members, d0: disc.DislocationParam, rho: float, j_max: int,
             js[i] = 1 + int(np.argmax(pairings))
     js = [int(j) for j in np.maximum.accumulate(js)]
     track = list(zip(js, zetas))
-    w = _tail_average(base_profiles, js, k_tail)
+    w = _tail_average(base_profiles, js)
     return track, w
 
 
@@ -251,8 +255,13 @@ def _synthesize(term: ProfileTerm, idx: int, grid) -> disc.DiscFunction:
     )
 
 
-def _fit_term(members, d0, rho, j_max, k_tail, grid) -> ProfileTerm | None:
-    track, w = _track_candidate(members, d0, rho, j_max, k_tail)
+def _fit_term(members, d0, j_max, grid):
+    """(term, its tail bubble) fitted from the start d0, or None.
+
+    The bubble is the term synthesized at the tail index, as `_synthesize`
+    would give it up to rounding.
+    """
+    track, w = _track_candidate(members, d0, j_max)
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
@@ -268,7 +277,42 @@ def _fit_term(members, d0, rho, j_max, k_tail, grid) -> ProfileTerm | None:
         beta = min(1.25, max(0.5, beta))
         if beta != 1.0:
             w = RadialProfile.from_arrays(w.nodes, beta * w.values, 2)
-    return ProfileTerm(w, [j for j, _ in track], [z for _, z in track])
+            synth = disc.scale_disc(synth, beta)
+    return ProfileTerm(w, [j for j, _ in track], [z for _, z in track]), synth
+
+
+def _place_term(members, starts, j_max, grid, fits_budget):
+    """Fit a term from each start and subtract the best one from every member.
+
+    The best term leaves the least tail energy, ties broken by smaller scale,
+    then lexicographic center at the tail, then the whole track (two starts
+    can refine to the same tail bubble but different early centers), so the
+    order of the starts never decides.  Starts whose fit fails or whose term
+    `fits_budget` rejects are skipped.  Returns (tail energy, term), with the
+    members updated in place, or None with the members untouched.
+    """
+    tail = len(members) - 1
+    chosen = None
+    for d0 in starts:
+        fit = _fit_term(members, d0, j_max, grid)
+        if fit is None or not fits_budget(fit[0]):
+            del fit  # a rejected bubble is freed before the next fit
+            continue
+        term = fit[0]
+        resid = disc.subtract_disc(members[tail], fit[1])
+        del fit  # the bubble is freed before the energy
+        zl = term.zeta_track[-1]
+        key = (disc.energy(resid), term.j_track[-1], zl.real, zl.imag,
+               term.j_track, [(z.real, z.imag) for z in term.zeta_track])
+        if chosen is None or key < chosen[0]:
+            chosen = (key, term, resid)
+        del resid  # a losing residual is freed before the next fit
+    if chosen is None:
+        return None
+    key, term, members[tail] = chosen
+    for idx in range(tail):
+        members[idx] = disc.subtract_disc(members[idx], _synthesize(term, idx, grid))
+    return key[0], term
 
 
 def extract(
@@ -276,9 +320,6 @@ def extract(
     eps_stop: float = 0.05,
     max_terms: int = 4,
     j_max: int = 24,
-    rho: float = math.exp(-1.0),
-    k_tail: int = 3,
-    eps_detect: float | None = None,
     refine_sweeps: int = 2,
 ) -> Decomposition:
     """Iterative detect / deflate / subtract extraction of concentration terms.
@@ -297,9 +338,7 @@ def extract(
         raise ValueError("stop threshold must be positive")
     members = list(seq.members)
     grid = members[0].grid
-    tail = len(members) - 1
     input_limsup = max(disc.energy(u) for u in members)
-    eps_detect = eps_detect if eps_detect is not None else eps_stop / 4.0
 
     terms: list[ProfileTerm] = []
     status = "converged"
@@ -307,42 +346,20 @@ def extract(
     increases = 0
 
     for _ in range(max_terms):
-        rem = expl2_disc(members[-1])
-        if rem < eps_stop:
+        if expl2_disc(members[-1]) < eps_stop:
             break
         cands = disc.concentration_detect(
-            members[-1], eps=eps_detect, rho_grid=(rho,), j_max=j_max, top_k=4
+            members[-1], eps=eps_stop / 4.0, j_max=j_max, top_k=4
         )
-        if not cands:
+        shortlist = [d0 for d0, score in cands if score >= 0.5 * cands[0][1]]
+        placed = _place_term(
+            members, shortlist, j_max, grid,
+            lambda t: _within_budget(terms + [t], input_limsup),
+        )
+        if placed is None:
             status = "no-candidates"
             break
-        best_score = cands[0][1]
-        shortlist = [c for c in cands if c[1] >= 0.5 * best_score]
-
-        chosen = None
-        for d0, _score in shortlist:
-            cand_term = _fit_term(members, d0, rho, j_max, k_tail, grid)
-            if cand_term is None:
-                continue
-            if not _within_budget(terms + [cand_term], input_limsup):
-                continue
-            resid = disc.subtract_disc(
-                members[tail], _synthesize(cand_term, tail, grid)
-            )
-            zl = cand_term.zeta_track[-1]
-            key = (disc.energy(resid), cand_term.j_track[-1], zl.real, zl.imag)
-            if chosen is None or key < chosen[0]:
-                chosen = (key, cand_term, resid)
-            del resid  # a losing residual is freed before the next fit
-        if chosen is None:
-            status = "no-candidates"
-            break
-        key, term, members[tail] = chosen
-        tail_energy = key[0]
-        for idx in range(tail):
-            members[idx] = disc.subtract_disc(
-                members[idx], _synthesize(term, idx, grid)
-            )
+        tail_energy, term = placed
         terms.append(term)
         if tail_energy > prev_tail_energy + 1e-12:
             increases += 1
@@ -369,16 +386,15 @@ def extract(
                     for idx, u in enumerate(members)
                 ]
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
-                refit = _fit_term(cleaned, d0, rho, j_max, k_tail, grid)
-                if refit is not None and _within_budget(
-                    terms[:i] + [refit] + terms[i + 1:], input_limsup
-                ):
-                    terms[i] = refit
-                    for idx in range(len(members)):
-                        members[idx] = disc.subtract_disc(
-                            cleaned[idx], _synthesize(refit, idx, grid)
-                        )
-                        cleaned[idx] = None
+                placed = _place_term(
+                    cleaned, [d0], j_max, grid,
+                    lambda t: _within_budget(
+                        terms[:i] + [t] + terms[i + 1:], input_limsup
+                    ),
+                )
+                if placed is not None:
+                    terms[i] = placed[1]
+                    members = cleaned
                 del cleaned
 
     remainder = tuple(expl2_disc(u) for u in members)
@@ -419,7 +435,6 @@ def dweak_test(
     seed: int = 0,
     n_random_tracks: int = 6,
     j_max: int = 24,
-    rho: float = math.exp(-1.0),
 ) -> DWeakReport:
     """Search dislocation tracks for a non-vanishing deflated pairing.
 
@@ -448,7 +463,7 @@ def dweak_test(
     witness = None
     for u in members:
         cands = disc.concentration_detect(
-            u, eps=1e-4, rho_grid=(rho,), j_max=j_max, top_k=2, refine=False
+            u, eps=1e-4, j_max=j_max, top_k=2, refine=False
         )
         local = tracks + [(c[0].j, c[0].zeta, "detector") for c in cands]
         best = 0.0

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "LogRadialGrid",
     "RadialProfile",
-    "MoserParams",
     "sphere_area",
     "critical_exponent",
     "make_moser",
@@ -39,7 +38,6 @@ __all__ = [
     "hardy_ratio",
     "hardy_weight_integral",
     "lp_mass",
-    "sup_norm",
     "scale",
     "subtract",
     "h1_inner",
@@ -147,28 +145,6 @@ class RadialProfile:
 
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0.0))
-
-
-@dataclass(frozen=True)
-class MoserParams:
-    """Concentration parameter s in (0,1) and its exponent L = log(1/s)."""
-
-    s: float
-    L: float
-
-    def __post_init__(self):
-        if not (0.0 < self.s < 1.0) or not (self.L > 0.0):
-            raise ValueError("need 0 < s < 1, i.e. L > 0")
-        if not math.isclose(self.L, -math.log(self.s), rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("inconsistent (s, L) pair")
-
-    @staticmethod
-    def from_s(s: float) -> "MoserParams":
-        return MoserParams(float(s), -math.log(s))
-
-    @staticmethod
-    def from_exponent(L: float) -> "MoserParams":
-        return MoserParams(math.exp(-L), float(L))
 
 
 def make_moser(s: float, n: int = 2) -> RadialProfile:
@@ -390,10 +366,6 @@ def lp_mass(u: RadialProfile, p: int) -> float:
         total += 2.0 * _exp_moment(a, b, t0, t1, p)
     total += c**p * math.exp(-2.0 * T)
     return total
-
-
-def sup_norm(u: RadialProfile) -> float:
-    return float(np.max(np.abs(u.values)))
 
 
 def scale(u: RadialProfile, c: float) -> RadialProfile:

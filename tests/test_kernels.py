@@ -158,7 +158,7 @@ def test_detector_refinement_matches_old_search():
     grid = disc.PolarGrid(n_r=256, n_theta=128, s_max=8.0)
     u = disc.add(bubble(grid, 4, 0.1 + 0.05j), bubble(grid, 2, -0.25 + 0.1j))
     rho = math.exp(-1.0)
-    kw = dict(eps=0.01, rho_grid=(rho,), j_max=16, top_k=4)
+    kw = dict(eps=0.01, j_max=16, top_k=4)
     raw = disc.concentration_detect(u, refine=False, **kw)
     ref = [old_refine_candidate(u, s, d.j, rho, d.zeta, 16) for d, s in raw]
     ref.sort(key=lambda c: (-c[0], c[1], c[2].real, c[2].imag))

@@ -2,7 +2,8 @@
 
 The references below are the previous implementations, kept verbatim: the
 working quasinorm of a disc sample by a full stable sort and the general
-stationary-point search, and the residuals rebuilt from the original members.
+stationary-point search, the per-cell values and areas built afresh on every
+call, and the residuals rebuilt from the original members.
 """
 
 import math
@@ -37,6 +38,20 @@ def old_expl2_quasinorm(f):
 
 def old_expl2_of_disc(u):
     return old_expl2_quasinorm(old_rearrange_disc(u))
+
+
+def old_cell_values_and_areas(u):
+    grid = u.grid
+    V = u.rings
+    Vn = np.roll(V, -1, axis=1)
+    cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
+    cap_area, ann = disc.cell_areas(grid)
+    cap_val = 0.5 * (u.center + float(np.mean(V[0])))
+    values = np.concatenate(([cap_val], cell_vals.ravel()))
+    areas = np.concatenate(
+        ([cap_area], np.repeat(ann, grid.n_theta))
+    )
+    return values, areas
 
 
 def old_residuals(originals, terms, grid):
@@ -84,6 +99,26 @@ def test_step_closed_form_matches_sup_pieces(seed, pieces, split):
         rest = rearrange._expl2_prefix(vals, areas, 1.0, ~head, s_last)[0]
         best = max(best, rest)
     assert best == pytest.approx(expect, rel=REL, abs=0.0)
+
+
+# -- per-cell values and areas ----------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(16, 80), st.integers(32, 96),
+       st.sampled_from(["geometric", "uniform"]))
+def test_cell_values_and_areas_match_old(seed, n_r, n_theta, spacing):
+    grid = disc.PolarGrid(n_r=n_r, n_theta=n_theta, spacing=spacing, s_max=5.0)
+    rng = np.random.default_rng(seed)
+    rings = rng.normal(size=(n_r, n_theta)) * 10.0 ** rng.uniform(-6, 6, (n_r, n_theta))
+    rings[-1] = 0.0
+    u = disc.DiscFunction(grid, float(rng.normal()), rings)
+    values, areas = u.cell_values_and_areas()
+    old_values, old_areas = old_cell_values_and_areas(u)
+    assert np.array_equal(values, old_values)
+    assert np.array_equal(areas, old_areas)
+    # the areas are built once per grid and shared read-only
+    assert not areas.flags.writeable
+    assert u.cell_values_and_areas()[1] is areas
 
 
 # -- expl2_disc against the full sort -------------------------------------------------
@@ -224,11 +259,13 @@ def test_greedy_pass_skips_over_budget_candidates(two_term_run, monkeypatch):
     def overshooting_fit(*args, **kwargs):
         # every candidate comes back with twice the amplitude: four times the
         # energy, beyond the input budget
-        t = fit(*args, **kwargs)
-        if t is None:
+        got = fit(*args, **kwargs)
+        if got is None:
             return None
+        t, bubble = got
         w = radial.RadialProfile.from_arrays(t.w.nodes, 2.0 * t.w.values, 2)
-        return profiles.ProfileTerm(w, t.j_track, t.zeta_track)
+        term = profiles.ProfileTerm(w, t.j_track, t.zeta_track)
+        return term, disc.scale_disc(bubble, 2.0)
 
     monkeypatch.setattr(profiles, "_fit_term", overshooting_fit)
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
