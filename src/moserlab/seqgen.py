@@ -53,9 +53,6 @@ class GeneratorSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params, "seed": self.seed}
-
 
 # -- concentrating ramp sequences ------------------------------------------------
 
@@ -197,11 +194,9 @@ def _noise_member(grid, rng, k: int, noise_energy: float) -> disc.DiscFunction:
     prof = RadialProfile.from_arrays(
         [0.0, 0.8, 1.3, 2.1, 2.6], [0.0, 0.0, 1.0, 0.0, 0.0], 2
     )
-    base = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
     mode = min(grid.n_theta // 3, 24 + 6 * k)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    rings = base.rings * np.cos(mode * disc._thetas(grid) + phase)[None, :]
-    noisy = disc.DiscFunction(grid, 0.0, rings, base.support_radius)
+    noisy = disc.angular_mode(prof, grid, mode, phase)
     e = disc.energy(noisy)
     return disc.scale_disc(noisy, math.sqrt(noise_energy / e))
 
@@ -247,12 +242,7 @@ def synthetic_superposition(
             noise = _noise_member(grid, rng, k, noise_energy)
             acc = noise if acc is None else disc.add(acc, noise)
         if acc is None:
-            acc = disc.scale_disc(
-                disc.inflate(
-                    moser_annular(1.0), disc.DislocationParam(1, 0.0), grid
-                ),
-                0.0,
-            )
+            acc = disc.DiscFunction(grid, 0.0, np.zeros((grid.n_r, grid.n_theta)))
         members.append(acc)
     manifest = {
         "generator": "superposition",

@@ -70,16 +70,6 @@ class TestEvaluators:
         assert err.value.t_lo >= 0.0
         assert err.value.exponent > 700.0
 
-    def test_tail_cutoff_validation(self):
-        u = radial.moser_from_exponent(2.0)
-        spec = functional.QuadratureSpec(tail_cutoff=1.0)
-        with pytest.raises(ValueError):
-            functional.j_direct(u, spec)
-        spec_ok = functional.QuadratureSpec(tail_cutoff=5.0)
-        assert functional.j_direct(u, spec_ok) == pytest.approx(
-            functional.j_direct(u), rel=1e-12
-        )
-
 
 class TestMoserLimit:
     def test_gap_to_limit_shrinks(self):

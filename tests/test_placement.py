@@ -382,8 +382,11 @@ def placement_setup():
     starts = [d for d, _ in cands] + [
         disc.DislocationParam(1, 0.0), disc.DislocationParam(3, 0.05 - 0.3j)
     ]
-    energies = sorted(profiles._fit_term(members, d, 8, grid)[0].energy()
-                      for d in starts)
+    energies = sorted(
+        profiles._fit_term(members, *profiles._track_candidate(members, d, 8), grid)[0]
+        .energy()
+        for d in starts
+    )
     limits = [math.inf] + energies + [0.0]  # 0.0 rejects every start
     return members, starts, grid, limits, {}
 
