@@ -152,7 +152,25 @@ class DiscFunction:
     zero_trace: bool = True
 
     def __post_init__(self):
-        rings = np.asarray(self.rings, dtype=float)
+        # the caller may still hold the array: keep a private copy
+        self._own(np.array(self.rings, dtype=float, order="C"))
+
+    @classmethod
+    def _owned(cls, grid, center, rings, support_radius=1.0, zero_trace=True):
+        """The constructor for a fresh float array that no caller holds.
+
+        Same checks as the public constructor; only the copy is skipped.
+        """
+        u = object.__new__(cls)
+        for name, value in (("grid", grid), ("center", center),
+                            ("support_radius", support_radius),
+                            ("zero_trace", zero_trace)):
+            object.__setattr__(u, name, value)
+        u._own(rings)
+        return u
+
+    def _own(self, rings: np.ndarray) -> None:
+        """Validate the samples and store `rings`, read-only, as this function's."""
         if rings.shape != (self.grid.n_r, self.grid.n_theta):
             raise ValueError("ring values must have shape (n_r, n_theta)")
         # NaN and inf propagate into the extremes, so the largest magnitude
@@ -165,7 +183,6 @@ class DiscFunction:
         if self.zero_trace:
             if np.max(np.abs(rings[-1])) > 1e-9 * max(1.0, peak):
                 raise ValueError("boundary ring must vanish (zero trace)")
-        rings = rings.copy()
         rings.setflags(write=False)
         object.__setattr__(self, "rings", rings)
 
@@ -299,7 +316,7 @@ def grad_norm_disc(u: DiscFunction) -> float:
 def _combine(u: DiscFunction, v: DiscFunction, op) -> DiscFunction:
     if u.grid != v.grid:
         raise ValueError("disc functions live on different grids")
-    return DiscFunction(
+    return DiscFunction._owned(
         u.grid,
         float(op(u.center, v.center)),
         op(u.rings, v.rings),
@@ -317,7 +334,7 @@ def subtract_disc(u: DiscFunction, v: DiscFunction) -> DiscFunction:
 
 
 def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
-    return DiscFunction(
+    return DiscFunction._owned(
         u.grid, c * u.center, c * u.rings, u.support_radius, u.zero_trace
     )
 
@@ -404,7 +421,7 @@ def inflate(w: RadialProfile, d: DislocationParam, grid: PolarGrid) -> DiscFunct
     with np.errstate(divide="ignore"):
         t_c = math.inf if dist_c == 0.0 else -math.log(dist_c) / j
     center = math.sqrt(j) * float(w.value_at(t_c))
-    return DiscFunction(
+    return DiscFunction._owned(
         grid, center, rings, support_radius=min(1.0, abs(zeta) + R_inf)
     )
 
@@ -439,7 +456,7 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     rings = np.tile(block, (1, j))
     center = float(u.interpolate(zeta)) / math.sqrt(j)
     sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
-    return DiscFunction(out_grid, center, rings, support_radius=sup)
+    return DiscFunction._owned(out_grid, center, rings, support_radius=sup)
 
 
 def angular_profile_around(

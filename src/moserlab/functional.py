@@ -285,7 +285,12 @@ def _classify(pairings, j_values) -> str:
     return "subcritical-vanishing"
 
 
-def _demo_report(grid, cases, probe_count, spec, notes) -> WeakDiscontinuityReport:
+_PROBE_COUNT = 6
+# the critical budget: unit-norm members keep J away from J(0) = 0
+_GRADIENT_BUDGET = 1.0
+
+
+def _demo_report(grid, cases, probe_count, notes) -> WeakDiscontinuityReport:
     """Both demos: each case (row labels, w, dislocation d, profile for J) gives
     the member inflate(w, d), paired against the probes, and an exact J."""
     probes = disc.make_probes(grid, probe_count)
@@ -294,7 +299,7 @@ def _demo_report(grid, cases, probe_count, spec, notes) -> WeakDiscontinuityRepo
     for labels, w, d, j_profile in cases:
         member = disc.inflate(w, d, grid)
         pairings.append(disc.max_pairing(member, probes))
-        j_values.append(j_direct(j_profile, spec))
+        j_values.append(j_direct(j_profile))
         max_energy = max(max_energy, disc.energy(member))
         rows.append({**labels, "pairing": pairings[-1], "J": j_values[-1]})
     return WeakDiscontinuityReport(
@@ -309,17 +314,16 @@ def weak_discontinuity_demo(
     s_list,
     centers,
     grid: "disc.PolarGrid | None" = None,
-    gradient_budget: float = 1.0,
-    probe_count: int = 6,
-    spec: QuadratureSpec | None = None,
+    probe_count: int = _PROBE_COUNT,
 ) -> WeakDiscontinuityReport:
     """Translated concentrating sequence: weak-limit proxies vs. J values.
 
     Members are u_k = (translate by center_k of the subordinated ramp profile
-    with exponent L_k = log(1/s_k)), scaled by `gradient_budget`, sampled on
-    a polar grid.  The report tabulates, per member, the maximal discrete
-    pairing against a fixed probe set and the exact J value carried by the
-    radial profile (J is translation invariant for supports inside the disc).
+    with exponent L_k = log(1/s_k)), at the critical gradient budget 1,
+    sampled on a polar grid.  The report tabulates, per member, the maximal
+    discrete pairing against a fixed probe set and the exact J value carried
+    by the radial profile (J is translation invariant for supports inside the
+    disc).
     """
     s_arr = [float(s) for s in s_list]
     zetas = [complex(z) for z in centers]
@@ -342,20 +346,17 @@ def weak_discontinuity_demo(
     cases = []
     for s, L, z in zip(s_arr, L_arr, zetas):
         inner = -math.log1p(-abs(z)) if abs(z) > 0 else 0.0
-        prof = scale(moser_annular(L, inner), gradient_budget)
+        prof = scale(moser_annular(L, inner), _GRADIENT_BUDGET)
         labels = {"s": s, "center": [z.real, z.imag]}
         cases.append((labels, prof, disc.DislocationParam(1, z), prof))
     return _demo_report(
-        grid, cases, probe_count, spec, {"gradient_budget": gradient_budget}
+        grid, cases, probe_count, {"gradient_budget": _GRADIENT_BUDGET}
     )
 
 
 def dilation_concentration_demo(
     base: RadialProfile,
     j_list,
-    grid: "disc.PolarGrid | None" = None,
-    probe_count: int = 6,
-    spec: QuadratureSpec | None = None,
 ) -> WeakDiscontinuityReport:
     """Radial concentration by integer dilations of a fixed profile.
 
@@ -367,15 +368,14 @@ def dilation_concentration_demo(
     js = [int(j) for j in j_list]
     if any(j < 1 for j in js) or any(b < a for a, b in zip(js, js[1:])):
         raise ValueError("dilation schedule must be nondecreasing positive integers")
-    if grid is None:
-        grid = disc.PolarGrid(
-            n_r=512, n_theta=128, spacing="geometric",
-            s_max=float(base.nodes[-1]) * max(js) + 2.0,
-        )
+    grid = disc.PolarGrid(
+        n_r=512, n_theta=128, spacing="geometric",
+        s_max=float(base.nodes[-1]) * max(js) + 2.0,
+    )
     cases = [
         ({"j": j}, base, disc.DislocationParam(j, 0.0), gauge_apply(base, 1.0 / j))
         for j in js
     ]
     return _demo_report(
-        grid, cases, probe_count, spec, {"base_grad_norm": grad_norm(base, 2)}
+        grid, cases, _PROBE_COUNT, {"base_grad_norm": grad_norm(base, 2)}
     )

@@ -22,7 +22,10 @@ The members carry one running residual: the chosen term's bubbles are
 subtracted once (the fit's tail bubble, already subtracted to rank it, is
 reused), and a refine sweep adds a term's bubbles back to get the cleaned
 members, which become the residual if the refit is accepted.  Nothing is
-rebuilt from the original members.
+rebuilt from the original members.  A bubble depends only on the term's
+(scale, center) at an index, and a track repeats few of them, so both the
+subtraction and the add-back build each bubble once per distinct (j, zeta)
+group and apply it to every member of the group.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import disc
 from .functional import tail_decayed
-from .radial import RadialProfile, gauge_apply, grad_norm, h1_inner
+from .radial import RadialProfile, gauge_apply, grad_norm, sphere_area
 from .rearrange import expl2_disc
 
 __all__ = [
@@ -147,31 +150,31 @@ def _within_budget(terms, limit: float) -> bool:
     return sum(t.energy() for t in terms) <= limit + 1e-6
 
 
-def orthogonality_check(
-    a: ProfileTerm,
-    b: ProfileTerm,
-    delta: float = 0.05,
-    log_gap: float = math.log(2.0),
-    tail_fraction: float = 0.5,
-) -> bool:
+_ORTH_DELTA = 0.05  # center separation
+_ORTH_LOG_GAP = math.log(2.0)  # log-scale separation
+_ORTH_TAIL_FRACTION = 0.5  # share of the index list the criteria look at
+
+
+def orthogonality_check(a: ProfileTerm, b: ProfileTerm) -> bool:
     """Asymptotic separation of two tracks: centers apart, or scales diverging.
 
-    True iff on the tail of the index list either |zeta_a - zeta_b| >= delta
-    throughout, or |log j_a - log j_b| >= log_gap throughout and the gap does
-    not shrink from the start of the tail to its end.
+    True iff on the last half of the index list either
+    |zeta_a - zeta_b| >= 0.05 throughout, or |log j_a - log j_b| >= log 2
+    throughout and the gap does not shrink from the start of that tail to
+    its end.
     """
     if len(a.j_track) != len(b.j_track):
         raise ValueError("tracks must cover the same index list")
     n = len(a.j_track)
-    start = min(n - 1, int(math.floor(n * (1.0 - tail_fraction))))
+    start = min(n - 1, int(math.floor(n * (1.0 - _ORTH_TAIL_FRACTION))))
     dist = [abs(za - zb) for za, zb in zip(a.zeta_track, b.zeta_track)][start:]
-    if min(dist) >= delta:
+    if min(dist) >= _ORTH_DELTA:
         return True
     gaps = [
         abs(math.log(ja) - math.log(jb))
         for ja, jb in zip(a.j_track, b.j_track)
     ][start:]
-    return min(gaps) >= log_gap and gaps[-1] >= gaps[0]
+    return min(gaps) >= _ORTH_LOG_GAP and gaps[-1] >= gaps[0]
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,18 @@ def _tail_average(base_profiles, js) -> RadialProfile:
     return RadialProfile.from_arrays(ref.nodes, acc, 2)
 
 
+def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
+    """h1_inner(gauge_apply(base, j), ref) for j = 1 .. j_max, in one evaluation.
+
+    The reference is linear with slope dv_k on [t_k, t_{k+1}] and flat on its
+    plateau, so each pairing is the segment sum
+    omega j^{-1/2} sum_k dv_k (base(j t_{k+1}) - base(j t_k)).
+    """
+    js = np.arange(1, j_max + 1, dtype=float)
+    rises = np.diff(base.value_at(np.outer(js, ref.nodes)), axis=1)
+    return sphere_area(2) / np.sqrt(js) * (rises @ ref.slopes)
+
+
 def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     """Per-member (scale, center) plus the averaged profile for one detection.
 
@@ -243,11 +258,7 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
             break
         ref = RadialProfile.from_arrays(ref.nodes, ref.values / nrm, 2)
         for i, base in enumerate(base_profiles):
-            pairings = [
-                h1_inner(gauge_apply(base, float(j)), ref)
-                for j in range(1, j_max + 1)
-            ]
-            js[i] = 1 + int(np.argmax(pairings))
+            js[i] = 1 + int(np.argmax(_dilation_pairings(base, ref, j_max)))
     js = [int(j) for j in np.maximum.accumulate(js)]
     track = list(zip(js, zetas))
     w = _tail_average(base_profiles, js)
@@ -260,11 +271,28 @@ def _synthesize(term: ProfileTerm, idx: int, grid) -> disc.DiscFunction:
     )
 
 
+def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
+    """members[idx] = op(members[idx], bubble of term at idx), for idx in indices.
+
+    The bubble depends only on (j, zeta), so it is built once per distinct
+    pair and freed before the next one is built.
+    """
+    groups: dict = {}
+    for idx in indices:
+        groups.setdefault((term.j_track[idx], term.zeta_track[idx]), []).append(idx)
+    for group in groups.values():
+        bubble = _synthesize(term, group[0], grid)
+        for idx in group:
+            members[idx] = op(members[idx], bubble)
+        del bubble
+
+
 def _fit_term(members, track, w, grid):
     """(term, its tail bubble) fitted to a tracked (track, w), or None.
 
     The bubble is the term synthesized at the tail index, as `_synthesize`
-    would give it up to rounding.
+    would give it up to rounding.  The other members' bubbles are built
+    later, by `_apply_bubbles`, once per distinct (j, zeta) group.
     """
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
@@ -320,8 +348,7 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     if chosen is None:
         return None
     key, term, members[tail] = chosen
-    for idx in range(tail):
-        members[idx] = disc.subtract_disc(members[idx], _synthesize(term, idx, grid))
+    _apply_bubbles(disc.subtract_disc, members, term, range(tail), grid)
     return key[0], term
 
 
@@ -391,10 +418,8 @@ def extract(
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
-                cleaned = [
-                    disc.add(u, _synthesize(old, idx, grid))
-                    for idx, u in enumerate(members)
-                ]
+                cleaned = list(members)
+                _apply_bubbles(disc.add, cleaned, old, range(len(cleaned)), grid)
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
                     cleaned, [d0], j_max, grid,
