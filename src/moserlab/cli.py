@@ -2,8 +2,11 @@
 
 Commands write both a CSV (human-diffable; first line is a timestamp comment
 excluded from determinism comparisons) and a JSON document (structured, no
-timestamps) into the output directory.  All defaults live in the packaged
-defaults.json; flags override them, environment variables are never read.
+timestamps) into the output directory.  The options shared by every command
+take their defaults from the packaged defaults.json; the generator parameters
+(`_DEFAULT_PARAMS`) and the per-command defaults (`--l-values`, `--k-max`,
+`--indices`, `--max-terms`) live in this module.  Flags override them;
+environment variables are never read.
 """
 
 from __future__ import annotations
@@ -215,6 +218,8 @@ def cmd_generate(args) -> int:
         }
     if args.kind == "superposition":
         for t in params.get("terms", []):
+            if "profile" not in t:
+                raise ValueError("malformed superposition parameters: 'profile'")
             prof = radial.profile_from_dict(t["profile"])
             prof = radial.scale(prof, 1.0 / radial.grad_norm(prof, 2))
             t["profile"] = radial.profile_to_dict(prof)
@@ -239,14 +244,7 @@ def cmd_decompose(args) -> int:
     for i, t in enumerate(dec.terms):
         ref = f"term_{i:02d}.json"
         radial.save_profile(t.w, os.path.join(out, ref))
-        term_docs.append(
-            {
-                "profile": ref,
-                "j_track": list(t.j_track),
-                "zeta_track": [[z.real, z.imag] for z in t.zeta_track],
-                "energy": t.energy(),
-            }
-        )
+        term_docs.append(t.to_dict(profile=ref))
     doc = {
         "status": dec.status,
         "terms": term_docs,

@@ -119,6 +119,14 @@ def _thetas(grid: PolarGrid) -> np.ndarray:
     return th
 
 
+def _angular_index(grid: PolarGrid, theta: np.ndarray):
+    """(m, m + 1 mod n_theta, eta): the angular nodes around theta in [0, 2 pi)
+    and the weight eta of the second one in linear interpolation."""
+    y = theta / grid.dtheta
+    m = np.floor(y).astype(int) % grid.n_theta
+    return m, (m + 1) % grid.n_theta, y - np.floor(y)
+
+
 def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
     """(cap area, per-annulus cell areas), absolute; they sum to pi."""
     r = _ring_radii(grid)
@@ -202,7 +210,8 @@ class DiscFunction:
         ring = inside & ~cap
 
         if np.any(cap):
-            g = self._theta_interp(V[0], theta[cap])
+            m, m1, eta = _angular_index(grid, theta[cap])
+            g = V[0, m] * (1 - eta) + V[0, m1] * eta
             out[cap] = self.center + (r[cap] / radii[0]) * (g - self.center)
         if np.any(ring):
             s = -np.log(r[ring])
@@ -215,10 +224,7 @@ class DiscFunction:
                 x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
             i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
             xi = np.clip(x - i, 0.0, 1.0)
-            y = theta[ring] / grid.dtheta
-            m = np.floor(y).astype(int) % grid.n_theta
-            eta = y - np.floor(y)
-            m1 = (m + 1) % grid.n_theta
+            m, m1, eta = _angular_index(grid, theta[ring])
             out[ring] = (
                 V[i, m] * (1 - xi) * (1 - eta)
                 + V[i + 1, m] * xi * (1 - eta)
@@ -226,13 +232,6 @@ class DiscFunction:
                 + V[i + 1, m1] * xi * eta
             )
         return out if out.size > 1 else out.reshape(())
-
-    def _theta_interp(self, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        y = theta / grid.dtheta
-        m = np.floor(y).astype(int) % grid.n_theta
-        eta = y - np.floor(y)
-        return row[m] * (1 - eta) + row[(m + 1) % grid.n_theta] * eta
 
     def cell_values_and_areas(self):
         """Per-cell representative values and absolute areas (cap first).
@@ -618,9 +617,9 @@ def concentration_detect(
     results = []
     for score, j, zeta in kept:
         if refine:
-            score, zeta = _refine_center(u, zeta, RHO, j, score)
+            score, zeta = _refine_center(u, zeta, j, score)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
-            scores = _scan_scales(u, zeta, RHO, js)
+            scores = _scan_scales(u, zeta, js)
             k = int(np.argmax(scores))
             if scores[k] > score:
                 score, j = float(scores[k]), int(js[k])
@@ -634,8 +633,8 @@ _STENCIL = np.array([dx + 1j * dy for dx in range(-2, 3) for dy in range(-2, 3)]
 _REFINE_SPACINGS = (0.012, 0.003)
 
 
-def _refine_center(u, zeta, rho, j, score=-math.inf) -> tuple[float, complex]:
-    """Local maximum of j^{-1/2} |A_{rho^j} u| over stencils inside |z| <= 1/2.
+def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
+    """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
 
     A stencil point replaces the current center only if it beats `score`.
     """
@@ -645,16 +644,16 @@ def _refine_center(u, zeta, rho, j, score=-math.inf) -> tuple[float, complex]:
         zs = zs[np.abs(zs) <= 0.5]
         if zs.size == 0:
             break
-        scores = np.abs(average_many(u, rho**j, zs)) / math.sqrt(j)
+        scores = np.abs(average_many(u, RHO**j, zs)) / math.sqrt(j)
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
             best = (float(scores[k]), complex(zs[k]))
     return best
 
 
-def _scan_scales(u, zeta, rho, js) -> np.ndarray:
-    """Scores j^{-1/2} |A_{rho^j} u(zeta)| for every j in js, in one interpolation."""
-    offsets = np.stack([_ball_offsets(rho ** int(j))[0] for j in js])
+def _scan_scales(u, zeta, js) -> np.ndarray:
+    """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation."""
+    offsets = np.stack([_ball_offsets(RHO ** int(j))[0] for j in js])
     weights = _ball_offsets(1.0)[1]
     vals = u.interpolate((zeta + offsets).ravel()).reshape(offsets.shape)
     return np.abs(vals @ weights) / np.sqrt(js)

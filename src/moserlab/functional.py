@@ -9,7 +9,9 @@ both exact in the plateau tail.  `j_direct` integrates the radial integrand
 goes through the ramp-pairing coefficient c(t) and integrates
 2 pi exp(-2t (1 - c(t)^2)) minus the constant part.  The two expressions are
 algebraically equal but share no integrand code, so their agreement is a
-genuine cross-check of the pairing identity and of the quadrature.
+genuine cross-check of the pairing identity and of the quadrature.  What
+they share is the loop `_segment_quad`: the overflow guard, then one
+adaptive quadrature per segment of `RadialProfile.segments()`.
 
 Concentration experiments: `moser_limit_experiment` tabulates J along the
 concentrating ramp family (the limit value is 2 pi, approached from above
@@ -81,12 +83,8 @@ class OverflowGuardError(ArithmeticError):
 
 def _guard(u: RadialProfile) -> None:
     """Raise if 4 pi u(t)^2 - 2t can exceed the cap; the error names the interval."""
-    nodes, vals = u.nodes, u.values
     worst = (-math.inf, 0.0, 0.0)
-    for i in range(len(nodes) - 1):
-        t0, t1 = nodes[i], nodes[i + 1]
-        b = (vals[i + 1] - vals[i]) / (t1 - t0)
-        a = vals[i] - b * t0
+    for t0, t1, a, b in u.segments():
         cands = [t0, t1]
         if b != 0.0:
             tc = (1.0 / (2.0 * ALPHA_2 * b) - a) / b
@@ -96,39 +94,42 @@ def _guard(u: RadialProfile) -> None:
             g = ALPHA_2 * (a + b * t) ** 2 - 2.0 * t
             if g > worst[0]:
                 worst = (g, t0, t1)
-    T = nodes[-1]
-    g_plateau = ALPHA_2 * vals[-1] ** 2 - 2.0 * T
+    T = u.nodes[-1]
+    g_plateau = ALPHA_2 * u.values[-1] ** 2 - 2.0 * T
     if g_plateau > worst[0]:
         worst = (g_plateau, T, math.inf)
     if worst[0] > _EXP_CAP:
         raise OverflowGuardError(worst[1], worst[2], worst[0])
 
 
-def j_direct(u: RadialProfile, spec: QuadratureSpec | None = None) -> float:
-    """Adaptive segment quadrature of 2 pi (e^{4 pi u^2} - 1) e^{-2t} plus exact tail."""
+def _segment_quad(u: RadialProfile, integrand, spec: QuadratureSpec | None) -> float:
+    """Sum over the segments u = a + b t of the quad of integrand(t, a, b),
+    after the n = 2 check and the overflow guard; both evaluators use it."""
     spec = spec or QuadratureSpec()
     if u.n != 2:
         raise ValueError("the functional is evaluated in dimension 2 only")
     _guard(u)
-    nodes, vals = u.nodes, u.values
     total = 0.0
-    for i in range(len(nodes) - 1):
-        t0, t1 = float(nodes[i]), float(nodes[i + 1])
-        b = (vals[i + 1] - vals[i]) / (t1 - t0)
-        a = vals[i] - b * t0
-
-        def f(t, a=a, b=b):
-            w = a + b * t
-            return math.exp(ALPHA_2 * w * w - 2.0 * t) - math.exp(-2.0 * t)
-
+    for t0, t1, a, b in u.segments():
         val, _err = integrate.quad(
-            f, t0, t1, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=_MAX_SUBDIVISIONS,
+            integrand, t0, t1, args=(a, b), epsabs=spec.abs_tol,
+            epsrel=spec.rel_tol, limit=_MAX_SUBDIVISIONS,
         )
         total += val
+    return total
+
+
+def _direct_integrand(t, a, b):
+    w = a + b * t
+    return math.exp(ALPHA_2 * w * w - 2.0 * t) - math.exp(-2.0 * t)
+
+
+def j_direct(u: RadialProfile, spec: QuadratureSpec | None = None) -> float:
+    """Adaptive segment quadrature of 2 pi (e^{4 pi u^2} - 1) e^{-2t} plus exact tail."""
+    total = _segment_quad(u, _direct_integrand, spec)
     # plateau: integral_T^inf (exp(4 pi c^2) - 1) exp(-2t) dt, closed form
-    c = float(vals[-1])
-    total += math.expm1(ALPHA_2 * c * c) * 0.5 * math.exp(-2.0 * float(nodes[-1]))
+    c = float(u.values[-1])
+    total += math.expm1(ALPHA_2 * c * c) * 0.5 * math.exp(-2.0 * float(u.nodes[-1]))
     return max(0.0, 2.0 * math.pi * total)
 
 
@@ -141,27 +142,15 @@ def j_representation(u: RadialProfile, spec: QuadratureSpec | None = None) -> fl
     requirement is imposed here; callers who care record the flag in
     FunctionalReport.
     """
-    spec = spec or QuadratureSpec()
-    if u.n != 2:
-        raise ValueError("the functional is evaluated in dimension 2 only")
-    _guard(u)
-    nodes = u.nodes
-    total = 0.0
-    for i in range(len(nodes) - 1):
-        t0, t1 = float(nodes[i]), float(nodes[i + 1])
 
-        def f(t):
-            if t <= 0.0:
-                return 1.0
-            cpair = _pairing_closed(u, t)
-            return math.exp(-2.0 * t * (1.0 - cpair * cpair))
+    def f(t, *_segment):
+        if t <= 0.0:
+            return 1.0
+        cpair = _pairing_closed(u, t)
+        return math.exp(-2.0 * t * (1.0 - cpair * cpair))
 
-        val, _err = integrate.quad(
-            f, t0, t1, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=_MAX_SUBDIVISIONS,
-        )
-        total += val
-    T_last = float(nodes[-1])
+    total = _segment_quad(u, f, spec)
+    T_last = float(u.nodes[-1])
     c = float(u.values[-1])
     # on the plateau the exponent is 4 pi c^2 - 2t, integrable in closed form
     total += 0.5 * math.exp(ALPHA_2 * c * c) * math.exp(-2.0 * T_last)

@@ -38,6 +38,7 @@ import numpy as np
 from . import disc
 from .functional import tail_decayed
 from .radial import RadialProfile, gauge_apply, grad_norm, sphere_area
+from .radial import profile_from_dict, profile_to_dict
 from .rearrange import expl2_disc
 
 __all__ = [
@@ -76,6 +77,8 @@ class FunctionSequence:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
+        if not self.members:
+            raise ValueError("a sequence needs at least one member")
         if len(self.members) != len(self.k_list):
             raise ValueError("one index per member required")
         if any(b <= a for a, b in zip(self.k_list, self.k_list[1:])):
@@ -92,7 +95,7 @@ class FunctionSequence:
         else:
             norms = [grad_norm(m, 2) for m in self.members]
             energies = [n * n for n in norms]
-        if max(norms, default=0.0) > _GRAD_NORM_BOUND:
+        if max(norms) > _GRAD_NORM_BOUND:
             raise ValueError("sequence is not uniformly bounded in the gradient norm")
         object.__setattr__(self, "energies", tuple(energies))
 
@@ -124,6 +127,29 @@ class ProfileTerm:
 
     def energy(self) -> float:
         return grad_norm(self.w, 2) ** 2
+
+    def bubble(self, idx: int, grid) -> disc.DiscFunction:
+        """The term on `grid` at index idx: w inflated at that (scale, center)."""
+        d = disc.DislocationParam(self.j_track[idx], self.zeta_track[idx])
+        return disc.inflate(self.w, d, grid)
+
+    def to_dict(self, profile=None) -> dict:
+        """JSON record of the term; `profile`, if given, names the profile's file."""
+        return {
+            "profile": profile_to_dict(self.w) if profile is None else profile,
+            "j_track": list(self.j_track),
+            "zeta_track": [[z.real, z.imag] for z in self.zeta_track],
+            "energy": self.energy(),
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "ProfileTerm":
+        """The term of a record with an inline profile; "energy" is not read."""
+        return ProfileTerm(
+            profile_from_dict(d["profile"]),
+            d["j_track"],
+            [complex(z[0], z[1]) for z in d["zeta_track"]],
+        )
 
 
 @dataclass(frozen=True)
@@ -246,8 +272,8 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     zetas, base_profiles, js = [], [], []
     j_all = np.arange(1, j_max + 1)
     for u in members:
-        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, disc.RHO, j_all))])
-        _, zeta = disc._refine_center(u, d0.zeta, disc.RHO, j0)
+        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, j_all))])
+        _, zeta = disc._refine_center(u, d0.zeta, j0)
         zetas.append(zeta)
         base_profiles.append(disc.angular_profile_around(u, zeta, n_phi=64))
         js.append(j0)
@@ -265,12 +291,6 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     return track, w
 
 
-def _synthesize(term: ProfileTerm, idx: int, grid) -> disc.DiscFunction:
-    return disc.inflate(
-        term.w, disc.DislocationParam(term.j_track[idx], term.zeta_track[idx]), grid
-    )
-
-
 def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for idx in indices.
 
@@ -281,7 +301,7 @@ def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
     for idx in indices:
         groups.setdefault((term.j_track[idx], term.zeta_track[idx]), []).append(idx)
     for group in groups.values():
-        bubble = _synthesize(term, group[0], grid)
+        bubble = term.bubble(group[0], grid)
         for idx in group:
             members[idx] = op(members[idx], bubble)
         del bubble
@@ -290,8 +310,8 @@ def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
 def _fit_term(members, track, w, grid):
     """(term, its tail bubble) fitted to a tracked (track, w), or None.
 
-    The bubble is the term synthesized at the tail index, as `_synthesize`
-    would give it up to rounding.  The other members' bubbles are built
+    The bubble is the term at the tail index, as `ProfileTerm.bubble` would
+    give it up to rounding.  The other members' bubbles are built
     later, by `_apply_bubbles`, once per distinct (j, zeta) group.
     """
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)

@@ -86,9 +86,6 @@ class LogRadialGrid:
         if np.any(np.diff(t) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
 
-    def __len__(self) -> int:
-        return int(self.nodes.size)
-
 
 @dataclass(frozen=True)
 class RadialProfile:
@@ -130,6 +127,11 @@ class RadialProfile:
     @property
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / np.diff(self.nodes)
+
+    def segments(self):
+        """(t0, t1, a, b) per segment, with u(t) = a + b t on [t0, t1]."""
+        t, b = self.nodes, self.slopes
+        return zip(t[:-1], t[1:], self.values[:-1] - b * t[:-1], b)
 
     def value_at(self, t):
         """Evaluate at t >= 0 (scalar or array); constant beyond the last node."""
@@ -228,15 +230,11 @@ def pairing_mstar_integral(u: RadialProfile, t: float) -> float:
         raise ValueError("pairing parameter must be positive")
     n = u.n
     ramp = _moser_ramp_slope(t, n) ** (n - 1)
-    nodes, vals = u.nodes, u.values
     acc = 0.0
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        if a >= t:
+    for t0, t1, _, b in u.segments():
+        if t0 >= t:
             break
-        hi = min(b, t)
-        slope = (vals[i + 1] - vals[i]) / (b - a)
-        acc += slope * (hi - a)
+        acc += b * (min(t1, t) - t0)
     return sphere_area(n) * ramp * acc
 
 
@@ -261,60 +259,35 @@ def pairing_mstar(u: RadialProfile, t: float, check_tol: float = 1e-10) -> float
 def pointwise_bound_margin(u: RadialProfile) -> float:
     """Slack omega^{-1/n} ||grad u||_n - sup_t |u(t)| t^{-1/n'} of the radial bound.
 
-    The supremum is located analytically on each segment (endpoints plus the
-    interior critical point of the ratio) and on the plateau, where the ratio
-    decays.  Zero profiles return 0 by convention.
+    The supremum sits at a node: on a segment the ratio |a + b t| t^{-1/n'}
+    has no interior maximum (its one critical point, t = a / ((n' - 1) b),
+    is a minimum or lies at t < 0), and on the plateau it decays.  Zero
+    profiles return 0 by convention.
     """
     if u.is_zero():
         return 0.0
     n = u.n
     gamma = (n - 1.0) / n  # 1/n'
-    nodes, vals = u.nodes, u.values
-    best = 0.0
-
-    def ratio(t: float, v: float) -> float:
-        return abs(v) * t ** (-gamma) if t > 0 else 0.0
-
-    for i in range(len(nodes) - 1):
-        t0, t1 = nodes[i], nodes[i + 1]
-        v0, v1 = vals[i], vals[i + 1]
-        b = (v1 - v0) / (t1 - t0)
-        alpha = v0 - b * t0  # u(t) = alpha + b t on the segment
-        cands = [(t0, v0), (t1, v1)]
-        if b != 0.0:
-            tc = gamma * alpha / (b * (1.0 - gamma))
-            if t0 < tc < t1:
-                cands.append((tc, alpha + b * tc))
-            tz = -alpha / b  # sign change: ratio hits zero, endpoints dominate
-            if t0 < tz < t1:
-                cands.append((tz, 0.0))
-        for t, v in cands:
-            best = max(best, ratio(t, v))
-    # plateau: ratio decreasing in t, already covered by the last node unless
-    # the last node is t = 0 (cannot happen: grids have >= 2 nodes).
+    best = max(abs(v) * t ** (-gamma) for t, v in zip(u.nodes[1:], u.values[1:]))
     return sphere_area(n) ** (-1.0 / n) * grad_norm(u, n) - best
 
 
 def hardy_weight_integral(u: RadialProfile) -> float:
     """integral_0^inf (u(t)/t)^2 dt, segment-exact (n = 2 weight)."""
-    nodes, vals = u.nodes, u.values
     total = 0.0
-    for i in range(len(nodes) - 1):
-        t0, t1 = nodes[i], nodes[i + 1]
-        b = (vals[i + 1] - vals[i]) / (t1 - t0)
-        alpha = vals[i] - b * t0
+    for t0, t1, a, b in u.segments():
         if t0 == 0.0:
-            # zero trace forces alpha = 0, the integrand is just b^2
+            # zero trace forces a = 0, the integrand is just b^2
             total += b * b * t1
         else:
             total += (
                 b * b * (t1 - t0)
-                + 2.0 * alpha * b * math.log(t1 / t0)
-                + alpha * alpha * (1.0 / t0 - 1.0 / t1)
+                + 2.0 * a * b * math.log(t1 / t0)
+                + a * a * (1.0 / t0 - 1.0 / t1)
             )
-    c = vals[-1]
+    c = u.values[-1]
     if c != 0.0:
-        total += c * c / nodes[-1]
+        total += c * c / u.nodes[-1]
     return total
 
 
@@ -329,13 +302,15 @@ def hardy_ratio(u: RadialProfile) -> float:
     return num / den
 
 
-def _exp_moment(a: float, b: float, t0: float, t1: float, p: int) -> float:
-    """integral_{t0}^{t1} (a + b t)^p e^{-2t} dt for integer p >= 0."""
+def _exp_moment(a, b, t0, t1, p: int, k: float = 2.0, c: float = 0.0) -> float:
+    """integral_{t0}^{t1} (a + b t)^p e^{c - k t} dt for integer p >= 0, k > 0."""
+    lo = math.exp(c - k * t0)
+    hi = math.exp(c - k * t1)
     if p == 0:
-        return 0.5 * (math.exp(-2.0 * t0) - math.exp(-2.0 * t1))
-    lo = (a + b * t0) ** p * math.exp(-2.0 * t0)
-    hi = (a + b * t1) ** p * math.exp(-2.0 * t1)
-    return 0.5 * (lo - hi) + 0.5 * p * b * _exp_moment(a, b, t0, t1, p - 1)
+        return (lo - hi) / k
+    lo *= (a + b * t0) ** p
+    hi *= (a + b * t1) ** p
+    return (lo - hi) / k + p * b / k * _exp_moment(a, b, t0, t1, p - 1, k, c)
 
 
 def _abs_segments(u: RadialProfile):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .radial import RadialProfile, _abs_segments
+from .radial import RadialProfile, _abs_segments, _exp_moment
 
 __all__ = [
     "RearrangedFunction",
@@ -531,26 +531,13 @@ def expl2_disc(u) -> float:
 
 def lp_mass_rearranged(f: RearrangedFunction, p: int) -> float:
     """int_0^1 f*(tau)^p d tau via closed forms (integer p >= 1)."""
-    lo, hi, f_lo, f_hi = f.pieces()
     total = 0.0
-    for k in range(lo.size):
-        la, lb = lo[k], hi[k]
-        fa, fb = f_lo[k], f_hi[k]
+    for la, lb, fa, fb in zip(*f.pieces()):
         if math.isinf(lb):
             total += fa**p * math.exp(1.0 - la)
             continue
         B = (fb - fa) / (lb - la)
-        A = fa - B * la
-
-        def moment(pp, a=A, b=B, l0=la, l1=lb):
-            # int_{l0}^{l1} (a + b l)^pp e^{1-l} dl
-            if pp == 0:
-                return math.exp(1.0 - l0) - math.exp(1.0 - l1)
-            lo_v = (a + b * l0) ** pp * math.exp(1.0 - l0)
-            hi_v = (a + b * l1) ** pp * math.exp(1.0 - l1)
-            return lo_v - hi_v + pp * b * moment(pp - 1)
-
-        total += moment(p)
+        total += _exp_moment(fa - B * la, B, la, lb, p, k=1.0, c=1.0)
     return total
 
 

@@ -234,9 +234,7 @@ def synthetic_superposition(
     for idx, k in enumerate(ks):
         acc = None
         for t in terms:
-            piece = disc.inflate(
-                t.w, disc.DislocationParam(t.j_track[idx], t.zeta_track[idx]), grid
-            )
+            piece = t.bubble(idx, grid)
             acc = piece if acc is None else disc.add(acc, piece)
         if noise_energy > 0:
             noise = _noise_member(grid, rng, k, noise_energy)
@@ -249,15 +247,7 @@ def synthetic_superposition(
         "seed": seed,
         "noise_energy": noise_energy,
         "k_list": ks,
-        "planted_terms": [
-            {
-                "profile": profile_to_dict(t.w),
-                "j_track": list(t.j_track),
-                "zeta_track": [[z.real, z.imag] for z in t.zeta_track],
-                "energy": t.energy(),
-            }
-            for t in terms
-        ],
+        "planted_terms": [t.to_dict() for t in terms],
     }
     seq = FunctionSequence(
         members, ks, metadata={"generator": "superposition", "seed": seed}
@@ -282,38 +272,35 @@ def _grid_from_params(params: dict) -> disc.PolarGrid | None:
 def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
     """Construct the sequence described by a generator spec; returns manifest too."""
     p = dict(spec.params)
-    grid = _grid_from_params(p)
-    if spec.kind == "moser":
-        seq = moser_sequence(
-            p["s_values"], p["centers"], grid=grid, form=p.get("form", "translate")
-        )
-        manifest = {"generator": "moser", "params": {k: v for k, v in p.items() if k != "grid"}}
-    elif spec.kind == "counterexample":
-        bump = profile_from_dict(p["bump"]) if p.get("bump") else None
-        seq = counterexample_sequence(int(p["k_max"]), bump)
-        manifest = {"generator": "counterexample", "k_max": int(p["k_max"])}
-    elif spec.kind == "vanishing":
-        if grid is None:
-            grid = disc.PolarGrid(n_r=256, n_theta=64, spacing="geometric", s_max=8.0)
-        prof = profile_from_dict(p["bump_profile"])
-        bump2d = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
-        seq = vanishing_sequence(p["k_values"], bump2d)
-        manifest = {"generator": "vanishing", "k_values": list(p["k_values"])}
-    else:
-        if grid is None:
-            grid = disc.PolarGrid(n_r=512, n_theta=256, spacing="geometric", s_max=7.0)
-        terms = [
-            ProfileTerm(
-                profile_from_dict(t["profile"]),
-                t["j_track"],
-                [complex(z[0], z[1]) for z in t["zeta_track"]],
+    try:
+        grid = _grid_from_params(p)
+        if spec.kind == "moser":
+            seq = moser_sequence(
+                p["s_values"], p["centers"], grid=grid, form=p.get("form", "translate")
             )
-            for t in p.get("terms", [])
-        ]
-        seq, manifest = synthetic_superposition(
-            terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,
-            k_list=p.get("k_list"),
-        )
+            params = {k: v for k, v in p.items() if k != "grid"}
+            manifest = {"generator": "moser", "params": params}
+        elif spec.kind == "counterexample":
+            bump = profile_from_dict(p["bump"]) if p.get("bump") else None
+            seq = counterexample_sequence(int(p["k_max"]), bump)
+            manifest = {"generator": "counterexample", "k_max": int(p["k_max"])}
+        elif spec.kind == "vanishing":
+            if grid is None:
+                grid = disc.PolarGrid(n_r=256, n_theta=64, spacing="geometric", s_max=8.0)
+            prof = profile_from_dict(p["bump_profile"])
+            bump2d = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
+            seq = vanishing_sequence(p["k_values"], bump2d)
+            manifest = {"generator": "vanishing", "k_values": list(p["k_values"])}
+        else:
+            if grid is None:
+                grid = disc.PolarGrid(n_r=512, n_theta=256, spacing="geometric", s_max=7.0)
+            terms = [ProfileTerm.from_dict(t) for t in p.get("terms", [])]
+            seq, manifest = synthetic_superposition(
+                terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,
+                k_list=p.get("k_list"),
+            )
+    except KeyError as exc:
+        raise ValueError(f"malformed {spec.kind} parameters: {exc}") from exc
     manifest["seed"] = spec.seed
     return seq, manifest
 
@@ -343,8 +330,12 @@ def load_sequence(manifest_path: str) -> FunctionSequence:
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    try:
+        names, k_list = doc["members"], doc["k_list"]
+    except KeyError as exc:
+        raise ValueError(f"malformed sequence manifest: {exc}") from exc
     members = []
-    for name in doc["members"]:
+    for name in names:
         with open(os.path.join(base, name), encoding="utf-8") as fh:
             rec = json.load(fh)
         if doc.get("member_kind") == "disc":
@@ -352,5 +343,5 @@ def load_sequence(manifest_path: str) -> FunctionSequence:
         else:
             members.append(profile_from_dict(rec))
     return FunctionSequence(
-        members, doc["k_list"], metadata={"generator": doc.get("generator", "")}
+        members, k_list, metadata={"generator": doc.get("generator", "")}
     )

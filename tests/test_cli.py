@@ -121,3 +121,51 @@ class TestGenerateDecompose:
         ])
         assert code == 2
         assert "disc" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Malformed outside input exits 1 with a one-line reason, no traceback."""
+
+    def _fails_soft(self, argv, command, reason, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ") and reason in err
+        assert "Traceback" not in err
+
+    def test_manifest_without_members(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"k_list": [1], "member_kind": "disc"}))
+        self._fails_soft(
+            ["decompose", "--manifest", str(manifest), "--out", str(tmp_path / "d")],
+            "decompose", "malformed sequence manifest: 'members'", capsys,
+        )
+
+    def test_manifest_with_empty_members(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"k_list": [], "members": [], "member_kind": "disc"})
+        )
+        self._fails_soft(
+            ["decompose", "--manifest", str(manifest), "--out", str(tmp_path / "d")],
+            "decompose", "at least one member", capsys,
+        )
+
+    def test_moser_params_without_s_values(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"centers": [[0.0, 0.0]]}))
+        self._fails_soft(
+            ["generate", "--kind", "moser", "--params", str(params),
+             "--out", str(tmp_path / "g")],
+            "generate", "malformed moser parameters: 's_values'", capsys,
+        )
+
+    def test_superposition_term_without_profile(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(
+            json.dumps({"terms": [{"j_track": [1], "zeta_track": [[0.0, 0.0]]}]})
+        )
+        self._fails_soft(
+            ["generate", "--kind", "superposition", "--params", str(params),
+             "--out", str(tmp_path / "g")],
+            "generate", "malformed superposition parameters: 'profile'", capsys,
+        )

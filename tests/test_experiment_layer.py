@@ -316,7 +316,7 @@ def old_place_term(members, starts, j_max, grid, fits_budget):
     key, term, members[tail] = chosen
     for idx in range(tail):
         members[idx] = disc.subtract_disc(
-            members[idx], profiles._synthesize(term, idx, grid)
+            members[idx], term.bubble(idx, grid)
         )
     return key[0], term
 

@@ -79,9 +79,9 @@ def old_concentration_detect(
     results = []
     for score, j, rho, zeta in kept:
         if refine:
-            score, zeta = disc._refine_center(u, zeta, rho, j, score)
+            score, zeta = disc._refine_center(u, zeta, j, score)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
-            scores = disc._scan_scales(u, zeta, rho, js)
+            scores = disc._scan_scales(u, zeta, js)
             k = int(np.argmax(scores))
             if scores[k] > score:
                 score, j = float(scores[k]), int(js[k])
@@ -119,8 +119,8 @@ def old_track_candidate(members, d0, rho: float, j_max: int, k_tail: int):
     zetas, base_profiles, js = [], [], []
     j_all = np.arange(1, j_max + 1)
     for u in members:
-        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, rho, j_all))])
-        _, zeta = disc._refine_center(u, d0.zeta, rho, j0)
+        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, j_all))])
+        _, zeta = disc._refine_center(u, d0.zeta, j0)
         zetas.append(zeta)
         base_profiles.append(disc.angular_profile_around(u, zeta, n_phi=64))
         js.append(j0)

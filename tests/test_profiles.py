@@ -39,6 +39,10 @@ class TestTypes:
         with pytest.raises(ValueError, match="increasing"):
             profiles.FunctionSequence([u, u], [2, 2])
 
+    def test_sequence_requires_a_member(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            profiles.FunctionSequence([], [])
+
     def test_sequence_bounded_check(self, small_grid):
         prof = radial.moser_annular(1.0)
         big = disc.scale_disc(

@@ -58,7 +58,7 @@ def old_residuals(originals, terms, grid):
     out = []
     for idx, u in enumerate(originals):
         for t in terms:
-            u = disc.subtract_disc(u, profiles._synthesize(t, idx, grid))
+            u = disc.subtract_disc(u, t.bubble(idx, grid))
         out.append(u)
     return out
 
