@@ -14,7 +14,10 @@ inner product, is the same form off it.
 Dislocations: deflation sends u to j^{-1/2} u(zeta + z^j); the image of the
 grid under the power map is again log-uniform, so the deflated function is
 returned on its own adapted grid (radial extent s_max/j, angular count scaled
-by j).  With that convention the deflation of a function sampled around its
+by j).  The image is j-fold symmetric, and it is stored as such: a function
+of symmetry order j keeps the full grid but only one block of n_theta/j
+columns, and the energy, the inner product and interpolation work on that
+block.  With that convention the deflation of a function sampled around its
 own center is energy-exact, and off-center deflations lose only bilinear
 interpolation error.  Powers z^j are computed as (|z|^j, j*theta), never by
 repeated complex multiplication.  Inflation j^{1/2} w(|z - zeta|^{1/j}) of a
@@ -119,12 +122,13 @@ def _thetas(grid: PolarGrid) -> np.ndarray:
     return th
 
 
-def _angular_index(grid: PolarGrid, theta: np.ndarray):
-    """(m, m + 1 mod n_theta, eta): the angular nodes around theta in [0, 2 pi)
-    and the weight eta of the second one in linear interpolation."""
+def _angular_index(grid: PolarGrid, theta: np.ndarray, width: int):
+    """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi),
+    as columns of a ring array `width` wide (n_theta, or the block width of a
+    j-fold function), and the weight eta of the second one."""
     y = theta / grid.dtheta
-    m = np.floor(y).astype(int) % grid.n_theta
-    return m, (m + 1) % grid.n_theta, y - np.floor(y)
+    m = np.floor(y).astype(int) % width
+    return m, (m + 1) % width, y - np.floor(y)
 
 
 def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
@@ -150,7 +154,10 @@ class DiscFunction:
     """Node samples on a polar grid: ring values (n_r, n_theta) plus a center.
 
     Zero trace on the boundary ring is the default contract; evaluation
-    fields such as ball averages opt out via zero_trace=False.
+    fields such as ball averages opt out via zero_trace=False.  A function of
+    symmetry order j (invariant under rotation by 2 pi / j, j dividing
+    n_theta) stores one block of rings, shape (n_r, n_theta / j);
+    `tiled_rings` gives the full array.
     """
 
     grid: PolarGrid
@@ -158,13 +165,14 @@ class DiscFunction:
     rings: np.ndarray
     support_radius: float = 1.0
     zero_trace: bool = True
+    order: int = 1
 
     def __post_init__(self):
         # the caller may still hold the array: keep a private copy
         self._own(np.array(self.rings, dtype=float, order="C"))
 
     @classmethod
-    def _owned(cls, grid, center, rings, support_radius=1.0, zero_trace=True):
+    def _owned(cls, grid, center, rings, support_radius=1.0, zero_trace=True, order=1):
         """The constructor for a fresh float array that no caller holds.
 
         Same checks as the public constructor; only the copy is skipped.
@@ -172,15 +180,17 @@ class DiscFunction:
         u = object.__new__(cls)
         for name, value in (("grid", grid), ("center", center),
                             ("support_radius", support_radius),
-                            ("zero_trace", zero_trace)):
+                            ("zero_trace", zero_trace), ("order", order)):
             object.__setattr__(u, name, value)
         u._own(rings)
         return u
 
     def _own(self, rings: np.ndarray) -> None:
         """Validate the samples and store `rings`, read-only, as this function's."""
-        if rings.shape != (self.grid.n_r, self.grid.n_theta):
-            raise ValueError("ring values must have shape (n_r, n_theta)")
+        if self.order < 1 or self.grid.n_theta % self.order:
+            raise ValueError("symmetry order must divide n_theta")
+        if rings.shape != (self.grid.n_r, self.grid.n_theta // self.order):
+            raise ValueError("ring values must have shape (n_r, n_theta / order)")
         # NaN and inf propagate into the extremes, so the largest magnitude
         # both validates the samples and gives the zero-trace scale
         peak = max(float(rings.max()), -float(rings.min()))
@@ -193,6 +203,10 @@ class DiscFunction:
                 raise ValueError("boundary ring must vanish (zero trace)")
         rings.setflags(write=False)
         object.__setattr__(self, "rings", rings)
+
+    def tiled_rings(self) -> np.ndarray:
+        """The full (n_r, n_theta) ring array: `rings` itself at order 1."""
+        return self.rings if self.order == 1 else np.tile(self.rings, (1, self.order))
 
     def interpolate(self, z) -> np.ndarray:
         """Bilinear-in-(s, theta) evaluation at complex points; 0 outside."""
@@ -210,7 +224,7 @@ class DiscFunction:
         ring = inside & ~cap
 
         if np.any(cap):
-            m, m1, eta = _angular_index(grid, theta[cap])
+            m, m1, eta = _angular_index(grid, theta[cap], V.shape[1])
             g = V[0, m] * (1 - eta) + V[0, m1] * eta
             out[cap] = self.center + (r[cap] / radii[0]) * (g - self.center)
         if np.any(ring):
@@ -224,7 +238,7 @@ class DiscFunction:
                 x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
             i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
             xi = np.clip(x - i, 0.0, 1.0)
-            m, m1, eta = _angular_index(grid, theta[ring])
+            m, m1, eta = _angular_index(grid, theta[ring], V.shape[1])
             out[ring] = (
                 V[i, m] * (1 - xi) * (1 - eta)
                 + V[i + 1, m] * xi * (1 - eta)
@@ -238,7 +252,7 @@ class DiscFunction:
 
         The areas depend only on the grid and are a shared read-only array.
         """
-        V = self.rings
+        V = self.tiled_rings()
         Vn = np.roll(V, -1, axis=1)
         cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
         cap_val = 0.5 * (self.center + float(np.mean(V[0])))
@@ -280,9 +294,19 @@ def _form(u: DiscFunction, v: DiscFunction) -> float:
     (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3.  B is A shifted by one
     column and C, D are rows i, i+1 of one angular difference G, so every
     term is a row dot product of two shared difference arrays.
+
+    Of j-fold functions every cyclic row sum is j times the sum over one
+    block, wrapped inside the block, so the form is j times the block form.
+    The form commutes with rotation by dtheta, so <u, v> = <u, P v> for a
+    j-fold u, P the average over rotations by 2 pi / j: the operand of lower
+    order is projected onto the higher one.
     """
     if u.grid != v.grid:
         raise ValueError("disc functions live on different grids")
+    if u.order < v.order:
+        u = _symmetrize(u, v.order)
+    elif v.order < u.order:
+        v = _symmetrize(v, u.order)
     s = _ring_s(u.grid)
     dth = u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
@@ -300,7 +324,14 @@ def _form(u: DiscFunction, v: DiscFunction) -> float:
     a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1)
     cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v) / 6.0
     cap_t = 0.5 * P[0] / dth
-    return float(e_s + e_t + cap_r + cap_t)
+    return float(u.order * (e_s + e_t + cap_r + cap_t))
+
+
+def _symmetrize(u: DiscFunction, order: int) -> DiscFunction:
+    """The mean of u over the rotations by 2 pi k / order, as an order-`order` function."""
+    n_r, width = u.grid.n_r, u.grid.n_theta // order
+    rings = u.tiled_rings().reshape(n_r, order, width).mean(axis=1)
+    return DiscFunction._owned(u.grid, u.center, rings, u.support_radius, u.zero_trace, order)
 
 
 def energy(u: DiscFunction) -> float:
@@ -313,14 +344,20 @@ def grad_norm_disc(u: DiscFunction) -> float:
 
 
 def _combine(u: DiscFunction, v: DiscFunction, op) -> DiscFunction:
+    """op of two functions; of unequal orders, on their tiled rings (order 1)."""
     if u.grid != v.grid:
         raise ValueError("disc functions live on different grids")
+    if u.order == v.order:
+        a, b, order = u.rings, v.rings, u.order
+    else:
+        a, b, order = u.tiled_rings(), v.tiled_rings(), 1
     return DiscFunction._owned(
         u.grid,
         float(op(u.center, v.center)),
-        op(u.rings, v.rings),
+        op(a, b),
         support_radius=max(u.support_radius, v.support_radius),
         zero_trace=u.zero_trace and v.zero_trace,
+        order=order,
     )
 
 
@@ -334,7 +371,7 @@ def subtract_disc(u: DiscFunction, v: DiscFunction) -> DiscFunction:
 
 def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
     return DiscFunction._owned(
-        u.grid, c * u.center, c * u.rings, u.support_radius, u.zero_trace
+        u.grid, c * u.center, c * u.rings, u.support_radius, u.zero_trace, u.order
     )
 
 
@@ -352,7 +389,7 @@ def l2_mass(u: DiscFunction) -> float:
     """int_B u^2 dx by per-cell Gauss quadrature of the bilinear interpolant."""
     grid = u.grid
     s = _ring_s(grid)
-    V = u.rings
+    V = u.tiled_rings()
     Vn = np.roll(V, -1, axis=1)
     ds = s[:-1] - s[1:]
     dth = grid.dtheta
@@ -366,7 +403,7 @@ def l2_mass(u: DiscFunction) -> float:
             vals = lo * (1 - b) + hi * b
             total += wb * dth * float(np.sum(w_row[:, None] * vals * vals))
     r0 = _ring_radii(grid)[0]
-    row = u.rings[0]
+    row = V[0]
     row_n = np.roll(row, -1)
     for a, wa in zip(_GL4_X, _GL4_W):
         for b, wb in zip(_GL4_X, _GL4_W):
@@ -386,14 +423,19 @@ def sup_norm_disc(u: DiscFunction) -> float:
 
 # -- dislocations --------------------------------------------------------------
 
-def inflate(w: RadialProfile, d: DislocationParam, grid: PolarGrid) -> DiscFunction:
+def inflate(
+    w: RadialProfile, d: DislocationParam, grid: PolarGrid, order: int = 1
+) -> DiscFunction:
     """Sample j^{1/2} w(|z - zeta|^{1/j}) on the grid.
 
     Requires the inflated support B(zeta, R^j) to stay inside the disc, where
     R is the support radius of the profile; otherwise raises SupportError
-    with the violating radius.
+    with the violating radius.  A bubble at the origin is radial: with
+    order k it is sampled as an order-k function, on one block only.
     """
     j, zeta = d.j, d.zeta
+    if order > 1 and zeta != 0:
+        raise ValueError("only a bubble at the origin has angular symmetry")
     t0 = w.support_log_radius()
     R = math.exp(-t0)
     R_inf = R**j
@@ -403,7 +445,7 @@ def inflate(w: RadialProfile, d: DislocationParam, grid: PolarGrid) -> DiscFunct
             f"(available {1.0 - abs(zeta):.6g})"
         )
     radii = _ring_radii(grid)
-    thetas = _thetas(grid)
+    thetas = _thetas(grid)[: grid.n_theta // order]
     zx, zy = zeta.real, zeta.imag
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     d2 = (
@@ -421,7 +463,7 @@ def inflate(w: RadialProfile, d: DislocationParam, grid: PolarGrid) -> DiscFunct
         t_c = math.inf if dist_c == 0.0 else -math.log(dist_c) / j
     center = math.sqrt(j) * float(w.value_at(t_c))
     return DiscFunction._owned(
-        grid, center, rings, support_radius=min(1.0, abs(zeta) + R_inf)
+        grid, center, rings, support_radius=min(1.0, abs(zeta) + R_inf), order=order
     )
 
 
@@ -433,10 +475,12 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     """(g u)(z) = j^{-1/2} u(zeta + z^j) on the adapted output grid.
 
     Out-of-domain reads are zero by extension.  The output grid keeps n_r,
-    shrinks the radial extent to s_max/j and tiles the j-fold angular
-    symmetry, so the discrete energy of the result equals the bilinear energy
-    of the resampled source and converges to the input energy under grid
-    refinement (the continuum operator is an isometry).
+    shrinks the radial extent to s_max/j and has n_theta * j angular nodes.
+    The result is j-fold symmetric and is returned with order j: one block
+    of n_theta columns, the source resampled once.  Its discrete energy
+    equals the bilinear energy of the resampled source and converges to the
+    input energy under grid refinement (the continuum operator is an
+    isometry).
     """
     j, zeta = d.j, d.zeta
     grid = u.grid
@@ -452,10 +496,9 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     block = u.interpolate(pts.ravel()).reshape(grid.n_r, grid.n_theta)
     block = block / math.sqrt(j)
     block[-1, :] = 0.0
-    rings = np.tile(block, (1, j))
     center = float(u.interpolate(zeta)) / math.sqrt(j)
     sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
-    return DiscFunction._owned(out_grid, center, rings, support_radius=sup)
+    return DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
 
 
 def angular_profile_around(
@@ -664,15 +707,23 @@ def _scan_scales(u, zeta, js) -> np.ndarray:
 _PROBE_T_CAP = 6.0  # the largest log-radial extent of the probe layout
 
 
-def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0):
-    """w inflated at the origin times cos(mode theta + phase); center: angular mean."""
-    base = inflate(w, DislocationParam(1, 0.0), grid)
-    rings = base.rings * np.cos(mode * _thetas(grid) + phase)[None, :]
+def angular_mode(
+    w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0, order: int = 1
+):
+    """w inflated at the origin times cos(mode theta + phase); center: angular mean.
+
+    With order j (a divisor of mode) the result is the j-fold function,
+    sampled only on its block.
+    """
+    if mode % order:
+        raise ValueError("the symmetry order must divide the angular mode")
+    base = inflate(w, DislocationParam(1, 0.0), grid, order)
+    rings = base.rings * np.cos(mode * _thetas(grid)[: base.rings.shape[1]] + phase)[None, :]
     center = base.center * math.cos(phase) if mode == 0 else 0.0
-    return DiscFunction(grid, center, rings, base.support_radius)
+    return DiscFunction(grid, center, rings, base.support_radius, order=order)
 
 
-def make_probes(grid: PolarGrid, count: int = 6) -> list[DiscFunction]:
+def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFunction]:
     """Deterministic unit-energy probes on a fixed log-radial layout.
 
     Ramp-to-plateau probes carry net elevation (they pair against long
@@ -682,6 +733,11 @@ def make_probes(grid: PolarGrid, count: int = 6) -> list[DiscFunction]:
     needs test functions whose features do not follow the sequence to depth,
     while on strongly deflated (shrunken) grids the layout scales down so
     probes are never trivially zero.
+
+    With order j the probes are order-j blocks, for pairing with j-fold
+    functions.  A layout entry whose angular mode j does not divide pairs to
+    0 with every j-fold function: it keeps its place among the `count`, so
+    the set is the order-1 set less those entries, but it is not built.
     """
     s_ext = min(_input_s_extent(grid), _PROBE_T_CAP)
     layouts = [  # (kind, knee or support, angular mode)
@@ -695,8 +751,8 @@ def make_probes(grid: PolarGrid, count: int = 6) -> list[DiscFunction]:
         ("tent", (0.2, 0.75), 3),
     ]
     probes: list[DiscFunction] = []
-    k = 0
-    while len(probes) < count:
+    placed = k = 0
+    while placed < count:
         kind, pos, mode = layouts[k % len(layouts)]
         k += 1
         if kind == "ramp":
@@ -707,11 +763,18 @@ def make_probes(grid: PolarGrid, count: int = 6) -> list[DiscFunction]:
             prof = RadialProfile.from_arrays(
                 [0.0, lo, mid, hi], [0.0, 0.0, 1.0, 0.0], 2
             )
-        cand = angular_mode(prof, grid, mode)
+        if mode % order:
+            # the order-1 probe is nonzero, so of positive energy, exactly
+            # when its radial part is: then it would have taken a place
+            base = inflate(prof, DislocationParam(1, 0.0), grid, order)
+            placed += bool(np.any(base.rings))
+            continue
+        cand = angular_mode(prof, grid, mode, order=order)
         e = energy(cand)
         if e <= 0.0:
             continue
         probes.append(scale_disc(cand, 1.0 / math.sqrt(e)))
+        placed += 1
     return probes
 
 
@@ -723,6 +786,7 @@ def max_pairing(u: DiscFunction, probes) -> float:
 # -- serialization ----------------------------------------------------------------
 
 def disc_to_dict(u: DiscFunction) -> dict:
+    """The disc-sample record; a j-fold function is written with its rings tiled."""
     return {
         "n_r": u.grid.n_r,
         "n_theta": u.grid.n_theta,
@@ -730,7 +794,7 @@ def disc_to_dict(u: DiscFunction) -> dict:
         "support_radius": u.support_radius,
         "zero_trace": u.zero_trace,
         "center": u.center,
-        "rings": u.rings.ravel().tolist(),
+        "rings": u.tiled_rings().ravel().tolist(),
     }
 
 

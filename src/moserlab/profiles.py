@@ -495,13 +495,16 @@ def dweak_test(
 
     Tracks come from the identity dislocation, the concentration detector on
     each member, and seeded random (scale, center) draws; pairings are taken
-    against a fixed probe set in the Dirichlet form.  A small maximal tail
-    pairing is numerical evidence of dislocation-weak vanishing; a large one
-    is a certificate of concentration, reported with its witnessing track.
+    against a fixed probe set in the Dirichlet form.  A scale-j deflation is
+    j-fold symmetric, so on its grid the probes are order-j blocks, without
+    the entries whose angular mode j does not divide (they pair to 0).  A
+    small maximal tail pairing is numerical evidence of dislocation-weak
+    vanishing; a large one is a certificate of concentration, reported with
+    its witnessing track.
     """
     members = _as_disc_members(seq)
     rng = np.random.default_rng(seed)
-    probes: dict = {}  # per output grid of the deflations
+    probes: dict = {}  # per output grid and symmetry order of the deflations
 
     tracks: list[tuple[int, complex, str]] = [(1, 0.0 + 0.0j, "identity")]
     for _ in range(n_random_tracks):
@@ -523,9 +526,10 @@ def dweak_test(
                 w = disc.deflate(u, disc.DislocationParam(j, zeta))
             except ValueError:
                 continue
-            if w.grid not in probes:
-                probes[w.grid] = disc.make_probes(w.grid, probe_count)
-            val = disc.max_pairing(w, probes[w.grid])
+            key = (w.grid, w.order)
+            if key not in probes:
+                probes[key] = disc.make_probes(w.grid, probe_count, w.order)
+            val = disc.max_pairing(w, probes[key])
             if val > best:
                 best = val
                 best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}

@@ -332,8 +332,13 @@ def load_sequence(manifest_path: str) -> FunctionSequence:
         doc = json.load(fh)
     try:
         names, k_list = doc["members"], doc["k_list"]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed sequence manifest: {exc}") from exc
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError("malformed sequence manifest: 'members' is not a list of file names")
+    if not (isinstance(k_list, list)
+            and all(isinstance(k, int) and not isinstance(k, bool) for k in k_list)):
+        raise ValueError("malformed sequence manifest: 'k_list' is not a list of integers")
     members = []
     for name in names:
         with open(os.path.join(base, name), encoding="utf-8") as fh:

@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from moserlab import cli
 
 
@@ -138,6 +140,29 @@ class TestMalformedInput:
         self._fails_soft(
             ["decompose", "--manifest", str(manifest), "--out", str(tmp_path / "d")],
             "decompose", "malformed sequence manifest: 'members'", capsys,
+        )
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"members": "m.json", "k_list": [1]}, "'members' is not a list of file names"),
+        ({"members": ["m.json", 3], "k_list": [1, 2]}, "'members' is not a list of file names"),
+        ({"members": ["m.json"], "k_list": "1"}, "'k_list' is not a list of integers"),
+        ({"members": ["m.json"], "k_list": [1.5]}, "'k_list' is not a list of integers"),
+        ({"members": ["m.json"], "k_list": [True]}, "'k_list' is not a list of integers"),
+    ], ids=["members-string", "members-number", "k-list-string", "k-list-float", "k-list-bool"])
+    def test_manifest_with_wrong_types(self, tmp_path, capsys, fields, reason):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({**fields, "member_kind": "disc"}))
+        self._fails_soft(
+            ["decompose", "--manifest", str(manifest), "--out", str(tmp_path / "d")],
+            "decompose", f"malformed sequence manifest: {reason}", capsys,
+        )
+
+    def test_manifest_that_is_not_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(["m.json"]))
+        self._fails_soft(
+            ["decompose", "--manifest", str(manifest), "--out", str(tmp_path / "d")],
+            "decompose", "malformed sequence manifest", capsys,
         )
 
     def test_manifest_with_empty_members(self, tmp_path, capsys):
