@@ -138,6 +138,8 @@ def cmd_counterexample(args) -> int:
 def _load_rearranged(path: str) -> rearrange.RearrangedFunction:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("unrecognized input file: not a JSON object")
     if "breakpoints" in doc:
         return rearrange.rearranged_from_dict(doc)
     if "rings" in doc:
@@ -207,6 +209,8 @@ def cmd_generate(args) -> int:
     if args.params is not None:
         with open(args.params, encoding="utf-8") as fh:
             params = json.load(fh)
+        if not isinstance(params, dict):
+            raise ValueError(f"malformed {args.kind} parameters: not a JSON object")
     else:
         params = json.loads(json.dumps(_DEFAULT_PARAMS[args.kind]))
     if args.kind != "counterexample" and "grid" not in params:

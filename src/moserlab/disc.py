@@ -11,6 +11,11 @@ interpolant in (s, theta), cap included.  One bilinear form computes it:
 `energy(u)` is the form on the diagonal and `grad_inner(u, v)`, the Dirichlet
 inner product, is the same form off it.
 
+Every test of u at a scale and center samples it on a polar net
+zeta + rho e^{i phi}, through one sampler: deflation, the angular profile
+around a center and the ball means A_r u(z), which the concentration
+detector scores as j^{-1/2} |A_{RHO^j} u(z)|.
+
 Dislocations: deflation sends u to j^{-1/2} u(zeta + z^j); the image of the
 grid under the power map is again log-uniform, so the deflated function is
 returned on its own adapted grid (radial extent s_max/j, angular count scaled
@@ -491,10 +496,7 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
         s_max=_input_s_extent(grid) / j,
     )
     sigma = _ring_s(out_grid) * j
-    phis = _thetas(grid)
-    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    block = u.interpolate(pts.ravel()).reshape(grid.n_r, grid.n_theta)
-    block = block / math.sqrt(j)
+    block = _polar_samples(u, zeta, np.exp(-sigma), _thetas(grid)) / math.sqrt(j)
     block[-1, :] = 0.0
     center = float(u.interpolate(zeta)) / math.sqrt(j)
     sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
@@ -515,40 +517,40 @@ def angular_profile_around(
     s_in = _input_s_extent(grid)
     sigma = s_in * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    vals = u.interpolate(pts.ravel()).reshape(grid.n_r, n_phi).mean(axis=1)
+    vals = _polar_samples(u, zeta, np.exp(-sigma), phis).mean(axis=1)
     nodes = sigma[::-1].copy()
     out = vals[::-1].copy()
     out[0] = 0.0
     return RadialProfile.from_arrays(nodes, out, 2)
 
 
-# -- averaging operator ---------------------------------------------------------
+# -- the polar net and the averaging operator -----------------------------------------
 
-_AVG_RHO_X, _AVG_RHO_W = np.polynomial.legendre.leggauss(8)
-_AVG_RHO_X = 0.5 * (_AVG_RHO_X + 1.0)
-_AVG_RHO_W = 0.5 * _AVG_RHO_W
-_AVG_NPHI = 16
+def _polar_samples(u: DiscFunction, centers, radii, phis) -> np.ndarray:
+    """u at centers + radii e^{i phi}: centers broadcast against radii, angles last.
 
-
-def _ball_offsets(radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature offsets and weights for the mean over a ball of given radius."""
-    phis = 2.0 * math.pi * np.arange(_AVG_NPHI) / _AVG_NPHI
-    rho = radius * np.sqrt(_AVG_RHO_X)
-    offsets = (rho[:, None] * np.exp(1j * phis)[None, :]).ravel()
-    weights = np.repeat(_AVG_RHO_W / _AVG_NPHI, _AVG_NPHI)
-    return offsets, weights
+    Deflation, the angular profile and every ball mean sample u on this net.
+    """
+    pts = np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * phis)
+    return u.interpolate(pts.ravel()).reshape(pts.shape)
 
 
-def _local_cell_scale(grid: PolarGrid, r: float) -> float:
-    radii = _ring_radii(grid)
-    if r < radii[0]:
-        return float(radii[0])
-    if grid.spacing == "geometric":
-        dr = r * grid.s_max / (grid.n_r - 1)
-    else:
-        dr = 1.0 / grid.n_r
-    return min(dr, max(r, radii[0]) * grid.dtheta)
+# the ball quadrature: 8 Gauss nodes in rho^2 times 16 angles, weights summing to 1
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+_BALL_RHO = np.sqrt(0.5 * (_GL8_X + 1.0))
+_BALL_PHI = 2.0 * math.pi * np.arange(16) / 16
+_BALL_W = np.repeat(0.5 * _GL8_W / 16, 16)
+
+
+def _check_resolution(grid: PolarGrid, radius: float, r: float, where: str = "") -> None:
+    """GridResolutionError if the ball is below half the grid cell at |z| = r."""
+    r0 = float(_ring_radii(grid)[0])
+    dr = r * grid.s_max / (grid.n_r - 1) if grid.spacing == "geometric" else 1.0 / grid.n_r
+    if radius < 0.5 * (r0 if r < r0 else min(dr, r * grid.dtheta)):
+        raise GridResolutionError(
+            f"ball of radius {radius:.3g}{where} is below grid resolution; "
+            "a finer grid is required"
+        )
 
 
 def average(
@@ -557,40 +559,30 @@ def average(
     """Mean of u over the ball B(z, radius), with extension by zero."""
     if radius <= 0:
         raise ValueError("averaging radius must be positive")
-    if strict and radius < 0.5 * _local_cell_scale(u.grid, abs(z)):
-        raise GridResolutionError(
-            f"ball of radius {radius:.3g} at {z} is below grid resolution; "
-            "a finer grid is required"
-        )
-    offsets, weights = _ball_offsets(radius)
-    vals = u.interpolate(z + offsets)
-    return float(np.dot(weights, np.asarray(vals).ravel()))
+    if strict:
+        _check_resolution(u.grid, radius, abs(z), f" at {z}")
+    return float(average_many(u, radius, z))
 
 
-def average_many(u: DiscFunction, radius: float, zs: np.ndarray) -> np.ndarray:
-    """Vectorized ball means at many centers (no resolution guard)."""
-    offsets, weights = _ball_offsets(radius)
-    pts = zs[:, None] + offsets[None, :]
-    vals = u.interpolate(pts.ravel()).reshape(len(zs), -1)
-    return vals @ weights
+def average_many(u: DiscFunction, radius, zs) -> np.ndarray:
+    """Ball means A_r u(z) at many centers (no resolution guard).
+
+    `radius` is one radius or an array of radii broadcast against the
+    centers `zs`; the means have the broadcast shape.
+    """
+    radius, zs = np.broadcast_arrays(np.asarray(radius, dtype=float), zs)
+    vals = _polar_samples(u, zs[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
+    return vals.reshape(zs.shape + (-1,)) @ _BALL_W
 
 
 def average_field(u: DiscFunction, radius: float) -> DiscFunction:
     """A_r u evaluated at every grid node (an evaluation field, not zero-trace)."""
-    if radius < 0.5 * _local_cell_scale(u.grid, 1.0):
-        raise GridResolutionError(
-            f"ball of radius {radius:.3g} is below grid resolution; "
-            "a finer grid is required"
-        )
+    _check_resolution(u.grid, radius, 1.0)
     grid = u.grid
-    radii = _ring_radii(grid)
-    thetas = _thetas(grid)
-    nodes = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    nodes = (_ring_radii(grid)[:, None] * np.exp(1j * _thetas(grid))[None, :]).ravel()
     vals = average_many(u, radius, nodes).reshape(grid.n_r, grid.n_theta)
-    center = average(u, radius, 0.0, strict=False)
-    return DiscFunction(
-        grid, center, vals, support_radius=1.0, zero_trace=False
-    )
+    center = average(u, radius, 0.0, strict=False)  # as one more row its last bit moves
+    return DiscFunction._owned(grid, center, vals, zero_trace=False)
 
 
 # -- concentration detection ----------------------------------------------------
@@ -635,34 +627,29 @@ def concentration_detect(
 
     raw: list[tuple[float, int, complex]] = []
     for j in range(1, j_max + 1):
-        pref = 1.0 / math.sqrt(j)
-        scores = pref * np.abs(average_many(u, RHO**j, _CENTERS))
+        scores = _scores(u, j, _CENTERS)
         for idx in np.nonzero(scores >= eps)[0]:
             raw.append((float(scores[idx]), j, _CENTERS[idx]))
     raw.sort(key=lambda c: (-c[0], c[1], c[2].real, c[2].imag))
 
     kept: list[tuple[float, int, complex]] = []
     for cand in raw:
-        merged = False
-        for k in kept:
-            dist_tol = max(RHO ** cand[1], _MERGE_RADIUS)
-            if (
-                abs(cand[2] - k[2]) < dist_tol
-                and abs(math.log(cand[1]) - math.log(k[1])) < math.log(2.0)
-            ):
-                merged = True
-                break
-        if not merged:
+        _, j, zeta = cand
+        if not any(
+            abs(zeta - k[2]) < max(RHO**j, _MERGE_RADIUS)
+            and abs(math.log(j) - math.log(k[1])) < math.log(2.0)
+            for k in kept
+        ):
             kept.append(cand)
-        if len(kept) >= top_k:
-            break
+            if len(kept) >= top_k:
+                break
 
     results = []
     for score, j, zeta in kept:
         if refine:
             score, zeta = _refine_center(u, zeta, j, score)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
-            scores = _scan_scales(u, zeta, js)
+            scores = _scores(u, js, zeta)
             k = int(np.argmax(scores))
             if scores[k] > score:
                 score, j = float(scores[k]), int(js[k])
@@ -676,6 +663,16 @@ _STENCIL = np.array([dx + 1j * dy for dx in range(-2, 3) for dy in range(-2, 3)]
 _REFINE_SPACINGS = (0.012, 0.003)
 
 
+def _scores(u, js, zs) -> np.ndarray:
+    """Detector scores j^{-1/2} |A_{RHO^j} u(z)|, the exponents js broadcast against zs.
+
+    Each radius is the float RHO ** j: numpy's power differs in the last bit.
+    """
+    js = np.asarray(js)
+    radii = np.reshape([RHO ** int(j) for j in js.flat], js.shape)
+    return np.abs(average_many(u, radii, zs)) * (1.0 / np.sqrt(js))
+
+
 def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
     """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
 
@@ -687,19 +684,11 @@ def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
         zs = zs[np.abs(zs) <= 0.5]
         if zs.size == 0:
             break
-        scores = np.abs(average_many(u, RHO**j, zs)) / math.sqrt(j)
+        scores = _scores(u, j, zs)
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
             best = (float(scores[k]), complex(zs[k]))
     return best
-
-
-def _scan_scales(u, zeta, js) -> np.ndarray:
-    """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation."""
-    offsets = np.stack([_ball_offsets(RHO ** int(j))[0] for j in js])
-    weights = _ball_offsets(1.0)[1]
-    vals = u.interpolate((zeta + offsets).ravel()).reshape(offsets.shape)
-    return np.abs(vals @ weights) / np.sqrt(js)
 
 
 # -- angular modes and the probe set ------------------------------------------------

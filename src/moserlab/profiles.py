@@ -272,7 +272,7 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     zetas, base_profiles, js = [], [], []
     j_all = np.arange(1, j_max + 1)
     for u in members:
-        j0 = int(j_all[np.argmax(disc._scan_scales(u, d0.zeta, j_all))])
+        j0 = int(j_all[np.argmax(disc._scores(u, j_all, d0.zeta))])
         _, zeta = disc._refine_center(u, d0.zeta, j0)
         zetas.append(zeta)
         base_profiles.append(disc.angular_profile_around(u, zeta, n_phi=64))

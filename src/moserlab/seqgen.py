@@ -299,7 +299,7 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
                 terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,
                 k_list=p.get("k_list"),
             )
-    except KeyError as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed {spec.kind} parameters: {exc}") from exc
     manifest["seed"] = spec.seed
     return seq, manifest

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,62 @@ def riemann_grad_sq(profile, n_cells: int = 200_000) -> float:
     vals = profile.value_at(edges)
     dt = np.diff(edges)
     slopes = np.diff(vals) / dt
-    import math
-
     return 2.0 * math.pi * float(np.sum(slopes**2 * dt))
+
+
+# -- the disc ball means and detector scores before the polar-net sampler -------------
+#
+# Kept verbatim (module constants renamed) as the references of the detector
+# and tracker tests: the live code computes the same ball means bit for bit,
+# and its scores j^{-1/2} |A| differ from these by at most one ulp.
+
+OLD_RHO = math.exp(-1.0)
+_OLD_AVG_RHO_X, _OLD_AVG_RHO_W = np.polynomial.legendre.leggauss(8)
+_OLD_AVG_RHO_X = 0.5 * (_OLD_AVG_RHO_X + 1.0)
+_OLD_AVG_RHO_W = 0.5 * _OLD_AVG_RHO_W
+_OLD_AVG_NPHI = 16
+_OLD_STENCIL = np.array([dx + 1j * dy for dx in range(-2, 3) for dy in range(-2, 3)])
+_OLD_REFINE_SPACINGS = (0.012, 0.003)
+
+
+def old_ball_offsets(radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature offsets and weights for the mean over a ball of given radius."""
+    phis = 2.0 * math.pi * np.arange(_OLD_AVG_NPHI) / _OLD_AVG_NPHI
+    rho = radius * np.sqrt(_OLD_AVG_RHO_X)
+    offsets = (rho[:, None] * np.exp(1j * phis)[None, :]).ravel()
+    weights = np.repeat(_OLD_AVG_RHO_W / _OLD_AVG_NPHI, _OLD_AVG_NPHI)
+    return offsets, weights
+
+
+def old_average_many(u, radius: float, zs: np.ndarray) -> np.ndarray:
+    """Vectorized ball means at many centers (no resolution guard)."""
+    offsets, weights = old_ball_offsets(radius)
+    pts = zs[:, None] + offsets[None, :]
+    vals = u.interpolate(pts.ravel()).reshape(len(zs), -1)
+    return vals @ weights
+
+
+def old_refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
+    """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
+
+    A stencil point replaces the current center only if it beats `score`.
+    """
+    best = (score, complex(zeta))
+    for spacing in _OLD_REFINE_SPACINGS:
+        zs = best[1] + spacing * _OLD_STENCIL
+        zs = zs[np.abs(zs) <= 0.5]
+        if zs.size == 0:
+            break
+        scores = np.abs(old_average_many(u, OLD_RHO**j, zs)) / math.sqrt(j)
+        k = int(np.argmax(scores))
+        if scores[k] > best[0]:
+            best = (float(scores[k]), complex(zs[k]))
+    return best
+
+
+def old_scan_scales(u, zeta, js) -> np.ndarray:
+    """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation."""
+    offsets = np.stack([old_ball_offsets(OLD_RHO ** int(j))[0] for j in js])
+    weights = old_ball_offsets(1.0)[1]
+    vals = u.interpolate((zeta + offsets).ravel()).reshape(offsets.shape)
+    return np.abs(vals @ weights) / np.sqrt(js)

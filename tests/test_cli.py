@@ -194,3 +194,34 @@ class TestMalformedInput:
              "--out", str(tmp_path / "g")],
             "generate", "malformed superposition parameters: 'profile'", capsys,
         )
+
+    @pytest.mark.parametrize("kind, params", [
+        ("moser", {"s_values": 0.5, "centers": [0]}),
+        ("moser", {"s_values": [0.5], "centers": [[0.1]]}),
+        ("vanishing", {
+            "k_values": 3,
+            "bump_profile": {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]},
+        }),
+        ("superposition", {"terms": [{
+            "profile": {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]},
+            "j_track": 3, "zeta_track": [[0.0, 0.0]],
+        }]}),
+        ("moser", [1, 2]),
+    ], ids=["s-values-number", "center-one-coordinate", "k-values-number",
+            "j-track-number", "not-an-object"])
+    def test_generator_params_with_wrong_types(self, tmp_path, capsys, kind, params):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        self._fails_soft(
+            ["generate", "--kind", kind, "--params", str(path),
+             "--out", str(tmp_path / "g")],
+            "generate", f"malformed {kind} parameters: ", capsys,
+        )
+
+    def test_norms_input_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text("3")
+        self._fails_soft(
+            ["norms", "--input", str(path), "--out", str(tmp_path / "n")],
+            "norms", "unrecognized input file: not a JSON object", capsys,
+        )

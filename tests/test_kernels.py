@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, functional, radial
+from conftest import old_average_many
 
 
 # -- references: the replaced code -----------------------------------------------
@@ -44,7 +45,7 @@ def old_grad_inner(u, v):
 def old_scan_scores(u, zeta, rho, js):
     scores = np.empty(len(js))
     for i, j in enumerate(js):
-        val = disc.average_many(u, rho ** int(j), np.array([zeta]))[0]
+        val = old_average_many(u, rho ** int(j), np.array([zeta]))[0]
         scores[i] = abs(val) / math.sqrt(j)
     return scores
 
@@ -61,14 +62,14 @@ def old_refine_candidate(u, score, j, rho, zeta, j_max):
         zs = np.asarray(grid_pts, dtype=complex)
         if zs.size == 0:
             break
-        scores = np.abs(disc.average_many(u, rho ** best[1], zs)) / math.sqrt(best[1])
+        scores = np.abs(old_average_many(u, rho ** best[1], zs)) / math.sqrt(best[1])
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
             best = (float(scores[k]), best[1], zs[k])
     j_lo = max(1, best[1] // 2)
     j_hi = min(j_max, 2 * best[1])
     for jj in range(j_lo, j_hi + 1):
-        sc = abs(disc.average_many(u, rho**jj, np.array([best[2]]))[0]) / math.sqrt(jj)
+        sc = abs(old_average_many(u, rho**jj, np.array([best[2]]))[0]) / math.sqrt(jj)
         if sc > best[0]:
             best = (float(sc), jj, best[2])
     return best
@@ -149,7 +150,7 @@ def test_batched_scale_scan_matches_per_scale_loop():
     js = np.arange(1, 25)
     rho = math.exp(-1.0)
     for zeta in (0.12 + 0.05j, 0.0j, -0.3 + 0.1j):
-        new = disc._scan_scales(u, zeta, js)
+        new = disc._scores(u, js, zeta)
         ref = old_scan_scores(u, zeta, rho, js)
         assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref))
 
