@@ -570,9 +570,9 @@ def average_many(u: DiscFunction, radius, zs) -> np.ndarray:
     `radius` is one radius or an array of radii broadcast against the
     centers `zs`; the means have the broadcast shape.
     """
-    radius, zs = np.broadcast_arrays(np.asarray(radius, dtype=float), zs)
+    radius, zs = np.asarray(radius, dtype=float), np.asarray(zs)
     vals = _polar_samples(u, zs[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
-    return vals.reshape(zs.shape + (-1,)) @ _BALL_W
+    return vals.reshape(np.broadcast_shapes(radius.shape, zs.shape) + (-1,)) @ _BALL_W
 
 
 def average_field(u: DiscFunction, radius: float) -> DiscFunction:
