@@ -571,7 +571,8 @@ def average_many(u: DiscFunction, radius, zs) -> np.ndarray:
     centers `zs`; the means have the broadcast shape.
     """
     radius, zs = np.asarray(radius, dtype=float), np.asarray(zs)
-    vals = _polar_samples(u, zs[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
+    # offsets are built once per radius and broadcast to the centers
+    vals =_polar_samples(u, zs[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
     return vals.reshape(np.broadcast_shapes(radius.shape, zs.shape) + (-1,)) @ _BALL_W
 
 

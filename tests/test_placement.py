@@ -3,7 +3,8 @@
 The references below are the previous implementations, kept verbatim: the
 extraction with its greedy pass and refine sweep written out separately, and
 the concentration detector with its rho grid, center and merge-radius
-parameters.
+parameters.  Their ball means, center refinement and scale scan are the
+frozen copies in conftest.
 """
 
 import math

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc
@@ -243,15 +243,22 @@ def test_detector_scan_is_bit_equal(case, eps):
 
 @settings(max_examples=15, deadline=None)
 @given(detector_cases, st.sampled_from([0.005, 0.02, 0.1]))
+@example((disc.PolarGrid(30, 32, "uniform", 2.0), 0, [0j], [1, 1, 1], 0.0), 0.005)
 def test_refined_detections_keep_j_and_zeta(case, eps):
     grid, seed, centers, js, noise = case
     u = bumps(grid, seed, centers, js, noise)
     kw = dict(eps=eps, j_max=16, top_k=6)
     new = disc.concentration_detect(u, **kw)
     old = old_concentration_detect(u, **kw)
-    assert [d for d, _ in new] == [d for d, _ in old]
+    # position by position the scores agree within one ulp, so the order is the
+    # old one up to detections whose scores tie to an ulp: on symmetric inputs
+    # (a radial bump at the origin) such ties are exact and may swap
+    assert len(new) == len(old)
     for (_, a), (_, b) in zip(new, old):
         assert abs(a - b) <= 1e-15 * abs(b)
+    key = lambda c: (c[0].j, c[0].zeta.real, c[0].zeta.imag)
+    for (d, a), (e, b) in zip(sorted(new, key=key), sorted(old, key=key)):
+        assert d == e and abs(a - b) <= 1e-15 * abs(b)
 
 
 # -- properties of the sampler and the ball means ---------------------------------------
