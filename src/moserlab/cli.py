@@ -221,7 +221,12 @@ def cmd_generate(args) -> int:
             "s_max": load_defaults()["s_max"],
         }
     if args.kind == "superposition":
-        for t in params.get("terms", []):
+        terms = params.get("terms", [])
+        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+            raise ValueError(
+                "malformed superposition parameters: 'terms' is not a list of objects"
+            )
+        for t in terms:
             if "profile" not in t:
                 raise ValueError("malformed superposition parameters: 'profile'")
             prof = radial.profile_from_dict(t["profile"])

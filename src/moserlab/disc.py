@@ -11,10 +11,9 @@ interpolant in (s, theta), cap included.  One bilinear form computes it:
 `energy(u)` is the form on the diagonal and `grad_inner(u, v)`, the Dirichlet
 inner product, is the same form off it.
 
-Every test of u at a scale and center samples it on a polar net
-zeta + rho e^{i phi}, through one sampler: deflation, the angular profile
-around a center and the ball means A_r u(z), which the concentration
-detector scores as j^{-1/2} |A_{RHO^j} u(z)|.
+Deflation, the angular profile around a center and the ball means A_r u(z)
+that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
+nets zeta + rho e^{i phi}, through one sampler.
 
 Dislocations: deflation sends u to j^{-1/2} u(zeta + z^j); the image of the
 grid under the power map is again log-uniform, so the deflated function is

@@ -206,9 +206,11 @@ class TestMalformedInput:
             "profile": {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]},
             "j_track": 3, "zeta_track": [[0.0, 0.0]],
         }]}),
+        ("superposition", {"terms": 3}),
+        ("superposition", {"terms": [3]}),
         ("moser", [1, 2]),
     ], ids=["s-values-number", "center-one-coordinate", "k-values-number",
-            "j-track-number", "not-an-object"])
+            "j-track-number", "terms-number", "term-number", "not-an-object"])
     def test_generator_params_with_wrong_types(self, tmp_path, capsys, kind, params):
         path = tmp_path / "p.json"
         path.write_text(json.dumps(params))
