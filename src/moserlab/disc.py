@@ -13,7 +13,9 @@ inner product, is the same form off it.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
-nets zeta + rho e^{i phi}, through one sampler.
+nets zeta + rho e^{i phi}.  A net is built once, as a gather plan, and sampled
+for every member that shares it: one per scale in the detector scan, one per
+(j, zeta) in deflation, one per center for angular profiles.
 
 Dislocations: deflation sends u to j^{-1/2} u(zeta + z^j); the image of the
 grid under the power map is again log-uniform, so the deflated function is
@@ -213,43 +215,8 @@ class DiscFunction:
         return self.rings if self.order == 1 else np.tile(self.rings, (1, self.order))
 
     def interpolate(self, z) -> np.ndarray:
-        """Bilinear-in-(s, theta) evaluation at complex points; 0 outside."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        r = np.abs(z)
-        theta = np.mod(np.angle(z), 2.0 * math.pi)
-        out = np.zeros(z.shape, dtype=float)
-        grid = self.grid
-        radii = _ring_radii(grid)
-        svals = _ring_s(grid)
-        V = self.rings
-
-        inside = r < 1.0
-        cap = inside & (r < radii[0])
-        ring = inside & ~cap
-
-        if np.any(cap):
-            m, m1, eta = _angular_index(grid, theta[cap], V.shape[1])
-            g = V[0, m] * (1 - eta) + V[0, m1] * eta
-            out[cap] = self.center + (r[cap] / radii[0]) * (g - self.center)
-        if np.any(ring):
-            s = -np.log(r[ring])
-            if grid.spacing == "geometric":
-                h = grid.s_max / (grid.n_r - 1)
-                x = (grid.s_max - s) / h
-            else:
-                i0 = np.searchsorted(radii, r[ring], side="right") - 1
-                i0 = np.clip(i0, 0, grid.n_r - 2)
-                x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
-            i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
-            xi = np.clip(x - i, 0.0, 1.0)
-            m, m1, eta = _angular_index(grid, theta[ring], V.shape[1])
-            out[ring] = (
-                V[i, m] * (1 - xi) * (1 - eta)
-                + V[i + 1, m] * xi * (1 - eta)
-                + V[i, m1] * (1 - xi) * eta
-                + V[i + 1, m1] * xi * eta
-            )
-        return out if out.size > 1 else out.reshape(())
+        """Bilinear-in-(s, theta) evaluation at complex points, in the shape of z; 0 outside."""
+        return _Net(self.grid, self.rings.shape[1], z).sample(self)
 
     def cell_values_and_areas(self):
         """Per-cell representative values and absolute areas (cap first).
@@ -486,20 +453,26 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     input energy under grid refinement (the continuum operator is an
     isometry).
     """
+    return _deflation(u.grid, u.rings.shape[1], d)(u)
+
+
+def _deflation(grid: PolarGrid, width: int, d: DislocationParam):
+    """deflate(., d) for functions on `grid` with blocks `width` wide, on one net."""
     j, zeta = d.j, d.zeta
-    grid = u.grid
-    out_grid = PolarGrid(
-        n_r=grid.n_r,
-        n_theta=grid.n_theta * j,
-        spacing="geometric",
-        s_max=_input_s_extent(grid) / j,
-    )
+    out_grid = PolarGrid(grid.n_r, grid.n_theta * j, "geometric", _input_s_extent(grid) / j)
     sigma = _ring_s(out_grid) * j
-    block = _polar_samples(u, zeta, np.exp(-sigma), _thetas(grid)) / math.sqrt(j)
-    block[-1, :] = 0.0
-    center = float(u.interpolate(zeta)) / math.sqrt(j)
-    sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
-    return DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
+    pts = _polar_points(zeta, np.exp(-sigma), _thetas(grid))
+    net = _Net(grid, width, np.append(pts, zeta))  # the center is the last point
+
+    def deflated(u: DiscFunction) -> DiscFunction:
+        vals = net.sample(u) / math.sqrt(j)
+        block = vals[:-1].reshape(grid.n_r, grid.n_theta)
+        block[-1, :] = 0.0
+        center = float(vals[-1])
+        sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
+        return DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
+
+    return deflated
 
 
 def angular_profile_around(
@@ -511,27 +484,106 @@ def angular_profile_around(
     follows from it by the exact radial dilation, since the angular mean of
     u(zeta + e^{-j s} e^{i j theta}) over theta runs through full periods.
     """
-    grid = u.grid
-    n_phi = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
-    s_in = _input_s_extent(grid)
-    sigma = s_in * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    vals = _polar_samples(u, zeta, np.exp(-sigma), phis).mean(axis=1)
-    nodes = sigma[::-1].copy()
-    out = vals[::-1].copy()
-    out[0] = 0.0
-    return RadialProfile.from_arrays(nodes, out, 2)
+    return _angular_profiles([u], [zeta], n_phi)[0]
+
+
+def _angular_profiles(us, zetas, n_phi: int | None = None) -> list[RadialProfile]:
+    """angular_profile_around(us[k], zetas[k], n_phi) for every k: one net per distinct center."""
+    groups: dict = {}
+    for k, (u, zeta) in enumerate(zip(us, zetas)):
+        groups.setdefault((complex(zeta), u.grid), []).append(k)
+    profiles = [None] * len(us)
+    for (zeta, grid), ks in groups.items():
+        n = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
+        sigma = _input_s_extent(grid) * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
+        pts = _polar_points(zeta, np.exp(-sigma), 2.0 * math.pi * np.arange(n) / n)
+        for i, vals in _each_sample([us[k] for k in ks], pts):
+            out = vals.mean(axis=1)[::-1].copy()
+            out[0] = 0.0
+            profiles[ks[i]] = RadialProfile.from_arrays(sigma[::-1].copy(), out, 2)
+    return profiles
 
 
 # -- the polar net and the averaging operator -----------------------------------------
 
-def _polar_samples(u: DiscFunction, centers, radii, phis) -> np.ndarray:
-    """u at centers + radii e^{i phi}: centers broadcast against radii, angles last.
+class _Net:
+    """Where points z fall on a grid whose functions store blocks `width` wide.
 
-    Deflation, the angular profile and every ball mean sample u on this net.
+    Ring points keep the int32 flat indices of their four corners and the
+    weights xi, eta; cap points their two first-ring nodes, eta and r / r0;
+    points outside read 0.  `sample(u)` only gathers and combines, in the
+    arithmetic of the bilinear interpolant, for every function the net fits.
     """
-    pts = np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * phis)
-    return u.interpolate(pts.ravel()).reshape(pts.shape)
+
+    def __init__(self, grid: PolarGrid, width: int, z):
+        z = np.asarray(z, dtype=complex)
+        self.shape = z.shape
+        r = np.abs(z.ravel())
+        theta = np.mod(np.angle(z.ravel()), 2.0 * math.pi)
+        radii = _ring_radii(grid)
+        cap = r < radii[0]  # r0 < 1
+        ring = (r < 1.0) & ~cap
+        m, m1, eta = _angular_index(grid, theta[cap], width)
+        self.cap = (np.flatnonzero(cap).astype(np.int32), m.astype(np.int32),
+                    m1.astype(np.int32), eta, r[cap] / radii[0])
+        # the ring positions are kept only if some point lies off the ring
+        self.ring = None if ring.all() else np.flatnonzero(ring).astype(np.int32)
+        if self.ring is not None:
+            r, theta = r[ring], theta[ring]
+        s = -np.log(r)
+        if grid.spacing == "geometric":
+            x = (grid.s_max - s) / (grid.s_max / (grid.n_r - 1))
+        else:
+            svals = _ring_s(grid)
+            i0 = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, grid.n_r - 2)
+            x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
+        i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
+        m, m1, eta = _angular_index(grid, theta, width)
+        k, k1 = i * width + m, i * width + m1
+        corners = (c.astype(np.int32) for c in (k, k + width, k1, k1 + width))
+        self.plan = (*corners, np.clip(x - i, 0.0, 1.0), eta)
+
+    def sample(self, u: DiscFunction) -> np.ndarray:
+        """u at the points, in their shape."""
+        V = u.rings.ravel()
+        k00, k10, k01, k11, xi, eta = self.plan
+        # take: indexing by int32 would first cast the indices to intp
+        vals = (
+            V.take(k00) * (1 - xi) * (1 - eta)
+            + V.take(k10) * xi * (1 - eta)
+            + V.take(k01) * (1 - xi) * eta
+            + V.take(k11) * xi * eta
+        )
+        if self.ring is None:
+            return vals.reshape(self.shape)
+        out = np.zeros(math.prod(self.shape))
+        out[self.ring] = vals
+        idx, m, m1, eta, t = self.cap
+        g = V.take(m) * (1 - eta) + V.take(m1) * eta
+        out[idx] = u.center + t * (g - u.center)
+        return out.reshape(self.shape)
+
+
+def _polar_points(centers, radii, phis) -> np.ndarray:
+    """The net centers + radii e^{i phi}: centers broadcast against radii, angles last."""
+    return np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * phis)
+
+
+def _polar_samples(u: DiscFunction, centers, radii, phis) -> np.ndarray:
+    """u on the net centers + radii e^{i phi}: the ball means sample u here."""
+    return _Net(u.grid, u.rings.shape[1], _polar_points(centers, radii, phis)).sample(u)
+
+
+def _each_sample(us, z):
+    """(k, us[k] at z) for every k: one net per (grid, width), freed before the next."""
+    groups: dict = {}
+    for k, u in enumerate(us):
+        groups.setdefault((u.grid, u.rings.shape[1]), []).append(k)
+    for (grid, width), ks in groups.items():
+        net = _Net(grid, width, z)
+        for k in ks:
+            yield k, net.sample(us[k])
+        del net
 
 
 # the ball quadrature: 8 Gauss nodes in rho^2 times 16 angles, weights summing to 1
@@ -624,23 +676,33 @@ def concentration_detect(
     """
     if eps <= 0:
         raise ValueError("detection threshold must be positive")
+    return _detect(u, _scan([u], j_max)[0], eps, j_max, refine, top_k)
 
-    raw: list[tuple[float, int, complex]] = []
+
+def _scan(us, j_max) -> np.ndarray:
+    """`_scores` of every u at every j and scan center, (len(us), j_max, centers): one net per j."""
+    rows = np.empty((len(us), j_max, _CENTERS.size))
     for j in range(1, j_max + 1):
-        scores = _scores(u, j, _CENTERS)
-        for idx in np.nonzero(scores >= eps)[0]:
-            raw.append((float(scores[idx]), j, _CENTERS[idx]))
-    raw.sort(key=lambda c: (-c[0], c[1], c[2].real, c[2].imag))
+        radius = np.asarray(RHO ** j)
+        pts = _polar_points(_CENTERS[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
+        for k, vals in _each_sample(us, pts):
+            rows[k, j - 1] = np.abs(vals.reshape(_CENTERS.size, -1) @ _BALL_W) * (1.0 / np.sqrt(j))
+    return rows
 
+
+def _detect(u, rows, eps, j_max, refine, top_k):
+    """concentration_detect of u from its `_scan` rows: ranked, merged, then refined."""
+    jj, cc = np.nonzero(rows >= eps)
+    score, zeta = rows[jj, cc], _CENTERS[cc]
     kept: list[tuple[float, int, complex]] = []
-    for cand in raw:
-        _, j, zeta = cand
+    for n in np.lexsort((zeta.imag, zeta.real, jj, -score)):
+        j, z = int(jj[n]) + 1, zeta[n]
         if not any(
-            abs(zeta - k[2]) < max(RHO**j, _MERGE_RADIUS)
+            abs(z - k[2]) < max(RHO**j, _MERGE_RADIUS)
             and abs(math.log(j) - math.log(k[1])) < math.log(2.0)
             for k in kept
         ):
-            kept.append(cand)
+            kept.append((float(score[n]), j, z))
             if len(kept) >= top_k:
                 break
 

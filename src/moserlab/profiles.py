@@ -262,21 +262,22 @@ def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
 def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     """Per-member (scale, center) plus the averaged profile for one detection.
 
-    Centers are refined by local score maximization.  Scales are locked by a
-    matched filter: the angular-mean profile around the center is computed
-    once per member (its dilations give every integer scale exactly), and the
-    scale maximizing the Dirichlet pairing with a common reference profile is
-    chosen, iterating twice so the reference and the track are
-    self-consistent across members.
+    Centers are refined by local score maximization, all of them first.
+    Scales are locked by a matched filter: the angular-mean profile around
+    the center is computed once per member (its dilations give every integer
+    scale exactly), on one polar net per distinct center that samples every
+    member refined to it, and the scale maximizing the Dirichlet pairing with
+    a common reference profile is chosen, iterating twice so the reference
+    and the track are self-consistent across members.
     """
-    zetas, base_profiles, js = [], [], []
+    zetas, js = [], []
     j_all = np.arange(1, j_max + 1)
     for u in members:
         j0 = int(j_all[np.argmax(disc._scores(u, j_all, d0.zeta))])
         _, zeta = disc._refine_center(u, d0.zeta, j0)
         zetas.append(zeta)
-        base_profiles.append(disc.angular_profile_around(u, zeta, n_phi=64))
         js.append(j0)
+    base_profiles = disc._angular_profiles(members, zetas, n_phi=64)
     for _ in range(2):
         ref = _tail_average(base_profiles, js)
         nrm = grad_norm(ref, 2)
@@ -495,7 +496,9 @@ def dweak_test(
 
     Tracks come from the identity dislocation, the concentration detector on
     each member, and seeded random (scale, center) draws; pairings are taken
-    against a fixed probe set in the Dirichlet form.  A scale-j deflation is
+    against a fixed probe set in the Dirichlet form.  One detector scan covers
+    all members, and the (member, track) pairs are deflated in groups of one
+    (j, zeta): each polar net is built once.  A scale-j deflation is
     j-fold symmetric, so on its grid the probes are order-j blocks, without
     the entries whose angular mode j does not divide (they pair to 0).  A
     small maximal tail pairing is numerical evidence of dislocation-weak
@@ -512,24 +515,38 @@ def dweak_test(
         zeta = complex(*(rng.uniform(-0.35, 0.35, size=2)))
         tracks.append((j, zeta, "random"))
 
-    per_member = []
-    witness = None
-    for u in members:
-        cands = disc.concentration_detect(
-            u, eps=1e-4, j_max=j_max, top_k=2, refine=False
-        )
-        local = tracks + [(c[0].j, c[0].zeta, "detector") for c in cands]
-        best = 0.0
-        best_track = None
-        for j, zeta, kind in local:
+    local = [tracks + [(c[0].j, c[0].zeta, "detector")
+                       for c in disc._detect(u, rows, 1e-4, j_max, refine=False, top_k=2)]
+             for u, rows in zip(members, disc._scan(members, j_max))]
+    # the (member, track) pairs of one (j, zeta) share its net
+    groups: dict = {}
+    for k, u in enumerate(members):
+        for t, (j, zeta, _) in enumerate(local[k]):
+            groups.setdefault((j, zeta, u.grid, u.rings.shape[1]), []).append((k, t))
+    pairings = {}
+    for (j, zeta, grid, width), pairs in groups.items():
+        try:
+            deflated = disc._deflation(grid, width, disc.DislocationParam(j, zeta))
+        except ValueError:
+            continue
+        for k, t in pairs:
             try:
-                w = disc.deflate(u, disc.DislocationParam(j, zeta))
+                w = deflated(members[k])
             except ValueError:
                 continue
             key = (w.grid, w.order)
             if key not in probes:
                 probes[key] = disc.make_probes(w.grid, probe_count, w.order)
-            val = disc.max_pairing(w, probes[key])
+            pairings[k, t] = disc.max_pairing(w, probes[key])
+        del deflated  # the net is freed before the next one is built
+
+    per_member = []
+    witness = None
+    for k, lst in enumerate(local):
+        best = 0.0
+        best_track = None
+        for t, (j, zeta, kind) in enumerate(lst):
+            val = pairings.get((k, t), 0.0)  # a failed deflation pairs to nothing
             if val > best:
                 best = val
                 best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from moserlab import radial
+from moserlab import disc, radial
 
 
 @pytest.fixture
@@ -50,6 +50,61 @@ def riemann_grad_sq(profile, n_cells: int = 200_000) -> float:
     return 2.0 * math.pi * float(np.sum(slopes**2 * dt))
 
 
+# -- bilinear interpolation before the polar nets ---------------------------------------
+#
+# `DiscFunction.interpolate` and `disc._angular_index` as they were when each
+# call located its points on the grid itself, kept verbatim (`self` is `u`) as
+# the sampler that every frozen reference below and in the test modules calls.
+
+def old_angular_index(grid, theta: np.ndarray, width: int):
+    """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi),
+    as columns of a ring array `width` wide (n_theta, or the block width of a
+    j-fold function), and the weight eta of the second one."""
+    y = theta / grid.dtheta
+    m = np.floor(y).astype(int) % width
+    return m, (m + 1) % width, y - np.floor(y)
+
+
+def old_interpolate(u, z) -> np.ndarray:
+    """Bilinear-in-(s, theta) evaluation at complex points; 0 outside."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    r = np.abs(z)
+    theta = np.mod(np.angle(z), 2.0 * math.pi)
+    out = np.zeros(z.shape, dtype=float)
+    grid = u.grid
+    radii = disc._ring_radii(grid)
+    svals = disc._ring_s(grid)
+    V = u.rings
+
+    inside = r < 1.0
+    cap = inside & (r < radii[0])
+    ring = inside & ~cap
+
+    if np.any(cap):
+        m, m1, eta = old_angular_index(grid, theta[cap], V.shape[1])
+        g = V[0, m] * (1 - eta) + V[0, m1] * eta
+        out[cap] = u.center + (r[cap] / radii[0]) * (g - u.center)
+    if np.any(ring):
+        s = -np.log(r[ring])
+        if grid.spacing == "geometric":
+            h = grid.s_max / (grid.n_r - 1)
+            x = (grid.s_max - s) / h
+        else:
+            i0 = np.searchsorted(radii, r[ring], side="right") - 1
+            i0 = np.clip(i0, 0, grid.n_r - 2)
+            x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
+        i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
+        xi = np.clip(x - i, 0.0, 1.0)
+        m, m1, eta = old_angular_index(grid, theta[ring], V.shape[1])
+        out[ring] = (
+            V[i, m] * (1 - xi) * (1 - eta)
+            + V[i + 1, m] * xi * (1 - eta)
+            + V[i, m1] * (1 - xi) * eta
+            + V[i + 1, m1] * xi * eta
+        )
+    return out if out.size > 1 else out.reshape(())
+
+
 # -- the disc ball means and detector scores before the polar-net sampler -------------
 #
 # Kept verbatim (module constants renamed) as the references of the detector
@@ -78,7 +133,7 @@ def old_average_many(u, radius: float, zs: np.ndarray) -> np.ndarray:
     """Vectorized ball means at many centers (no resolution guard)."""
     offsets, weights = old_ball_offsets(radius)
     pts = zs[:, None] + offsets[None, :]
-    vals = u.interpolate(pts.ravel()).reshape(len(zs), -1)
+    vals = old_interpolate(u, pts.ravel()).reshape(len(zs), -1)
     return vals @ weights
 
 
@@ -104,5 +159,5 @@ def old_scan_scales(u, zeta, js) -> np.ndarray:
     """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation."""
     offsets = np.stack([old_ball_offsets(OLD_RHO ** int(j))[0] for j in js])
     weights = old_ball_offsets(1.0)[1]
-    vals = u.interpolate((zeta + offsets).ravel()).reshape(offsets.shape)
+    vals = old_interpolate(u, (zeta + offsets).ravel()).reshape(offsets.shape)
     return np.abs(vals @ weights) / np.sqrt(js)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from moserlab import cli, disc, functional, profiles, radial, rearrange, seqgen
 from moserlab.radial import RadialProfile, gauge_apply, grad_norm, moser_annular, scale
-from conftest import smooth_plateau_profile
+from conftest import old_interpolate, smooth_plateau_profile
 
 
 # -- references: the replaced code -----------------------------------------------
@@ -187,11 +187,11 @@ def old_deflate(u, d):
     sigma = disc._ring_s(out_grid) * j
     phis = disc._thetas(grid)
     pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    block = u.interpolate(pts.ravel()).reshape(grid.n_r, grid.n_theta)
+    block = old_interpolate(u, pts.ravel()).reshape(grid.n_r, grid.n_theta)
     block = block / math.sqrt(j)
     block[-1, :] = 0.0
     rings = np.tile(block, (1, j))
-    center = float(u.interpolate(zeta)) / math.sqrt(j)
+    center = float(old_interpolate(u, zeta)) / math.sqrt(j)
     sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
     return disc.DiscFunction._owned(out_grid, center, rings, support_radius=sup)
 

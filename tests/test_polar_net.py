@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from moserlab import disc
 from moserlab.radial import RadialProfile
-from conftest import old_average_many, old_ball_offsets, old_scan_scales
+from conftest import old_average_many, old_ball_offsets, old_interpolate, old_scan_scales
 from test_placement import old_concentration_detect
 
 
@@ -37,10 +37,10 @@ def old_deflate(u, d):
     sigma = disc._ring_s(out_grid) * j
     phis = disc._thetas(grid)
     pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    block = u.interpolate(pts.ravel()).reshape(grid.n_r, grid.n_theta)
+    block = old_interpolate(u, pts.ravel()).reshape(grid.n_r, grid.n_theta)
     block = block / math.sqrt(j)
     block[-1, :] = 0.0
-    center = float(u.interpolate(zeta)) / math.sqrt(j)
+    center = float(old_interpolate(u, zeta)) / math.sqrt(j)
     sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
     return disc.DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
 
@@ -52,7 +52,7 @@ def old_angular_profile_around(u, zeta, n_phi=None):
     sigma = s_in * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    vals = u.interpolate(pts.ravel()).reshape(grid.n_r, n_phi).mean(axis=1)
+    vals = old_interpolate(u, pts.ravel()).reshape(grid.n_r, n_phi).mean(axis=1)
     nodes = sigma[::-1].copy()
     out = vals[::-1].copy()
     out[0] = 0.0
@@ -79,7 +79,7 @@ def old_average(u, radius, z, strict=True):
             "a finer grid is required"
         )
     offsets, weights = old_ball_offsets(radius)
-    vals = u.interpolate(z + offsets)
+    vals = old_interpolate(u, z + offsets)
     return float(np.dot(weights, np.asarray(vals).ravel()))
 
 
@@ -186,7 +186,7 @@ def test_average_many_many_radii_one_center(grid, seed, zeta, js):
     radii = [disc.RHO ** int(j) for j in js]
     offsets = np.stack([old_ball_offsets(r)[0] for r in radii])
     weights = old_ball_offsets(1.0)[1]
-    old = u.interpolate((zeta + offsets).ravel()).reshape(offsets.shape) @ weights
+    old = old_interpolate(u, (zeta + offsets).ravel()).reshape(offsets.shape) @ weights
     assert np.array_equal(disc.average_many(u, np.asarray(radii), zeta), old)
     ref = old_scan_scales(u, zeta, js)
     assert np.all(np.abs(disc._scores(u, js, zeta) - ref) <= 1e-15 * np.abs(ref))
