@@ -453,26 +453,33 @@ def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     input energy under grid refinement (the continuum operator is an
     isometry).
     """
-    return _deflation(u.grid, u.rings.shape[1], d)(u)
+    ((_, vals),) = _deflation_samples([u], d)
+    return _deflated(u, d, vals)
 
 
-def _deflation(grid: PolarGrid, width: int, d: DislocationParam):
-    """deflate(., d) for functions on `grid` with blocks `width` wide, on one net."""
-    j, zeta = d.j, d.zeta
-    out_grid = PolarGrid(grid.n_r, grid.n_theta * j, "geometric", _input_s_extent(grid) / j)
-    sigma = _ring_s(out_grid) * j
-    pts = _polar_points(zeta, np.exp(-sigma), _thetas(grid))
-    net = _Net(grid, width, np.append(pts, zeta))  # the center is the last point
+def _deflation_samples(us, d: DislocationParam):
+    """(k, us[k] at the points zeta + z^j of the output grid's nodes, center last)
+    for every k, on one net per block width: the members share one grid."""
+    grid = us[0].grid
+    sigma = _ring_s(_deflated_grid(grid, d.j)) * d.j
+    pts = _polar_points(d.zeta, np.exp(-sigma), _thetas(grid))
+    return _each_sample(us, np.append(pts, d.zeta))
 
-    def deflated(u: DiscFunction) -> DiscFunction:
-        vals = net.sample(u) / math.sqrt(j)
-        block = vals[:-1].reshape(grid.n_r, grid.n_theta)
-        block[-1, :] = 0.0
-        center = float(vals[-1])
-        sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
-        return DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
 
-    return deflated
+def _deflated_grid(grid: PolarGrid, j: int) -> PolarGrid:
+    return PolarGrid(grid.n_r, grid.n_theta * j, "geometric", _input_s_extent(grid) / j)
+
+
+def _deflated(u: DiscFunction, d: DislocationParam, vals: np.ndarray) -> DiscFunction:
+    """deflate(u, d) from u's deflation samples."""
+    j, grid = d.j, u.grid
+    vals = vals / math.sqrt(j)
+    block = vals[:-1].reshape(grid.n_r, grid.n_theta)
+    block[-1, :] = 0.0
+    sup = min(1.0, (min(1.0, u.support_radius + abs(d.zeta))) ** (1.0 / j))
+    return DiscFunction._owned(
+        _deflated_grid(grid, j), float(vals[-1]), block, support_radius=sup, order=j
+    )
 
 
 def angular_profile_around(
@@ -526,10 +533,8 @@ class _Net:
         m, m1, eta = _angular_index(grid, theta[cap], width)
         self.cap = (np.flatnonzero(cap).astype(np.int32), m.astype(np.int32),
                     m1.astype(np.int32), eta, r[cap] / radii[0])
-        # the ring positions are kept only if some point lies off the ring
-        self.ring = None if ring.all() else np.flatnonzero(ring).astype(np.int32)
-        if self.ring is not None:
-            r, theta = r[ring], theta[ring]
+        self.ring = np.flatnonzero(ring).astype(np.int32)
+        r, theta = r[ring], theta[ring]
         s = -np.log(r)
         if grid.spacing == "geometric":
             x = (grid.s_max - s) / (grid.s_max / (grid.n_r - 1))
@@ -554,8 +559,6 @@ class _Net:
             + V.take(k01) * (1 - xi) * eta
             + V.take(k11) * xi * eta
         )
-        if self.ring is None:
-            return vals.reshape(self.shape)
         out = np.zeros(math.prod(self.shape))
         out[self.ring] = vals
         idx, m, m1, eta, t = self.cap
@@ -567,11 +570,6 @@ class _Net:
 def _polar_points(centers, radii, phis) -> np.ndarray:
     """The net centers + radii e^{i phi}: centers broadcast against radii, angles last."""
     return np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * phis)
-
-
-def _polar_samples(u: DiscFunction, centers, radii, phis) -> np.ndarray:
-    """u on the net centers + radii e^{i phi}: the ball means sample u here."""
-    return _Net(u.grid, u.rings.shape[1], _polar_points(centers, radii, phis)).sample(u)
 
 
 def _each_sample(us, z):
@@ -621,10 +619,19 @@ def average_many(u: DiscFunction, radius, zs) -> np.ndarray:
     `radius` is one radius or an array of radii broadcast against the
     centers `zs`; the means have the broadcast shape.
     """
+    return _ball_means([u], radius, zs)[0]
+
+
+def _ball_means(us, radius, zs) -> np.ndarray:
+    """average_many of every u in us, stacked on a first axis: one net per block width."""
     radius, zs = np.asarray(radius, dtype=float), np.asarray(zs)
+    shape = np.broadcast_shapes(radius.shape, zs.shape)
     # offsets are built once per radius and broadcast to the centers
-    vals =_polar_samples(u, zs[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
-    return vals.reshape(np.broadcast_shapes(radius.shape, zs.shape) + (-1,)) @ _BALL_W
+    pts = _polar_points(zs[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
+    means = np.empty((len(us),) + shape)
+    for k, vals in _each_sample(us, pts):
+        means[k] = vals.reshape(shape + (-1,)) @ _BALL_W
+    return means
 
 
 def average_field(u: DiscFunction, radius: float) -> DiscFunction:
@@ -683,10 +690,7 @@ def _scan(us, j_max) -> np.ndarray:
     """`_scores` of every u at every j and scan center, (len(us), j_max, centers): one net per j."""
     rows = np.empty((len(us), j_max, _CENTERS.size))
     for j in range(1, j_max + 1):
-        radius = np.asarray(RHO ** j)
-        pts = _polar_points(_CENTERS[..., None], radius[..., None] * _BALL_RHO, _BALL_PHI)
-        for k, vals in _each_sample(us, pts):
-            rows[k, j - 1] = np.abs(vals.reshape(_CENTERS.size, -1) @ _BALL_W) * (1.0 / np.sqrt(j))
+        rows[:, j - 1] = _scores(us, j, _CENTERS)
     return rows
 
 
@@ -711,7 +715,7 @@ def _detect(u, rows, eps, j_max, refine, top_k):
         if refine:
             score, zeta = _refine_center(u, zeta, j, score)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
-            scores = _scores(u, js, zeta)
+            scores = _scores([u], js, zeta)[0]
             k = int(np.argmax(scores))
             if scores[k] > score:
                 score, j = float(scores[k]), int(js[k])
@@ -725,14 +729,15 @@ _STENCIL = np.array([dx + 1j * dy for dx in range(-2, 3) for dy in range(-2, 3)]
 _REFINE_SPACINGS = (0.012, 0.003)
 
 
-def _scores(u, js, zs) -> np.ndarray:
-    """Detector scores j^{-1/2} |A_{RHO^j} u(z)|, the exponents js broadcast against zs.
+def _scores(us, js, zs) -> np.ndarray:
+    """Detector scores j^{-1/2} |A_{RHO^j} u(z)| of every u in us, stacked on a
+    first axis; the exponents js broadcast against zs.
 
     Each radius is the float RHO ** j: numpy's power differs in the last bit.
     """
     js = np.asarray(js)
     radii = np.reshape([RHO ** int(j) for j in js.flat], js.shape)
-    return np.abs(average_many(u, radii, zs)) * (1.0 / np.sqrt(js))
+    return np.abs(_ball_means(us, radii, zs)) * (1.0 / np.sqrt(js))
 
 
 def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
@@ -746,7 +751,7 @@ def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
         zs = zs[np.abs(zs) <= 0.5]
         if zs.size == 0:
             break
-        scores = _scores(u, j, zs)
+        scores = _scores([u], j, zs)[0]
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
             best = (float(scores[k]), complex(zs[k]))

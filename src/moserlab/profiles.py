@@ -273,7 +273,7 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     zetas, js = [], []
     j_all = np.arange(1, j_max + 1)
     for u in members:
-        j0 = int(j_all[np.argmax(disc._scores(u, j_all, d0.zeta))])
+        j0 = int(j_all[np.argmax(disc._scores([u], j_all, d0.zeta)[0])])
         _, zeta = disc._refine_center(u, d0.zeta, j0)
         zetas.append(zeta)
         js.append(j0)
@@ -518,27 +518,24 @@ def dweak_test(
     local = [tracks + [(c[0].j, c[0].zeta, "detector")
                        for c in disc._detect(u, rows, 1e-4, j_max, refine=False, top_k=2)]
              for u, rows in zip(members, disc._scan(members, j_max))]
-    # the (member, track) pairs of one (j, zeta) share its net
+    # the (member, track) pairs of one (j, zeta) share its nets
     groups: dict = {}
-    for k, u in enumerate(members):
-        for t, (j, zeta, _) in enumerate(local[k]):
-            groups.setdefault((j, zeta, u.grid, u.rings.shape[1]), []).append((k, t))
+    for k, lst in enumerate(local):
+        for t, (j, zeta, _) in enumerate(lst):
+            groups.setdefault((j, zeta), []).append((k, t))
     pairings = {}
-    for (j, zeta, grid, width), pairs in groups.items():
-        try:
-            deflated = disc._deflation(grid, width, disc.DislocationParam(j, zeta))
-        except ValueError:
-            continue
-        for k, t in pairs:
+    for (j, zeta), pairs in groups.items():
+        d = disc.DislocationParam(j, zeta)
+        for i, vals in disc._deflation_samples([members[k] for k, _ in pairs], d):
+            k, t = pairs[i]
             try:
-                w = deflated(members[k])
+                w = disc._deflated(members[k], d, vals)
             except ValueError:
                 continue
             key = (w.grid, w.order)
             if key not in probes:
                 probes[key] = disc.make_probes(w.grid, probe_count, w.order)
             pairings[k, t] = disc.max_pairing(w, probes[key])
-        del deflated  # the net is freed before the next one is built
 
     per_member = []
     witness = None

@@ -137,10 +137,11 @@ def old_average_many(u, radius: float, zs: np.ndarray) -> np.ndarray:
     return vals @ weights
 
 
-def old_refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
+def old_refine_center(u, zeta, j, score=-math.inf, reciprocal=False) -> tuple[float, complex]:
     """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
 
     A stencil point replaces the current center only if it beats `score`.
+    With `reciprocal` the score is the live detector's product with 1/sqrt(j).
     """
     best = (score, complex(zeta))
     for spacing in _OLD_REFINE_SPACINGS:
@@ -148,16 +149,21 @@ def old_refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
         zs = zs[np.abs(zs) <= 0.5]
         if zs.size == 0:
             break
-        scores = np.abs(old_average_many(u, OLD_RHO**j, zs)) / math.sqrt(j)
+        means = np.abs(old_average_many(u, OLD_RHO**j, zs))
+        scores = means * (1.0 / math.sqrt(j)) if reciprocal else means / math.sqrt(j)
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
             best = (float(scores[k]), complex(zs[k]))
     return best
 
 
-def old_scan_scales(u, zeta, js) -> np.ndarray:
-    """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation."""
+def old_scan_scales(u, zeta, js, reciprocal=False) -> np.ndarray:
+    """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation.
+
+    With `reciprocal` the score is the live detector's product with 1/sqrt(j).
+    """
     offsets = np.stack([old_ball_offsets(OLD_RHO ** int(j))[0] for j in js])
     weights = old_ball_offsets(1.0)[1]
     vals = old_interpolate(u, (zeta + offsets).ravel()).reshape(offsets.shape)
-    return np.abs(vals @ weights) / np.sqrt(js)
+    means = np.abs(vals @ weights)
+    return means * (1.0 / np.sqrt(js)) if reciprocal else means / np.sqrt(js)

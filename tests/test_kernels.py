@@ -150,7 +150,7 @@ def test_batched_scale_scan_matches_per_scale_loop():
     js = np.arange(1, 25)
     rho = math.exp(-1.0)
     for zeta in (0.12 + 0.05j, 0.0j, -0.3 + 0.1j):
-        new = disc._scores(u, js, zeta)
+        new = disc._scores([u], js, zeta)[0]
         ref = old_scan_scores(u, zeta, rho, js)
         assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref))
 

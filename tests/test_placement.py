@@ -44,7 +44,10 @@ def old_concentration_detect(
     merge_radius: float = 0.05,
     refine: bool = True,
     top_k: int = 8,
+    reciprocal: bool = False,
 ):
+    """The detector as it was.  With `reciprocal` the refine and scale scans
+    score as the live detector does, with a product by 1/sqrt(j)."""
     if eps <= 0:
         raise ValueError("detection threshold must be positive")
     if rho_grid is None:
@@ -82,9 +85,9 @@ def old_concentration_detect(
     results = []
     for score, j, rho, zeta in kept:
         if refine:
-            score, zeta = old_refine_center(u, zeta, j, score)
+            score, zeta = old_refine_center(u, zeta, j, score, reciprocal)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
-            scores = old_scan_scales(u, zeta, js)
+            scores = old_scan_scales(u, zeta, js, reciprocal)
             k = int(np.argmax(scores))
             if scores[k] > score:
                 score, j = float(scores[k]), int(js[k])
