@@ -5,7 +5,6 @@ Lorentz-Zygmund quasinorms, and a constructive profile-decomposition
 extractor, plus deterministic sequence generators and a batch CLI."""
 
 from .radial import (
-    LogRadialGrid,
     RadialProfile,
     gauge_apply,
     grad_norm,

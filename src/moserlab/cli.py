@@ -12,6 +12,7 @@ environment variables are never read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -248,7 +249,6 @@ def cmd_decompose(args) -> int:
     dec = profiles.extract(
         seq, eps_stop=args.eps_stop, max_terms=args.max_terms, j_max=args.j_max
     )
-    led = profiles.energy_ledger(dec)
     term_docs = []
     for i, t in enumerate(dec.terms):
         ref = f"term_{i:02d}.json"
@@ -258,12 +258,7 @@ def cmd_decompose(args) -> int:
         "status": dec.status,
         "terms": term_docs,
         "remainder_expl2": list(dec.remainder_expl2),
-        "energy_ledger": {
-            "term_energies": list(led.term_energies),
-            "total": led.total,
-            "input_limsup": led.input_limsup,
-            "slack": led.slack,
-        },
+        "energy_ledger": dataclasses.asdict(profiles.energy_ledger(dec)),
     }
     write_json(os.path.join(out, "decomposition.json"), doc)
     rows = [

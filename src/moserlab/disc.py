@@ -54,7 +54,6 @@ __all__ = [
     "grad_norm_disc",
     "grad_inner",
     "l2_norm",
-    "sup_norm_disc",
     "add",
     "subtract_disc",
     "scale_disc",
@@ -388,10 +387,6 @@ def l2_norm(u: DiscFunction) -> float:
     return math.sqrt(max(0.0, l2_mass(u)))
 
 
-def sup_norm_disc(u: DiscFunction) -> float:
-    return max(abs(u.center), float(np.max(np.abs(u.rings))))
-
-
 # -- dislocations --------------------------------------------------------------
 
 def inflate(
@@ -602,14 +597,11 @@ def _check_resolution(grid: PolarGrid, radius: float, r: float, where: str = "")
         )
 
 
-def average(
-    u: DiscFunction, radius: float, z: complex, strict: bool = True
-) -> float:
+def average(u: DiscFunction, radius: float, z: complex) -> float:
     """Mean of u over the ball B(z, radius), with extension by zero."""
     if radius <= 0:
         raise ValueError("averaging radius must be positive")
-    if strict:
-        _check_resolution(u.grid, radius, abs(z), f" at {z}")
+    _check_resolution(u.grid, radius, abs(z), f" at {z}")
     return float(average_many(u, radius, z))
 
 
@@ -640,7 +632,7 @@ def average_field(u: DiscFunction, radius: float) -> DiscFunction:
     grid = u.grid
     nodes = (_ring_radii(grid)[:, None] * np.exp(1j * _thetas(grid))[None, :]).ravel()
     vals = average_many(u, radius, nodes).reshape(grid.n_r, grid.n_theta)
-    center = average(u, radius, 0.0, strict=False)  # as one more row its last bit moves
+    center = float(average_many(u, radius, 0.0))  # as one more row its last bit moves
     return DiscFunction._owned(grid, center, vals, zero_trace=False)
 
 
@@ -683,6 +675,8 @@ def concentration_detect(
     """
     if eps <= 0:
         raise ValueError("detection threshold must be positive")
+    if top_k < 1:
+        raise ValueError("at least one detection must be requested")
     return _detect(u, _scan([u], j_max)[0], eps, j_max, refine, top_k)
 
 

@@ -36,6 +36,7 @@ from .radial import (
     gauge_apply,
     grad_norm,
     moser_annular,
+    moser_from_exponent,
     scale,
 )
 
@@ -210,8 +211,6 @@ def moser_limit_experiment(
     carries the rest.  J(0) = 0 while the values here stay above pi for
     L >= 1, which is the whole weak-discontinuity mechanism in one table.
     """
-    from .radial import moser_from_exponent
-
     L_arr = [float(L) for L in L_list]
     if any(L <= 0 for L in L_arr) or any(b <= a for a, b in zip(L_arr, L_arr[1:])):
         raise ValueError("exponents must be positive and increasing")
@@ -334,7 +333,7 @@ def weak_discontinuity_demo(
         )
     cases = []
     for s, L, z in zip(s_arr, L_arr, zetas):
-        inner = -math.log1p(-abs(z)) if abs(z) > 0 else 0.0
+        inner = -math.log1p(-abs(z))
         prof = scale(moser_annular(L, inner), _GRADIENT_BUDGET)
         labels = {"s": s, "center": [z.real, z.imag]}
         cases.append((labels, prof, disc.DislocationParam(1, z), prof))

@@ -70,7 +70,6 @@ class FunctionSequence:
 
     members: tuple
     k_list: tuple
-    metadata: dict = field(default_factory=dict)
     # members' Dirichlet energies (squared gradient norms), set on validation
     energies: tuple = field(init=False, repr=False, compare=False)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LogRadialGrid",
     "RadialProfile",
     "sphere_area",
     "critical_exponent",
@@ -69,10 +68,18 @@ def _readonly(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LogRadialGrid:
-    """Strictly increasing t-nodes with nodes[0] = 0."""
+class RadialProfile:
+    """Piecewise-linear radial function in t = log(1/r).
+
+    The t-nodes are strictly increasing with nodes[0] = 0.  Zero trace on
+    the boundary (values[0] = 0) and a constant plateau beyond the last
+    node.  `n` is the dimension parameter; everything outside this module
+    assumes n = 2.
+    """
 
     nodes: np.ndarray
+    values: np.ndarray
+    n: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _readonly(self.nodes))
@@ -85,24 +92,8 @@ class LogRadialGrid:
             raise ValueError("first grid node must be t = 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Piecewise-linear radial function in t = log(1/r).
-
-    Zero trace on the boundary (values[0] = 0) and a constant plateau beyond
-    the last node.  `n` is the dimension parameter; everything outside this
-    module assumes n = 2.
-    """
-
-    grid: LogRadialGrid
-    values: np.ndarray
-    n: int = 2
-
-    def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.shape != self.grid.nodes.shape:
+        if self.values.shape != t.shape:
             raise ValueError("values and grid nodes must align")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
@@ -113,11 +104,7 @@ class RadialProfile:
 
     @staticmethod
     def from_arrays(nodes, values, n: int = 2) -> "RadialProfile":
-        return RadialProfile(LogRadialGrid(np.asarray(nodes, dtype=float)), values, n)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes
+        return RadialProfile(nodes, values, n)
 
     @property
     def plateau(self) -> float:
@@ -414,7 +401,8 @@ def profile_from_dict(d: dict) -> RadialProfile:
 
 def save_profile(u: RadialProfile, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(u), fh)
+        # one-shot dumps runs the C encoder; the bytes equal json.dump's
+        fh.write(json.dumps(profile_to_dict(u)))
 
 
 def load_profile(path) -> RadialProfile:

@@ -107,12 +107,11 @@ class RearrangedFunction:
         if np.any(np.diff(va) > 1e-12 * max(1.0, float(va[0]))):
             raise ValueError("rearranged values must be nonincreasing")
 
-    def ess_sup(self) -> float:
-        return float(self.values[0])
-
     def value_at(self, tau):
-        """Evaluate f*(tau) for tau in (0, 1], vectorized."""
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        """Evaluate f*(tau) for tau in (0, 1]: a float for a scalar tau, else
+        an array of tau's shape."""
+        shape = np.shape(tau)
+        tau = np.asarray(tau, dtype=float).ravel()
         bp, va = self.breakpoints, self.values
         idx = np.searchsorted(bp, tau, side="left")
         if self.kind == "step":
@@ -128,7 +127,7 @@ class RearrangedFunction:
                 f0, f1 = va[i], va[i + 1]
                 lam = (_ell(tau[inner]) - l0) / (l1 - l0)
                 out[inner] = f0 + lam * (f1 - f0)
-        return out if out.size > 1 else float(out[0])
+        return float(out[0]) if shape == () else out.reshape(shape)
 
     def pieces(self):
         """(ell_lo, ell_hi, f_lo, f_hi) arrays; ell_hi = inf marks the cap piece.
@@ -148,9 +147,10 @@ class RearrangedFunction:
 class LZIndex:
     """Triple (p, q, alpha); p in (1, inf], q in (0, inf].
 
-    For p = inf and q < inf, finiteness on functions with a nonzero essential
-    sup requires alpha < -1/q; `finite_on_constants` records the boundary but
-    nothing is enforced, since divergence is itself a computable outcome.
+    For p = inf, finiteness on functions with a nonzero essential sup
+    requires alpha < -1/q (alpha <= 0 for q = inf).  Nothing is enforced:
+    lz_quasinorm returns inf there, since divergence is itself a computable
+    outcome.
     """
 
     p: float
@@ -162,12 +162,6 @@ class LZIndex:
             raise ValueError("first index must exceed 1")
         if not (self.q > 0.0):
             raise ValueError("second index must be positive")
-
-    @property
-    def finite_on_constants(self) -> bool:
-        if self.q == math.inf:
-            return self.p < math.inf or self.alpha <= 0.0
-        return self.p < math.inf or self.alpha < -1.0 / self.q
 
 
 # -- exact distribution function of piecewise-linear radial data -------------
@@ -201,15 +195,11 @@ class _Distribution:
         return out
 
     def _measure_chunk(self, lams, strict):
+        above = np.greater if strict else np.greater_equal
         lam = lams[:, None]
-        if strict:
-            above_flat = self.v0[None, :] > lam
-            all_above = self.lo[None, :] > lam
-            crossing = (self.hi[None, :] > lam) & ~all_above
-        else:
-            above_flat = self.v0[None, :] >= lam
-            all_above = self.lo[None, :] >= lam
-            crossing = (self.hi[None, :] >= lam) & ~all_above
+        above_flat = above(self.v0[None, :], lam)
+        all_above = above(self.lo[None, :], lam)
+        crossing = above(self.hi[None, :], lam) & ~all_above
         tc = self.t0[None, :] + (lam - self.v0[None, :]) / self.dv[None, :] * (
             self.t1[None, :] - self.t0[None, :]
         )
@@ -226,7 +216,7 @@ class _Distribution:
             ),
         )
         total = seg.sum(axis=1)
-        plateau = (self.c > lams) if strict else (self.c >= lams)
+        plateau = above(self.c, lams)
         return total + np.where(plateau, math.exp(-2.0 * self.T), 0.0)
 
 

@@ -87,7 +87,7 @@ def moser_sequence(
     if form == "dilate" and any(z != 0 for z in zetas):
         raise ValueError("dilation form concentrates at the origin only")
     if grid is None:
-        pad = max((-math.log1p(-abs(z)) if abs(z) > 0 else 0.0) for z in zetas)
+        pad = max(-math.log1p(-abs(z)) for z in zetas)
         grid = disc.PolarGrid(
             n_r=512, n_theta=128, spacing="geometric",
             s_max=max(L_arr) + pad + 2.0,
@@ -95,18 +95,14 @@ def moser_sequence(
     members = []
     for s, L, z in zip(s_arr, L_arr, zetas):
         if form == "translate":
-            inner = -math.log1p(-abs(z)) if abs(z) > 0 else 0.0
+            inner = -math.log1p(-abs(z))
             prof = moser_annular(L, inner)
             members.append(disc.inflate(prof, disc.DislocationParam(1, z), grid))
         else:
             j = max(1, round(L))
             prof = moser_annular(1.0)
             members.append(disc.inflate(prof, disc.DislocationParam(j, 0.0), grid))
-    return FunctionSequence(
-        members,
-        range(1, len(members) + 1),
-        metadata={"generator": "moser", "form": form},
-    )
+    return FunctionSequence(members, range(1, len(members) + 1))
 
 
 # -- disjoint-bump counterexample -------------------------------------------------
@@ -150,9 +146,7 @@ def counterexample_sequence(
         members.append(
             RadialProfile.from_arrays(nodes, vals / math.sqrt(k), 2)
         )
-    return FunctionSequence(
-        members, range(1, k_max + 1), metadata={"generator": "counterexample"}
-    )
+    return FunctionSequence(members, range(1, k_max + 1))
 
 
 # -- vanishing sequences -----------------------------------------------------------
@@ -185,7 +179,7 @@ def vanishing_sequence(k_list, bump2d: disc.DiscFunction) -> FunctionSequence:
                 support_radius=min(1.0, bump2d.support_radius / k),
             )
         )
-    return FunctionSequence(members, ks, metadata={"generator": "vanishing"})
+    return FunctionSequence(members, ks)
 
 
 # -- synthetic superpositions -------------------------------------------------------
@@ -249,10 +243,7 @@ def synthetic_superposition(
         "k_list": ks,
         "planted_terms": [t.to_dict() for t in terms],
     }
-    seq = FunctionSequence(
-        members, ks, metadata={"generator": "superposition", "seed": seed}
-    )
-    return seq, manifest
+    return FunctionSequence(members, ks), manifest
 
 
 # -- spec-driven dispatch and manifest IO --------------------------------------------
@@ -314,7 +305,8 @@ def save_sequence(seq: FunctionSequence, out_dir: str, manifest: dict) -> str:
         name = f"member_{k:04d}.json"
         payload = disc.disc_to_dict(member) if is_disc else profile_to_dict(member)
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            # one-shot dumps runs the C encoder; the bytes equal json.dump's
+            fh.write(json.dumps(payload, sort_keys=True))
         files.append(name)
     doc = dict(manifest)
     doc["member_kind"] = "disc" if is_disc else "radial"
@@ -347,6 +339,4 @@ def load_sequence(manifest_path: str) -> FunctionSequence:
             members.append(disc.disc_from_dict(rec))
         else:
             members.append(profile_from_dict(rec))
-    return FunctionSequence(
-        members, k_list, metadata={"generator": doc.get("generator", "")}
-    )
+    return FunctionSequence(members, k_list)

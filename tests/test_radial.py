@@ -233,6 +233,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="strictly increasing"):
             radial.load_profile(path)
 
+    @pytest.mark.parametrize("nodes, values, message", [
+        ([0.0], [0.0], "at least two nodes"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "at least two nodes"),
+        ([0.0, math.inf], [0.0, 1.0], "nodes must be finite"),
+        ([0.0, math.nan], [0.0, 1.0], "nodes must be finite"),
+        ([0.5, 1.0], [0.0, 1.0], "first grid node must be t = 0"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0], [0.0, 1.0, 1.0], "values and grid nodes must align"),
+        # the node checks run before the value checks
+        ([0.5, 1.0], [1.0, math.nan, 0.0], "first grid node must be t = 0"),
+    ])
+    def test_profile_rejects_malformed_nodes_and_values(self, nodes, values, message):
+        with pytest.raises(ValueError, match=message):
+            radial.RadialProfile.from_arrays(nodes, values, 2)
+
+    def test_saved_bytes_equal_json_dump(self, tmp_path):
+        u = radial.random_profile(np.random.default_rng(3))
+        path = tmp_path / "p.json"
+        radial.save_profile(u, path)
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(radial.profile_to_dict(u), fh)
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
     def test_loader_rejects_nonzero_trace(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(json.dumps({"n": 2, "nodes": [0.0, 1.0], "values": [0.5, 1.0]}))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -189,6 +190,16 @@ class TestSuperposition:
         loaded = seqgen.load_sequence(path)
         assert loaded.k_list == seq.k_list
         assert np.array_equal(loaded.members[0].rings, seq.members[0].rings)
+
+    def test_member_bytes_equal_json_dump(self, tmp_path):
+        grid = disc.PolarGrid(n_r=64, n_theta=32, s_max=4.0)
+        term = profiles.ProfileTerm(radial.moser_annular(0.8, 0.4), [1, 2], [0.05] * 2)
+        seq, manifest = seqgen.synthetic_superposition([term], 0.01, 4, grid)
+        seqgen.save_sequence(seq, str(tmp_path / "seq"), manifest)
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(disc.disc_to_dict(seq.members[1]), fh, sort_keys=True)
+        assert (tmp_path / "seq" / "member_0002.json").read_bytes() == ref.read_bytes()
 
     def test_counterexample_spec_round_trip(self, tmp_path):
         spec = seqgen.GeneratorSpec("counterexample", {"k_max": 4})
