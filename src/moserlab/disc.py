@@ -1,6 +1,6 @@
 """Sampled functions on the unit disc and the dislocation operators.
 
-Grids are polar with a geometric (log-radial) default: ring i sits at
+Grids are log-polar, and this is their only geometry: ring i sits at
 s = log(1/r) uniformly spaced between s_max and 0, plus a single center node.
 In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
 
@@ -19,7 +19,7 @@ for every member that shares it: one per scale in the detector scan, one per
 
 Dislocations: deflation sends u to j^{-1/2} u(zeta + z^j); the image of the
 grid under the power map is again log-uniform, so the deflated function is
-returned on its own adapted grid (radial extent s_max/j, angular count scaled
+returned on its own adapted grid (extent exactly s_max/j, angular count scaled
 by j).  The image is j-fold symmetric, and it is stored as such: a function
 of symmetry order j keeps the full grid but only one block of n_theta/j
 columns, and the energy, the inner product and interpolation work on that
@@ -80,7 +80,6 @@ class GridResolutionError(ValueError):
 class PolarGrid:
     n_r: int
     n_theta: int
-    spacing: str = "geometric"
     s_max: float = 12.0
 
     def __post_init__(self):
@@ -88,10 +87,8 @@ class PolarGrid:
             raise ValueError("need at least 16 radial cells")
         if self.n_theta < 32:
             raise ValueError("need at least 32 angular cells")
-        if self.spacing not in ("geometric", "uniform"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == "geometric" and not (self.s_max > 0):
-            raise ValueError("geometric spacing needs s_max > 0")
+        if not (self.s_max > 0):
+            raise ValueError("need s_max > 0")
 
     @property
     def dtheta(self) -> float:
@@ -100,12 +97,8 @@ class PolarGrid:
 
 @lru_cache(maxsize=256)
 def _ring_radii(grid: PolarGrid) -> np.ndarray:
-    if grid.spacing == "geometric":
-        s = grid.s_max * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
-        r = np.exp(-s)
-    else:
-        r = (1.0 + np.arange(grid.n_r)) / grid.n_r
-    r = r.copy()
+    s = grid.s_max * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
+    r = np.exp(-s)
     r[-1] = 1.0
     r.setflags(write=False)
     return r
@@ -114,7 +107,6 @@ def _ring_radii(grid: PolarGrid) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _ring_s(grid: PolarGrid) -> np.ndarray:
     s = -np.log(_ring_radii(grid))
-    s = s.copy()
     s[-1] = 0.0
     s.setflags(write=False)
     return s
@@ -433,10 +425,6 @@ def inflate(
     )
 
 
-def _input_s_extent(grid: PolarGrid) -> float:
-    return float(-math.log(_ring_radii(grid)[0]))
-
-
 def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:
     """(g u)(z) = j^{-1/2} u(zeta + z^j) on the adapted output grid.
 
@@ -462,7 +450,7 @@ def _deflation_samples(us, d: DislocationParam):
 
 
 def _deflated_grid(grid: PolarGrid, j: int) -> PolarGrid:
-    return PolarGrid(grid.n_r, grid.n_theta * j, "geometric", _input_s_extent(grid) / j)
+    return PolarGrid(grid.n_r, grid.n_theta * j, grid.s_max / j)
 
 
 def _deflated(u: DiscFunction, d: DislocationParam, vals: np.ndarray) -> DiscFunction:
@@ -497,7 +485,7 @@ def _angular_profiles(us, zetas, n_phi: int | None = None) -> list[RadialProfile
     profiles = [None] * len(us)
     for (zeta, grid), ks in groups.items():
         n = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
-        sigma = _input_s_extent(grid) * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
+        sigma = grid.s_max * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
         pts = _polar_points(zeta, np.exp(-sigma), 2.0 * math.pi * np.arange(n) / n)
         for i, vals in _each_sample([us[k] for k in ks], pts):
             out = vals.mean(axis=1)[::-1].copy()
@@ -530,13 +518,7 @@ class _Net:
                     m1.astype(np.int32), eta, r[cap] / radii[0])
         self.ring = np.flatnonzero(ring).astype(np.int32)
         r, theta = r[ring], theta[ring]
-        s = -np.log(r)
-        if grid.spacing == "geometric":
-            x = (grid.s_max - s) / (grid.s_max / (grid.n_r - 1))
-        else:
-            svals = _ring_s(grid)
-            i0 = np.clip(np.searchsorted(radii, r, side="right") - 1, 0, grid.n_r - 2)
-            x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
+        x = (grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1))
         i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
         m, m1, eta = _angular_index(grid, theta, width)
         k, k1 = i * width + m, i * width + m1
@@ -587,9 +569,12 @@ _BALL_W = np.repeat(0.5 * _GL8_W / 16, 16)
 
 
 def _check_resolution(grid: PolarGrid, radius: float, r: float, where: str = "") -> None:
-    """GridResolutionError if the ball is below half the grid cell at |z| = r."""
+    """ValueError if the radius is not positive, GridResolutionError if the
+    ball is below half the grid cell at |z| = r."""
+    if radius <= 0:
+        raise ValueError("averaging radius must be positive")
     r0 = float(_ring_radii(grid)[0])
-    dr = r * grid.s_max / (grid.n_r - 1) if grid.spacing == "geometric" else 1.0 / grid.n_r
+    dr = r * grid.s_max / (grid.n_r - 1)
     if radius < 0.5 * (r0 if r < r0 else min(dr, r * grid.dtheta)):
         raise GridResolutionError(
             f"ball of radius {radius:.3g}{where} is below grid resolution; "
@@ -599,8 +584,6 @@ def _check_resolution(grid: PolarGrid, radius: float, r: float, where: str = "")
 
 def average(u: DiscFunction, radius: float, z: complex) -> float:
     """Mean of u over the ball B(z, radius), with extension by zero."""
-    if radius <= 0:
-        raise ValueError("averaging radius must be positive")
     _check_resolution(u.grid, radius, abs(z), f" at {z}")
     return float(average_many(u, radius, z))
 
@@ -677,6 +660,8 @@ def concentration_detect(
         raise ValueError("detection threshold must be positive")
     if top_k < 1:
         raise ValueError("at least one detection must be requested")
+    if j_max < 1:
+        raise ValueError("the scan needs at least one scale exponent (j_max >= 1)")
     return _detect(u, _scan([u], j_max)[0], eps, j_max, refine, top_k)
 
 
@@ -789,7 +774,7 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
     0 with every j-fold function: it keeps its place among the `count`, so
     the set is the order-1 set less those entries, but it is not built.
     """
-    s_ext = min(_input_s_extent(grid), _PROBE_T_CAP)
+    s_ext = min(grid.s_max, _PROBE_T_CAP)
     layouts = [  # (kind, knee or support, angular mode)
         ("ramp", 0.35, 0),
         ("tent", (0.08, 0.45), 0),
@@ -840,7 +825,7 @@ def disc_to_dict(u: DiscFunction) -> dict:
     return {
         "n_r": u.grid.n_r,
         "n_theta": u.grid.n_theta,
-        "spacing": {"kind": u.grid.spacing, "s_max": u.grid.s_max},
+        "spacing": {"kind": "geometric", "s_max": u.grid.s_max},
         "support_radius": u.support_radius,
         "zero_trace": u.zero_trace,
         "center": u.center,
@@ -850,12 +835,14 @@ def disc_to_dict(u: DiscFunction) -> dict:
 
 def disc_from_dict(d: dict) -> DiscFunction:
     try:
+        spacing = d["spacing"]
         grid = PolarGrid(
-            n_r=int(d["n_r"]),
-            n_theta=int(d["n_theta"]),
-            spacing=str(d["spacing"]["kind"]),
-            s_max=float(d["spacing"]["s_max"]),
+            n_r=int(d["n_r"]), n_theta=int(d["n_theta"]), s_max=float(spacing["s_max"])
         )
+        if spacing.get("kind", "geometric") != "geometric":
+            raise ValueError(
+                f"unknown grid spacing {spacing['kind']!r}: grids are geometric"
+            )
         rings = np.asarray(d["rings"], dtype=float).reshape(grid.n_r, grid.n_theta)
         return DiscFunction(
             grid,

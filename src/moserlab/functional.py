@@ -328,7 +328,7 @@ def weak_discontinuity_demo(
     L_arr = [-math.log(s) for s in s_arr]
     if grid is None:
         grid = disc.PolarGrid(
-            n_r=512, n_theta=256, spacing="geometric",
+            n_r=512, n_theta=256,
             s_max=max(L_arr) + max(-math.log1p(-abs(z)) for z in zetas) + 2.0,
         )
     cases = []
@@ -357,8 +357,7 @@ def dilation_concentration_demo(
     if any(j < 1 for j in js) or any(b < a for a, b in zip(js, js[1:])):
         raise ValueError("dilation schedule must be nondecreasing positive integers")
     grid = disc.PolarGrid(
-        n_r=512, n_theta=128, spacing="geometric",
-        s_max=float(base.nodes[-1]) * max(js) + 2.0,
+        n_r=512, n_theta=128, s_max=float(base.nodes[-1]) * max(js) + 2.0
     )
     cases = [
         ({"j": j}, base, disc.DislocationParam(j, 0.0), gauge_apply(base, 1.0 / j))

@@ -478,7 +478,7 @@ def _as_disc_members(seq: FunctionSequence):
     if seq.is_disc():
         return list(seq.members)
     extent = max(float(m.nodes[-1]) for m in seq.members) + 1.0
-    grid = disc.PolarGrid(n_r=256, n_theta=64, spacing="geometric", s_max=extent)
+    grid = disc.PolarGrid(n_r=256, n_theta=64, s_max=extent)
     return [
         disc.inflate(m, disc.DislocationParam(1, 0.0), grid) for m in seq.members
     ]

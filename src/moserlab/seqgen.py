@@ -88,10 +88,7 @@ def moser_sequence(
         raise ValueError("dilation form concentrates at the origin only")
     if grid is None:
         pad = max(-math.log1p(-abs(z)) for z in zetas)
-        grid = disc.PolarGrid(
-            n_r=512, n_theta=128, spacing="geometric",
-            s_max=max(L_arr) + pad + 2.0,
-        )
+        grid = disc.PolarGrid(n_r=512, n_theta=128, s_max=max(L_arr) + pad + 2.0)
     members = []
     for s, L, z in zip(s_arr, L_arr, zetas):
         if form == "translate":
@@ -252,12 +249,12 @@ def _grid_from_params(params: dict) -> disc.PolarGrid | None:
     g = params.get("grid")
     if g is None:
         return None
-    return disc.PolarGrid(
-        n_r=int(g["n_r"]),
-        n_theta=int(g["n_theta"]),
-        spacing=str(g.get("spacing", "geometric")),
-        s_max=float(g.get("s_max", 12.0)),
+    grid = disc.PolarGrid(
+        n_r=int(g["n_r"]), n_theta=int(g["n_theta"]), s_max=float(g.get("s_max", 12.0))
     )
+    if g.get("spacing", "geometric") != "geometric":
+        raise ValueError(f"unknown grid spacing {g['spacing']!r}: grids are geometric")
+    return grid
 
 
 def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
@@ -277,14 +274,14 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
             manifest = {"generator": "counterexample", "k_max": int(p["k_max"])}
         elif spec.kind == "vanishing":
             if grid is None:
-                grid = disc.PolarGrid(n_r=256, n_theta=64, spacing="geometric", s_max=8.0)
+                grid = disc.PolarGrid(n_r=256, n_theta=64, s_max=8.0)
             prof = profile_from_dict(p["bump_profile"])
             bump2d = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
             seq = vanishing_sequence(p["k_values"], bump2d)
             manifest = {"generator": "vanishing", "k_values": list(p["k_values"])}
         else:
             if grid is None:
-                grid = disc.PolarGrid(n_r=512, n_theta=256, spacing="geometric", s_max=7.0)
+                grid = disc.PolarGrid(n_r=512, n_theta=256, s_max=7.0)
             terms = [ProfileTerm.from_dict(t) for t in p.get("terms", [])]
             seq, manifest = synthetic_superposition(
                 terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,

@@ -86,13 +86,8 @@ def old_interpolate(u, z) -> np.ndarray:
         out[cap] = u.center + (r[cap] / radii[0]) * (g - u.center)
     if np.any(ring):
         s = -np.log(r[ring])
-        if grid.spacing == "geometric":
-            h = grid.s_max / (grid.n_r - 1)
-            x = (grid.s_max - s) / h
-        else:
-            i0 = np.searchsorted(radii, r[ring], side="right") - 1
-            i0 = np.clip(i0, 0, grid.n_r - 2)
-            x = i0 + (svals[i0] - s) / (svals[i0] - svals[i0 + 1])
+        h = grid.s_max / (grid.n_r - 1)
+        x = (grid.s_max - s) / h
         i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
         xi = np.clip(x - i, 0.0, 1.0)
         m, m1, eta = old_angular_index(grid, theta[ring], V.shape[1])

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from moserlab import cli
+from moserlab import cli, disc
 
 
 def run(args) -> int:
@@ -132,7 +133,7 @@ class TestMalformedInput:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: ") and reason in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_manifest_without_members(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -226,4 +227,27 @@ class TestMalformedInput:
         self._fails_soft(
             ["norms", "--input", str(path), "--out", str(tmp_path / "n")],
             "norms", "unrecognized input file: not a JSON object", capsys,
+        )
+
+    def test_disc_record_of_a_foreign_spacing_kind(self, tmp_path, capsys):
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=3.0)
+        rings = np.zeros((grid.n_r, grid.n_theta))
+        doc = disc.disc_to_dict(disc.DiscFunction(grid, 1.0, rings))
+        doc["spacing"]["kind"] = "uniform"
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        self._fails_soft(
+            ["norms", "--input", str(path), "--out", str(tmp_path / "n")],
+            "norms", "unknown grid spacing 'uniform'", capsys,
+        )
+
+    def test_generator_grid_of_a_foreign_spacing_kind(self, tmp_path, capsys):
+        params = json.loads(json.dumps(cli._DEFAULT_PARAMS["moser"]))
+        params["grid"] = {"n_r": 64, "n_theta": 32, "spacing": "uniform", "s_max": 6.0}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        self._fails_soft(
+            ["generate", "--kind", "moser", "--params", str(path),
+             "--out", str(tmp_path / "g")],
+            "generate", "unknown grid spacing 'uniform'", capsys,
         )

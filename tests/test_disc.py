@@ -37,11 +37,11 @@ class TestGrid:
             disc.PolarGrid(n_r=8, n_theta=64)
         with pytest.raises(ValueError):
             disc.PolarGrid(n_r=64, n_theta=16)
-        with pytest.raises(ValueError):
-            disc.PolarGrid(n_r=64, n_theta=64, spacing="chebyshev")
+        with pytest.raises(ValueError, match="s_max > 0"):
+            disc.PolarGrid(n_r=64, n_theta=64, s_max=0.0)
 
-    def test_uniform_spacing_supported(self):
-        g = disc.PolarGrid(n_r=64, n_theta=32, spacing="uniform")
+    def test_areas_sum_to_disc_on_a_shallow_grid(self):
+        g = disc.PolarGrid(n_r=64, n_theta=32, s_max=1.5)
         cap, ann = disc.cell_areas(g)
         assert cap + float(ann.sum()) * g.n_theta == pytest.approx(math.pi, abs=1e-12)
 
@@ -91,6 +91,15 @@ class TestDiscFunction:
     def test_loader_rejects_mangled(self):
         with pytest.raises(ValueError):
             disc.disc_from_dict({"n_r": 64})
+
+    def test_record_spacing_kind_is_geometric(self, bump):
+        doc = disc.disc_to_dict(bump)
+        assert doc["spacing"] == {"kind": "geometric", "s_max": bump.grid.s_max}
+        del doc["spacing"]["kind"]
+        assert disc.disc_from_dict(doc).grid == bump.grid
+        doc["spacing"]["kind"] = "uniform"
+        with pytest.raises(ValueError, match="'uniform'"):
+            disc.disc_from_dict(doc)
 
 
 class TestInflate:
@@ -212,6 +221,13 @@ class TestAverage:
         assert sup(field) <= sup(bump) * (1 + 1e-9)
         assert not field.zero_trace
 
+    @pytest.mark.parametrize("r", [0.0, -0.1])
+    def test_field_rejects_nonpositive_radius(self, bump, r):
+        # the radius is wrong, not the grid: no advice to refine it
+        with pytest.raises(ValueError, match="averaging radius must be positive") as exc:
+            disc.average_field(bump, r)
+        assert not isinstance(exc.value, disc.GridResolutionError)
+
     def test_resolution_guard(self, bump):
         with pytest.raises(disc.GridResolutionError, match="finer grid"):
             disc.average(bump, 1e-9, 0.3 + 0.1j)
@@ -281,6 +297,11 @@ class TestDetect:
         for top_k in (0, -1):
             with pytest.raises(ValueError, match="at least one detection"):
                 disc.concentration_detect(bump, eps=1e-3, j_max=4, top_k=top_k)
+
+    @pytest.mark.parametrize("j_max", [0, -1])
+    def test_rejects_nonpositive_j_max(self, bump, j_max):
+        with pytest.raises(ValueError, match="j_max >= 1"):
+            disc.concentration_detect(bump, eps=1e-3, j_max=j_max)
 
     def test_zero_function_empty(self, grid):
         z = disc.DiscFunction(grid, 0.0, np.zeros((grid.n_r, grid.n_theta)))

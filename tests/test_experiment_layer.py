@@ -59,7 +59,7 @@ def old_j_direct(u, spec=None) -> float:
 
 
 def old_make_probes(grid, count: int = 6, t_cap: float = 6.0):
-    s_ext = min(disc._input_s_extent(grid), t_cap)
+    s_ext = min(grid.s_max, t_cap)
     layouts = [
         ("ramp", 0.35),
         ("tent", (0.08, 0.45), 0),
@@ -122,7 +122,7 @@ def old_weak_discontinuity_demo(
     L_arr = [-math.log(s) for s in s_arr]
     if grid is None:
         grid = disc.PolarGrid(
-            n_r=512, n_theta=256, spacing="geometric",
+            n_r=512, n_theta=256,
             s_max=max(L_arr) + max(-math.log1p(-abs(z)) for z in zetas) + 2.0,
         )
     probes = old_make_probes(grid, probe_count)
@@ -151,7 +151,7 @@ def old_dilation_concentration_demo(base, j_list, grid=None, probe_count=6, spec
     js = [int(j) for j in j_list]
     if grid is None:
         grid = disc.PolarGrid(
-            n_r=512, n_theta=128, spacing="geometric",
+            n_r=512, n_theta=128,
             s_max=float(base.nodes[-1]) * max(js) + 2.0,
         )
     probes = old_make_probes(grid, probe_count)
@@ -181,8 +181,7 @@ def old_deflate(u, d):
     out_grid = disc.PolarGrid(
         n_r=grid.n_r,
         n_theta=grid.n_theta * j,
-        spacing="geometric",
-        s_max=disc._input_s_extent(grid) / j,
+        s_max=grid.s_max / j,
     )
     sigma = disc._ring_s(out_grid) * j
     phis = disc._thetas(grid)
@@ -460,8 +459,8 @@ def test_constant_sequence_demo_matches_old():
 
 @pytest.mark.parametrize("grid", [
     disc.PolarGrid(n_r=96, n_theta=64, s_max=9.0),
-    disc.PolarGrid(n_r=64, n_theta=96, spacing="uniform"),
-], ids=["geometric", "uniform"])
+    disc.PolarGrid(n_r=64, n_theta=96, s_max=4.0),
+], ids=["geometric", "shallow"])
 def test_make_probes_matches_old(grid):
     new, old = disc.make_probes(grid, 11), old_make_probes(grid, 11)
     assert len(new) == len(old) == 11

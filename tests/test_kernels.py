@@ -104,7 +104,7 @@ def old_dweak_verdict(per_member) -> str:
 
 GRIDS = {
     "geometric": disc.PolarGrid(n_r=96, n_theta=64, s_max=7.0),
-    "uniform": disc.PolarGrid(n_r=96, n_theta=64, spacing="uniform"),
+    "shallow": disc.PolarGrid(n_r=96, n_theta=64, s_max=3.0),
 }
 
 
@@ -125,17 +125,17 @@ def bubble(grid, j: int, zeta: complex) -> disc.DiscFunction:
 
 # -- equivalence with the replaced code ----------------------------------------------
 
-@pytest.mark.parametrize("spacing", sorted(GRIDS))
-def test_energy_matches_old_formula(spacing):
-    grid = GRIDS[spacing]
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_energy_matches_old_formula(name):
+    grid = GRIDS[name]
     for u in (random_disc(grid, 1), random_disc(grid, 2), bubble(grid, 2, 0.1 - 0.2j)):
         ref = old_energy(u)
         assert abs(disc.energy(u) - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("spacing", sorted(GRIDS))
-def test_grad_inner_matches_polarization(spacing):
-    grid = GRIDS[spacing]
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grad_inner_matches_polarization(name):
+    grid = GRIDS[name]
     funcs = [random_disc(grid, 3), random_disc(grid, 4), bubble(grid, 1, 0.2j),
              bubble(grid, 3, -0.15)]
     for u in funcs:
@@ -197,20 +197,20 @@ def test_tail_decayed_reproduces_both_old_rules(pairings, j_last):
 
 seeds = st.integers(0, 2**32 - 1)
 coeffs = st.floats(-4.0, 4.0, allow_nan=False)
-spacings = st.sampled_from(sorted(GRIDS))
+grid_names = st.sampled_from(sorted(GRIDS))
 
 
 @settings(max_examples=30, deadline=None)
-@given(spacings, seeds, seeds)
-def test_form_is_symmetric(spacing, a, b):
-    u, v = random_disc(GRIDS[spacing], a), random_disc(GRIDS[spacing], b)
+@given(grid_names, seeds, seeds)
+def test_form_is_symmetric(name, a, b):
+    u, v = random_disc(GRIDS[name], a), random_disc(GRIDS[name], b)
     assert disc._form(u, v) == disc._form(v, u)
 
 
 @settings(max_examples=30, deadline=None)
-@given(spacings, seeds, seeds, seeds, coeffs, coeffs)
-def test_form_is_bilinear(spacing, a, b, c, x, y):
-    grid = GRIDS[spacing]
+@given(grid_names, seeds, seeds, seeds, coeffs, coeffs)
+def test_form_is_bilinear(name, a, b, c, x, y):
+    grid = GRIDS[name]
     u, w, v = random_disc(grid, a), random_disc(grid, b), random_disc(grid, c)
     lhs = disc._form(disc.add(disc.scale_disc(u, x), disc.scale_disc(w, y)), v)
     rhs = x * disc._form(u, v) + y * disc._form(w, v)
@@ -219,9 +219,9 @@ def test_form_is_bilinear(spacing, a, b, c, x, y):
 
 
 @settings(max_examples=30, deadline=None)
-@given(spacings, seeds)
-def test_form_on_diagonal_is_the_energy(spacing, a):
-    u = random_disc(GRIDS[spacing], a)
+@given(grid_names, seeds)
+def test_form_on_diagonal_is_the_energy(name, a):
+    u = random_disc(GRIDS[name], a)
     twin = disc.DiscFunction(u.grid, u.center, u.rings.copy())
     e = disc.energy(u)
     assert disc._form(u, u) == e >= 0.0
@@ -231,7 +231,7 @@ def test_form_on_diagonal_is_the_energy(spacing, a):
 
 def test_form_rejects_grid_mismatch():
     u = random_disc(GRIDS["geometric"], 0)
-    v = random_disc(GRIDS["uniform"], 0)
+    v = random_disc(GRIDS["shallow"], 0)
     with pytest.raises(ValueError, match="different grids"):
         disc._form(u, v)
     with pytest.raises(ValueError, match="different grids"):

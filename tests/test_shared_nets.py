@@ -16,7 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, functional, profiles, radial, seqgen
@@ -181,7 +181,6 @@ def test_scan_rows_are_the_per_member_scores(grid, members, j_max):
 
 @settings(max_examples=15, deadline=None)
 @given(detector_cases, seeds, st.sampled_from([1e-4, 0.005, 0.05]), st.integers(1, 6))
-@example((disc.PolarGrid(30, 32, "uniform", 2.0), 0, [0j], [1, 1, 1], 0.0), 1, 1e-4, 6)
 def test_detections_of_many_members_are_the_old_ones(case, seed, eps, top_k):
     """The vectorized ranking keeps the old sort: at eps 1e-4 most (j, zeta) qualify."""
     grid, seed0, centers, js, noise = case
