@@ -6,7 +6,9 @@ timestamps) into the output directory.  The options shared by every command
 take their defaults from the packaged defaults.json; the generator parameters
 (`_DEFAULT_PARAMS`) and the per-command defaults (`--l-values`, `--k-max`,
 `--indices`, `--max-terms`) live in this module.  Flags override them;
-environment variables are never read.
+`--grid-nr` and `--grid-ntheta`, when given, override the sizes of any
+generator grid, a kind's default grid included.  Environment variables are
+never read.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ _DEFAULT_PARAMS = {
                 "zeta_track": [[0.1, 0.05]] * 6,
             }
         ],
-        "grid": {"n_r": 384, "n_theta": 384, "spacing": "geometric", "s_max": 4.5},
+        "grid": {"n_r": 384, "n_theta": 384, "s_max": 4.5},
     },
 }
 
@@ -214,13 +216,18 @@ def cmd_generate(args) -> int:
             raise ValueError(f"malformed {args.kind} parameters: not a JSON object")
     else:
         params = json.loads(json.dumps(_DEFAULT_PARAMS[args.kind]))
-    if args.kind != "counterexample" and "grid" not in params:
-        params["grid"] = {
-            "n_r": args.grid_nr,
-            "n_theta": args.grid_ntheta,
-            "spacing": "geometric",
-            "s_max": load_defaults()["s_max"],
-        }
+    if args.kind != "counterexample":
+        d = load_defaults()
+        grid = params.setdefault(
+            "grid", {"n_r": d["grid_nr"], "n_theta": d["grid_ntheta"], "s_max": d["s_max"]}
+        )
+        # explicit grid flags override the sizes of any grid
+        given = {k: v for k, v in (("n_r", args.grid_nr), ("n_theta", args.grid_ntheta))
+                 if v is not None}
+        if given:
+            if not isinstance(grid, dict):
+                raise ValueError(f"malformed {args.kind} parameters: 'grid' is not an object")
+            grid.update(given)
     if args.kind == "superposition":
         terms = params.get("terms", [])
         if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
@@ -290,8 +297,9 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=defaults["seed"])
-    common.add_argument("--grid-nr", type=int, default=defaults["grid_nr"])
-    common.add_argument("--grid-ntheta", type=int, default=defaults["grid_ntheta"])
+    # None: the kind's grid, or the defaults.json sizes for a kind without one
+    common.add_argument("--grid-nr", type=int, default=None)
+    common.add_argument("--grid-ntheta", type=int, default=None)
     common.add_argument("--rel-tol", type=float, default=defaults["rel_tol"])
     common.add_argument("--abs-tol", type=float, default=defaults["abs_tol"])
     common.add_argument("--eps-stop", type=float, default=defaults["eps_stop"])

@@ -25,15 +25,18 @@ of symmetry order j keeps the full grid but only one block of n_theta/j
 columns, and the energy, the inner product and interpolation work on that
 block.  With that convention the deflation of a function sampled around its
 own center is energy-exact, and off-center deflations lose only bilinear
-interpolation error.  Powers z^j are computed as (|z|^j, j*theta), never by
-repeated complex multiplication.  Inflation j^{1/2} w(|z - zeta|^{1/j}) of a
-radial profile is sampled from its closed form.  Out-of-domain reads are zero
-everywhere (extension by zero).
+interpolation error.  The operands of a form (energy, grad_inner) or a sum
+(add, subtract_disc) share one grid and one symmetry order: a deflation w is
+paired with make_probes(w.grid, count, w.order).  Powers z^j are computed as
+(|z|^j, j*theta), never by repeated complex multiplication.  Inflation
+j^{1/2} w(|z - zeta|^{1/j}) of a radial profile is sampled from its closed
+form.  Out-of-domain reads are zero everywhere (extension by zero).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,12 +86,14 @@ class PolarGrid:
     s_max: float = 12.0
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_r, self.n_theta)):
+            raise ValueError("grid sizes must be integers")
         if self.n_r < 16:
             raise ValueError("need at least 16 radial cells")
         if self.n_theta < 32:
             raise ValueError("need at least 32 angular cells")
-        if not (self.s_max > 0):
-            raise ValueError("need s_max > 0")
+        if not (0.0 < self.s_max < math.inf):
+            raise ValueError("need a finite s_max > 0")
 
     @property
     def dtheta(self) -> float:
@@ -249,6 +254,14 @@ def _next_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _rowdot(a[:, :-1], b[:, 1:]) + a[:, -1] * b[:, 0]
 
 
+def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
+    """ValueError unless u and v share one grid and one symmetry order."""
+    if u.grid != v.grid:
+        raise ValueError("disc functions live on different grids")
+    if u.order != v.order:
+        raise ValueError("disc functions have different symmetry orders")
+
+
 def _form(u: DiscFunction, v: DiscFunction) -> float:
     """Dirichlet bilinear form of the bilinear interpolants, exact cap included.
 
@@ -259,16 +272,8 @@ def _form(u: DiscFunction, v: DiscFunction) -> float:
 
     Of j-fold functions every cyclic row sum is j times the sum over one
     block, wrapped inside the block, so the form is j times the block form.
-    The form commutes with rotation by dtheta, so <u, v> = <u, P v> for a
-    j-fold u, P the average over rotations by 2 pi / j: the operand of lower
-    order is projected onto the higher one.
     """
-    if u.grid != v.grid:
-        raise ValueError("disc functions live on different grids")
-    if u.order < v.order:
-        u = _symmetrize(u, v.order)
-    elif v.order < u.order:
-        v = _symmetrize(v, u.order)
+    _check_operands(u, v)
     s = _ring_s(u.grid)
     dth = u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
@@ -289,13 +294,6 @@ def _form(u: DiscFunction, v: DiscFunction) -> float:
     return float(u.order * (e_s + e_t + cap_r + cap_t))
 
 
-def _symmetrize(u: DiscFunction, order: int) -> DiscFunction:
-    """The mean of u over the rotations by 2 pi k / order, as an order-`order` function."""
-    n_r, width = u.grid.n_r, u.grid.n_theta // order
-    rings = u.tiled_rings().reshape(n_r, order, width).mean(axis=1)
-    return DiscFunction._owned(u.grid, u.center, rings, u.support_radius, u.zero_trace, order)
-
-
 def energy(u: DiscFunction) -> float:
     """Dirichlet energy of the bilinear interpolant, exact cap included."""
     return _form(u, u)
@@ -306,20 +304,15 @@ def grad_norm_disc(u: DiscFunction) -> float:
 
 
 def _combine(u: DiscFunction, v: DiscFunction, op) -> DiscFunction:
-    """op of two functions; of unequal orders, on their tiled rings (order 1)."""
-    if u.grid != v.grid:
-        raise ValueError("disc functions live on different grids")
-    if u.order == v.order:
-        a, b, order = u.rings, v.rings, u.order
-    else:
-        a, b, order = u.tiled_rings(), v.tiled_rings(), 1
+    """op of two functions of one grid and one symmetry order, blockwise."""
+    _check_operands(u, v)
     return DiscFunction._owned(
         u.grid,
         float(op(u.center, v.center)),
-        op(a, b),
+        op(u.rings, v.rings),
         support_radius=max(u.support_radius, v.support_radius),
         zero_trace=u.zero_trace and v.zero_trace,
-        order=order,
+        order=u.order,
     )
 
 
@@ -742,20 +735,17 @@ def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
 _PROBE_T_CAP = 6.0  # the largest log-radial extent of the probe layout
 
 
-def angular_mode(
-    w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0, order: int = 1
-):
-    """w inflated at the origin times cos(mode theta + phase); center: angular mean.
-
-    With order j (a divisor of mode) the result is the j-fold function,
-    sampled only on its block.
-    """
-    if mode % order:
-        raise ValueError("the symmetry order must divide the angular mode")
-    base = inflate(w, DislocationParam(1, 0.0), grid, order)
-    rings = base.rings * np.cos(mode * _thetas(grid)[: base.rings.shape[1]] + phase)[None, :]
+def _modulated(base: DiscFunction, mode: int, phase: float = 0.0) -> DiscFunction:
+    """A radial base times cos(mode theta + phase) on its block; center: angular mean."""
+    thetas = _thetas(base.grid)[: base.rings.shape[1]]
+    rings = base.rings * np.cos(mode * thetas + phase)[None, :]
     center = base.center * math.cos(phase) if mode == 0 else 0.0
-    return DiscFunction(grid, center, rings, base.support_radius, order=order)
+    return DiscFunction._owned(base.grid, center, rings, base.support_radius, order=base.order)
+
+
+def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0):
+    """w inflated at the origin times cos(mode theta + phase); center: angular mean."""
+    return _modulated(inflate(w, DislocationParam(1, 0.0), grid), mode, phase)
 
 
 def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFunction]:
@@ -770,9 +760,10 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
     probes are never trivially zero.
 
     With order j the probes are order-j blocks, for pairing with j-fold
-    functions.  A layout entry whose angular mode j does not divide pairs to
-    0 with every j-fold function: it keeps its place among the `count`, so
-    the set is the order-1 set less those entries, but it is not built.
+    functions.  A layout entry takes a place among the `count` when its
+    radial base is nonzero on the grid; it is built only when j divides its
+    angular mode, since otherwise it pairs to 0 with every j-fold function.
+    So the set is the order-1 set less the entries of the other modes.
     """
     s_ext = min(grid.s_max, _PROBE_T_CAP)
     layouts = [  # (kind, knee or support, angular mode)
@@ -798,18 +789,13 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
             prof = RadialProfile.from_arrays(
                 [0.0, lo, mid, hi], [0.0, 0.0, 1.0, 0.0], 2
             )
-        if mode % order:
-            # the order-1 probe is nonzero, so of positive energy, exactly
-            # when its radial part is: then it would have taken a place
-            base = inflate(prof, DislocationParam(1, 0.0), grid, order)
-            placed += bool(np.any(base.rings))
+        base = inflate(prof, DislocationParam(1, 0.0), grid, order)
+        if not np.any(base.rings):
             continue
-        cand = angular_mode(prof, grid, mode, order=order)
-        e = energy(cand)
-        if e <= 0.0:
-            continue
-        probes.append(scale_disc(cand, 1.0 / math.sqrt(e)))
         placed += 1
+        if mode % order == 0:
+            cand = _modulated(base, mode)
+            probes.append(scale_disc(cand, 1.0 / math.sqrt(energy(cand))))
     return probes
 
 
@@ -833,16 +819,20 @@ def disc_to_dict(u: DiscFunction) -> dict:
     }
 
 
+def _parse_grid(n_r, n_theta, s_max, kind) -> PolarGrid:
+    """The grid of a record's fields; a spacing kind other than geometric is
+    rejected, and PolarGrid checks the sizes and s_max."""
+    if kind != "geometric":
+        raise ValueError(f"unknown grid spacing {kind!r}: grids are geometric")
+    return PolarGrid(n_r, n_theta, float(s_max))
+
+
 def disc_from_dict(d: dict) -> DiscFunction:
     try:
         spacing = d["spacing"]
-        grid = PolarGrid(
-            n_r=int(d["n_r"]), n_theta=int(d["n_theta"]), s_max=float(spacing["s_max"])
+        grid = _parse_grid(
+            d["n_r"], d["n_theta"], spacing["s_max"], spacing.get("kind", "geometric")
         )
-        if spacing.get("kind", "geometric") != "geometric":
-            raise ValueError(
-                f"unknown grid spacing {spacing['kind']!r}: grids are geometric"
-            )
         rings = np.asarray(d["rings"], dtype=float).reshape(grid.n_r, grid.n_theta)
         return DiscFunction(
             grid,

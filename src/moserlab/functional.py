@@ -128,9 +128,10 @@ def _direct_integrand(t, a, b):
 def j_direct(u: RadialProfile, spec: QuadratureSpec | None = None) -> float:
     """Adaptive segment quadrature of 2 pi (e^{4 pi u^2} - 1) e^{-2t} plus exact tail."""
     total = _segment_quad(u, _direct_integrand, spec)
-    # plateau: integral_T^inf (exp(4 pi c^2) - 1) exp(-2t) dt, closed form
-    c = float(u.values[-1])
-    total += math.expm1(ALPHA_2 * c * c) * 0.5 * math.exp(-2.0 * float(u.nodes[-1]))
+    # plateau: integral_T^inf (exp(4 pi c^2) - 1) exp(-2t) dt, closed form, in
+    # exponent space: exp(4 pi c^2) overflows on long ramps, _guard caps 4 pi c^2 - 2T
+    c, T = float(u.values[-1]), float(u.nodes[-1])
+    total += 0.5 * (math.exp(ALPHA_2 * c * c - 2.0 * T) - math.exp(-2.0 * T))
     return max(0.0, 2.0 * math.pi * total)
 
 
@@ -154,7 +155,7 @@ def j_representation(u: RadialProfile, spec: QuadratureSpec | None = None) -> fl
     T_last = float(u.nodes[-1])
     c = float(u.values[-1])
     # on the plateau the exponent is 4 pi c^2 - 2t, integrable in closed form
-    total += 0.5 * math.exp(ALPHA_2 * c * c) * math.exp(-2.0 * T_last)
+    total += 0.5 * math.exp(ALPHA_2 * c * c - 2.0 * T_last)
     return max(0.0, 2.0 * math.pi * (total - 0.5))
 
 

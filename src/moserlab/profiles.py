@@ -261,7 +261,9 @@ def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
 def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     """Per-member (scale, center) plus the averaged profile for one detection.
 
-    Centers are refined by local score maximization, all of them first.
+    Each member's opening scale maximizes its detector score at the
+    detection's center, on one scan net shared by all members; centers are
+    then refined by local score maximization, all of them first.
     Scales are locked by a matched filter: the angular-mean profile around
     the center is computed once per member (its dilations give every integer
     scale exactly), on one polar net per distinct center that samples every
@@ -269,13 +271,9 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     a common reference profile is chosen, iterating twice so the reference
     and the track are self-consistent across members.
     """
-    zetas, js = [], []
-    j_all = np.arange(1, j_max + 1)
-    for u in members:
-        j0 = int(j_all[np.argmax(disc._scores([u], j_all, d0.zeta)[0])])
-        _, zeta = disc._refine_center(u, d0.zeta, j0)
-        zetas.append(zeta)
-        js.append(j0)
+    scan = disc._scores(members, np.arange(1, j_max + 1), d0.zeta)  # one net
+    js = [1 + int(k) for k in np.argmax(scan, axis=1)]
+    zetas = [disc._refine_center(u, d0.zeta, j)[1] for u, j in zip(members, js)]
     base_profiles = disc._angular_profiles(members, zetas, n_phi=64)
     for _ in range(2):
         ref = _tail_average(base_profiles, js)
@@ -391,6 +389,8 @@ def extract(
     """
     if not seq.is_disc():
         raise ValueError("extraction operates on disc-sampled sequences")
+    if any(u.order > 1 for u in seq.members):
+        raise ValueError("extraction operates on members of symmetry order 1")
     if eps_stop <= 0:
         raise ValueError("stop threshold must be positive")
     members = list(seq.members)

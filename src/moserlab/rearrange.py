@@ -95,6 +95,8 @@ class RearrangedFunction:
         object.__setattr__(self, "values", va)
         if self.kind not in ("step", "loglin"):
             raise ValueError(f"unknown representation kind {self.kind!r}")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(va))):
+            raise ValueError("breakpoints and values must be finite")
         if bp.ndim != 1 or bp.size == 0 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if not (0.0 < bp[0] <= 1.0) or bp[-1] != 1.0:
@@ -558,5 +560,5 @@ def rearranged_from_dict(d: dict) -> RearrangedFunction:
             np.asarray(d["values"], dtype=float),
             str(d["kind"]),
         )
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed rearranged-function record: {exc}") from exc

@@ -245,23 +245,14 @@ def synthetic_superposition(
 
 # -- spec-driven dispatch and manifest IO --------------------------------------------
 
-def _grid_from_params(params: dict) -> disc.PolarGrid | None:
-    g = params.get("grid")
-    if g is None:
-        return None
-    grid = disc.PolarGrid(
-        n_r=int(g["n_r"]), n_theta=int(g["n_theta"]), s_max=float(g.get("s_max", 12.0))
-    )
-    if g.get("spacing", "geometric") != "geometric":
-        raise ValueError(f"unknown grid spacing {g['spacing']!r}: grids are geometric")
-    return grid
-
-
 def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
     """Construct the sequence described by a generator spec; returns manifest too."""
     p = dict(spec.params)
     try:
-        grid = _grid_from_params(p)
+        g = p.get("grid")
+        grid = None if g is None else disc._parse_grid(
+            g["n_r"], g["n_theta"], g.get("s_max", 12.0), g.get("spacing", "geometric")
+        )
         if spec.kind == "moser":
             seq = moser_sequence(
                 p["s_values"], p["centers"], grid=grid, form=p.get("form", "translate")

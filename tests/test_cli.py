@@ -46,6 +46,11 @@ class TestMoserLimitCommand:
         gaps = [abs(r["j_direct"] - 2 * math.pi) for r in rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_long_ramp_does_not_overflow(self, tmp_path):
+        assert run(["moser-limit", "--l-values", "400", "--out", str(tmp_path)]) == 0
+        (row,) = json.loads((tmp_path / "moser_limit.json").read_text())
+        assert row["j_direct"] == pytest.approx(6.2990, abs=1e-4)
+
     def test_csv_deterministic_modulo_timestamp(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -112,6 +117,23 @@ class TestGenerateDecompose:
             ]) == 0
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("kind, params", [
+        ("superposition", None),
+        ("moser", {"s_values": [0.3], "centers": [[0.0, 0.0]],
+                   "grid": {"n_r": 96, "n_theta": 96, "s_max": 6.0}}),
+    ], ids=["default-grid", "params-grid"])
+    def test_grid_flags_override_the_kind_grid(self, tmp_path, kind, params):
+        argv = ["generate", "--kind", kind, "--grid-nr", "64", "--grid-ntheta", "32",
+                "--out", str(tmp_path / "g")]
+        if params is not None:
+            (tmp_path / "p.json").write_text(json.dumps(params))
+            argv += ["--params", str(tmp_path / "p.json")]
+        assert run(argv) == 0
+        manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+        for name in manifest["members"]:
+            rec = json.loads((tmp_path / "g" / name).read_text())
+            assert (rec["n_r"], rec["n_theta"]) == (64, 32)
 
     def test_radial_manifest_rejected_by_decompose(self, tmp_path, capsys):
         seq_dir = tmp_path / "ce"
@@ -239,6 +261,55 @@ class TestMalformedInput:
         self._fails_soft(
             ["norms", "--input", str(path), "--out", str(tmp_path / "n")],
             "norms", "unknown grid spacing 'uniform'", capsys,
+        )
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("n_r", 16.5, "grid sizes must be integers"),
+        ("n_theta", 32.5, "grid sizes must be integers"),
+        ("s_max", math.inf, "finite s_max > 0"),
+        ("s_max", math.nan, "finite s_max > 0"),
+    ], ids=["fractional-n_r", "fractional-n_theta", "infinite-s_max", "nan-s_max"])
+    def test_disc_record_of_a_malformed_grid(self, tmp_path, capsys, field, value, reason):
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=3.0)
+        doc = disc.disc_to_dict(disc.DiscFunction(grid, 1.0, np.zeros((16, 32))))
+        if field == "s_max":
+            doc["spacing"]["s_max"] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        self._fails_soft(
+            ["norms", "--input", str(path), "--out", str(tmp_path / "n")],
+            "norms", reason, capsys,
+        )
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("n_r", 64.5, "grid sizes must be integers"),
+        ("s_max", math.inf, "finite s_max > 0"),
+    ], ids=["fractional-n_r", "infinite-s_max"])
+    def test_generator_grid_malformed(self, tmp_path, capsys, field, value, reason):
+        params = json.loads(json.dumps(cli._DEFAULT_PARAMS["moser"]))
+        params["grid"] = {"n_r": 64, "n_theta": 32, "s_max": 6.0, field: value}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        self._fails_soft(
+            ["generate", "--kind", "moser", "--params", str(path),
+             "--out", str(tmp_path / "g")],
+            "generate", reason, capsys,
+        )
+
+    @pytest.mark.parametrize("breakpoints, values, reason", [
+        ([0.5, 1.0], [math.nan, 0.0], "must be finite"),
+        ([0.5, 1.0], [math.inf, 1.0], "must be finite"),
+        ([math.nan, 1.0], [1.0, 0.5], "must be finite"),
+        ({"a": 1.0}, [1.0], "malformed rearranged-function record"),
+    ], ids=["nan-value", "inf-value", "nan-breakpoint", "breakpoints-object"])
+    def test_malformed_rearrangement(self, tmp_path, capsys, breakpoints, values, reason):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"breakpoints": breakpoints, "values": values, "kind": "step"}))
+        self._fails_soft(
+            ["norms", "--input", str(path), "--out", str(tmp_path / "n")],
+            "norms", reason, capsys,
         )
 
     def test_generator_grid_of_a_foreign_spacing_kind(self, tmp_path, capsys):

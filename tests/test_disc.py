@@ -40,6 +40,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="s_max > 0"):
             disc.PolarGrid(n_r=64, n_theta=64, s_max=0.0)
 
+    @pytest.mark.parametrize("n_r, n_theta, s_max, reason", [
+        (16.5, 32, 12.0, "integers"),
+        (16, 32.0, 12.0, "integers"),
+        ("16", 32, 12.0, "integers"),
+        (16, 32, math.inf, "finite s_max"),
+        (16, 32, math.nan, "finite s_max"),
+    ])
+    def test_malformed_grids_rejected(self, n_r, n_theta, s_max, reason):
+        with pytest.raises(ValueError, match=reason):
+            disc.PolarGrid(n_r, n_theta, s_max)
+
     def test_areas_sum_to_disc_on_a_shallow_grid(self):
         g = disc.PolarGrid(n_r=64, n_theta=32, s_max=1.5)
         cap, ann = disc.cell_areas(g)

@@ -94,6 +94,20 @@ class TestRearrangeRadial:
         assert rearrange.expl2_quasinorm(f) == 0.0
 
 
+@pytest.mark.parametrize("kind, breakpoints, values", [
+    ("step", [0.5, 1.0], [math.nan, 0.0]),
+    ("step", [0.5, 1.0], [1.0, math.nan]),
+    ("step", [0.5, 1.0], [INF, 1.0]),
+    ("step", [math.nan, 1.0], [1.0, 0.5]),
+    ("step", [0.2, math.nan, 1.0], [1.0, 0.5, 0.25]),
+    ("loglin", [0.5, 1.0], [INF, 1.0, 0.0]),
+    ("loglin", [0.5, 1.0], [1.0, math.nan, 0.0]),
+])
+def test_nonfinite_rearrangements_rejected(kind, breakpoints, values):
+    with pytest.raises(ValueError, match="must be finite"):
+        rearrange.RearrangedFunction(breakpoints, values, kind)
+
+
 @pytest.mark.parametrize("kind, values", [
     ("step", [3.0, 2.0, 0.5]),
     ("loglin", [3.0, 2.5, 1.0, 0.0]),

@@ -225,6 +225,13 @@ def test_grouped_angular_profiles_are_the_one_member_ones(grid, members, centers
 
 MIXED_GRID = disc.PolarGrid(n_r=48, n_theta=64, s_max=4.0)
 
+
+def first_block(u, order):
+    """The j-fold function u as an order-j function: its first block of columns."""
+    width = u.grid.n_theta // order
+    return disc.DiscFunction(u.grid, u.center, u.rings[:, :width], u.support_radius, order=order)
+
+
 DWEAK_CASES = [
     (lambda: seqgen.counterexample_sequence(8),
      dict(probe_count=4, n_random_tracks=4, j_max=10)),
@@ -240,8 +247,8 @@ DWEAK_CASES = [
     # members of three symmetry orders on one grid: one net per block width
     (lambda: profiles.FunctionSequence(
         [disc.inflate(radial.moser_annular(0.8, 0.4), disc.DislocationParam(1, 0.2), MIXED_GRID),
-         disc.angular_mode(radial.moser_annular(0.8, 0.4), MIXED_GRID, 2, order=2),
-         disc.angular_mode(radial.moser_annular(1.2, 0.3), MIXED_GRID, 4, order=4),
+         first_block(disc.angular_mode(radial.moser_annular(0.8, 0.4), MIXED_GRID, 2), 2),
+         first_block(disc.angular_mode(radial.moser_annular(1.2, 0.3), MIXED_GRID, 4), 4),
          disc.inflate(radial.moser_annular(1.5, 0.2), disc.DislocationParam(2, 0.0), MIXED_GRID)],
         [1, 2, 3, 4]),
      dict(probe_count=4, n_random_tracks=3, j_max=5, seed=7)),

@@ -2,8 +2,9 @@
 
 A function of symmetry order j keeps one block of n_theta/j columns.  Every
 kernel must give what the tiled array gives: the forms to 1e-12 relative,
-evaluation and serialization exactly.  The deflation and probe paths are
-pinned to the tiled code they replaced (`old_deflate`, `old_make_probes`).
+evaluation and serialization exactly.  Forms and sums take operands of one
+order only.  The deflation and probe paths are pinned to the tiled code they
+replaced (`old_deflate`, `old_make_probes`).
 """
 
 import math
@@ -57,13 +58,19 @@ def test_forms_equal_the_tiled_forms(order, seed_u, seed_v):
                   math.sqrt(eu * ev))
 
 
-@settings(max_examples=40, deadline=None)
-@given(blocks, blocks)
-def test_mixed_order_pairing_equals_the_tiled_pairing(u, v):
-    scale = math.sqrt(disc.energy(u) * disc.energy(v))
-    tiled = disc.grad_inner(_twin(u), _twin(v))
-    assert _close(disc.grad_inner(u, v), tiled, scale)
-    assert _close(disc.grad_inner(v, u), tiled, scale)
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 1), (2, 8), (32, 3)])
+def test_mixed_orders_are_rejected(a, b):
+    u, v = _block(a, 1), _block(b, 2)
+    for op in (disc.grad_inner, disc.add, disc.subtract_disc):
+        with pytest.raises(ValueError, match="different symmetry orders"):
+            op(u, v)
+
+
+def test_extract_rejects_members_of_order_above_1():
+    w = radial.moser_annular(1.0)
+    members = [disc.inflate(w, disc.DislocationParam(j, 0.0), GRID, 2) for j in (1, 2)]
+    with pytest.raises(ValueError, match="symmetry order 1"):
+        profiles.extract(profiles.FunctionSequence(members, [1, 2]))
 
 
 def test_odd_modes_pair_to_zero_with_a_2_fold_function(rng):
@@ -71,7 +78,7 @@ def test_odd_modes_pair_to_zero_with_a_2_fold_function(rng):
     th = disc._thetas(GRID)
     prof = rng.normal(size=GRID.n_r)
     prof[-1] = 0.0
-    u = _block(2, 7)
+    u = _twin(_block(2, 7))
     for mode in (1, 3):
         odd = disc.DiscFunction(GRID, 0.0, prof[:, None] * np.cos(mode * th)[None, :])
         assert abs(disc.grad_inner(u, odd)) <= REL * math.sqrt(disc.energy(u) * disc.energy(odd))
@@ -100,11 +107,12 @@ def test_disc_record_is_the_tiled_twin(u):
 
 
 @settings(max_examples=30, deadline=None)
-@given(blocks, blocks)
-def test_add_and_subtract_equal_the_tiled_results(u, v):
+@given(st.sampled_from(ORDERS), seeds, seeds)
+def test_add_and_subtract_equal_the_tiled_results(order, seed_u, seed_v):
+    u, v = _block(order, seed_u), _block(order, seed_v)
     for op in (disc.add, disc.subtract_disc):
         out, tiled = op(u, v), op(_twin(u), _twin(v))
-        assert out.order == (u.order if u.order == v.order else 1)
+        assert out.order == order
         assert out.center == tiled.center
         assert out.tiled_rings().tobytes() == tiled.rings.tobytes()
 
@@ -126,8 +134,6 @@ def test_order_must_divide_the_angular_count():
         disc.DiscFunction(GRID, 0.0, np.zeros((GRID.n_r, 19)), order=5)
     with pytest.raises(ValueError, match="shape"):
         disc.DiscFunction(GRID, 0.0, np.zeros((GRID.n_r, GRID.n_theta)), order=2)
-    with pytest.raises(ValueError, match="mode"):
-        disc.angular_mode(radial.moser_annular(1.0), GRID, 1, order=2)
 
 
 def test_a_bubble_at_the_origin_samples_one_block():
