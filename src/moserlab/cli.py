@@ -7,8 +7,9 @@ take their defaults from the packaged defaults.json; the generator parameters
 (`_DEFAULT_PARAMS`) and the per-command defaults (`--l-values`, `--k-max`,
 `--indices`, `--max-terms`) live in this module.  Flags override them;
 `--grid-nr` and `--grid-ntheta`, when given, override the sizes of any
-generator grid, a kind's default grid included.  Environment variables are
-never read.
+generator grid, a kind's default grid included; the counterexample, whose
+members are radial profiles, rejects them.  Environment variables are never
+read.
 """
 
 from __future__ import annotations
@@ -216,7 +217,10 @@ def cmd_generate(args) -> int:
             raise ValueError(f"malformed {args.kind} parameters: not a JSON object")
     else:
         params = json.loads(json.dumps(_DEFAULT_PARAMS[args.kind]))
-    if args.kind != "counterexample":
+    if args.kind == "counterexample":
+        if "grid" in params or args.grid_nr is not None or args.grid_ntheta is not None:
+            raise ValueError("counterexample members are radial profiles and take no grid")
+    else:
         d = load_defaults()
         grid = params.setdefault(
             "grid", {"n_r": d["grid_nr"], "n_theta": d["grid_ntheta"], "s_max": d["s_max"]}

@@ -29,8 +29,10 @@ interpolation error.  The operands of a form (energy, grad_inner) or a sum
 (add, subtract_disc) share one grid and one symmetry order: a deflation w is
 paired with make_probes(w.grid, count, w.order).  Powers z^j are computed as
 (|z|^j, j*theta), never by repeated complex multiplication.  Inflation
-j^{1/2} w(|z - zeta|^{1/j}) of a radial profile is sampled from its closed
-form.  Out-of-domain reads are zero everywhere (extension by zero).
+j^{1/2} w(|z - zeta|^{1/j}) of a radial profile is its closed form on the
+field -log|z - zeta|, which a call site builds once per center, shares over
+the scales j and frees; at the origin the field is one ring column.
+Out-of-domain reads are zero everywhere (extension by zero).
 """
 
 from __future__ import annotations
@@ -384,19 +386,16 @@ def inflate(
     with the violating radius.  A bubble at the origin is radial: with
     order k it is sampled as an order-k function, on one block only.
     """
-    j, zeta = d.j, d.zeta
-    if order > 1 and zeta != 0:
+    if order > 1 and d.zeta != 0:
         raise ValueError("only a bubble at the origin has angular symmetry")
-    t0 = w.support_log_radius()
-    R = math.exp(-t0)
-    R_inf = R**j
-    if R_inf > 1.0 - abs(zeta) + 1e-12:
-        raise SupportError(
-            f"inflated support radius {R_inf:.6g} around {zeta} leaves the disc "
-            f"(available {1.0 - abs(zeta):.6g})"
-        )
+    return _inflated(w, d, grid, order=order)
+
+
+def _log_distance(grid: PolarGrid, zeta: complex, order: int = 1) -> np.ndarray:
+    """-log|z - zeta| at the ring nodes of one block, n_theta/order columns wide;
+    at the origin, where 0 cos theta and 0 sin theta are +-0, one column."""
     radii = _ring_radii(grid)
-    thetas = _thetas(grid)[: grid.n_theta // order]
+    thetas = _thetas(grid)[: 1 if zeta == 0 else grid.n_theta // order]
     zx, zy = zeta.real, zeta.imag
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     d2 = (
@@ -404,10 +403,25 @@ def inflate(
         + (zx * zx + zy * zy)
         - 2.0 * radii[:, None] * (zx * cos_t + zy * sin_t)[None, :]
     )
-    dist = np.sqrt(np.maximum(d2, 0.0))
     with np.errstate(divide="ignore"):
-        t_eval = -np.log(dist) / j
-    rings = math.sqrt(j) * w.value_at(t_eval)
+        return -np.log(np.sqrt(np.maximum(d2, 0.0)))
+
+
+def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
+    """`inflate` on `field` = `_log_distance(grid, d.zeta, order)`, if given; a
+    one-column field (the origin) is evaluated once and repeated across the block."""
+    j, zeta = d.j, d.zeta
+    R_inf = math.exp(-w.support_log_radius()) ** j
+    if R_inf > 1.0 - abs(zeta) + 1e-12:
+        raise SupportError(
+            f"inflated support radius {R_inf:.6g} around {zeta} leaves the disc "
+            f"(available {1.0 - abs(zeta):.6g})"
+        )
+    if field is None:
+        field = _log_distance(grid, zeta, order)
+    rings = math.sqrt(j) * w.value_at(field / j)
+    if rings.shape[1] == 1:
+        rings = np.repeat(rings, grid.n_theta // order, axis=1)
     rings[-1, :] = 0.0
     dist_c = abs(zeta)
     with np.errstate(divide="ignore"):

@@ -127,11 +127,6 @@ class ProfileTerm:
     def energy(self) -> float:
         return grad_norm(self.w, 2) ** 2
 
-    def bubble(self, idx: int, grid) -> disc.DiscFunction:
-        """The term on `grid` at index idx: w inflated at that (scale, center)."""
-        d = disc.DislocationParam(self.j_track[idx], self.zeta_track[idx])
-        return disc.inflate(self.w, d, grid)
-
     def to_dict(self, profile=None) -> dict:
         """JSON record of the term; `profile`, if given, names the profile's file."""
         return {
@@ -292,24 +287,28 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
 def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for idx in indices.
 
-    The bubble depends only on (j, zeta), so it is built once per distinct
-    pair and freed before the next one is built.
+    The bubble depends only on (j, zeta): the field -log|z - zeta| is built
+    once per distinct center, the bubble once per distinct pair, and each is
+    freed before the next one is built.
     """
     groups: dict = {}
     for idx in indices:
-        groups.setdefault((term.j_track[idx], term.zeta_track[idx]), []).append(idx)
-    for group in groups.values():
-        bubble = term.bubble(group[0], grid)
-        for idx in group:
-            members[idx] = op(members[idx], bubble)
-        del bubble
+        groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
+    for zeta, by_j in groups.items():
+        field = disc._log_distance(grid, zeta)
+        for j, group in by_j.items():
+            bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
+            for idx in group:
+                members[idx] = op(members[idx], bubble)
+            del bubble
+        del field
 
 
 def _fit_term(members, track, w, grid):
     """(term, its tail bubble) fitted to a tracked (track, w), or None.
 
-    The bubble is the term at the tail index, as `ProfileTerm.bubble` would
-    give it up to rounding.  The other members' bubbles are built
+    The bubble is the term at the tail index: w inflated at the track's last
+    (j, zeta), up to rounding.  The other members' bubbles are built
     later, by `_apply_bubbles`, once per distinct (j, zeta) group.
     """
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disc
-from .profiles import FunctionSequence, ProfileTerm, orthogonality_check
+from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
 from .radial import (
     RadialProfile,
     gauge_apply,
@@ -192,6 +192,10 @@ def _noise_member(grid, rng, k: int, noise_energy: float) -> disc.DiscFunction:
     return disc.scale_disc(noisy, math.sqrt(noise_energy / e))
 
 
+def _accumulate(acc, bubble):
+    return bubble if acc is None else disc.add(acc, bubble)
+
+
 def synthetic_superposition(
     terms,
     noise_energy: float,
@@ -220,19 +224,17 @@ def synthetic_superposition(
     ks = [int(k) for k in k_list]
     if terms and any(len(t.j_track) != len(ks) for t in terms):
         raise ValueError("term tracks must cover the index list")
+    # term by term, one bubble per (term, j, zeta); each member sums its
+    # pieces in term order, then its noise
+    members = [None] * len(ks)
+    for t in terms:
+        _apply_bubbles(_accumulate, members, t, range(len(ks)), grid)
     rng = np.random.default_rng(seed)
-    members = []
     for idx, k in enumerate(ks):
-        acc = None
-        for t in terms:
-            piece = t.bubble(idx, grid)
-            acc = piece if acc is None else disc.add(acc, piece)
         if noise_energy > 0:
-            noise = _noise_member(grid, rng, k, noise_energy)
-            acc = noise if acc is None else disc.add(acc, noise)
-        if acc is None:
-            acc = disc.DiscFunction(grid, 0.0, np.zeros((grid.n_r, grid.n_theta)))
-        members.append(acc)
+            members[idx] = _accumulate(members[idx], _noise_member(grid, rng, k, noise_energy))
+        if members[idx] is None:
+            members[idx] = disc.DiscFunction(grid, 0.0, np.zeros((grid.n_r, grid.n_theta)))
     manifest = {
         "generator": "superposition",
         "seed": seed,

@@ -243,6 +243,21 @@ class TestMalformedInput:
             "generate", f"malformed {kind} parameters: ", capsys,
         )
 
+    @pytest.mark.parametrize("extra, params", [
+        (["--grid-nr", "64"], None),
+        ([], {"k_max": 3, "grid": {"n_r": 64, "n_theta": 64}}),
+    ], ids=["counterexample-grid-flag", "counterexample-params-grid"])
+    def test_counterexample_takes_no_grid(self, tmp_path, capsys, extra, params):
+        if params is not None:
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(params))
+            extra = extra + ["--params", str(path)]
+        self._fails_soft(
+            ["generate", "--kind", "counterexample", "--out", str(tmp_path / "g"), *extra],
+            "generate", "counterexample members are radial profiles and take no grid", capsys,
+        )
+        assert not (tmp_path / "g" / "manifest.json").exists()
+
     def test_norms_input_that_is_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text("3")

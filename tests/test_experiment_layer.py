@@ -336,9 +336,8 @@ def old_place_term(members, starts, j_max, grid, fits_budget):
         return None
     key, term, members[tail] = chosen
     for idx in range(tail):
-        members[idx] = disc.subtract_disc(
-            members[idx], term.bubble(idx, grid)
-        )
+        d = disc.DislocationParam(term.j_track[idx], term.zeta_track[idx])
+        members[idx] = disc.subtract_disc(members[idx], disc.inflate(term.w, d, grid))
     return key[0], term
 
 

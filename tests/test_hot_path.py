@@ -1,5 +1,6 @@
 """The extractor's hot path: the batched matched filter, one bubble per (j, zeta)
-group, and disc results built on fresh arrays without a copy.
+group and one -log|z - zeta| field per center (in the extractor and in the
+superposition generator), and disc results built on fresh arrays without a copy.
 
 The matched filter is checked against the `h1_inner(gauge_apply(...))` loop it
 replaces; the members' bit-identity under bubble reuse is checked by the
@@ -78,18 +79,25 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         [profiles.ProfileTerm(w, jt, [z] * 6) for z in (0.2 + 0.0j, -0.2 + 0.0j)],
         0.01, seed=11, grid=grid, k_list=list(range(1, 7)),
     )
-    count = {"inflate": 0, "fit": 0}
+    count = {"inflate": 0, "field": 0, "fit": 0}
     built = []  # weak references to the bubbles
-    groups = []  # (distinct (j, zeta) pairs, members touched) per application
-    inflate, fit_term, apply_bubbles = disc.inflate, profiles._fit_term, profiles._apply_bubbles
+    groups = []  # (distinct (j, zeta) pairs, distinct zeta, members touched) per application
+    inflated, log_distance = disc._inflated, disc._log_distance
+    fit_term, apply_bubbles = profiles._fit_term, profiles._apply_bubbles
 
-    def counted_inflate(*args, **kwargs):
+    # every bubble, `disc.inflate`'s included, is built by `_inflated`, and
+    # every -log|z - zeta| field by `_log_distance`
+    def counted_inflated(*args, **kwargs):
         # one bubble alive at a time: every earlier one is freed
         assert all(ref() is None for ref in built)
         count["inflate"] += 1
-        u = inflate(*args, **kwargs)
+        u = inflated(*args, **kwargs)
         built.append(weakref.ref(u))
         return u
+
+    def counted_field(*args, **kwargs):
+        count["field"] += 1
+        return log_distance(*args, **kwargs)
 
     def counted_fit(*args, **kwargs):
         count["fit"] += 1
@@ -97,7 +105,7 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
 
     def counted_apply(op, members, term, indices, grid):
         indices = list(indices)
-        before, ops = count["inflate"], []
+        before, fields_before, ops = count["inflate"], count["field"], []
 
         def counted_op(u, v):
             ops.append(None)
@@ -105,11 +113,14 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
 
         apply_bubbles(counted_op, members, term, indices, grid)
         pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
+        centers = {term.zeta_track[i] for i in indices}
         assert count["inflate"] - before == len(pairs)
+        assert count["field"] - fields_before == len(centers)
         assert len(ops) == len(indices)
-        groups.append((len(pairs), len(indices)))
+        groups.append((len(pairs), len(centers), len(indices)))
 
-    monkeypatch.setattr(disc, "inflate", counted_inflate)
+    monkeypatch.setattr(disc, "_inflated", counted_inflated)
+    monkeypatch.setattr(disc, "_log_distance", counted_field)
     monkeypatch.setattr(profiles, "_fit_term", counted_fit)
     monkeypatch.setattr(profiles, "_apply_bubbles", counted_apply)
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
@@ -117,9 +128,50 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
     assert len(dec.terms) == 2
     # two greedy subtractions, then add-backs (and accepted refits) per sweep
     assert len(groups) > 2
-    assert count["inflate"] == count["fit"] + sum(n for n, _ in groups)
-    # the tracks repeat (j, zeta): fewer bubbles than members touched
-    assert sum(n for n, _ in groups) < sum(m for _, m in groups)
+    assert count["inflate"] == count["fit"] + sum(n for n, _, _ in groups)
+    assert count["field"] == count["fit"] + sum(c for _, c, _ in groups)
+    # the tracks repeat (j, zeta): fewer bubbles than members touched, and
+    # fewer fields than bubbles
+    assert sum(c for _, c, _ in groups) < sum(n for n, _, _ in groups)
+    assert sum(n for n, _, _ in groups) < sum(m for _, _, m in groups)
+
+
+def test_superposition_builds_one_bubble_per_term_j_and_zeta(monkeypatch):
+    grid = disc.PolarGrid(n_r=96, n_theta=64, s_max=4.5)
+    w = smooth_plateau_profile(0.69, 1.0)
+    terms = [profiles.ProfileTerm(w, [1, 2, 2, 2, 3, 3], [z] * 6) for z in (0.2, -0.2)]
+    built, fields, held = [], [], []  # bubble (term, j, zeta, weakref); fields; member lists
+    inflated, log_distance, apply_bubbles = disc._inflated, disc._log_distance, seqgen._apply_bubbles
+
+    def counted_apply(op, members, term, indices, grid):
+        held.append((members, term))
+        return apply_bubbles(op, members, term, indices, grid)
+
+    def counted_inflated(w, d, *args, **kwargs):
+        # no bubble outlives its group, except as a member itself: the first
+        # term's bubbles are the members until the second term is added
+        members, term = held[-1] if held else ([], None)
+        for *_, ref in built:
+            assert ref() is None or any(ref() is m for m in members)
+        u = inflated(w, d, *args, **kwargs)
+        built.append((terms.index(term) if term else None, d.j, d.zeta, weakref.ref(u)))
+        return u
+
+    def counted_field(grid, zeta, *args, **kwargs):
+        fields.append(zeta)
+        return log_distance(grid, zeta, *args, **kwargs)
+
+    monkeypatch.setattr(disc, "_inflated", counted_inflated)
+    monkeypatch.setattr(disc, "_log_distance", counted_field)
+    monkeypatch.setattr(seqgen, "_apply_bubbles", counted_apply)
+    seq, _ = seqgen.synthetic_superposition(terms, 0.0, seed=3, grid=grid)
+
+    distinct = {(i, j, z) for i, t in enumerate(terms) for j, z in zip(t.j_track, t.zeta_track)}
+    assert len(built) == len(distinct) == 6
+    assert {(i, j, z) for i, j, z, _ in built} == distinct
+    assert fields == [0.2, -0.2]
+    assert all(ref() is None for *_, ref in built)  # every member is a sum
+    assert len(seq.members) == 6
 
 
 # -- disc results own fresh arrays -----------------------------------------------------

@@ -58,7 +58,8 @@ def old_residuals(originals, terms, grid):
     out = []
     for idx, u in enumerate(originals):
         for t in terms:
-            u = disc.subtract_disc(u, t.bubble(idx, grid))
+            d = disc.DislocationParam(t.j_track[idx], t.zeta_track[idx])
+            u = disc.subtract_disc(u, disc.inflate(t.w, d, grid))
         out.append(u)
     return out
 
