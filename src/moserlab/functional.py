@@ -11,7 +11,9 @@ goes through the ramp-pairing coefficient c(t) and integrates
 algebraically equal but share no integrand code, so their agreement is a
 genuine cross-check of the pairing identity and of the quadrature.  What
 they share is the loop `_segment_quad`: the overflow guard, then one
-adaptive quadrature per segment of `RadialProfile.segments()`.
+adaptive quadrature per segment of `RadialProfile.segments()`.  scipy's
+`integrate` is imported inside `_segment_quad`, so importing this module loads
+numpy only and scipy is loaded by the first evaluation of J.
 
 Concentration experiments: `moser_limit_experiment` tabulates J along the
 concentrating ramp family (the limit value is 2 pi, approached from above
@@ -25,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from scipy import integrate
 
 from . import disc
 from .radial import (
@@ -110,6 +110,8 @@ def _segment_quad(u: RadialProfile, integrand, spec: QuadratureSpec | None) -> f
     if u.n != 2:
         raise ValueError("the functional is evaluated in dimension 2 only")
     _guard(u)
+    from scipy import integrate
+
     total = 0.0
     for t0, t1, a, b in u.segments():
         val, _err = integrate.quad(

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .radial import RadialProfile, _abs_segments, _exp_moment
 
@@ -333,6 +332,8 @@ def _cap_integral(ell0: float, w0: float, p: float, q: float, alpha: float) -> f
         if aq >= -1.0:
             return math.inf
         return w0**q * ell0 ** (aq + 1.0) / (-(aq + 1.0))
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda l: (math.exp((1.0 - l) / p) * l**alpha * w0) ** q,
         ell0,

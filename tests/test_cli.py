@@ -51,6 +51,11 @@ class TestMoserLimitCommand:
         (row,) = json.loads((tmp_path / "moser_limit.json").read_text())
         assert row["j_direct"] == pytest.approx(6.2990, abs=1e-4)
 
+    def test_unresolved_long_ramp_writes_no_row(self, tmp_path, capsys):
+        assert run(["moser-limit", "--l-values", "1e5", "--out", str(tmp_path)]) == 1
+        assert "functional evaluators disagree" in capsys.readouterr().err
+        assert not (tmp_path / "moser_limit.json").exists()
+
     def test_csv_deterministic_modulo_timestamp(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

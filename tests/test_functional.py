@@ -71,6 +71,14 @@ class TestEvaluators:
         assert err.value.t_lo >= 0.0
         assert err.value.exponent > 700.0
 
+    def test_cross_check_stops_the_unresolved_long_ramp(self):
+        # known defect, pinned: on the single ramp segment [0, 1e5] quad
+        # samples only the flat middle of the integrand, so j_direct returns
+        # about pi against the Dawson value 6.28325; the two evaluators then
+        # disagree and evaluate_functional must refuse the value
+        with pytest.raises(ArithmeticError, match="evaluators disagree"):
+            functional.evaluate_functional(radial.moser_from_exponent(1e5))
+
 
 class TestMoserLimit:
     def test_gap_to_limit_shrinks(self):
