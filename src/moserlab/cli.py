@@ -124,7 +124,7 @@ def cmd_counterexample(args) -> int:
         rows.append(
             [
                 k,
-                radial.grad_norm(m, 2),
+                radial.grad_norm(m),
                 radial.hardy_weight_integral(m),
                 rearrange.expl2_quasinorm(f),
                 rearrange.lz_quasinorm(f, rearrange.LZIndex(math.inf, 2, -1.0)),
@@ -242,7 +242,7 @@ def cmd_generate(args) -> int:
             if "profile" not in t:
                 raise ValueError("malformed superposition parameters: 'profile'")
             prof = radial.profile_from_dict(t["profile"])
-            prof = radial.scale(prof, 1.0 / radial.grad_norm(prof, 2))
+            prof = radial.scale(prof, 1.0 / radial.grad_norm(prof))
             t["profile"] = radial.profile_to_dict(prof)
     spec = seqgen.GeneratorSpec(args.kind, params, seed=args.seed)
     seq, manifest = seqgen.build_sequence(spec)

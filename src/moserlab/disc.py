@@ -497,7 +497,7 @@ def _angular_profiles(us, zetas, n_phi: int | None = None) -> list[RadialProfile
         for i, vals in _each_sample([us[k] for k in ks], pts):
             out = vals.mean(axis=1)[::-1].copy()
             out[0] = 0.0
-            profiles[ks[i]] = RadialProfile.from_arrays(sigma[::-1].copy(), out, 2)
+            profiles[ks[i]] = RadialProfile(sigma[::-1].copy(), out)
     return profiles
 
 
@@ -796,13 +796,11 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
         kind, pos, mode = layouts[k % len(layouts)]
         k += 1
         if kind == "ramp":
-            prof = RadialProfile.from_arrays([0.0, pos * s_ext], [0.0, 1.0], 2)
+            prof = RadialProfile([0.0, pos * s_ext], [0.0, 1.0])
         else:
             lo, hi = pos[0] * s_ext, pos[1] * s_ext
             mid = 0.5 * (lo + hi)
-            prof = RadialProfile.from_arrays(
-                [0.0, lo, mid, hi], [0.0, 0.0, 1.0, 0.0], 2
-            )
+            prof = RadialProfile([0.0, lo, mid, hi], [0.0, 0.0, 1.0, 0.0])
         base = inflate(prof, DislocationParam(1, 0.0), grid, order)
         if not np.any(base.rings):
             continue

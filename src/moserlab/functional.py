@@ -2,7 +2,7 @@
 
 Two independent evaluators are provided for
 
-    J(u) = integral_B (exp(4 pi u^2) - 1) dx,   N = 2,
+    J(u) = integral_B (exp(4 pi u^2) - 1) dx   on the unit disc B,
 
 both exact in the plateau tail.  `j_direct` integrates the radial integrand
 2 pi (exp(4 pi u(t)^2) - 1) exp(-2t) segment by segment; `j_representation`
@@ -32,7 +32,6 @@ from . import disc
 from .radial import (
     RadialProfile,
     _pairing_closed,
-    critical_exponent,
     gauge_apply,
     grad_norm,
     moser_annular,
@@ -55,7 +54,7 @@ __all__ = [
     "tail_decayed",
 ]
 
-ALPHA_2 = critical_exponent(2)  # 4*pi
+ALPHA_2 = 4.0 * math.pi  # the critical exponent of the plane
 _EXP_CAP = 700.0  # natural-log overflow guard
 _MAX_SUBDIVISIONS = 200  # per segment, for scipy's quad
 
@@ -83,15 +82,14 @@ class OverflowGuardError(ArithmeticError):
 
 
 def _guard(u: RadialProfile) -> None:
-    """Raise if 4 pi u(t)^2 - 2t can exceed the cap; the error names the interval."""
+    """Raise if 4 pi u(t)^2 - 2t can exceed the cap; the error names the interval.
+
+    On a segment the exponent is a convex quadratic in t, so its maximum sits
+    at an end.
+    """
     worst = (-math.inf, 0.0, 0.0)
     for t0, t1, a, b in u.segments():
-        cands = [t0, t1]
-        if b != 0.0:
-            tc = (1.0 / (2.0 * ALPHA_2 * b) - a) / b
-            if t0 < tc < t1:
-                cands.append(tc)
-        for t in cands:
+        for t in (t0, t1):
             g = ALPHA_2 * (a + b * t) ** 2 - 2.0 * t
             if g > worst[0]:
                 worst = (g, t0, t1)
@@ -105,10 +103,8 @@ def _guard(u: RadialProfile) -> None:
 
 def _segment_quad(u: RadialProfile, integrand, spec: QuadratureSpec | None) -> float:
     """Sum over the segments u = a + b t of the quad of integrand(t, a, b),
-    after the n = 2 check and the overflow guard; both evaluators use it."""
+    after the overflow guard; both evaluators use it."""
     spec = spec or QuadratureSpec()
-    if u.n != 2:
-        raise ValueError("the functional is evaluated in dimension 2 only")
     _guard(u)
     from scipy import integrate
 
@@ -190,7 +186,7 @@ def evaluate_functional(
         j_direct=jd,
         j_repr=jr,
         alpha=ALPHA_2,
-        normalized=bool(grad_norm(u, 2) <= 1.0 + 1e-9),
+        normalized=bool(grad_norm(u) <= 1.0 + 1e-9),
         rel_gap=gap,
     )
 
@@ -367,5 +363,5 @@ def dilation_concentration_demo(
         for j in js
     ]
     return _demo_report(
-        grid, cases, _PROBE_COUNT, {"base_grad_norm": grad_norm(base, 2)}
+        grid, cases, _PROBE_COUNT, {"base_grad_norm": grad_norm(base)}
     )

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import disc
 from .functional import tail_decayed
-from .radial import RadialProfile, gauge_apply, grad_norm, sphere_area
+from .radial import OMEGA, RadialProfile, gauge_apply, grad_norm
 from .radial import profile_from_dict, profile_to_dict
 from .rearrange import expl2_disc
 
@@ -92,7 +92,7 @@ class FunctionSequence:
             energies = [disc.energy(m) for m in self.members]
             norms = [math.sqrt(e) for e in energies]
         else:
-            norms = [grad_norm(m, 2) for m in self.members]
+            norms = [grad_norm(m) for m in self.members]
             energies = [n * n for n in norms]
         if max(norms) > _GRAD_NORM_BOUND:
             raise ValueError("sequence is not uniformly bounded in the gradient norm")
@@ -125,7 +125,7 @@ class ProfileTerm:
             raise ValueError("centers must stay in the closed half-disc")
 
     def energy(self) -> float:
-        return grad_norm(self.w, 2) ** 2
+        return grad_norm(self.w) ** 2
 
     def to_dict(self, profile=None) -> dict:
         """JSON record of the term; `profile`, if given, names the profile's file."""
@@ -222,7 +222,7 @@ def _trim_profile_support(w: RadialProfile, t_min: float) -> RadialProfile:
     nodes = np.union1d(w.nodes, [t_min])
     vals = w.value_at(nodes)
     vals[nodes <= t_min] = 0.0
-    return RadialProfile.from_arrays(nodes, vals, 2)
+    return RadialProfile(nodes, vals)
 
 
 _K_TAIL = 3  # members averaged as the finite weak-limit stand-in
@@ -238,7 +238,7 @@ def _tail_average(base_profiles, js) -> RadialProfile:
         acc += p.value_at(ref.nodes)
     acc /= len(profs)
     acc[0] = 0.0
-    return RadialProfile.from_arrays(ref.nodes, acc, 2)
+    return RadialProfile(ref.nodes, acc)
 
 
 def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
@@ -250,7 +250,7 @@ def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
     """
     js = np.arange(1, j_max + 1, dtype=float)
     rises = np.diff(base.value_at(np.outer(js, ref.nodes)), axis=1)
-    return sphere_area(2) / np.sqrt(js) * (rises @ ref.slopes)
+    return OMEGA / np.sqrt(js) * (rises @ ref.slopes)
 
 
 def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
@@ -272,10 +272,10 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     base_profiles = disc._angular_profiles(members, zetas, n_phi=64)
     for _ in range(2):
         ref = _tail_average(base_profiles, js)
-        nrm = grad_norm(ref, 2)
+        nrm = grad_norm(ref)
         if nrm < 1e-12:
             break
-        ref = RadialProfile.from_arrays(ref.nodes, ref.values / nrm, 2)
+        ref = RadialProfile(ref.nodes, ref.values / nrm)
         for i, base in enumerate(base_profiles):
             js[i] = 1 + int(np.argmax(_dilation_pairings(base, ref, j_max)))
     js = [int(j) for j in np.maximum.accumulate(js)]
@@ -325,7 +325,7 @@ def _fit_term(members, track, w, grid):
         beta = disc.grad_inner(members[-1], synth) / denom
         beta = min(1.25, max(0.5, beta))
         if beta != 1.0:
-            w = RadialProfile.from_arrays(w.nodes, beta * w.values, 2)
+            w = RadialProfile(w.nodes, beta * w.values)
             synth = disc.scale_disc(synth, beta)
     return ProfileTerm(w, [j for j, _ in track], [z for _, z in track]), synth
 

@@ -1,17 +1,17 @@
-"""Exact piecewise-linear calculus for radial functions on the unit ball.
+"""Exact piecewise-linear calculus for radial functions on the unit disc.
 
 Radial functions live in the logarithmic coordinate t = log(1/r), which maps
 the radius r in (0, 1] to t in [0, inf).  A profile is piecewise linear
 between its nodes and constant beyond the last node; the constant tail is the
-value at r = 0.  In this coordinate the W^{1,N} gradient seminorm of a radial
-function u is
+value at r = 0.  In this coordinate the Dirichlet seminorm of a radial
+function u on the planar disc is
 
-    ||grad u||_N^N = omega(N) * integral |du/dt|^N dt,
+    ||grad u||_2^2 = omega * integral |du/dt|^2 dt,   omega = 2 pi,
 
-with omega(N) the area of the unit (N-1)-sphere, so norms, the dilation
-group h_s u(t) = s^{-1/N'} u(s t) and the ramp pairing all reduce to finite
-segment sums.  That makes the isometry identities checked by the test suite
-exact up to rounding, with no quadrature error in the core calculus.
+so norms, the dilation group h_s u(t) = s^{-1/2} u(s t) and the ramp
+pairing all reduce to finite segment sums.  That makes the isometry
+identities checked by the test suite exact up to rounding, with no
+quadrature error in the core calculus.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import numpy as np
 
 __all__ = [
     "RadialProfile",
-    "sphere_area",
-    "critical_exponent",
+    "OMEGA",
     "make_moser",
     "moser_from_exponent",
     "moser_annular",
@@ -48,17 +47,12 @@ __all__ = [
     "load_profile",
 ]
 
-_NODE_EPS = 1e-14
+OMEGA = 2.0 * math.pi  # length of the unit circle
 
 
-def sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere; 2*pi for n = 2."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def critical_exponent(n: int) -> float:
-    """Critical exponential-growth constant n * omega^{1/(n-1)}; 4*pi for n = 2."""
-    return n * sphere_area(n) ** (1.0 / (n - 1))
+def _check_planar(n) -> None:
+    if n != 2:
+        raise ValueError(f"radial profiles are planar: the dimension must be 2, got {n!r}")
 
 
 def _readonly(a) -> np.ndarray:
@@ -73,13 +67,11 @@ class RadialProfile:
 
     The t-nodes are strictly increasing with nodes[0] = 0.  Zero trace on
     the boundary (values[0] = 0) and a constant plateau beyond the last
-    node.  `n` is the dimension parameter; everything outside this module
-    assumes n = 2.
+    node.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    n: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _readonly(self.nodes))
@@ -99,12 +91,12 @@ class RadialProfile:
             raise ValueError("profile values must be finite")
         if self.values[0] != 0.0:
             raise ValueError("profile must vanish at r = 1 (values[0] = 0)")
-        if self.n < 2:
-            raise ValueError("dimension parameter must be >= 2")
 
     @staticmethod
     def from_arrays(nodes, values, n: int = 2) -> "RadialProfile":
-        return RadialProfile(nodes, values, n)
+        """The profile of a record whose dimension field `n` must be 2."""
+        _check_planar(n)
+        return RadialProfile(nodes, values)
 
     @property
     def plateau(self) -> float:
@@ -136,28 +128,27 @@ class RadialProfile:
         return bool(np.all(self.values == 0.0))
 
 
-def make_moser(s: float, n: int = 2) -> RadialProfile:
+def make_moser(s: float) -> RadialProfile:
     """Two-segment ramp/plateau profile concentrating at the origin as s -> 0.
 
-    Linear ramp of slope omega^{-1/n} L^{1/n'-1} on t in [0, L], then the
-    plateau omega^{-1/n} L^{1/n'}, where L = log(1/s) and n' = n/(n-1).
-    Normalized so the gradient norm is exactly 1.
+    Linear ramp of slope omega^{-1/2} L^{-1/2} on t in [0, L], then the
+    plateau omega^{-1/2} L^{1/2}, where L = log(1/s).  Normalized so the
+    gradient norm is exactly 1.
     """
     if not (0.0 < s < 1.0):
         raise ValueError(f"concentration parameter must lie in (0,1), got {s}")
-    return moser_from_exponent(-math.log(s), n)
+    return moser_from_exponent(-math.log(s))
 
 
-def moser_from_exponent(L: float, n: int = 2) -> RadialProfile:
+def moser_from_exponent(L: float) -> RadialProfile:
     """Same as make_moser with L = log(1/s) given directly (exact for tiny s)."""
     if not (L > 0.0) or not math.isfinite(L):
         raise ValueError(f"exponent must be positive and finite, got {L}")
-    nprime = n / (n - 1)
-    plateau = sphere_area(n) ** (-1.0 / n) * L ** (1.0 / nprime)
-    return RadialProfile.from_arrays([0.0, L], [0.0, plateau], n)
+    plateau = OMEGA ** -0.5 * L ** 0.5
+    return RadialProfile([0.0, L], [0.0, plateau])
 
 
-def moser_annular(L: float, t_start: float = 0.0, n: int = 2) -> RadialProfile:
+def moser_annular(L: float, t_start: float = 0.0) -> RadialProfile:
     """Unit-norm ramp/plateau profile vanishing for t < t_start.
 
     The support radius is exp(-t_start), so translates by centers with
@@ -167,66 +158,57 @@ def moser_annular(L: float, t_start: float = 0.0, n: int = 2) -> RadialProfile:
     """
     if t_start < 0.0:
         raise ValueError("support shift must be nonnegative")
-    base = moser_from_exponent(L, n)
+    base = moser_from_exponent(L)
     if t_start == 0.0:
         return base
-    return RadialProfile.from_arrays(
-        [0.0, t_start, t_start + L], [0.0, 0.0, base.plateau], n
-    )
+    return RadialProfile([0.0, t_start, t_start + L], [0.0, 0.0, base.plateau])
 
 
-def grad_norm(u: RadialProfile, n: int | None = None) -> float:
-    """Gradient norm (omega(n) * sum |slope|^n dt)^(1/n); exact for the PL class."""
-    if n is None:
-        n = u.n
-    dt = np.diff(u.nodes)
-    s = u.slopes
-    total = sphere_area(n) * float(np.sum(np.abs(s) ** n * dt))
-    return total ** (1.0 / n)
+def grad_norm(u: RadialProfile, n: int = 2) -> float:
+    """Gradient norm (omega * sum slope^2 dt)^(1/2); exact for the PL class.
+
+    The optional dimension `n` must be 2.
+    """
+    _check_planar(n)
+    total = OMEGA * float(np.sum(u.slopes ** 2 * np.diff(u.nodes)))
+    return total ** 0.5
 
 
 def gauge_apply(u: RadialProfile, s: float) -> RadialProfile:
-    """Dilation isometry u(t) -> s^{-1/n'} u(s t), exact on nodes.
+    """Dilation isometry u(t) -> s^{-1/2} u(s t), exact on nodes.
 
     For s > 1 this compresses the profile toward r = 1... in t toward 0;
     repeated application composes multiplicatively.
     """
     if not (s > 0.0) or not math.isfinite(s):
         raise ValueError(f"dilation parameter must be positive, got {s}")
-    nprime = u.n / (u.n - 1)
-    return RadialProfile.from_arrays(u.nodes / s, u.values * s ** (-1.0 / nprime), u.n)
-
-
-def _moser_ramp_slope(t: float, n: int) -> float:
-    nprime = n / (n - 1)
-    return sphere_area(n) ** (-1.0 / n) * t ** (1.0 / nprime - 1.0)
+    return RadialProfile(u.nodes / s, u.values * s ** -0.5)
 
 
 def _pairing_closed(u: RadialProfile, t: float) -> float:
-    nprime = u.n / (u.n - 1)
-    return sphere_area(u.n) ** (1.0 / u.n) * t ** (-1.0 / nprime) * float(u.value_at(t))
+    return OMEGA ** 0.5 * t ** -0.5 * float(u.value_at(t))
 
 
 def pairing_mstar_integral(u: RadialProfile, t: float) -> float:
     """Pairing against the unit ramp by explicit segment integration.
 
-    omega * slope_m^{n-1} * integral_0^t u'(tau) dtau, accumulated segment by
-    segment; independent of the closed form used elsewhere.
+    omega * slope_m * integral_0^t u'(tau) dtau, with the unit ramp slope
+    slope_m = omega^{-1/2} t^{-1/2}, accumulated segment by segment;
+    independent of the closed form used elsewhere.
     """
     if not (t > 0.0):
         raise ValueError("pairing parameter must be positive")
-    n = u.n
-    ramp = _moser_ramp_slope(t, n) ** (n - 1)
+    ramp = OMEGA ** -0.5 * t ** -0.5
     acc = 0.0
     for t0, t1, _, b in u.segments():
         if t0 >= t:
             break
         acc += b * (min(t1, t) - t0)
-    return sphere_area(n) * ramp * acc
+    return OMEGA * ramp * acc
 
 
 def pairing_mstar(u: RadialProfile, t: float, check_tol: float = 1e-10) -> float:
-    """Evaluate the ramp pairing omega^{1/n} t^{-1/n'} u(t).
+    """Evaluate the ramp pairing omega^{1/2} t^{-1/2} u(t).
 
     Both the closed form and the segment-integral form are computed; they must
     agree to `check_tol` (scaled), and the closed-form value is returned.
@@ -244,23 +226,21 @@ def pairing_mstar(u: RadialProfile, t: float, check_tol: float = 1e-10) -> float
 
 
 def pointwise_bound_margin(u: RadialProfile) -> float:
-    """Slack omega^{-1/n} ||grad u||_n - sup_t |u(t)| t^{-1/n'} of the radial bound.
+    """Slack omega^{-1/2} ||grad u|| - sup_t |u(t)| t^{-1/2} of the radial bound.
 
-    The supremum sits at a node: on a segment the ratio |a + b t| t^{-1/n'}
-    has no interior maximum (its one critical point, t = a / ((n' - 1) b),
-    is a minimum or lies at t < 0), and on the plateau it decays.  Zero
-    profiles return 0 by convention.
+    The supremum sits at a node: on a segment the ratio |a + b t| t^{-1/2}
+    has no interior maximum (its one critical point, t = a / b, is a minimum
+    or lies at t < 0), and on the plateau it decays.  Zero profiles return 0
+    by convention.
     """
     if u.is_zero():
         return 0.0
-    n = u.n
-    gamma = (n - 1.0) / n  # 1/n'
-    best = max(abs(v) * t ** (-gamma) for t, v in zip(u.nodes[1:], u.values[1:]))
-    return sphere_area(n) ** (-1.0 / n) * grad_norm(u, n) - best
+    best = max(abs(v) * t ** -0.5 for t, v in zip(u.nodes[1:], u.values[1:]))
+    return OMEGA ** -0.5 * grad_norm(u) - best
 
 
 def hardy_weight_integral(u: RadialProfile) -> float:
-    """integral_0^inf (u(t)/t)^2 dt, segment-exact (n = 2 weight)."""
+    """integral_0^inf (u(t)/t)^2 dt, segment-exact."""
     total = 0.0
     for t0, t1, a, b in u.segments():
         if t0 == 0.0:
@@ -280,8 +260,6 @@ def hardy_weight_integral(u: RadialProfile) -> float:
 
 def hardy_ratio(u: RadialProfile) -> float:
     """[int (du/dt)^2 dt] / [int (u/t)^2 dt]; >= 1/4 for zero-trace profiles."""
-    if u.n != 2:
-        raise ValueError("the weighted-ratio check is implemented for n = 2 only")
     if u.is_zero():
         raise ValueError("ratio undefined for the zero profile")
     num = float(np.sum(u.slopes**2 * np.diff(u.nodes)))
@@ -318,8 +296,6 @@ def _abs_segments(u: RadialProfile):
 
 def lp_mass(u: RadialProfile, p: int) -> float:
     """Relative p-mass (1/pi) * int_B |u|^p dx = 2 int |u(t)|^p e^{-2t} dt, exact."""
-    if u.n != 2:
-        raise ValueError("mass integrals are implemented for n = 2 only")
     segs, T, c = _abs_segments(u)
     total = 0.0
     for t0, t1, v0, v1 in segs:
@@ -331,26 +307,22 @@ def lp_mass(u: RadialProfile, p: int) -> float:
 
 
 def scale(u: RadialProfile, c: float) -> RadialProfile:
-    return RadialProfile.from_arrays(u.nodes, c * u.values, u.n)
+    return RadialProfile(u.nodes, c * u.values)
 
 
 def subtract(u: RadialProfile, v: RadialProfile) -> RadialProfile:
     """u - v as an exact PL profile on the union of the two node sets."""
-    if u.n != v.n:
-        raise ValueError("dimension parameters differ")
     nodes = np.union1d(u.nodes, v.nodes)
-    return RadialProfile.from_arrays(nodes, u.value_at(nodes) - v.value_at(nodes), u.n)
+    return RadialProfile(nodes, u.value_at(nodes) - v.value_at(nodes))
 
 
 def h1_inner(u: RadialProfile, v: RadialProfile) -> float:
     """Dirichlet pairing omega * int u'(t) v'(t) dt, exact on the node union."""
-    if u.n != v.n:
-        raise ValueError("dimension parameters differ")
     nodes = np.union1d(u.nodes, v.nodes)
     du = np.diff(u.value_at(nodes))
     dv = np.diff(v.value_at(nodes))
     dt = np.diff(nodes)
-    return sphere_area(u.n) * float(np.sum(du * dv / dt))
+    return OMEGA * float(np.sum(du * dv / dt))
 
 
 def h1_distance(u: RadialProfile, v: RadialProfile) -> float:
@@ -375,7 +347,7 @@ def random_profile(
     if nonnegative:
         values = np.abs(values)
         values[0] = 0.0
-    prof = RadialProfile.from_arrays(nodes, values, 2)
+    prof = RadialProfile(nodes, values)
     if prof.is_zero():
         return random_profile(rng, segments, t_max, normalized, nonnegative)
     if normalized:
@@ -386,12 +358,12 @@ def random_profile(
 # -- serialization -----------------------------------------------------------
 
 def profile_to_dict(u: RadialProfile) -> dict:
-    return {"n": u.n, "nodes": u.nodes.tolist(), "values": u.values.tolist()}
+    return {"n": 2, "nodes": u.nodes.tolist(), "values": u.values.tolist()}
 
 
 def profile_from_dict(d: dict) -> RadialProfile:
     try:
-        n = int(d["n"])
+        n = d["n"]
         nodes = np.asarray(d["nodes"], dtype=float)
         values = np.asarray(d["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

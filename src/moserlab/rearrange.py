@@ -231,8 +231,6 @@ def rearrange_radial(u: RadialProfile, tol: float = 1e-6) -> RearrangedFunction:
     there, so the anchors alone represent the rearrangement with zero error
     regardless of tol; the tolerance only matters for multimodal data.
     """
-    if u.n != 2:
-        raise ValueError("rearrangement uses the two-dimensional area rule")
     dist = _Distribution(u)
     vmax = dist.vmax
     if vmax == 0.0:

@@ -110,7 +110,7 @@ def default_counterexample_bump() -> RadialProfile:
     A tent rather than a mollified bump: the verified conclusions use only
     first derivatives and supports, and the tent is exact in the PL calculus.
     """
-    return RadialProfile.from_arrays([0.0, 2.0, 2.5, 3.0], [0.0, 0.0, 1.0, 0.0], 2)
+    return RadialProfile([0.0, 2.0, 2.5, 3.0], [0.0, 0.0, 1.0, 0.0])
 
 
 def counterexample_sequence(
@@ -141,7 +141,7 @@ def counterexample_sequence(
         for t in terms[:k]:
             vals += t.value_at(nodes)
         members.append(
-            RadialProfile.from_arrays(nodes, vals / math.sqrt(k), 2)
+            RadialProfile(nodes, vals / math.sqrt(k))
         )
     return FunctionSequence(members, range(1, k_max + 1))
 
@@ -182,9 +182,7 @@ def vanishing_sequence(k_list, bump2d: disc.DiscFunction) -> FunctionSequence:
 # -- synthetic superpositions -------------------------------------------------------
 
 def _noise_member(grid, rng, k: int, noise_energy: float) -> disc.DiscFunction:
-    prof = RadialProfile.from_arrays(
-        [0.0, 0.8, 1.3, 2.1, 2.6], [0.0, 0.0, 1.0, 0.0, 0.0], 2
-    )
+    prof = RadialProfile([0.0, 0.8, 1.3, 2.1, 2.6], [0.0, 0.0, 1.0, 0.0, 0.0])
     mode = min(grid.n_theta // 3, 24 + 6 * k)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     noisy = disc.angular_mode(prof, grid, mode, phase)

@@ -24,7 +24,7 @@ def suite_radial() -> list:
     checks = []
     rng = np.random.default_rng(1)
     worst = max(
-        abs(radial.grad_norm(radial.make_moser(s), 2) - 1.0)
+        abs(radial.grad_norm(radial.make_moser(s)) - 1.0)
         for s in (math.exp(-1), math.exp(-5), 1 - 1e-6)
     )
     _check(checks, "moser-normalization", worst < 1e-10, f"max|.|-1 = {worst:.2e}")
@@ -36,7 +36,7 @@ def suite_radial() -> list:
         m = radial.make_moser(t ** (1.0 / s))
         ok &= np.allclose(g.nodes, m.nodes, rtol=1e-12)
         ok &= np.allclose(g.values, m.values, rtol=1e-12)
-        ok &= abs(radial.grad_norm(g, 2) - 1.0) < 1e-12
+        ok &= abs(radial.grad_norm(g) - 1.0) < 1e-12
     _check(checks, "gauge-identities", ok)
 
     ok = True
@@ -62,7 +62,7 @@ def suite_radial() -> list:
 def suite_functional() -> list:
     checks = []
     rng = np.random.default_rng(2)
-    zero = radial.RadialProfile.from_arrays([0.0, 1.0], [0.0, 0.0], 2)
+    zero = radial.RadialProfile([0.0, 1.0], [0.0, 0.0])
     _check(checks, "zero-value", functional.j_direct(zero) == 0.0)
 
     ok = True
@@ -138,10 +138,8 @@ def suite_disc2d() -> list:
     dev = float(np.max(np.abs(w.rings - u.rings)))
     _check(checks, "deflate-identity", dev < 1e-10, f"max dev {dev:.2e}")
 
-    prof = radial.RadialProfile.from_arrays(
-        [0.0, 0.72, 1.2, 2.0, 3.0], [0.0, 0.0, 1.0, 0.4, 0.0], 2
-    )
-    prof = radial.scale(prof, 1.0 / radial.grad_norm(prof, 2))
+    prof = radial.RadialProfile([0.0, 0.72, 1.2, 2.0, 3.0], [0.0, 0.0, 1.0, 0.4, 0.0])
+    prof = radial.scale(prof, 1.0 / radial.grad_norm(prof))
     grid2 = disc.PolarGrid(n_r=256, n_theta=96, s_max=8.0)
     v = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid2)
     rings = v.rings * (1.0 + 0.3 * np.cos(2 * disc._thetas(grid2)))[None, :]
@@ -160,12 +158,11 @@ def suite_profiles() -> list:
     checks = []
     grid = disc.PolarGrid(n_r=384, n_theta=384, s_max=4.5)
     xs = np.linspace(0.0, 1.0, 9)
-    prof = radial.RadialProfile.from_arrays(
+    prof = radial.RadialProfile(
         np.concatenate(([0.0], 0.3 + 0.9 * xs)),
         np.concatenate(([0.0], xs * xs * (3 - 2 * xs))),
-        2,
     )
-    prof = radial.scale(prof, 1.0 / radial.grad_norm(prof, 2))
+    prof = radial.scale(prof, 1.0 / radial.grad_norm(prof))
     jt = [1, 1, 2, 2, 2, 3]
     term = profiles.ProfileTerm(prof, jt, [0.1 + 0.05j] * 6)
     seq, _ = seqgen.synthetic_superposition([term], 0.01, seed=5, grid=grid)
@@ -199,7 +196,7 @@ def suite_profiles() -> list:
 def suite_seqgen() -> list:
     checks = []
     seq = seqgen.counterexample_sequence(8)
-    energies = [radial.grad_norm(m, 2) for m in seq.members]
+    energies = [radial.grad_norm(m) for m in seq.members]
     hardy = [radial.hardy_weight_integral(m) for m in seq.members]
     _check(
         checks, "counterexample-constancy",

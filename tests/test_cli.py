@@ -342,3 +342,25 @@ class TestMalformedInput:
              "--out", str(tmp_path / "g")],
             "generate", "unknown grid spacing 'uniform'", capsys,
         )
+
+    @pytest.mark.parametrize("command, code, prefix", [
+        ("verify", 2, "profile validation failed: "),
+        ("generate", 1, "generate: "),
+        ("norms", 1, "norms: "),
+    ], ids=["verify", "generate", "norms"])
+    def test_non_planar_profile_record(self, tmp_path, capsys, command, code, prefix):
+        record = {"n": 3, "nodes": [0.0, 1.0], "values": [0.0, 1.0]}
+        path = tmp_path / "p.json"
+        out = tmp_path / "o"
+        if command == "generate":
+            path.write_text(json.dumps({"terms": [
+                {"profile": record, "j_track": [1], "zeta_track": [[0.0, 0.0]]}
+            ]}))
+            argv = ["generate", "--kind", "superposition", "--params", str(path)]
+        else:
+            path.write_text(json.dumps(record))
+            argv = [command, "--profile" if command == "verify" else "--input", str(path)]
+        assert run([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == prefix + "radial profiles are planar: the dimension must be 2, got 3\n"
+        assert not (out / "manifest.json").exists()

@@ -37,10 +37,6 @@ class TestMoser:
         with pytest.raises(ValueError):
             radial.make_moser(s)
 
-    def test_general_dimension(self):
-        m = radial.make_moser(math.exp(-2.0), n=3)
-        assert abs(radial.grad_norm(m, 3) - 1.0) <= 1e-12
-
 
 class TestGradNorm:
     def test_zero_profile(self):
@@ -223,7 +219,12 @@ class TestSerialization:
         v = radial.load_profile(path)
         assert np.array_equal(u.nodes, v.nodes)
         assert np.array_equal(u.values, v.values)
-        assert u.n == v.n
+        assert json.loads(path.read_text())["n"] == 2
+
+    @pytest.mark.parametrize("n", [3, 2.5, "2", None])
+    def test_loader_rejects_non_planar_record(self, n):
+        with pytest.raises(ValueError, match="radial profiles are planar"):
+            radial.profile_from_dict({"n": n, "nodes": [0.0, 1.0], "values": [0.0, 1.0]})
 
     def test_loader_rejects_nonmonotone_grid(self, tmp_path):
         path = tmp_path / "bad.json"

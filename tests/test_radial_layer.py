@@ -181,28 +181,26 @@ def test_segments_reproduce_nodes_and_tile(gaps, values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(node_gaps, node_values, st.sampled_from([2, 3]))
-@example([0.5], TINY_VALUES, 2)
-@example([0.0625], TINY_VALUES, 2)
-@example([0.0625], TINY_VALUES, 3)
-def test_pointwise_bound_sup_sits_at_a_node(gaps, values, n):
+@given(node_gaps, node_values)
+@example([0.5], TINY_VALUES)
+@example([0.0625], TINY_VALUES)
+def test_pointwise_bound_sup_sits_at_a_node(gaps, values):
     """The sup in `pointwise_bound_margin` is the node maximum: dense
-    sampling of |u(t)| t^{-1/n'} (nodes included) finds the same sup.
+    sampling of |u(t)| t^{-1/2} (nodes included) finds the same sup.
 
     Off the nodes u(t) may round up to the nearest subnormal, and the weight
     multiplies that rounding: the absolute floor is SUBNORMAL times the
     largest weight sampled."""
     nodes = np.concatenate(([0.0], np.cumsum(gaps)))
     vals = np.concatenate(([0.0], values[: len(gaps)]))
-    u = RadialProfile.from_arrays(nodes, vals, n)
+    u = RadialProfile.from_arrays(nodes, vals)
     if u.is_zero():
         return
-    gamma = (n - 1.0) / n
     t = np.concatenate([np.linspace(t0, t1, 65)[1:] for t0, t1 in zip(nodes, nodes[1:])])
     t = np.concatenate((t, nodes[-1] * np.array([1.5, 3.0, 10.0])))
-    weight = t ** (-gamma)
+    weight = t ** -0.5
     dense = float(np.max(np.abs(u.value_at(t)) * weight))
-    bound = radial.sphere_area(n) ** (-1.0 / n) * radial.grad_norm(u, n)
+    bound = radial.OMEGA ** -0.5 * radial.grad_norm(u)
     sup = bound - radial.pointwise_bound_margin(u)
     floor = SUBNORMAL * (1.0 + float(np.max(weight)))
     assert abs(sup - dense) <= 1e-12 * max(bound, dense) + floor
@@ -228,7 +226,7 @@ def test_term_record_round_trip_is_exact():
     back = ProfileTerm.from_dict(TERM.to_dict())
     assert np.array_equal(back.w.nodes, TERM.w.nodes)
     assert np.array_equal(back.w.values, TERM.w.values)
-    assert back.w.n == TERM.w.n
+    assert TERM.to_dict()["profile"]["n"] == 2
     assert back.j_track == TERM.j_track
     assert back.zeta_track == TERM.zeta_track
 
