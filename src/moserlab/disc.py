@@ -7,9 +7,9 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
     int |grad u|^2 dx = int int (u_s^2 + u_theta^2) ds dtheta  (+ center cap),
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
-interpolant in (s, theta), cap included.  One bilinear form computes it:
-`energy(u)` is the form on the diagonal and `grad_inner(u, v)`, the Dirichlet
-inner product, is the same form off it.
+interpolant in (s, theta), cap included.  One bilinear form computes it, as a
+pairing of two factors, each operand's differences and cap rows: `energy` pairs
+a factor with itself, `grad_inner` two, and `max_pairing` one with each probe.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -264,36 +264,44 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
         raise ValueError("disc functions have different symmetry orders")
 
 
-def _form(u: DiscFunction, v: DiscFunction) -> float:
-    """Dirichlet bilinear form of the bilinear interpolants, exact cap included.
+def _factor(u) -> tuple:
+    """(u, its radial differences, its cyclic angular differences, its cap row
+    rings[0] - center and that row shifted by one column); a factor is returned as is."""
+    if isinstance(u, tuple):
+        return u
+    V, G = u.rings, np.empty_like(u.rings)
+    np.subtract(V[:, 1:], V[:, :-1], out=G[:, :-1])
+    np.subtract(V[:, 0], V[:, -1], out=G[:, -1])
+    a0 = V[0] - u.center
+    return u, V[1:] - V[:-1], G, a0, np.concatenate((a0[1:], a0[:1]))
+
+
+def _pair(fu: tuple, fv: tuple) -> float:
+    """Dirichlet bilinear form of two factored bilinear interpolants, exact cap included.
 
     A cell's edge differences (A, B radial; C, D angular) enter as
-    (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3.  B is A shifted by one
-    column and C, D are rows i, i+1 of one angular difference G, so every
-    term is a row dot product of two shared difference arrays.
-
-    Of j-fold functions every cyclic row sum is j times the sum over one
-    block, wrapped inside the block, so the form is j times the block form.
+    (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3, with B the A of the next
+    column and C, D rows i, i+1 of the angular difference G: each term is a
+    row dot product of the factors' arrays.  Of j-fold functions each cyclic
+    row sum is j times the sum over one block: the form is j times the block's.
     """
+    (u, Au, Gu, a0u, a1u), (v, Av, Gv, a0v, a1v) = fu, fv
     _check_operands(u, v)
-    s = _ring_s(u.grid)
-    dth = u.grid.dtheta
+    s, dth = _ring_s(u.grid), u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
-    Au = np.diff(u.rings, axis=0)
-    Av = Au if v is u else np.diff(v.rings, axis=0)
     cross = _next_dot(Au, Av) + _next_dot(Av, Au)
     e_s = np.dot(dth / ds, 2.0 * _rowdot(Au, Av) + 0.5 * cross) / 3.0
-    del Au, Av
-    Gu = np.roll(u.rings, -1, axis=1) - u.rings
-    Gv = Gu if v is u else np.roll(v.rings, -1, axis=1) - v.rings
     P = _rowdot(Gu, Gv)
     Q = _rowdot(Gu[:-1], Gv[1:]) + _rowdot(Gu[1:], Gv[:-1])
     e_t = np.dot(ds / dth, P[:-1] + P[1:] + 0.5 * Q) / 3.0
-    a0u, a0v = u.rings[0] - u.center, v.rings[0] - v.center
-    a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1)
     cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v) / 6.0
     cap_t = 0.5 * P[0] / dth
     return float(u.order * (e_s + e_t + cap_r + cap_t))
+
+
+def _form(u, v) -> float:
+    """`_pair` of two disc functions or factors, u factored once when v is u."""
+    return _pair(fu := _factor(u), fu if v is u else _factor(v))
 
 
 def energy(u: DiscFunction) -> float:
@@ -812,8 +820,9 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
 
 
 def max_pairing(u: DiscFunction, probes) -> float:
-    """max |<u, phi>| over the probes: the weak-convergence proxy (Dirichlet form)."""
-    return max(abs(grad_inner(u, phi)) for phi in probes)
+    """max |<u, phi>| over the probes (disc functions or factors): the weak-convergence proxy."""
+    fu = _factor(u)
+    return max(abs(_pair(fu, _factor(phi))) for phi in probes)
 
 
 # -- serialization ----------------------------------------------------------------

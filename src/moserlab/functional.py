@@ -280,7 +280,7 @@ _GRADIENT_BUDGET = 1.0
 def _demo_report(grid, cases, probe_count, notes) -> WeakDiscontinuityReport:
     """Both demos: each case (row labels, w, dislocation d, profile for J) gives
     the member inflate(w, d), paired against the probes, and an exact J."""
-    probes = disc.make_probes(grid, probe_count)
+    probes = [disc._factor(p) for p in disc.make_probes(grid, probe_count)]
     rows, pairings, j_values = [], [], []
     max_energy = 0.0
     for labels, w, d, j_profile in cases:

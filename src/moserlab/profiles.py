@@ -320,9 +320,9 @@ def _fit_term(members, track, w, grid):
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
     # profile estimate overshooting the energy budget
-    denom = disc.energy(synth)
+    denom = disc._pair(fs := disc._factor(synth), fs)
     if denom > 0:
-        beta = disc.grad_inner(members[-1], synth) / denom
+        beta = disc._form(members[-1], fs) / denom
         beta = min(1.25, max(0.5, beta))
         if beta != 1.0:
             w = RadialProfile(w.nodes, beta * w.values)
@@ -505,7 +505,7 @@ def dweak_test(
     """
     members = _as_disc_members(seq)
     rng = np.random.default_rng(seed)
-    probes: dict = {}  # per output grid and symmetry order of the deflations
+    probes: dict = {}  # factored probes of one output (grid, order): the groups run in increasing j
 
     tracks: list[tuple[int, complex, str]] = [(1, 0.0 + 0.0j, "identity")]
     for _ in range(n_random_tracks):
@@ -522,7 +522,7 @@ def dweak_test(
         for t, (j, zeta, _) in enumerate(lst):
             groups.setdefault((j, zeta), []).append((k, t))
     pairings = {}
-    for (j, zeta), pairs in groups.items():
+    for (j, zeta), pairs in sorted(groups.items(), key=lambda g: g[0][0]):
         d = disc.DislocationParam(j, zeta)
         for i, vals in disc._deflation_samples([members[k] for k, _ in pairs], d):
             k, t = pairs[i]
@@ -532,7 +532,8 @@ def dweak_test(
                 continue
             key = (w.grid, w.order)
             if key not in probes:
-                probes[key] = disc.make_probes(w.grid, probe_count, w.order)
+                probes.clear()
+                probes[key] = [*map(disc._factor, disc.make_probes(w.grid, probe_count, w.order))]
             pairings[k, t] = disc.max_pairing(w, probes[key])
 
     per_member = []

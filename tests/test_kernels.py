@@ -225,8 +225,8 @@ def test_form_on_diagonal_is_the_energy(name, a):
     twin = disc.DiscFunction(u.grid, u.center, u.rings.copy())
     e = disc.energy(u)
     assert disc._form(u, u) == e >= 0.0
-    # the general (two-argument) path agrees with the shared-difference one
-    assert abs(disc._form(u, twin) - e) <= 1e-12 * e
+    # the general (two-argument) path is the shared-factor one, bit for bit
+    assert disc._form(u, twin) == e
 
 
 def test_form_rejects_grid_mismatch():
@@ -236,3 +236,17 @@ def test_form_rejects_grid_mismatch():
         disc._form(u, v)
     with pytest.raises(ValueError, match="different grids"):
         disc.grad_inner(u, v)
+
+
+@pytest.mark.parametrize("other, order, match", [
+    ("shallow", 1, "different grids"),
+    ("geometric", 2, "different symmetry orders"),
+])
+def test_max_pairing_rejects_a_probe_of_another_grid_or_order(other, order, match):
+    grid = GRIDS["geometric"]
+    u = random_disc(grid, 0)
+    # the mismatched probe comes after a matching one, plain and factored
+    probes = disc.make_probes(grid, 2) + disc.make_probes(GRIDS[other], 2, order)
+    for ps in (probes, [disc._factor(p) for p in probes]):
+        with pytest.raises(ValueError, match=match):
+            disc.max_pairing(u, ps)

@@ -355,3 +355,26 @@ def test_one_member_calls_free_their_nets(nets):
     disc.concentration_detect(u, 1e-3, j_max=4, top_k=2)
     u.interpolate(np.linspace(0, 1, 9))
     assert nets and all(ref() is None for ref in nets)
+
+
+def test_dweak_builds_each_probe_set_once_in_increasing_j_and_frees_it(monkeypatch):
+    """One probe set per output (grid, order), built in nondecreasing j; when a
+    set is built, no probe of an earlier set is alive."""
+    built, refs = [], []
+    make_probes = disc.make_probes
+
+    def recorded(grid, count=6, order=1):
+        assert all(ref() is None for ref in refs), "a probe set outlived the next build"
+        probes = make_probes(grid, count, order)
+        built.append((grid, order))
+        refs.extend(weakref.ref(p) for p in probes)
+        return probes
+
+    monkeypatch.setattr(disc, "make_probes", recorded)
+    seq = seqgen.moser_sequence([math.exp(-k) for k in range(1, 5)], [0.1 + 0.05j] * 4)
+    rep = profiles.dweak_test(seq, probe_count=4, n_random_tracks=4, j_max=8, seed=3)
+    assert rep.per_member
+    assert len(built) == len(set(built)) > 2
+    orders = [order for _, order in built]  # a scale-j deflation has order j
+    assert orders == sorted(orders)
+    assert all(ref() is None for ref in refs)
