@@ -128,11 +128,12 @@ def _thetas(grid: PolarGrid) -> np.ndarray:
 
 def _angular_index(grid: PolarGrid, theta: np.ndarray, width: int):
     """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi),
-    as columns of a ring array `width` wide (n_theta, or the block width of a
-    j-fold function), and the weight eta of the second one."""
+    as int32 columns of a ring array `width` wide (n_theta, or the block width
+    of a j-fold function), and the weight eta of the second one."""
     y = theta / grid.dtheta
-    m = np.floor(y).astype(int) % width
-    return m, (m + 1) % width, y - np.floor(y)
+    floor = np.floor(y)
+    m = floor.astype(np.int32) % width
+    return m, (m + 1) % width, y - floor
 
 
 def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
@@ -399,11 +400,11 @@ def inflate(
     return _inflated(w, d, grid, order=order)
 
 
-def _log_distance(grid: PolarGrid, zeta: complex, order: int = 1) -> np.ndarray:
-    """-log|z - zeta| at the ring nodes of one block, n_theta/order columns wide;
-    at the origin, where 0 cos theta and 0 sin theta are +-0, one column."""
+def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
+    """-log|z - zeta| at the ring nodes, n_theta columns wide; at the origin,
+    where 0 cos theta and 0 sin theta are +-0, one column."""
     radii = _ring_radii(grid)
-    thetas = _thetas(grid)[: 1 if zeta == 0 else grid.n_theta // order]
+    thetas = _thetas(grid)[: 1 if zeta == 0 else None]
     zx, zy = zeta.real, zeta.imag
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     d2 = (
@@ -416,7 +417,7 @@ def _log_distance(grid: PolarGrid, zeta: complex, order: int = 1) -> np.ndarray:
 
 
 def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
-    """`inflate` on `field` = `_log_distance(grid, d.zeta, order)`, if given; a
+    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given; a
     one-column field (the origin) is evaluated once and repeated across the block."""
     j, zeta = d.j, d.zeta
     R_inf = math.exp(-w.support_log_radius()) ** j
@@ -426,7 +427,7 @@ def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None
             f"(available {1.0 - abs(zeta):.6g})"
         )
     if field is None:
-        field = _log_distance(grid, zeta, order)
+        field = _log_distance(grid, zeta)
     rings = math.sqrt(j) * w.value_at(field / j)
     if rings.shape[1] == 1:
         rings = np.repeat(rings, grid.n_theta // order, axis=1)
@@ -529,16 +530,14 @@ class _Net:
         cap = r < radii[0]  # r0 < 1
         ring = (r < 1.0) & ~cap
         m, m1, eta = _angular_index(grid, theta[cap], width)
-        self.cap = (np.flatnonzero(cap).astype(np.int32), m.astype(np.int32),
-                    m1.astype(np.int32), eta, r[cap] / radii[0])
+        self.cap = (np.flatnonzero(cap).astype(np.int32), m, m1, eta, r[cap] / radii[0])
         self.ring = np.flatnonzero(ring).astype(np.int32)
         r, theta = r[ring], theta[ring]
         x = (grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1))
-        i = np.clip(np.floor(x).astype(int), 0, grid.n_r - 2)
+        i = np.clip(np.floor(x).astype(np.int32), 0, grid.n_r - 2)
         m, m1, eta = _angular_index(grid, theta, width)
         k, k1 = i * width + m, i * width + m1
-        corners = (c.astype(np.int32) for c in (k, k + width, k1, k1 + width))
-        self.plan = (*corners, np.clip(x - i, 0.0, 1.0), eta)
+        self.plan = (k, k + width, k1, k1 + width, np.clip(x - i, 0.0, 1.0), eta)
 
     def sample(self, u: DiscFunction) -> np.ndarray:
         """u at the points, in their shape."""
