@@ -7,9 +7,9 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
     int |grad u|^2 dx = int int (u_s^2 + u_theta^2) ds dtheta  (+ center cap),
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
-interpolant in (s, theta), cap included.  One bilinear form computes it, as a
-pairing of two factors, each operand's differences and cap rows: `energy` pairs
-a factor with itself, `grad_inner` two, and `max_pairing` one with each probe.
+interpolant in (s, theta), cap included.  One bilinear form pairs one factor
+(an operand's differences and cap rows) with a stack of factors: `energy` and
+`grad_inner` pair with a stack of one, `max_pairing` with a stack of probes.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -127,13 +127,14 @@ def _thetas(grid: PolarGrid) -> np.ndarray:
 
 
 def _angular_index(grid: PolarGrid, theta: np.ndarray, width: int):
-    """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi),
+    """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi],
     as int32 columns of a ring array `width` wide (n_theta, or the block width
     of a j-fold function), and the weight eta of the second one."""
     y = theta / grid.dtheta
     floor = np.floor(y)
-    m = floor.astype(np.int32) % width
-    return m, (m + 1) % width, y - floor
+    m = floor.astype(np.int32)
+    m[m >= width] %= width  # theta = 2 pi (an angle just below 0 rounds up), or a j-fold block
+    return m, np.where(m == width - 1, 0, m + 1), y - floor
 
 
 def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
@@ -249,12 +250,8 @@ class DislocationParam:
 # -- energy and inner products ------------------------------------------------
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _next_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row, sum over m of a[m] b[m + 1], cyclic in m."""
-    return _rowdot(a[:, :-1], b[:, 1:]) + a[:, -1] * b[:, 0]
+    """Per row of a, its dot product with that row of each array stacked in b."""
+    return np.einsum("ij,pij->pi", a, b)
 
 
 def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
@@ -265,20 +262,36 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
         raise ValueError("disc functions have different symmetry orders")
 
 
+def _stack(us) -> tuple:
+    """One stack of the factors of functions (or factors) of one grid and order:
+    us[0], then their radial and cyclic angular differences and cap rows
+    rings[0] - center, unshifted and shifted by a column, on a leading axis."""
+    if isinstance(us, tuple):
+        return us
+    us = [u[0] if isinstance(u, tuple) else u for u in us]
+    if not us:
+        raise ValueError("no probes to pair with")
+    V = us[0].rings
+    A, G, a0, a1 = (np.empty((len(us),) + x.shape) for x in (V[1:], V, V[0], V[0]))
+    for p, u in enumerate(us):
+        _check_operands(us[0], u)  # before its arrays are written
+        V = u.rings
+        np.subtract(V[1:], V[:-1], out=A[p])
+        np.subtract(V[:, 1:], V[:, :-1], out=G[p, :, :-1])
+        np.subtract(V[:, 0], V[:, -1], out=G[p, :, -1])
+        np.subtract(V[0], u.center, out=a0[p])
+    a1[:, :-1], a1[:, -1] = a0[:, 1:], a0[:, 0]
+    return us[0], A, G, a0, a1
+
+
 def _factor(u) -> tuple:
-    """(u, its radial differences, its cyclic angular differences, its cap row
-    rings[0] - center and that row shifted by one column); a factor is returned as is."""
-    if isinstance(u, tuple):
-        return u
-    V, G = u.rings, np.empty_like(u.rings)
-    np.subtract(V[:, 1:], V[:, :-1], out=G[:, :-1])
-    np.subtract(V[:, 0], V[:, -1], out=G[:, -1])
-    a0 = V[0] - u.center
-    return u, V[1:] - V[:-1], G, a0, np.concatenate((a0[1:], a0[:1]))
+    """The factor of u, a stack of one; a factor (or any stack) is returned as is."""
+    return u if isinstance(u, tuple) else _stack([u])
 
 
-def _pair(fu: tuple, fv: tuple) -> float:
-    """Dirichlet bilinear form of two factored bilinear interpolants, exact cap included.
+def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
+    """Dirichlet bilinear form of a factored bilinear interpolant with each
+    factor of a stack, exact cap included: one value per stacked factor.
 
     A cell's edge differences (A, B radial; C, D angular) enter as
     (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3, with B the A of the next
@@ -286,23 +299,28 @@ def _pair(fu: tuple, fv: tuple) -> float:
     row dot product of the factors' arrays.  Of j-fold functions each cyclic
     row sum is j times the sum over one block: the form is j times the block's.
     """
-    (u, Au, Gu, a0u, a1u), (v, Av, Gv, a0v, a1v) = fu, fv
+    (u, *one), (v, Av, Gv, a0v, a1v) = fu, fvs
+    Au, Gu, a0u, a1u = (x[0] for x in one)
     _check_operands(u, v)
     s, dth = _ring_s(u.grid), u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
-    cross = _next_dot(Au, Av) + _next_dot(Av, Au)
-    e_s = np.dot(dth / ds, 2.0 * _rowdot(Au, Av) + 0.5 * cross) / 3.0
+    cross = ((_rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
+             + (_rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
+    radial = 2.0 * _rowdot(Au, Av) + 0.5 * cross
+    # one np.dot per stacked factor, as for one: a matrix product sums in another order
+    e_s = np.array([np.dot(dth / ds, row) for row in radial]) / 3.0
     P = _rowdot(Gu, Gv)
-    Q = _rowdot(Gu[:-1], Gv[1:]) + _rowdot(Gu[1:], Gv[:-1])
-    e_t = np.dot(ds / dth, P[:-1] + P[1:] + 0.5 * Q) / 3.0
-    cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v) / 6.0
-    cap_t = 0.5 * P[0] / dth
-    return float(u.order * (e_s + e_t + cap_r + cap_t))
+    Q = _rowdot(Gu[:-1], Gv[:, 1:]) + _rowdot(Gu[1:], Gv[:, :-1])
+    e_t = np.array([np.dot(ds / dth, row) for row in P[:, :-1] + P[:, 1:] + 0.5 * Q]) / 3.0
+    cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v, axis=1) / 6.0
+    cap_t = 0.5 * P[:, 0] / dth
+    return u.order * (e_s + e_t + cap_r + cap_t)
 
 
 def _form(u, v) -> float:
     """`_pair` of two disc functions or factors, u factored once when v is u."""
-    return _pair(fu := _factor(u), fu if v is u else _factor(v))
+    fu = _factor(u)
+    return float(_pair(fu, fu if v is u else _factor(v))[0])
 
 
 def energy(u: DiscFunction) -> float:
@@ -515,46 +533,48 @@ def _angular_profiles(us, zetas, n_phi: int | None = None) -> list[RadialProfile
 class _Net:
     """Where points z fall on a grid whose functions store blocks `width` wide.
 
-    Ring points keep the int32 flat indices of their four corners and the
-    weights xi, eta; cap points their two first-ring nodes, eta and r / r0;
-    points outside read 0.  `sample(u)` only gathers and combines, in the
-    arithmetic of the bilinear interpolant, for every function the net fits.
+    Every point keeps the int32 flat indices of four ring corners and the weights
+    1 - xi, xi, 1 - eta, eta at r clamped to [r0, 1]; cap points also their two
+    first-ring nodes, 1 - eta, eta and r / r0; points outside (not r < 1, NaN
+    included) read 0.  `sample(u)` only gathers and combines, in the arithmetic
+    of the bilinear interpolant, for every function the net fits.
     """
 
     def __init__(self, grid: PolarGrid, width: int, z):
         z = np.asarray(z, dtype=complex)
         self.shape = z.shape
-        r = np.abs(z.ravel())
-        theta = np.mod(np.angle(z.ravel()), 2.0 * math.pi)
-        radii = _ring_radii(grid)
-        cap = r < radii[0]  # r0 < 1
-        ring = (r < 1.0) & ~cap
+        r, theta = np.abs(z.ravel()), np.angle(z.ravel())
+        theta[theta < 0.0] += 2.0 * math.pi
+        r0 = _ring_radii(grid)[0]
+        cap = np.flatnonzero(r < r0)  # r0 < 1
         m, m1, eta = _angular_index(grid, theta[cap], width)
-        self.cap = (np.flatnonzero(cap).astype(np.int32), m, m1, eta, r[cap] / radii[0])
-        self.ring = np.flatnonzero(ring).astype(np.int32)
-        r, theta = r[ring], theta[ring]
-        x = (grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1))
-        i = np.clip(np.floor(x).astype(np.int32), 0, grid.n_r - 2)
+        self.cap = (cap, m, m1, 1 - eta, eta, r[cap] / r0)
+        self.outside = np.flatnonzero(~(r < 1.0))
+        r[cap], r[self.outside], theta[self.outside] = r0, 1.0, 0.0
+        x = np.clip((grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1)), 0, grid.n_r - 1)
+        i = np.minimum(x.astype(np.int32), grid.n_r - 2)
+        xi = x - i
         m, m1, eta = _angular_index(grid, theta, width)
         k, k1 = i * width + m, i * width + m1
-        self.plan = (k, k + width, k1, k1 + width, np.clip(x - i, 0.0, 1.0), eta)
+        self.plan = (k, k + width, k1, k1 + width, 1 - xi, xi, 1 - eta, eta)
 
     def sample(self, u: DiscFunction) -> np.ndarray:
         """u at the points, in their shape."""
         V = u.rings.ravel()
-        k00, k10, k01, k11, xi, eta = self.plan
-        # take: indexing by int32 would first cast the indices to intp
-        vals = (
-            V.take(k00) * (1 - xi) * (1 - eta)
-            + V.take(k10) * xi * (1 - eta)
-            + V.take(k01) * (1 - xi) * eta
-            + V.take(k11) * xi * eta
-        )
-        out = np.zeros(math.prod(self.shape))
-        out[self.ring] = vals
-        idx, m, m1, eta, t = self.cap
-        g = V.take(m) * (1 - eta) + V.take(m1) * eta
-        out[idx] = u.center + t * (g - u.center)
+        k00, k10, k01, k11, xi1, xi, eta1, eta = self.plan
+        out, buf = np.empty(xi.size), np.empty(xi.size)
+        # the indices are in range: "clip" skips the bounds check and a buffered copy to out
+        V.take(k00, out=out, mode="clip")
+        out *= xi1
+        out *= eta1
+        for k, a, b in ((k10, xi, eta1), (k01, xi1, eta), (k11, xi, eta)):
+            V.take(k, out=buf, mode="clip")
+            buf *= a
+            buf *= b
+            out += buf
+        idx, m, m1, ceta1, ceta, t = self.cap
+        out[idx] = u.center + t * ((V.take(m) * ceta1 + V.take(m1) * ceta) - u.center)
+        out[self.outside] = 0.0
         return out.reshape(self.shape)
 
 
@@ -819,9 +839,8 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
 
 
 def max_pairing(u: DiscFunction, probes) -> float:
-    """max |<u, phi>| over the probes (disc functions or factors): the weak-convergence proxy."""
-    fu = _factor(u)
-    return max(abs(_pair(fu, _factor(phi))) for phi in probes)
+    """max |<u, phi>| over the probes (disc functions, factors or a `_stack`): the proxy."""
+    return float(np.max(np.abs(_pair(_factor(u), _stack(probes)))))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -253,7 +253,7 @@ def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
     return OMEGA / np.sqrt(js) * (rises @ ref.slopes)
 
 
-def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
+def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     """Per-member (scale, center) plus the averaged profile for one detection.
 
     Each member's opening scale maximizes its detector score at the
@@ -262,14 +262,19 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int):
     Scales are locked by a matched filter: the angular-mean profile around
     the center is computed once per member (its dilations give every integer
     scale exactly), on one polar net per distinct center that samples every
-    member refined to it, and the scale maximizing the Dirichlet pairing with
-    a common reference profile is chosen, iterating twice so the reference
-    and the track are self-consistent across members.
+    member refined to it, and kept in `memo` by (member index, center) for
+    later starts; the scale maximizing the Dirichlet pairing with a common
+    reference profile is chosen, iterating twice so the reference and the
+    track are self-consistent across members.
     """
     scan = disc._scores(members, np.arange(1, j_max + 1), d0.zeta)  # one net
     js = [1 + int(k) for k in np.argmax(scan, axis=1)]
     zetas = [disc._refine_center(u, d0.zeta, j)[1] for u, j in zip(members, js)]
-    base_profiles = disc._angular_profiles(members, zetas, n_phi=64)
+    memo = {} if memo is None else memo
+    new = [(k, z) for k, z in enumerate(zetas) if (k, z) not in memo]
+    memo.update(zip(new, disc._angular_profiles([members[k] for k, _ in new],
+                                                [z for _, z in new], n_phi=64)))
+    base_profiles = [memo[k, z] for k, z in enumerate(zetas)]
     for _ in range(2):
         ref = _tail_average(base_profiles, js)
         nrm = grad_norm(ref)
@@ -320,7 +325,7 @@ def _fit_term(members, track, w, grid):
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
     # profile estimate overshooting the energy budget
-    denom = disc._pair(fs := disc._factor(synth), fs)
+    denom = disc._form(fs := disc._factor(synth), fs)
     if denom > 0:
         beta = disc._form(members[-1], fs) / denom
         beta = min(1.25, max(0.5, beta))
@@ -344,8 +349,9 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     tail = len(members) - 1
     chosen = None
     tracks = []
+    memo: dict = {}  # the members do not change between starts
     for d0 in starts:
-        track, w = _track_candidate(members, d0, j_max)
+        track, w = _track_candidate(members, d0, j_max, memo)
         if track in tracks:
             continue
         tracks.append(track)
@@ -505,7 +511,7 @@ def dweak_test(
     """
     members = _as_disc_members(seq)
     rng = np.random.default_rng(seed)
-    probes: dict = {}  # factored probes of one output (grid, order): the groups run in increasing j
+    probes: dict = {}  # the probe stack of one output (grid, order): the groups run in increasing j
 
     tracks: list[tuple[int, complex, str]] = [(1, 0.0 + 0.0j, "identity")]
     for _ in range(n_random_tracks):
@@ -533,7 +539,7 @@ def dweak_test(
             key = (w.grid, w.order)
             if key not in probes:
                 probes.clear()
-                probes[key] = [*map(disc._factor, disc.make_probes(w.grid, probe_count, w.order))]
+                probes[key] = disc._stack(disc.make_probes(w.grid, probe_count, w.order))
             pairings[k, t] = disc.max_pairing(w, probes[key])
 
     per_member = []

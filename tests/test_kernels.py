@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from moserlab import disc, functional, radial
 from conftest import old_average_many
+from test_polar_net import rough_disc
 
 
 # -- references: the replaced code -----------------------------------------------
@@ -227,6 +228,22 @@ def test_form_on_diagonal_is_the_energy(name, a):
     assert disc._form(u, u) == e >= 0.0
     # the general (two-argument) path is the shared-factor one, bit for bit
     assert disc._form(u, twin) == e
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_names, st.sampled_from([1, 2, 4]), seeds, st.lists(seeds, min_size=1, max_size=8))
+def test_a_probe_stack_pairs_as_stacks_of_one(name, order, a, bs):
+    """One stack of P probes gives, bit for bit, the values of P stacks of one."""
+    u = rough_disc(GRIDS[name], a, order)
+    probes = [rough_disc(GRIDS[name], b, order) for b in bs]
+    fu = disc._factor(u)
+    stacked = disc._pair(fu, disc._stack(probes))
+    ones = np.concatenate([disc._pair(fu, disc._stack([phi])) for phi in probes])
+    assert stacked.shape == (len(probes),)
+    assert stacked.tobytes() == ones.tobytes()
+    # the two-argument form and the proxy pair through the same stacks
+    assert [disc.grad_inner(u, phi) for phi in probes] == ones.tolist()
+    assert disc.max_pairing(u, probes) == max(abs(x) for x in ones.tolist())
 
 
 def test_form_rejects_grid_mismatch():

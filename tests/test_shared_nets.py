@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, functional, profiles, radial, seqgen
-from conftest import old_interpolate
+from conftest import old_interpolate, smooth_plateau_profile
 from test_experiment_layer import zero_member
 from test_placement import old_concentration_detect
 from test_polar_net import (
@@ -124,6 +124,9 @@ def edge_points(grid, a: float) -> np.ndarray:
         [mid * complex(math.cos(below), math.sin(below)),  # theta just below 2 pi
          complex(mid, -1e-17), complex(mid, -1e-300), complex(mid, -0.0),
          complex(r0, -1e-300)],
+        # not finite: outside the disc, so they read 0, and without a warning
+        [complex("nan"), complex(0.0, math.nan), complex("inf"), -complex("inf"),
+         complex(math.inf, math.inf)],
     ])
 
 
@@ -355,6 +358,32 @@ def test_one_member_calls_free_their_nets(nets):
     disc.concentration_detect(u, 1e-3, j_max=4, top_k=2)
     u.interpolate(np.linspace(0, 1, 9))
     assert nets and all(ref() is None for ref in nets)
+
+
+def test_a_repeated_start_builds_no_angular_profile_net(nets, monkeypatch):
+    """Within one placement each (member, center) angular profile is sampled
+    once: a start that repeats an earlier one builds no angular-profile net."""
+    grid = disc.PolarGrid(n_r=96, n_theta=96, s_max=4.5)
+    terms = [profiles.ProfileTerm(smooth_plateau_profile(0.69, 1.0), [1, 2, 2, 3], [0.2] * 4)]
+    members = list(seqgen.synthetic_superposition(terms, 0.01, seed=3, grid=grid)[0].members)
+    d0 = disc.concentration_detect(members[-1], eps=0.0125, j_max=8, top_k=1)[0][0]
+    angular_profiles, built = disc._angular_profiles, []
+
+    def recorded(us, zetas, n_phi=None):
+        before = len(nets)
+        out = angular_profiles(us, zetas, n_phi)
+        built.append(len(nets) - before)
+        return out
+
+    monkeypatch.setattr(disc, "_angular_profiles", recorded)
+    once = profiles._place_term(list(members), [d0], 8, grid, lambda t: True)
+    assert sum(built) > 0
+    first = built.copy()
+    twice = profiles._place_term(list(members), [d0, d0], 8, grid, lambda t: True)
+    assert built[len(first):] == first + [0]
+    assert once[0] == twice[0] and once[1].zeta_track == twice[1].zeta_track
+    assert once[1].w.values.tobytes() == twice[1].w.values.tobytes()
+    assert all(ref() is None for ref in nets)
 
 
 def test_dweak_builds_each_probe_set_once_in_increasing_j_and_frees_it(monkeypatch):
