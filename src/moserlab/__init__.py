@@ -38,7 +38,6 @@ from .disc import (
     DislocationParam,
     PolarGrid,
     average,
-    average_field,
     concentration_detect,
     deflate,
     inflate,

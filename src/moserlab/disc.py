@@ -22,7 +22,7 @@ grid under the power map is again log-uniform, so the deflated function is
 returned on its own adapted grid (extent exactly s_max/j, angular count scaled
 by j).  The image is j-fold symmetric, and it is stored as such: a function
 of symmetry order j keeps the full grid but only one block of n_theta/j
-columns, and the energy, the inner product and interpolation work on that
+columns, and the forms, interpolation and rearrangement work on that
 block.  With that convention the deflation of a function sampled around its
 own center is energy-exact, and off-center deflations lose only bilinear
 interpolation error.  The operands of a form (energy, grad_inner) or a sum
@@ -58,12 +58,10 @@ __all__ = [
     "energy",
     "grad_norm_disc",
     "grad_inner",
-    "l2_norm",
     "add",
     "subtract_disc",
     "scale_disc",
     "average",
-    "average_field",
     "concentration_detect",
     "angular_mode",
     "make_probes",
@@ -147,10 +145,11 @@ def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
 
 # a 1024^2 grid's array is 8 MiB: keep only a few grids
 @lru_cache(maxsize=4)
-def _cell_area_array(grid: PolarGrid) -> np.ndarray:
-    """Per-cell absolute areas, cap first, in the order of cell values."""
+def _cell_area_array(grid: PolarGrid, order: int) -> np.ndarray:
+    """Per-cell absolute areas, cap first, in the order of an order-j block's
+    cell values: each block cell stands for its j rotated copies."""
     cap, ann = cell_areas(grid)
-    areas = np.concatenate(([cap], np.repeat(ann, grid.n_theta)))
+    areas = np.concatenate(([cap], np.repeat(ann * order, grid.n_theta // order)))
     areas.setflags(write=False)
     return areas
 
@@ -162,8 +161,8 @@ class DiscFunction:
     Zero trace on the boundary ring is the default contract; evaluation
     fields such as ball averages opt out via zero_trace=False.  A function of
     symmetry order j (invariant under rotation by 2 pi / j, j dividing
-    n_theta) stores one block of rings, shape (n_r, n_theta / j);
-    `tiled_rings` gives the full array.
+    n_theta) stores one block of rings, shape (n_r, n_theta / j), and every
+    kernel works on that block; only `disc_to_dict` writes the full array.
     """
 
     grid: PolarGrid
@@ -210,10 +209,6 @@ class DiscFunction:
         rings.setflags(write=False)
         object.__setattr__(self, "rings", rings)
 
-    def tiled_rings(self) -> np.ndarray:
-        """The full (n_r, n_theta) ring array: `rings` itself at order 1."""
-        return self.rings if self.order == 1 else np.tile(self.rings, (1, self.order))
-
     def interpolate(self, z) -> np.ndarray:
         """Bilinear-in-(s, theta) evaluation at complex points, in the shape of z; 0 outside."""
         return _Net(self.grid, self.rings.shape[1], z).sample(self)
@@ -221,14 +216,16 @@ class DiscFunction:
     def cell_values_and_areas(self):
         """Per-cell representative values and absolute areas (cap first).
 
-        The areas depend only on the grid and are a shared read-only array.
+        A j-fold function gives its block's cells (cyclic in the block) with
+        j-fold areas, the distribution of the full grid's.  The areas are a
+        shared read-only array per grid and order.
         """
-        V = self.tiled_rings()
+        V = self.rings
         Vn = np.roll(V, -1, axis=1)
         cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
         cap_val = 0.5 * (self.center + float(np.mean(V[0])))
         values = np.concatenate(([cap_val], cell_vals.ravel()))
-        return values, _cell_area_array(self.grid)
+        return values, _cell_area_array(self.grid, self.order)
 
 
 @dataclass(frozen=True)
@@ -362,43 +359,6 @@ def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
 def grad_inner(u: DiscFunction, v: DiscFunction) -> float:
     """Dirichlet inner product: the bilinear form of the discrete energy."""
     return _form(u, v)
-
-
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-_GL4_X = 0.5 * (_GL4_X + 1.0)
-_GL4_W = 0.5 * _GL4_W
-
-
-def l2_mass(u: DiscFunction) -> float:
-    """int_B u^2 dx by per-cell Gauss quadrature of the bilinear interpolant."""
-    grid = u.grid
-    s = _ring_s(grid)
-    V = u.tiled_rings()
-    Vn = np.roll(V, -1, axis=1)
-    ds = s[:-1] - s[1:]
-    dth = grid.dtheta
-    total = 0.0
-    for a, wa in zip(_GL4_X, _GL4_W):
-        s_a = s[:-1] - a * ds
-        w_row = np.exp(-2.0 * s_a) * ds * wa
-        lo = V[:-1] * (1 - a) + V[1:] * a
-        hi = Vn[:-1] * (1 - a) + Vn[1:] * a
-        for b, wb in zip(_GL4_X, _GL4_W):
-            vals = lo * (1 - b) + hi * b
-            total += wb * dth * float(np.sum(w_row[:, None] * vals * vals))
-    r0 = _ring_radii(grid)[0]
-    row = V[0]
-    row_n = np.roll(row, -1)
-    for a, wa in zip(_GL4_X, _GL4_W):
-        for b, wb in zip(_GL4_X, _GL4_W):
-            ring_val = row * (1 - b) + row_n * b
-            vals = u.center + a * (ring_val - u.center)
-            total += r0 * r0 * a * wa * wb * dth * float(np.sum(vals * vals))
-    return total
-
-
-def l2_norm(u: DiscFunction) -> float:
-    return math.sqrt(max(0.0, l2_mass(u)))
 
 
 # -- dislocations --------------------------------------------------------------
@@ -602,23 +562,18 @@ _BALL_PHI = 2.0 * math.pi * np.arange(16) / 16
 _BALL_W = np.repeat(0.5 * _GL8_W / 16, 16)
 
 
-def _check_resolution(grid: PolarGrid, radius: float, r: float, where: str = "") -> None:
-    """ValueError if the radius is not positive, GridResolutionError if the
-    ball is below half the grid cell at |z| = r."""
+def average(u: DiscFunction, radius: float, z: complex) -> float:
+    """Mean of u over the ball B(z, radius), with extension by zero; a ball
+    below half the grid cell at z raises GridResolutionError."""
     if radius <= 0:
         raise ValueError("averaging radius must be positive")
-    r0 = float(_ring_radii(grid)[0])
+    grid, r, r0 = u.grid, abs(z), float(_ring_radii(u.grid)[0])
     dr = r * grid.s_max / (grid.n_r - 1)
     if radius < 0.5 * (r0 if r < r0 else min(dr, r * grid.dtheta)):
         raise GridResolutionError(
-            f"ball of radius {radius:.3g}{where} is below grid resolution; "
+            f"ball of radius {radius:.3g} at {z} is below grid resolution; "
             "a finer grid is required"
         )
-
-
-def average(u: DiscFunction, radius: float, z: complex) -> float:
-    """Mean of u over the ball B(z, radius), with extension by zero."""
-    _check_resolution(u.grid, radius, abs(z), f" at {z}")
     return float(average_many(u, radius, z))
 
 
@@ -641,16 +596,6 @@ def _ball_means(us, radius, zs) -> np.ndarray:
     for k, vals in _each_sample(us, pts):
         means[k] = vals.reshape(shape + (-1,)) @ _BALL_W
     return means
-
-
-def average_field(u: DiscFunction, radius: float) -> DiscFunction:
-    """A_r u evaluated at every grid node (an evaluation field, not zero-trace)."""
-    _check_resolution(u.grid, radius, 1.0)
-    grid = u.grid
-    nodes = (_ring_radii(grid)[:, None] * np.exp(1j * _thetas(grid))[None, :]).ravel()
-    vals = average_many(u, radius, nodes).reshape(grid.n_r, grid.n_theta)
-    center = float(average_many(u, radius, 0.0))  # as one more row its last bit moves
-    return DiscFunction._owned(grid, center, vals, zero_trace=False)
 
 
 # -- concentration detection ----------------------------------------------------
@@ -854,7 +799,7 @@ def disc_to_dict(u: DiscFunction) -> dict:
         "support_radius": u.support_radius,
         "zero_trace": u.zero_trace,
         "center": u.center,
-        "rings": u.tiled_rings().ravel().tolist(),
+        "rings": np.tile(u.rings, (1, u.order)).ravel().tolist(),
     }
 
 

@@ -385,12 +385,14 @@ def extract(
     """Iterative detect / deflate / subtract extraction of concentration terms.
 
     Stops when the tail remainder drops below eps_stop in the exponential
-    quasinorm, no candidate is detected, or max_terms is reached.  Aborts via
-    ExtractionDiverged when the subtraction raises the tail remainder energy
-    twice in a row.  After the greedy pass, `refine_sweeps` re-estimation
-    sweeps refit each term against the members with all other terms removed,
-    which suppresses the first-order cross-talk between separated terms.
-    Neither pass accepts terms whose energies exceed the input budget.
+    quasinorm (status "converged"), no candidate is placed ("no-candidates"),
+    or max_terms are placed with the tail still above it ("max-terms").
+    Aborts via ExtractionDiverged when the subtraction raises the tail
+    remainder energy twice in a row.  After the greedy pass, `refine_sweeps`
+    re-estimation sweeps refit each term against the members with all other
+    terms removed, which suppresses the first-order cross-talk between
+    separated terms.  Neither pass accepts terms whose energies exceed the
+    input budget.
     """
     if not seq.is_disc():
         raise ValueError("extraction operates on disc-sampled sequences")
@@ -437,6 +439,9 @@ def extract(
         else:
             increases = 0
         prev_tail_energy = tail_energy
+    else:  # every placement ran
+        if expl2_disc(members[-1]) >= eps_stop:
+            status = "max-terms"
 
     if len(terms) > 1:
         for _ in range(max(0, refine_sweeps)):

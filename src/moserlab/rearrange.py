@@ -146,7 +146,7 @@ class RearrangedFunction:
 
 @dataclass(frozen=True)
 class LZIndex:
-    """Triple (p, q, alpha); p in (1, inf], q in (0, inf].
+    """Triple (p, q, alpha); p in (1, inf], q in (0, inf], alpha finite.
 
     For p = inf, finiteness on functions with a nonzero essential sup
     requires alpha < -1/q (alpha <= 0 for q = inf).  Nothing is enforced:
@@ -163,6 +163,8 @@ class LZIndex:
             raise ValueError("first index must exceed 1")
         if not (self.q > 0.0):
             raise ValueError("second index must be positive")
+        if not math.isfinite(self.alpha):
+            raise ValueError("third index must be finite")
 
 
 # -- exact distribution function of piecewise-linear radial data -------------

@@ -271,6 +271,17 @@ class TestMalformedInput:
             "norms", "unrecognized input file: not a JSON object", capsys,
         )
 
+    @pytest.mark.parametrize("indices", ["inf,inf,nan", "inf,2,nan", "inf,2,-1;inf,2,inf"])
+    def test_norms_index_of_a_non_finite_alpha(self, tmp_path, capsys, indices):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]}))
+        self._fails_soft(
+            ["norms", "--input", str(path), "--indices", indices,
+             "--out", str(tmp_path / "n")],
+            "norms", "third index must be finite", capsys,
+        )
+        assert not (tmp_path / "n" / "norms.json").exists()
+
     def test_disc_record_of_a_foreign_spacing_kind(self, tmp_path, capsys):
         grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=3.0)
         rings = np.zeros((grid.n_r, grid.n_theta))

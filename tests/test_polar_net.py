@@ -3,11 +3,11 @@
 Deflation, the angular profile and the ball means each used to build and
 interpolate their own polar net zeta + rho e^{i phi}; now all of them sample
 through one polar-net sampler.  The references are the previous code, kept
-verbatim: `deflate`, `angular_profile_around`, `average` and `average_field`
-below, the ball means and detector scans in conftest.  The same points are
-evaluated with the same arithmetic, so every sample and ball mean is
-bit-equal; only the refine and scale-scan scores, whose j^{-1/2} is now the
-detector's product with 1/sqrt(j), may move, by at most one ulp.
+verbatim: `deflate`, `angular_profile_around` and `average` below, the ball
+means and detector scans in conftest.  The same points are evaluated with the
+same arithmetic, so every sample and ball mean is bit-equal; only the refine
+and scale-scan scores, whose j^{-1/2} is now the detector's product with
+1/sqrt(j), may move, by at most one ulp.
 """
 
 import math
@@ -77,21 +77,6 @@ def old_average(u, radius, z, strict=True):
     offsets, weights = old_ball_offsets(radius)
     vals = old_interpolate(u, z + offsets)
     return float(np.dot(weights, np.asarray(vals).ravel()))
-
-
-def old_average_field(u, radius):
-    if radius < 0.5 * old_local_cell_scale(u.grid, 1.0):
-        raise disc.GridResolutionError(
-            f"ball of radius {radius:.3g} is below grid resolution; "
-            "a finer grid is required"
-        )
-    grid = u.grid
-    radii = disc._ring_radii(grid)
-    thetas = disc._thetas(grid)
-    nodes = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    vals = old_average_many(u, radius, nodes).reshape(grid.n_r, grid.n_theta)
-    center = old_average(u, radius, 0.0, strict=False)
-    return disc.DiscFunction(grid, center, vals, support_radius=1.0, zero_trace=False)
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -185,21 +170,6 @@ def test_average_many_many_radii_one_center(grid, seed, zeta, js):
     assert np.array_equal(disc.average_many(u, np.asarray(radii), zeta), old)
     ref = old_scan_scales(u, zeta, js)
     assert np.all(np.abs(disc._scores([u], js, zeta)[0] - ref) <= 1e-15 * np.abs(ref))
-
-
-@settings(max_examples=20, deadline=None)
-@given(grids(), seeds, st.floats(0.0, 0.5, exclude_min=True))
-def test_average_field_is_bit_equal(grid, seed, radius):
-    u = rough_disc(grid, seed)
-    try:
-        old = old_average_field(u, radius)
-    except disc.GridResolutionError as exc:
-        with pytest.raises(disc.GridResolutionError) as got:
-            disc.average_field(u, radius)
-        assert str(got.value) == str(exc)
-        return
-    new = disc.average_field(u, radius)
-    assert same_disc(new, old) and new.zero_trace is old.zero_trace is False
 
 
 # -- the detector ----------------------------------------------------------------------

@@ -23,6 +23,17 @@ def planted(small_grid):
     return seq, term, w, jt
 
 
+@pytest.fixture(scope="module")
+def two_planted():
+    w = smooth_plateau_profile(0.69, 1.0)
+    jt = [2, 2, 2, 2, 3, 3, 3, 3, 3, 3]
+    seq, _ = seqgen.synthetic_superposition(
+        [profiles.ProfileTerm(w, jt, [z] * 10) for z in (0.2, -0.2)], 0.01, seed=11,
+        grid=disc.PolarGrid(n_r=256, n_theta=256, s_max=5.5), k_list=range(1, 11),
+    )
+    return seq
+
+
 class TestTypes:
     def test_sequence_requires_homogeneous_members(self, small_grid):
         u = disc.DiscFunction(
@@ -137,6 +148,14 @@ class TestExtract:
         noise_q = rearrange.expl2_quasinorm(rearrange.rearrange_disc(seq.members[-1]))
         dec = profiles.extract(seq, eps_stop=2 * noise_q, max_terms=3, j_max=8)
         assert len(dec.terms) == 0
+
+    @pytest.mark.parametrize("max_terms, status", [(0, "max-terms"), (1, "max-terms"),
+                                                   (2, "converged")])
+    def test_the_term_cap_is_a_status(self, two_planted, max_terms, status):
+        # test_09's two terms, on a coarser grid: the cap stops the loop above eps_stop
+        dec = profiles.extract(two_planted, eps_stop=0.05, max_terms=max_terms, j_max=12)
+        assert dec.status == status and len(dec.terms) == max_terms
+        assert (dec.remainder_expl2[-1] >= 0.05) == (status == "max-terms")
 
     def test_extraction_diverged_carries_diagnostics(self):
         err = profiles.ExtractionDiverged("boom", {"terms_so_far": 1})

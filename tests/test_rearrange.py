@@ -108,6 +108,19 @@ def test_nonfinite_rearrangements_rejected(kind, breakpoints, values):
         rearrange.RearrangedFunction(breakpoints, values, kind)
 
 
+@pytest.mark.parametrize("p, q, alpha, reason", [
+    (math.nan, INF, -0.5, "first index must exceed 1"),
+    (INF, math.nan, -0.5, "second index must be positive"),
+    (INF, INF, math.nan, "third index must be finite"),
+    (INF, 2.0, math.nan, "third index must be finite"),
+    (INF, 2.0, INF, "third index must be finite"),
+    (2.0, 2.0, -INF, "third index must be finite"),
+])
+def test_nan_and_infinite_indices_rejected(p, q, alpha, reason):
+    with pytest.raises(ValueError, match=reason):
+        rearrange.LZIndex(p, q, alpha)
+
+
 @pytest.mark.parametrize("kind, values", [
     ("step", [3.0, 2.0, 0.5]),
     ("loglin", [3.0, 2.5, 1.0, 0.0]),

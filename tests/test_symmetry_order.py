@@ -1,10 +1,10 @@
 """j-fold functions stored as one block against their tiled order-1 twins.
 
 A function of symmetry order j keeps one block of n_theta/j columns.  Every
-kernel must give what the tiled array gives: the forms to 1e-12 relative,
-evaluation and serialization exactly.  Forms and sums take operands of one
-order only.  The deflation and probe paths are pinned to the tiled code they
-replaced (`old_deflate`, `old_make_probes`).
+kernel must give what the tiled array gives: the forms, the rearrangement and
+its quasinorms to 1e-12 relative, evaluation and serialization exactly.  Forms
+and sums take operands of one order only.  The deflation and probe paths are
+pinned to the tiled code they replaced (`old_deflate`, `old_make_probes`).
 """
 
 import math
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moserlab import disc, profiles, radial, seqgen
+from moserlab import disc, profiles, radial, rearrange, seqgen
 from test_acceptance import _nonradial_test_function
 from test_experiment_layer import old_deflate, old_dweak_test, old_make_probes
 
@@ -24,11 +24,14 @@ GRID = disc.PolarGrid(n_r=20, n_theta=96, s_max=4.0)
 ORDERS = (1, 2, 3, 8, 32)  # all divide GRID.n_theta
 
 
+def _tiled(u):
+    """The full (n_r, n_theta) ring array of u."""
+    return np.tile(u.rings, (1, u.order))
+
+
 def _twin(u):
     """The order-1 function with u's rings tiled."""
-    return disc.DiscFunction(
-        u.grid, u.center, u.tiled_rings(), u.support_radius, u.zero_trace
-    )
+    return disc.DiscFunction(u.grid, u.center, _tiled(u), u.support_radius, u.zero_trace)
 
 
 def _block(order, seed):
@@ -114,19 +117,33 @@ def test_add_and_subtract_equal_the_tiled_results(order, seed_u, seed_v):
         out, tiled = op(u, v), op(_twin(u), _twin(v))
         assert out.order == order
         assert out.center == tiled.center
-        assert out.tiled_rings().tobytes() == tiled.rings.tobytes()
+        assert _tiled(out).tobytes() == tiled.rings.tobytes()
+
+
+def _steps(f):
+    """(right ends, values) of the distinct steps of a step rearrangement."""
+    last = np.append(f.values[1:] != f.values[:-1], True)
+    return f.breakpoints[last], f.values[last]
 
 
 @settings(max_examples=20, deadline=None)
-@given(blocks)
-def test_masses_and_scaling_equal_the_tiled_ones(u):
-    twin = _twin(u)
-    assert disc.l2_mass(u) == disc.l2_mass(twin)
-    for a, b in zip(u.cell_values_and_areas(), twin.cell_values_and_areas()):
-        assert np.array_equal(a, b)
-    scaled = disc.scale_disc(u, -1.5)
-    assert scaled.order == u.order
-    assert scaled.tiled_rings().tobytes() == disc.scale_disc(twin, -1.5).rings.tobytes()
+@given(seeds)
+def test_masses_and_scaling_equal_the_tiled_ones(seed):
+    # a block's cells with j-fold areas have the distribution of the tiled grid's
+    lz = rearrange.LZIndex(math.inf, 2, -1.0)
+    for order in ORDERS:
+        u = _block(order, seed)
+        twin = _twin(u)
+        f, g = rearrange.rearrange_disc(u), rearrange.rearrange_disc(twin)
+        (fb, fv), (gb, gv) = _steps(f), _steps(g)  # a cell's tiled copies are one step
+        assert fb.shape == gb.shape
+        assert np.max(np.abs(fb - gb)) <= REL and np.max(np.abs(fv - gv)) <= REL * gv[0]
+        for a, b in ((rearrange.expl2_disc(u), rearrange.expl2_disc(twin)),
+                     (rearrange.lz_quasinorm(f, lz), rearrange.lz_quasinorm(g, lz))):
+            assert _close(a, b, b)
+        scaled = disc.scale_disc(u, -1.5)
+        assert scaled.order == u.order
+        assert _tiled(scaled).tobytes() == disc.scale_disc(twin, -1.5).rings.tobytes()
 
 
 def test_order_must_divide_the_angular_count():
@@ -143,7 +160,7 @@ def test_a_bubble_at_the_origin_samples_one_block():
     for order in ORDERS:
         block = disc.inflate(w, d, GRID, order)
         assert block.order == order and block.center == full.center
-        assert block.tiled_rings().tobytes() == full.rings.tobytes()
+        assert _tiled(block).tobytes() == full.rings.tobytes()
     with pytest.raises(ValueError, match="origin"):
         disc.inflate(w, disc.DislocationParam(1, 0.1), GRID, 2)
 
@@ -168,7 +185,7 @@ def test_test_06_ratios_match_the_tiled_path(test_06_input, j):
     assert w.order == j and w.rings.shape == (u.grid.n_r, u.grid.n_theta)
     assert w.grid == old.grid and w.center == old.center
     assert w.support_radius == old.support_radius
-    assert w.tiled_rings().tobytes() == old.rings.tobytes()
+    assert _tiled(w).tobytes() == old.rings.tobytes()
     e0 = disc.energy(u)
     assert disc.energy(w) / e0 == pytest.approx(disc.energy(old) / e0, rel=REL, abs=0.0)
 
@@ -197,7 +214,7 @@ def test_order_j_probes_are_the_blocks_of_the_old_probes(j):
     assert len(new) == len(kept)
     for a, b in zip(new, kept):
         assert a.order == j and a.center == pytest.approx(b.center, rel=REL, abs=0.0)
-        assert np.max(np.abs(a.tiled_rings() - b.rings)) <= REL * np.max(np.abs(b.rings))
+        assert np.max(np.abs(_tiled(a) - b.rings)) <= REL * np.max(np.abs(b.rings))
 
 
 def _layout_modes(count):
