@@ -2,10 +2,12 @@
 
 Commands write both a CSV (human-diffable; first line is a timestamp comment
 excluded from determinism comparisons) and a JSON document (structured, no
-timestamps) into the output directory.  The options shared by every command
-take their defaults from the packaged defaults.json; the generator parameters
-(`_DEFAULT_PARAMS`) and the per-command defaults (`--l-values`, `--k-max`,
-`--indices`, `--max-terms`) live in this module.  Flags override them;
+timestamps) into the output directory, which the writers create: a command
+that rejects its input writes nothing.  Every default lives in this module:
+the shared options restate the library's (`QuadratureSpec()`, `extract`,
+`GeneratorSpec`), next to the generator parameters (`_DEFAULT_PARAMS`,
+`_DEFAULT_GRID`) and the per-command defaults (`--l-values`, `--k-max`,
+`--indices`, `--max-terms`).  Flags override them;
 `--grid-nr` and `--grid-ntheta`, when given, override the sizes of any
 generator grid, a kind's default grid included; the counterexample, whose
 members are radial profiles, rejects them.  Environment variables are never
@@ -21,19 +23,11 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import disc, functional, profiles, radial, rearrange, seqgen
 from . import verify as verify_mod
-
-
-def load_defaults() -> dict:
-    with resources.files("moserlab").joinpath("defaults.json").open(
-        encoding="utf-8"
-    ) as fh:
-        return json.load(fh)
 
 
 def _fmt(x) -> str:
@@ -43,6 +37,7 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     lines = [f"# generated: {stamp}", ",".join(header)]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
@@ -51,6 +46,7 @@ def write_csv(path: str, header: list[str], rows: list) -> None:
 
 
 def write_json(path: str, doc) -> None:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -67,15 +63,9 @@ def _write_table(out: str, name: str, header: list, rows: list, keys=None) -> No
     print(path)
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 # -- commands -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    out = _outdir(args)
     if args.profile is not None:
         try:
             radial.load_profile(args.profile)
@@ -83,7 +73,7 @@ def cmd_verify(args) -> int:
             print(f"profile validation failed: {exc}", file=sys.stderr)
             return 2
     report = verify_mod.run_all()
-    write_json(os.path.join(out, "verify_report.json"), report)
+    write_json(os.path.join(args.out, "verify_report.json"), report)
     for name, suite in report["suites"].items():
         flag = "ok" if suite["ok"] else "FAIL"
         print(f"[{flag}] {name}")
@@ -104,19 +94,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moser_limit(args) -> int:
-    out = _outdir(args)
     l_values = [float(x) for x in args.l_values.split(",")]
     spec = functional.QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     rows = functional.moser_limit_experiment(l_values, spec)
     header = ["L", "s", "J_direct", "J_repr", "plateau", "ramp"]
     keys = ["L", "s", "j_direct", "j_repr", "plateau", "ramp"]
     table = [[getattr(r, k) for k in keys] for r in rows]
-    _write_table(out, "moser_limit", header, table, keys)
+    _write_table(args.out, "moser_limit", header, table, keys)
     return 0
 
 
 def cmd_counterexample(args) -> int:
-    out = _outdir(args)
     seq = seqgen.counterexample_sequence(args.k_max)
     rows = []
     for k, m in zip(seq.k_list, seq.members):
@@ -135,7 +123,7 @@ def cmd_counterexample(args) -> int:
         "k", "grad_norm", "hardy_weight", "expl2",
         "lz_inf_2_-1", "lz_inf_2_-0.5",
     ]
-    _write_table(out, "counterexample", header, rows)
+    _write_table(args.out, "counterexample", header, rows)
     return 0
 
 
@@ -164,14 +152,13 @@ def _parse_indices(spec: str) -> list[rearrange.LZIndex]:
 
 
 def cmd_norms(args) -> int:
-    out = _outdir(args)
     f = _load_rearranged(args.input)
     rows = []
     for idx in _parse_indices(args.indices):
         val = rearrange.lz_quasinorm(f, idx)
         rows.append([idx.p, idx.q, idx.alpha, val, math.isinf(val)])
     header = ["p", "q", "alpha", "value", "diverged"]
-    _write_table(out, "norms", header, rows)
+    _write_table(args.out, "norms", header, rows)
     return 0
 
 
@@ -206,10 +193,11 @@ _DEFAULT_PARAMS = {
         "grid": {"n_r": 384, "n_theta": 384, "s_max": 4.5},
     },
 }
+# the grid of a kind whose parameters give none
+_DEFAULT_GRID = {"n_r": 256, "n_theta": 128, "s_max": 12.0}
 
 
 def cmd_generate(args) -> int:
-    out = _outdir(args)
     if args.params is not None:
         with open(args.params, encoding="utf-8") as fh:
             params = json.load(fh)
@@ -221,10 +209,7 @@ def cmd_generate(args) -> int:
         if "grid" in params or args.grid_nr is not None or args.grid_ntheta is not None:
             raise ValueError("counterexample members are radial profiles and take no grid")
     else:
-        d = load_defaults()
-        grid = params.setdefault(
-            "grid", {"n_r": d["grid_nr"], "n_theta": d["grid_ntheta"], "s_max": d["s_max"]}
-        )
+        grid = params.setdefault("grid", dict(_DEFAULT_GRID))
         # explicit grid flags override the sizes of any grid
         given = {k: v for k, v in (("n_r", args.grid_nr), ("n_theta", args.grid_ntheta))
                  if v is not None}
@@ -246,13 +231,13 @@ def cmd_generate(args) -> int:
             t["profile"] = radial.profile_to_dict(prof)
     spec = seqgen.GeneratorSpec(args.kind, params, seed=args.seed)
     seq, manifest = seqgen.build_sequence(spec)
-    path = seqgen.save_sequence(seq, out, manifest)
+    path = seqgen.save_sequence(seq, args.out, manifest)
     print(path)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    out = _outdir(args)
+    out = args.out
     seq = seqgen.load_sequence(args.manifest)
     if not seq.is_disc():
         print("decompose expects disc-sampled members", file=sys.stderr)
@@ -260,6 +245,7 @@ def cmd_decompose(args) -> int:
     dec = profiles.extract(
         seq, eps_stop=args.eps_stop, max_terms=args.max_terms, j_max=args.j_max
     )
+    os.makedirs(out, exist_ok=True)
     term_docs = []
     for i, t in enumerate(dec.terms):
         ref = f"term_{i:02d}.json"
@@ -292,7 +278,7 @@ def cmd_decompose(args) -> int:
 
 # -- argument wiring -------------------------------------------------------------
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moserlab",
         description="numerical experiments around concentration in the planar "
@@ -300,14 +286,14 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=defaults["seed"])
-    # None: the kind's grid, or the defaults.json sizes for a kind without one
+    common.add_argument("--seed", type=int, default=0)
+    # None: the kind's grid, or _DEFAULT_GRID's sizes for a kind without one
     common.add_argument("--grid-nr", type=int, default=None)
     common.add_argument("--grid-ntheta", type=int, default=None)
-    common.add_argument("--rel-tol", type=float, default=defaults["rel_tol"])
-    common.add_argument("--abs-tol", type=float, default=defaults["abs_tol"])
-    common.add_argument("--eps-stop", type=float, default=defaults["eps_stop"])
-    common.add_argument("--j-max", type=int, default=defaults["j_max"])
+    common.add_argument("--rel-tol", type=float, default=1e-10)
+    common.add_argument("--abs-tol", type=float, default=1e-12)
+    common.add_argument("--eps-stop", type=float, default=0.05)
+    common.add_argument("--j-max", type=int, default=24)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -341,9 +327,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    defaults = load_defaults()
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:

@@ -7,9 +7,9 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
     int |grad u|^2 dx = int int (u_s^2 + u_theta^2) ds dtheta  (+ center cap),
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
-interpolant in (s, theta), cap included.  One bilinear form pairs one factor
-(an operand's differences and cap rows) with a stack of factors: `energy` and
-`grad_inner` pair with a stack of one, `max_pairing` with a stack of probes.
+interpolant in (s, theta), cap included.  `_pair` pairs one operand's factor
+(a `_stack` of one: its differences and cap rows) with a `_stack` of factors:
+`energy` and `grad_inner` pair with a stack of one, `max_pairing` with probes.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -260,12 +260,11 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
 
 
 def _stack(us) -> tuple:
-    """One stack of the factors of functions (or factors) of one grid and order:
-    us[0], then their radial and cyclic angular differences and cap rows
-    rings[0] - center, unshifted and shifted by a column, on a leading axis."""
+    """The factors of functions of one grid and order, stacked: us[0], then
+    their radial and cyclic angular differences and cap rows rings[0] - center,
+    unshifted and shifted by a column, on a leading axis; a stack as is."""
     if isinstance(us, tuple):
         return us
-    us = [u[0] if isinstance(u, tuple) else u for u in us]
     if not us:
         raise ValueError("no probes to pair with")
     V = us[0].rings
@@ -279,11 +278,6 @@ def _stack(us) -> tuple:
         np.subtract(V[0], u.center, out=a0[p])
     a1[:, :-1], a1[:, -1] = a0[:, 1:], a0[:, 0]
     return us[0], A, G, a0, a1
-
-
-def _factor(u) -> tuple:
-    """The factor of u, a stack of one; a factor (or any stack) is returned as is."""
-    return u if isinstance(u, tuple) else _stack([u])
 
 
 def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
@@ -314,15 +308,10 @@ def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
     return u.order * (e_s + e_t + cap_r + cap_t)
 
 
-def _form(u, v) -> float:
-    """`_pair` of two disc functions or factors, u factored once when v is u."""
-    fu = _factor(u)
-    return float(_pair(fu, fu if v is u else _factor(v))[0])
-
-
 def energy(u: DiscFunction) -> float:
     """Dirichlet energy of the bilinear interpolant, exact cap included."""
-    return _form(u, u)
+    fu = _stack([u])
+    return float(_pair(fu, fu)[0])
 
 
 def grad_norm_disc(u: DiscFunction) -> float:
@@ -358,7 +347,7 @@ def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
 
 def grad_inner(u: DiscFunction, v: DiscFunction) -> float:
     """Dirichlet inner product: the bilinear form of the discrete energy."""
-    return _form(u, v)
+    return float(_pair(_stack([u]), _stack([v]))[0])
 
 
 # -- dislocations --------------------------------------------------------------
@@ -784,8 +773,8 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
 
 
 def max_pairing(u: DiscFunction, probes) -> float:
-    """max |<u, phi>| over the probes (disc functions, factors or a `_stack`): the proxy."""
-    return float(np.max(np.abs(_pair(_factor(u), _stack(probes)))))
+    """max |<u, phi>| over the probes (disc functions or their `_stack`): the proxy."""
+    return float(np.max(np.abs(_pair(_stack([u]), _stack(probes)))))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -15,8 +15,8 @@ that fit the input energy budget, the one whose subtraction leaves the least
 tail energy, ties broken by smaller scale, then lexicographic center, then
 the whole track.  The greedy pass starts it from every detection scoring at
 least half the best one; two consecutive increases of the tail remainder
-energy abort the run with diagnostics.  A refine sweep starts it from a
-term's last (scale, center) on the members cleaned of every other term.
+energy stop it with status "diverged", unrefined.  A refine sweep starts it
+from a term's last (scale, center) on the members cleaned of every other term.
 
 The members carry one running residual: the chosen term's bubbles are
 subtracted once (the fit's tail bubble, already subtracted to rank it, is
@@ -45,7 +45,6 @@ __all__ = [
     "FunctionSequence",
     "ProfileTerm",
     "Decomposition",
-    "ExtractionDiverged",
     "extract",
     "orthogonality_check",
     "LedgerReport",
@@ -53,12 +52,6 @@ __all__ = [
     "DWeakReport",
     "dweak_test",
 ]
-
-
-class ExtractionDiverged(RuntimeError):
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 _GRAD_NORM_BOUND = 10.0
@@ -160,9 +153,6 @@ class Decomposition:
         )
         if not _within_budget(self.terms, self.input_energy_limsup):
             raise ValueError("term energies exceed the input energy budget")
-
-    def energy(self) -> float:
-        return sum(t.energy() for t in self.terms)
 
 
 def _within_budget(terms, limit: float) -> bool:
@@ -325,9 +315,10 @@ def _fit_term(members, track, w, grid):
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
     # profile estimate overshooting the energy budget
-    denom = disc._form(fs := disc._factor(synth), fs)
+    fs = disc._stack([synth])
+    denom = float(disc._pair(fs, fs)[0])
     if denom > 0:
-        beta = disc._form(members[-1], fs) / denom
+        beta = float(disc._pair(disc._stack([members[-1]]), fs)[0]) / denom
         beta = min(1.25, max(0.5, beta))
         if beta != 1.0:
             w = RadialProfile(w.nodes, beta * w.values)
@@ -386,13 +377,13 @@ def extract(
 
     Stops when the tail remainder drops below eps_stop in the exponential
     quasinorm (status "converged"), no candidate is placed ("no-candidates"),
-    or max_terms are placed with the tail still above it ("max-terms").
-    Aborts via ExtractionDiverged when the subtraction raises the tail
-    remainder energy twice in a row.  After the greedy pass, `refine_sweeps`
-    re-estimation sweeps refit each term against the members with all other
-    terms removed, which suppresses the first-order cross-talk between
-    separated terms.  Neither pass accepts terms whose energies exceed the
-    input budget.
+    or max_terms are placed with the tail still above it ("max-terms").  When
+    the subtraction raises the tail remainder energy twice in a row, it stops
+    with status "diverged" and the terms placed so far, the last one included,
+    and skips the refinement.  Otherwise `refine_sweeps` re-estimation sweeps
+    refit each term against the members with all other terms removed, which
+    suppresses the first-order cross-talk between separated terms.  Neither
+    pass accepts terms whose energies exceed the input budget.
     """
     if not seq.is_disc():
         raise ValueError("extraction operates on disc-sampled sequences")
@@ -428,14 +419,8 @@ def extract(
         if tail_energy > prev_tail_energy + 1e-12:
             increases += 1
             if increases >= 2:
-                raise ExtractionDiverged(
-                    "tail remainder energy increased twice in a row",
-                    diagnostics={
-                        "terms_so_far": len(terms),
-                        "tail_energy": tail_energy,
-                        "previous": prev_tail_energy,
-                    },
-                )
+                status = "diverged"
+                break
         else:
             increases = 0
         prev_tail_energy = tail_energy
@@ -443,7 +428,7 @@ def extract(
         if expl2_disc(members[-1]) >= eps_stop:
             status = "max-terms"
 
-    if len(terms) > 1:
+    if len(terms) > 1 and status != "diverged":
         for _ in range(max(0, refine_sweeps)):
             for i in range(len(terms)):
                 old = terms[i]

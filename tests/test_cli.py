@@ -1,10 +1,11 @@
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from moserlab import cli, disc
+from moserlab import cli, disc, functional, profiles, seqgen
 
 
 def run(args) -> int:
@@ -375,3 +376,36 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err == prefix + "radial profiles are planar: the dimension must be 2, got 3\n"
         assert not (out / "manifest.json").exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    dec = parser.parse_args(["decompose", "--manifest", "m"])
+    ml = parser.parse_args(["moser-limit"])
+    spec = functional.QuadratureSpec()
+    extract = inspect.signature(profiles.extract).parameters
+    seed = inspect.signature(seqgen.GeneratorSpec).parameters["seed"].default
+    assert (ml.rel_tol, ml.abs_tol) == (spec.rel_tol, spec.abs_tol)
+    assert [getattr(dec, k) for k in ("eps_stop", "max_terms", "j_max")] == [
+        extract[k].default for k in ("eps_stop", "max_terms", "j_max")
+    ]
+    assert dec.seed == seed
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["norms", "--input", "planar.json", "--indices", "inf,inf,nan"], 1),
+    (["generate", "--kind", "moser", "--params", "n3.json"], 1),
+    (["decompose", "--manifest", "missing.json"], 1),
+    (["verify", "--profile", "n3.json"], 2),
+    (["moser-limit", "--l-values", "5,3"], 1),
+    (["counterexample", "--k-max", "0"], 1),
+], ids=["norms", "generate", "decompose", "verify", "moser-limit", "counterexample"])
+def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code):
+    record = {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]}
+    (tmp_path / "planar.json").write_text(json.dumps(record))
+    (tmp_path / "n3.json").write_text(json.dumps({**record, "n": 3}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()

@@ -342,7 +342,8 @@ def old_place_term(members, starts, j_max, grid, fits_budget):
 
 
 def old_cmd_moser_limit(args) -> int:
-    out = cli._outdir(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     l_values = [float(x) for x in args.l_values.split(",")]
     spec = functional.QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     rows = functional.moser_limit_experiment(l_values, spec)
@@ -360,7 +361,8 @@ def old_cmd_moser_limit(args) -> int:
 
 
 def old_cmd_counterexample(args) -> int:
-    out = cli._outdir(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     seq = seqgen.counterexample_sequence(args.k_max)
     rows = []
     for k, m in zip(seq.k_list, seq.members):
@@ -389,7 +391,8 @@ def old_cmd_counterexample(args) -> int:
 
 
 def old_cmd_norms(args) -> int:
-    out = cli._outdir(args)
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     f = cli._load_rearranged(args.input)
     rows = []
     for idx in cli._parse_indices(args.indices):
@@ -662,7 +665,7 @@ def test_cli_tables_match_old(tmp_path, capsys, disc_member, argv, old_cmd, name
     new_dir, old_dir = tmp_path / "new", tmp_path / "old"
     assert cli.main(argv + ["--out", str(new_dir)]) == 0
     new_out = capsys.readouterr().out
-    args = cli.build_parser(cli.load_defaults()).parse_args(argv + ["--out", str(old_dir)])
+    args = cli.build_parser().parse_args(argv + ["--out", str(old_dir)])
     assert isinstance(args, argparse.Namespace)
     assert old_cmd(args) == 0
     old_out = capsys.readouterr().out

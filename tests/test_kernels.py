@@ -205,7 +205,7 @@ grid_names = st.sampled_from(sorted(GRIDS))
 @given(grid_names, seeds, seeds)
 def test_form_is_symmetric(name, a, b):
     u, v = random_disc(GRIDS[name], a), random_disc(GRIDS[name], b)
-    assert disc._form(u, v) == disc._form(v, u)
+    assert disc.grad_inner(u, v) == disc.grad_inner(v, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,8 +213,8 @@ def test_form_is_symmetric(name, a, b):
 def test_form_is_bilinear(name, a, b, c, x, y):
     grid = GRIDS[name]
     u, w, v = random_disc(grid, a), random_disc(grid, b), random_disc(grid, c)
-    lhs = disc._form(disc.add(disc.scale_disc(u, x), disc.scale_disc(w, y)), v)
-    rhs = x * disc._form(u, v) + y * disc._form(w, v)
+    lhs = disc.grad_inner(disc.add(disc.scale_disc(u, x), disc.scale_disc(w, y)), v)
+    rhs = x * disc.grad_inner(u, v) + y * disc.grad_inner(w, v)
     bound = (abs(x) * math.sqrt(disc.energy(u)) + abs(y) * math.sqrt(disc.energy(w)))
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + bound * math.sqrt(disc.energy(v)))
 
@@ -225,9 +225,9 @@ def test_form_on_diagonal_is_the_energy(name, a):
     u = random_disc(GRIDS[name], a)
     twin = disc.DiscFunction(u.grid, u.center, u.rings.copy())
     e = disc.energy(u)
-    assert disc._form(u, u) == e >= 0.0
-    # the general (two-argument) path is the shared-factor one, bit for bit
-    assert disc._form(u, twin) == e
+    assert disc.grad_inner(u, u) == e >= 0.0
+    # each operand factored on its own gives the shared-factor energy, bit for bit
+    assert disc.grad_inner(u, twin) == e
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,7 +236,7 @@ def test_a_probe_stack_pairs_as_stacks_of_one(name, order, a, bs):
     """One stack of P probes gives, bit for bit, the values of P stacks of one."""
     u = rough_disc(GRIDS[name], a, order)
     probes = [rough_disc(GRIDS[name], b, order) for b in bs]
-    fu = disc._factor(u)
+    fu = disc._stack([u])
     stacked = disc._pair(fu, disc._stack(probes))
     ones = np.concatenate([disc._pair(fu, disc._stack([phi])) for phi in probes])
     assert stacked.shape == (len(probes),)
@@ -250,9 +250,9 @@ def test_form_rejects_grid_mismatch():
     u = random_disc(GRIDS["geometric"], 0)
     v = random_disc(GRIDS["shallow"], 0)
     with pytest.raises(ValueError, match="different grids"):
-        disc._form(u, v)
-    with pytest.raises(ValueError, match="different grids"):
         disc.grad_inner(u, v)
+    with pytest.raises(ValueError, match="different grids"):
+        disc.grad_inner(v, u)
 
 
 @pytest.mark.parametrize("other, order, match", [
@@ -262,8 +262,7 @@ def test_form_rejects_grid_mismatch():
 def test_max_pairing_rejects_a_probe_of_another_grid_or_order(other, order, match):
     grid = GRIDS["geometric"]
     u = random_disc(grid, 0)
-    # the mismatched probe comes after a matching one, plain and factored
+    # the mismatched probe comes after a matching one
     probes = disc.make_probes(grid, 2) + disc.make_probes(GRIDS[other], 2, order)
-    for ps in (probes, [disc._factor(p) for p in probes]):
-        with pytest.raises(ValueError, match=match):
-            disc.max_pairing(u, ps)
+    with pytest.raises(ValueError, match=match):
+        disc.max_pairing(u, probes)

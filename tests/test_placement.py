@@ -237,19 +237,13 @@ def old_extract(
         if tail_energy > prev_tail_energy + 1e-12:
             increases += 1
             if increases >= 2:
-                raise profiles.ExtractionDiverged(
-                    "tail remainder energy increased twice in a row",
-                    diagnostics={
-                        "terms_so_far": len(terms),
-                        "tail_energy": tail_energy,
-                        "previous": prev_tail_energy,
-                    },
-                )
+                status = "diverged"
+                break
         else:
             increases = 0
         prev_tail_energy = tail_energy
 
-    if len(terms) > 1:
+    if len(terms) > 1 and status != "diverged":
         for _ in range(max(0, refine_sweeps)):
             for i in range(len(terms)):
                 old = terms[i]

@@ -1,9 +1,11 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from moserlab import disc, profiles, radial, rearrange, seqgen
+from moserlab import cli, disc, profiles, radial, rearrange, seqgen
 from conftest import smooth_plateau_profile, synthesized_term_error
 
 
@@ -157,9 +159,32 @@ class TestExtract:
         assert dec.status == status and len(dec.terms) == max_terms
         assert (dec.remainder_expl2[-1] >= 0.05) == (status == "max-terms")
 
-    def test_extraction_diverged_carries_diagnostics(self):
-        err = profiles.ExtractionDiverged("boom", {"terms_so_far": 1})
-        assert err.diagnostics["terms_so_far"] == 1
+    def test_two_rises_of_the_tail_energy_are_a_status(self, two_planted, tmp_path,
+                                                       monkeypatch):
+        greedy = profiles.extract(two_planted, eps_stop=0.05, max_terms=2, j_max=12,
+                                  refine_sweeps=0)
+        place, rises = profiles._place_term, itertools.count(1)
+
+        def rising(*args):  # every placement reports a higher tail energy
+            placed = place(*args)
+            return None if placed is None else (1e3 * next(rises), placed[1])
+
+        monkeypatch.setattr(profiles, "_place_term", rising)
+        dec = profiles.extract(two_planted, eps_stop=0.05, j_max=12)
+        # the two placed terms are kept, unrefined, with the members' remainder
+        assert dec.status == "diverged"
+        assert [t.to_dict() for t in dec.terms] == [t.to_dict() for t in greedy.terms]
+        assert len(dec.terms) == 2 and dec.remainder_expl2 == greedy.remainder_expl2
+        # decompose writes it like any other status and exits 0
+        manifest = seqgen.save_sequence(two_planted, str(tmp_path / "seq"), {})
+        out = tmp_path / "dec"
+        assert cli.main(["decompose", "--manifest", manifest, "--j-max", "12",
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "decomposition.json").read_text())
+        assert doc["status"] == "diverged"
+        assert [t["j_track"] for t in doc["terms"]] == [list(t.j_track) for t in greedy.terms]
+        assert doc["remainder_expl2"] == list(greedy.remainder_expl2)
+        assert sorted(p.name for p in out.glob("term_*.json")) == ["term_00.json", "term_01.json"]
 
 
 class TestLedger:
