@@ -144,7 +144,10 @@ def _load_rearranged(path: str) -> rearrange.RearrangedFunction:
 def _parse_indices(spec: str) -> list[rearrange.LZIndex]:
     out = []
     for chunk in spec.split(";"):
-        p, q, alpha = (x.strip() for x in chunk.split(","))
+        fields = [x.strip() for x in chunk.split(",")]
+        if len(fields) != 3:
+            raise ValueError(f"index {chunk!r} needs three fields p,q,alpha")
+        p, q, alpha = fields
         out.append(
             rearrange.LZIndex(float(p), float(q), float(alpha))
         )

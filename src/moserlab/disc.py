@@ -624,7 +624,7 @@ def concentration_detect(
     than max(RHO^j, _MERGE_RADIUS) with log-scale gap below log 2 are merged,
     keeping the higher score.  An empty list is a valid outcome.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("detection threshold must be positive")
     if top_k < 1:
         raise ValueError("at least one detection must be requested")

@@ -389,8 +389,10 @@ def extract(
         raise ValueError("extraction operates on disc-sampled sequences")
     if any(u.order > 1 for u in seq.members):
         raise ValueError("extraction operates on members of symmetry order 1")
-    if eps_stop <= 0:
+    if not eps_stop > 0:
         raise ValueError("stop threshold must be positive")
+    if max_terms < 0:
+        raise ValueError("the term cap must be nonnegative")
     members = list(seq.members)
     grid = members[0].grid
     input_limsup = max(seq.energies)

@@ -1,9 +1,21 @@
+"""Shared inputs, helpers and the one reference module of the test suite.
+
+The second half of this module holds the independent oracles that the live
+kernels are checked against, each once: the direct bilinear sampler, the
+per-scale ball means with the detector scores, the stencil refine and the
+detector built on them, the closed energy formula with the polarization
+identity, the one-block deflation and the dislocation-weak test written out
+one member at a time.  Test modules import from here and never from each
+other.
+"""
+
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from moserlab import disc, radial
+from moserlab import disc, functional, profiles, radial
 
 
 @pytest.fixture
@@ -50,11 +62,94 @@ def riemann_grad_sq(profile, n_cells: int = 200_000) -> float:
     return 2.0 * math.pi * float(np.sum(slopes**2 * dt))
 
 
-# -- bilinear interpolation before the polar nets ---------------------------------------
+# -- disc inputs ------------------------------------------------------------------------
+
+def rough_disc(grid, seed: int, order: int = 1) -> disc.DiscFunction:
+    """Rough zero-trace samples, one block of a function of the given order:
+    every difference of the form is exercised."""
+    rng = np.random.default_rng(seed)
+    rings = rng.normal(size=(grid.n_r, grid.n_theta // order))
+    rings[-1] = 0.0
+    return disc.DiscFunction(grid, float(rng.normal()), rings, order=order)
+
+
+def bumps(grid, seed: int, centers, js, noise: float) -> disc.DiscFunction:
+    """Inflated Moser-type ramps at the given scales and centers, plus noise."""
+    prof = radial.RadialProfile.from_arrays([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], 2)
+    rings = np.zeros((grid.n_r, grid.n_theta))
+    center = 0.0
+    for zeta, j in zip(centers, js):
+        b = disc.inflate(prof, disc.DislocationParam(j, zeta), grid)
+        rings += b.rings
+        center += b.center
+    rng = np.random.default_rng(seed)
+    rings += noise * rng.normal(size=rings.shape)
+    rings[-1] = 0.0
+    return disc.DiscFunction(grid, center, rings)
+
+
+def zero_member():
+    grid = disc.PolarGrid(n_r=96, n_theta=64, s_max=5.0)
+    return disc.DiscFunction(grid, 0.0, np.zeros((grid.n_r, grid.n_theta)))
+
+
+def nonradial_test_function(grid):
+    """The test_06 input: a unit-energy radial bump with modes 2 and 3."""
+    prof = radial.RadialProfile.from_arrays(
+        [0.0, 0.72, 1.1, 1.7, 2.4, 3.2], [0.0, 0.0, 0.7, 1.0, 0.35, 0.0], 2
+    )
+    prof = radial.scale(prof, 1.0 / radial.grad_norm(prof, 2))
+    base = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
+    rings = base.rings * (
+        1.0 + 0.35 * np.cos(2 * disc._thetas(grid))
+        + 0.2 * np.sin(3 * disc._thetas(grid))
+    )[None, :]
+    return disc.DiscFunction(grid, base.center, rings, base.support_radius)
+
+
+def same_disc(a, b) -> bool:
+    """Equal grids, orders, flags and support radii; samples equal bit for bit
+    (signed zeros included)."""
+    return (
+        a.grid == b.grid and a.order == b.order and a.zero_trace == b.zero_trace
+        and a.support_radius == b.support_radius
+        and np.float64(a.center).tobytes() == np.float64(b.center).tobytes()
+        and a.rings.tobytes() == b.rings.tobytes()
+    )
+
+
+@st.composite
+def grids(draw):
+    return disc.PolarGrid(
+        n_r=draw(st.integers(16, 72)),
+        n_theta=draw(st.sampled_from([32, 48, 64, 96])),
+        s_max=draw(st.floats(2.0, 9.0)),
+    )
+
+
+def points(max_radius: float):
+    return st.builds(
+        lambda r, a: complex(r * math.cos(a), r * math.sin(a)),
+        st.floats(0.0, max_radius), st.floats(0.0, 2.0 * math.pi),
+    )
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+detector_cases = st.tuples(
+    grids(), seeds,
+    st.lists(points(0.35), min_size=1, max_size=3),
+    st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    st.sampled_from([0.0, 0.02, 0.1]),
+)
+
+
+# == the reference module: independent oracles ============================================
 #
-# `DiscFunction.interpolate` and `disc._angular_index` as they were when each
-# call located its points on the grid itself, kept verbatim (`self` is `u`) as
-# the sampler that every frozen reference below and in the test modules calls.
+# Each is the code a live kernel replaced, kept verbatim apart from names.
+# The live kernels reproduce them bit for bit unless a test says otherwise.
+
+# -- the direct bilinear sampler: each call locates its points on the grid itself ----------
 
 def old_angular_index(grid, theta: np.ndarray, width: int):
     """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi),
@@ -73,7 +168,6 @@ def old_interpolate(u, z) -> np.ndarray:
     out = np.zeros(z.shape, dtype=float)
     grid = u.grid
     radii = disc._ring_radii(grid)
-    svals = disc._ring_s(grid)
     V = u.rings
 
     inside = r < 1.0
@@ -100,65 +194,176 @@ def old_interpolate(u, z) -> np.ndarray:
     return out if out.size > 1 else out.reshape(())
 
 
-# -- the disc ball means and detector scores before the polar-net sampler -------------
-#
-# Kept verbatim (module constants renamed) as the references of the detector
-# and tracker tests: the live code computes the same ball means bit for bit,
-# and its scores j^{-1/2} |A| differ from these by at most one ulp.
+# -- ball means, detector scores and the stencil refine ------------------------------------
 
 OLD_RHO = math.exp(-1.0)
-_OLD_AVG_RHO_X, _OLD_AVG_RHO_W = np.polynomial.legendre.leggauss(8)
-_OLD_AVG_RHO_X = 0.5 * (_OLD_AVG_RHO_X + 1.0)
-_OLD_AVG_RHO_W = 0.5 * _OLD_AVG_RHO_W
-_OLD_AVG_NPHI = 16
+_OLD_GL8_X, _OLD_GL8_W = np.polynomial.legendre.leggauss(8)
+_OLD_BALL_RHO = np.sqrt(0.5 * (_OLD_GL8_X + 1.0))  # Gauss radii in rho^2
+_OLD_BALL_PHI = 2.0 * math.pi * np.arange(16) / 16
+_OLD_BALL_W = np.repeat(0.5 * _OLD_GL8_W / 16, 16)
 _OLD_STENCIL = np.array([dx + 1j * dy for dx in range(-2, 3) for dy in range(-2, 3)])
-_OLD_REFINE_SPACINGS = (0.012, 0.003)
+# the scan centers: the origin and rings of radius 0.05 .. 0.5, about 0.045 apart
+OLD_CENTERS = np.concatenate([[0.0 + 0.0j]] + [
+    rad * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))
+    for rad in np.linspace(0.05, 0.5, 10)
+    for n in [max(8, int(round(2.0 * math.pi * rad / 0.045)))]
+])
 
 
-def old_ball_offsets(radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature offsets and weights for the mean over a ball of given radius."""
-    phis = 2.0 * math.pi * np.arange(_OLD_AVG_NPHI) / _OLD_AVG_NPHI
-    rho = radius * np.sqrt(_OLD_AVG_RHO_X)
-    offsets = (rho[:, None] * np.exp(1j * phis)[None, :]).ravel()
-    weights = np.repeat(_OLD_AVG_RHO_W / _OLD_AVG_NPHI, _OLD_AVG_NPHI)
-    return offsets, weights
+def old_average_many(u, radius, zs) -> np.ndarray:
+    """Ball means A_r u(z), one radius or an array of radii broadcast against
+    the centers zs, by one direct interpolation (no resolution guard)."""
+    radius, zs = np.asarray(radius, dtype=float), np.asarray(zs, dtype=complex)
+    pts = zs[..., None, None] + (radius[..., None] * _OLD_BALL_RHO)[..., None] * np.exp(
+        1j * _OLD_BALL_PHI
+    )
+    vals = old_interpolate(u, pts.ravel()).reshape(pts.shape[:-2] + (-1,))
+    return vals @ _OLD_BALL_W
 
 
-def old_average_many(u, radius: float, zs: np.ndarray) -> np.ndarray:
-    """Vectorized ball means at many centers (no resolution guard)."""
-    offsets, weights = old_ball_offsets(radius)
-    pts = zs[:, None] + offsets[None, :]
-    vals = old_interpolate(u, pts.ravel()).reshape(len(zs), -1)
-    return vals @ weights
+def old_scores(u, js, zs) -> np.ndarray:
+    """Detector scores j^{-1/2} |A_{RHO^j} u(z)| (a product with 1/sqrt(j)),
+    the scale exponents js broadcast against the centers zs."""
+    js = np.asarray(js)
+    radii = np.reshape([OLD_RHO ** int(j) for j in js.flat], js.shape)
+    return np.abs(old_average_many(u, radii, zs)) * (1.0 / np.sqrt(js))
 
 
-def old_refine_center(u, zeta, j, score=-math.inf, reciprocal=False) -> tuple[float, complex]:
-    """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
+def old_refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
+    """Local maximum of the scale-j score over stencils inside |z| <= 1/2.
 
     A stencil point replaces the current center only if it beats `score`.
-    With `reciprocal` the score is the live detector's product with 1/sqrt(j).
     """
     best = (score, complex(zeta))
-    for spacing in _OLD_REFINE_SPACINGS:
+    for spacing in (0.012, 0.003):
         zs = best[1] + spacing * _OLD_STENCIL
         zs = zs[np.abs(zs) <= 0.5]
         if zs.size == 0:
             break
-        means = np.abs(old_average_many(u, OLD_RHO**j, zs))
-        scores = means * (1.0 / math.sqrt(j)) if reciprocal else means / math.sqrt(j)
+        scores = old_scores(u, j, zs)
         k = int(np.argmax(scores))
         if scores[k] > best[0]:
             best = (float(scores[k]), complex(zs[k]))
     return best
 
 
-def old_scan_scales(u, zeta, js, reciprocal=False) -> np.ndarray:
-    """Scores j^{-1/2} |A_{RHO^j} u(zeta)| for every j in js, in one interpolation.
+def old_concentration_detect(u, eps: float, j_max: int = 64, refine: bool = True, top_k: int = 8):
+    """The detector as it was: a per-scale scan over every center, a greedy
+    merge, then the stencil refine and a scale scan at the refined center."""
+    if eps <= 0:
+        raise ValueError("detection threshold must be positive")
+    raw = []
+    for j in range(1, j_max + 1):
+        scores = old_scores(u, j, OLD_CENTERS)
+        for idx in np.nonzero(scores >= eps)[0]:
+            raw.append((float(scores[idx]), j, OLD_CENTERS[idx]))
+    raw.sort(key=lambda c: (-c[0], c[1], c[2].real, c[2].imag))
 
-    With `reciprocal` the score is the live detector's product with 1/sqrt(j).
-    """
-    offsets = np.stack([old_ball_offsets(OLD_RHO ** int(j))[0] for j in js])
-    weights = old_ball_offsets(1.0)[1]
-    vals = old_interpolate(u, (zeta + offsets).ravel()).reshape(offsets.shape)
-    means = np.abs(vals @ weights)
-    return means * (1.0 / np.sqrt(js)) if reciprocal else means / np.sqrt(js)
+    kept = []
+    for cand in raw:
+        if not any(
+            abs(cand[2] - k[2]) < max(OLD_RHO ** cand[1], 0.05)
+            and abs(math.log(cand[1]) - math.log(k[1])) < math.log(2.0)
+            for k in kept
+        ):
+            kept.append(cand)
+        if len(kept) >= top_k:
+            break
+
+    results = []
+    for score, j, zeta in kept:
+        if refine:
+            score, zeta = old_refine_center(u, zeta, j, score)
+            js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
+            scores = old_scores(u, js, zeta)
+            k = int(np.argmax(scores))
+            if scores[k] > score:
+                score, j = float(scores[k]), int(js[k])
+        results.append((disc.DislocationParam(j, zeta), float(score)))
+    results.sort(key=lambda c: (-c[1], c[0].j, c[0].zeta.real, c[0].zeta.imag))
+    return results
+
+
+# -- the Dirichlet energy in closed form, and the form by polarization -----------------------
+
+def old_energy(u):
+    grid = u.grid
+    s = disc._ring_s(grid)
+    V = u.rings
+    dth = grid.dtheta
+    ds = s[:-1] - s[1:]  # positive
+    Vn = np.roll(V, -1, axis=1)
+    A = V[1:] - V[:-1]
+    B = Vn[1:] - Vn[:-1]
+    e_s = np.sum((dth / ds)[:, None] * (A * A + A * B + B * B) / 3.0)
+    C = Vn[:-1] - V[:-1]
+    D = Vn[1:] - V[1:]
+    e_t = np.sum((ds / dth)[:, None] * (C * C + C * D + D * D) / 3.0)
+    a0 = V[0] - u.center
+    a1 = np.roll(a0, -1)
+    cap_r = 0.5 * dth * np.sum(a0 * a0 + a0 * a1 + a1 * a1) / 3.0
+    dv = np.roll(V[0], -1) - V[0]
+    cap_t = 0.5 * np.sum(dv * dv) / dth
+    return float(e_s + e_t + cap_r + cap_t)
+
+
+def old_grad_inner(u, v):
+    return 0.25 * (old_energy(disc.add(u, v)) - old_energy(disc.subtract_disc(u, v)))
+
+
+# -- deflation to one block, and the dislocation-weak test one member at a time --------------
+
+def old_deflate(u, d):
+    """The scale-j deflation sampled point by point: one block of order j."""
+    j, zeta = d.j, d.zeta
+    grid = u.grid
+    out_grid = disc.PolarGrid(n_r=grid.n_r, n_theta=grid.n_theta * j, s_max=grid.s_max / j)
+    sigma = disc._ring_s(out_grid) * j
+    phis = disc._thetas(grid)
+    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
+    block = old_interpolate(u, pts.ravel()).reshape(grid.n_r, grid.n_theta)
+    block = block / math.sqrt(j)
+    block[-1, :] = 0.0
+    center = float(old_interpolate(u, zeta)) / math.sqrt(j)
+    sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
+    return disc.DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
+
+
+def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
+    """`profiles.dweak_test` as it was: one detection and one deflation per member."""
+    members = profiles._as_disc_members(seq)
+    rng = np.random.default_rng(seed)
+    probes: dict = {}
+
+    tracks = [(1, 0.0 + 0.0j, "identity")]
+    for _ in range(n_random_tracks):
+        j = int(rng.integers(1, j_max + 1))
+        zeta = complex(*(rng.uniform(-0.35, 0.35, size=2)))
+        tracks.append((j, zeta, "random"))
+
+    per_member = []
+    witness = None
+    for u in members:
+        cands = old_concentration_detect(u, eps=1e-4, j_max=j_max, top_k=2, refine=False)
+        local = tracks + [(c[0].j, c[0].zeta, "detector") for c in cands]
+        best = 0.0
+        best_track = None
+        for j, zeta, kind in local:
+            try:
+                w = old_deflate(u, disc.DislocationParam(j, zeta))
+            except ValueError:
+                continue
+            key = (w.grid, w.order)
+            if key not in probes:
+                probes[key] = disc.make_probes(w.grid, probe_count, w.order)
+            val = disc.max_pairing(w, probes[key])
+            if val > best:
+                best = val
+                best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
+        per_member.append(best)
+        witness = best_track if best_track is not None else witness
+    if functional.tail_decayed(per_member, 0.5, 0.05):
+        verdict = "dweak-null-evidence"
+    else:
+        verdict = "non-vanishing"
+    return profiles.DWeakReport(tuple(per_member), witness, verdict)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import dawsn
 
 from moserlab import cli, disc, functional, profiles, radial, rearrange, seqgen
-from conftest import smooth_plateau_profile, synthesized_term_error
+from conftest import nonradial_test_function, smooth_plateau_profile, synthesized_term_error
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,23 +104,10 @@ def test_05_concentration_limit():
     )
 
 
-def _nonradial_test_function(grid):
-    prof = radial.RadialProfile.from_arrays(
-        [0.0, 0.72, 1.1, 1.7, 2.4, 3.2], [0.0, 0.0, 0.7, 1.0, 0.35, 0.0], 2
-    )
-    prof = radial.scale(prof, 1.0 / radial.grad_norm(prof, 2))
-    base = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
-    rings = base.rings * (
-        1.0 + 0.35 * np.cos(2 * disc._thetas(grid))
-        + 0.2 * np.sin(3 * disc._thetas(grid))
-    )[None, :]
-    return disc.DiscFunction(grid, base.center, rings, base.support_radius)
-
-
 def test_06_dislocation_isometry():
     rng = np.random.default_rng(6)
     grid = disc.PolarGrid(n_r=512, n_theta=192, s_max=8.0)
-    u = _nonradial_test_function(grid)
+    u = nonradial_test_function(grid)
     e0 = disc.energy(u)
     ratios = []
     for j in (1, 2, 4, 8, 16, 32):
@@ -131,7 +118,7 @@ def test_06_dislocation_isometry():
     devs = []
     for n_r, n_th in ((128, 96), (256, 128), (512, 192)):
         g = disc.PolarGrid(n_r=n_r, n_theta=n_th, s_max=8.0)
-        v = _nonradial_test_function(g)
+        v = nonradial_test_function(g)
         w = disc.deflate(v, disc.DislocationParam(8, 0.13 + 0.08j))
         devs.append(abs(disc.energy(w) / disc.energy(v) - 1.0))
     improving = devs[2] < devs[1] < devs[0]

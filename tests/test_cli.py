@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moserlab import cli, disc, functional, profiles, seqgen
+from moserlab import cli, disc, functional, profiles, radial, seqgen
 
 
 def run(args) -> int:
@@ -392,20 +392,33 @@ def test_cli_defaults_are_the_library_defaults():
     assert dec.seed == seed
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["norms", "--input", "planar.json", "--indices", "inf,inf,nan"], 1),
-    (["generate", "--kind", "moser", "--params", "n3.json"], 1),
-    (["decompose", "--manifest", "missing.json"], 1),
-    (["verify", "--profile", "n3.json"], 2),
-    (["moser-limit", "--l-values", "5,3"], 1),
-    (["counterexample", "--k-max", "0"], 1),
-], ids=["norms", "generate", "decompose", "verify", "moser-limit", "counterexample"])
-def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code):
+@pytest.mark.parametrize("argv, code, reason", [
+    (["norms", "--input", "planar.json", "--indices", "inf,inf,nan"], 1, "finite"),
+    (["norms", "--input", "planar.json", "--indices", "inf,inf"], 1,
+     "index 'inf,inf' needs three fields p,q,alpha"),
+    (["generate", "--kind", "moser", "--params", "n3.json"], 1, "malformed moser parameters"),
+    (["decompose", "--manifest", "missing.json"], 1, "missing.json"),
+    (["decompose", "--manifest", "manifest.json", "--max-terms", "-1"], 1, "term cap"),
+    (["decompose", "--manifest", "manifest.json", "--eps-stop", "nan"], 1, "stop threshold"),
+    (["verify", "--profile", "n3.json"], 2, "planar"),
+    (["moser-limit", "--l-values", "5,3"], 1, "increasing"),
+    (["moser-limit", "--rel-tol", "nan"], 1, "tolerances"),
+    (["moser-limit", "--abs-tol", "nan"], 1, "tolerances"),
+    (["counterexample", "--k-max", "0"], 1, ""),
+], ids=["norms", "norms-two-fields", "generate", "decompose", "decompose-max-terms",
+        "decompose-eps-stop", "verify", "moser-limit", "moser-limit-rel-tol",
+        "moser-limit-abs-tol", "counterexample"])
+def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code, reason):
     record = {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]}
     (tmp_path / "planar.json").write_text(json.dumps(record))
     (tmp_path / "n3.json").write_text(json.dumps({**record, "n": 3}))
+    if "manifest.json" in argv:
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=2.0)
+        seq = profiles.FunctionSequence([disc.angular_mode(radial.moser_annular(1.0), grid, 1)], [1])
+        seqgen.save_sequence(seq, str(tmp_path), {})
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "out"
     assert run([*argv, "--out", str(out)]) == code
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in err
     assert not out.exists()

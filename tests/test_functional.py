@@ -127,6 +127,8 @@ class TestConcentrationDemos:
         rep = functional.dilation_concentration_demo(base, list(range(1, 11)))
         assert rep.classification == "subcritical-vanishing"
         j_vals = [r["J"] for r in rep.rows]
+        # J of each member is J of its dilated profile, exactly
+        assert j_vals == [functional.j_direct(radial.gauge_apply(base, 1.0 / j)) for j in range(1, 11)]
         assert all(b < a for a, b in zip(j_vals, j_vals[1:]))
         assert j_vals[-1] < 0.05
 

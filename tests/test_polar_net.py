@@ -1,13 +1,11 @@
-"""The polar-net sampler against the sampling code it replaced, plus properties.
+"""The polar-net sampler against the direct sampler it replaced, plus properties.
 
 Deflation, the angular profile and the ball means each used to build and
 interpolate their own polar net zeta + rho e^{i phi}; now all of them sample
-through one polar-net sampler.  The references are the previous code, kept
-verbatim: `deflate`, `angular_profile_around` and `average` below, the ball
-means and detector scans in conftest.  The same points are evaluated with the
-same arithmetic, so every sample and ball mean is bit-equal; only the refine
-and scale-scan scores, whose j^{-1/2} is now the detector's product with
-1/sqrt(j), may move, by at most one ulp.
+through one polar-net sampler.  The references are the oracles in conftest:
+the direct bilinear sampler, the one-block deflation, the ball means and the
+detector.  The same points are evaluated with the same arithmetic, so every
+sample, ball mean, score and detection is bit-equal.
 """
 
 import math
@@ -18,101 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc
-from moserlab.radial import RadialProfile
-from conftest import old_average_many, old_ball_offsets, old_interpolate, old_scan_scales
-from test_placement import old_concentration_detect
-
-
-# -- references: the replaced code -----------------------------------------------
-
-def old_deflate(u, d):
-    j, zeta = d.j, d.zeta
-    grid = u.grid
-    out_grid = disc.PolarGrid(
-        n_r=grid.n_r,
-        n_theta=grid.n_theta * j,
-        s_max=grid.s_max / j,
-    )
-    sigma = disc._ring_s(out_grid) * j
-    phis = disc._thetas(grid)
-    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    block = old_interpolate(u, pts.ravel()).reshape(grid.n_r, grid.n_theta)
-    block = block / math.sqrt(j)
-    block[-1, :] = 0.0
-    center = float(old_interpolate(u, zeta)) / math.sqrt(j)
-    sup = min(1.0, (min(1.0, u.support_radius + abs(zeta))) ** (1.0 / j))
-    return disc.DiscFunction._owned(out_grid, center, block, support_radius=sup, order=j)
-
-
-def old_angular_profile_around(u, zeta, n_phi=None):
-    grid = u.grid
-    n_phi = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
-    s_in = grid.s_max
-    sigma = s_in * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
-    vals = old_interpolate(u, pts.ravel()).reshape(grid.n_r, n_phi).mean(axis=1)
-    nodes = sigma[::-1].copy()
-    out = vals[::-1].copy()
-    out[0] = 0.0
-    return RadialProfile.from_arrays(nodes, out, 2)
-
-
-def old_local_cell_scale(grid, r):
-    radii = disc._ring_radii(grid)
-    if r < radii[0]:
-        return float(radii[0])
-    dr = r * grid.s_max / (grid.n_r - 1)
-    return min(dr, max(r, radii[0]) * grid.dtheta)
-
-
-def old_average(u, radius, z, strict=True):
-    if radius <= 0:
-        raise ValueError("averaging radius must be positive")
-    if strict and radius < 0.5 * old_local_cell_scale(u.grid, abs(z)):
-        raise disc.GridResolutionError(
-            f"ball of radius {radius:.3g} at {z} is below grid resolution; "
-            "a finer grid is required"
-        )
-    offsets, weights = old_ball_offsets(radius)
-    vals = old_interpolate(u, z + offsets)
-    return float(np.dot(weights, np.asarray(vals).ravel()))
-
-
-# -- inputs ------------------------------------------------------------------------
-
-@st.composite
-def grids(draw):
-    return disc.PolarGrid(
-        n_r=draw(st.integers(16, 72)),
-        n_theta=draw(st.sampled_from([32, 48, 64, 96])),
-        s_max=draw(st.floats(2.0, 9.0)),
-    )
-
-
-def points(max_radius: float):
-    return st.builds(
-        lambda r, a: complex(r * math.cos(a), r * math.sin(a)),
-        st.floats(0.0, max_radius), st.floats(0.0, 2.0 * math.pi),
-    )
-
-
-seeds = st.integers(0, 2**32 - 1)
-
-
-def rough_disc(grid, seed: int, order: int = 1) -> disc.DiscFunction:
-    """Rough zero-trace samples, one block of a function of the given order."""
-    rng = np.random.default_rng(seed)
-    rings = rng.normal(size=(grid.n_r, grid.n_theta // order))
-    rings[-1] = 0.0
-    return disc.DiscFunction(grid, float(rng.normal()), rings, order=order)
-
-
-def same_disc(a, b) -> bool:
-    return (
-        a.grid == b.grid and a.order == b.order and a.center == b.center
-        and a.support_radius == b.support_radius and np.array_equal(a.rings, b.rings)
-    )
+from conftest import (
+    bumps, detector_cases, grids, old_average_many, old_concentration_detect, old_deflate,
+    old_interpolate, old_scores, points, rough_disc, same_disc, seeds,
+)
 
 
 # -- bit-equality with the replaced code ----------------------------------------------
@@ -128,25 +35,34 @@ def test_deflate_is_bit_equal(grid, seed, zeta, j, order):
 @settings(max_examples=40, deadline=None)
 @given(grids(), seeds, points(0.95), st.sampled_from([None, 16, 64]))
 def test_angular_profile_is_bit_equal(grid, seed, zeta, n_phi):
+    """The mean over n_phi angles (at most n_theta) at each ring's log radius,
+    pinned to 0 at t = 0."""
     u = rough_disc(grid, seed)
     new = disc.angular_profile_around(u, zeta, n_phi)
-    old = old_angular_profile_around(u, zeta, n_phi)
-    assert np.array_equal(new.nodes, old.nodes) and np.array_equal(new.values, old.values)
+    n = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
+    sigma = grid.s_max * np.arange(grid.n_r) / (grid.n_r - 1)
+    phis = 2.0 * math.pi * np.arange(n) / n
+    pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]
+    values = old_interpolate(u, pts.ravel()).reshape(pts.shape).mean(axis=1)
+    values[0] = 0.0
+    assert np.array_equal(new.nodes, sigma) and np.array_equal(new.values, values)
 
 
 @settings(max_examples=60, deadline=None)
 @given(grids(), seeds, points(1.2), st.floats(1e-4, 0.6))
 def test_average_is_bit_equal_and_shares_the_guard(grid, seed, z, radius):
+    """The direct sampler's ball mean; below half the grid cell at z (the cap
+    radius in the cap, else the smaller node spacing) `average` raises."""
     u = rough_disc(grid, seed)
-    assert float(disc.average_many(u, radius, z)) == old_average(u, radius, z, strict=False)
-    try:
-        old = old_average(u, radius, z)
-    except disc.GridResolutionError as exc:
-        with pytest.raises(disc.GridResolutionError, match="below grid resolution") as got:
+    mean = float(old_average_many(u, radius, z))
+    assert float(disc.average_many(u, radius, z)) == mean
+    r, r0 = abs(z), float(disc._ring_radii(grid)[0])
+    cell = r0 if r < r0 else min(r * grid.s_max / (grid.n_r - 1), r * grid.dtheta)
+    if radius < 0.5 * cell:
+        with pytest.raises(disc.GridResolutionError, match="below grid resolution"):
             disc.average(u, radius, z)
-        assert str(got.value) == str(exc)
-        return
-    assert disc.average(u, radius, z) == old
+    else:
+        assert disc.average(u, radius, z) == mean
 
 
 @settings(max_examples=40, deadline=None)
@@ -163,39 +79,12 @@ def test_average_many_many_radii_one_center(grid, seed, zeta, js):
     """Radii against one center: the old batched scale scan's ball means."""
     u = rough_disc(grid, seed)
     js = np.asarray(js)
-    radii = [disc.RHO ** int(j) for j in js]
-    offsets = np.stack([old_ball_offsets(r)[0] for r in radii])
-    weights = old_ball_offsets(1.0)[1]
-    old = old_interpolate(u, (zeta + offsets).ravel()).reshape(offsets.shape) @ weights
-    assert np.array_equal(disc.average_many(u, np.asarray(radii), zeta), old)
-    ref = old_scan_scales(u, zeta, js)
-    assert np.all(np.abs(disc._scores([u], js, zeta)[0] - ref) <= 1e-15 * np.abs(ref))
+    radii = np.asarray([disc.RHO ** int(j) for j in js])
+    assert np.array_equal(disc.average_many(u, radii, zeta), old_average_many(u, radii, zeta))
+    assert np.array_equal(disc._scores([u], js, zeta)[0], old_scores(u, js, zeta))
 
 
 # -- the detector ----------------------------------------------------------------------
-
-def bumps(grid, seed: int, centers, js, noise: float) -> disc.DiscFunction:
-    """Inflated Moser-type ramps at the given scales and centers, plus noise."""
-    prof = RadialProfile.from_arrays([0.0, 1.0, 2.0], [0.0, 0.0, 1.0], 2)
-    rings = np.zeros((grid.n_r, grid.n_theta))
-    center = 0.0
-    for zeta, j in zip(centers, js):
-        b = disc.inflate(prof, disc.DislocationParam(j, zeta), grid)
-        rings += b.rings
-        center += b.center
-    rng = np.random.default_rng(seed)
-    rings += noise * rng.normal(size=rings.shape)
-    rings[-1] = 0.0
-    return disc.DiscFunction(grid, center, rings)
-
-
-detector_cases = st.tuples(
-    grids(), seeds,
-    st.lists(points(0.35), min_size=1, max_size=3),
-    st.lists(st.integers(1, 4), min_size=3, max_size=3),
-    st.sampled_from([0.0, 0.02, 0.1]),
-)
-
 
 @settings(max_examples=15, deadline=None)
 @given(detector_cases, st.sampled_from([0.005, 0.02, 0.1]))
@@ -210,18 +99,17 @@ def test_detector_scan_is_bit_equal(case, eps):
 @given(detector_cases, st.sampled_from([0.005, 0.02, 0.1]))
 @example((disc.PolarGrid(16, 32, 2.0), 0, [0j, 0j, 0j], [1, 1, 1], 0.0), 0.005)
 def test_refined_detections_keep_j_and_zeta(case, eps):
-    """Bit-equal to the old detector scoring with a product by 1/sqrt(j).
+    """Bit-equal to the reference, which scores j^{-1/2} as a product with 1/sqrt(j).
 
-    Against the old division the scores move by an ulp.  On exactly
-    symmetric inputs (radial bumps at the origin) the refine stencil then
-    holds tied points whose argmax differs, and the local search may climb
-    to another maximum: the example gives a fifth detection at
-    0.074 + 0.024i (score 1.9606) for the division's 0.05 (score 2.0529).
+    A division would move the scores by an ulp.  On exactly symmetric inputs
+    (radial bumps at the origin, the example) the refine stencil then holds
+    tied points whose argmax differs, and the local search may climb to
+    another maximum.
     """
     grid, seed, centers, js, noise = case
     u = bumps(grid, seed, centers, js, noise)
     kw = dict(eps=eps, j_max=16, top_k=6)
-    assert disc.concentration_detect(u, **kw) == old_concentration_detect(u, reciprocal=True, **kw)
+    assert disc.concentration_detect(u, **kw) == old_concentration_detect(u, **kw)
 
 
 # -- properties of the sampler and the ball means ---------------------------------------

@@ -1,9 +1,9 @@
-"""The extractor's remainder path against the code it replaced, plus properties.
+"""The extractor's remainder path against the full sort, plus properties.
 
-The references below are the previous implementations, kept verbatim: the
-working quasinorm of a disc sample by a full stable sort and the general
-stationary-point search, the per-cell values and areas built afresh on every
-call, and the residuals rebuilt from the original members.
+The working quasinorm of a disc sample is checked against
+`expl2_quasinorm(rearrange_disc(u))`, the full stable sort and the general
+stationary-point search; the running residual against the residuals rebuilt
+from the original members.
 """
 
 import math
@@ -14,54 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, rearrange, seqgen
+from moserlab.rearrange import expl2_quasinorm, rearrange_disc
 from conftest import smooth_plateau_profile
 
 REL = 1e-12
 NB = rearrange._EXPL2_BUCKETS
-
-
-# -- references: the replaced code -----------------------------------------------
-
-def old_rearrange_disc(u):
-    values, areas = u.cell_values_and_areas()
-    order = np.argsort(np.abs(values), kind="stable")[::-1]
-    vals = np.abs(values[order])
-    taus = np.cumsum(areas[order])
-    taus /= taus[-1]
-    vals = np.minimum.accumulate(vals)  # guard rounding of nearly equal values
-    return rearrange.RearrangedFunction(taus, vals, "step")
-
-
-def old_expl2_quasinorm(f):
-    return rearrange.lz_quasinorm(f, rearrange.LZIndex(math.inf, math.inf, -0.5))
-
-
-def old_expl2_of_disc(u):
-    return old_expl2_quasinorm(old_rearrange_disc(u))
-
-
-def old_cell_values_and_areas(u):
-    grid = u.grid
-    V = u.rings
-    Vn = np.roll(V, -1, axis=1)
-    cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
-    cap_area, ann = disc.cell_areas(grid)
-    cap_val = 0.5 * (u.center + float(np.mean(V[0])))
-    values = np.concatenate(([cap_val], cell_vals.ravel()))
-    areas = np.concatenate(
-        ([cap_area], np.repeat(ann, grid.n_theta))
-    )
-    return values, areas
-
-
-def old_residuals(originals, terms, grid):
-    out = []
-    for idx, u in enumerate(originals):
-        for t in terms:
-            d = disc.DislocationParam(t.j_track[idx], t.zeta_track[idx])
-            u = disc.subtract_disc(u, disc.inflate(t.w, d, grid))
-        out.append(u)
-    return out
 
 
 class Cells:
@@ -77,8 +34,7 @@ class Cells:
 
 def assert_matches_full_sort(cells):
     new = rearrange.expl2_disc(cells)
-    old = old_expl2_of_disc(cells)
-    assert new == pytest.approx(old, rel=REL, abs=0.0)
+    assert new == pytest.approx(expl2_quasinorm(rearrange_disc(cells)), rel=REL, abs=0.0)
 
 
 # -- the step closed form -----------------------------------------------------------
@@ -91,7 +47,7 @@ def test_step_closed_form_matches_sup_pieces(seed, pieces, split):
     f = rearrange.random_rearranged(np.random.default_rng(seed), pieces=pieces)
     vals = f.values
     areas = np.diff(f.breakpoints, prepend=0.0)
-    expect = old_expl2_quasinorm(f)
+    expect = expl2_quasinorm(f)
     whole = rearrange._expl2_prefix(vals, areas, 1.0, vals >= 0.0, 0.0)[0]
     assert whole == pytest.approx(expect, rel=REL, abs=0.0)
     head = vals >= vals[min(split, vals.size - 1)]
@@ -114,9 +70,13 @@ def test_cell_values_and_areas_match_old(seed, n_r, n_theta, s_max):
     rings[-1] = 0.0
     u = disc.DiscFunction(grid, float(rng.normal()), rings)
     values, areas = u.cell_values_and_areas()
-    old_values, old_areas = old_cell_values_and_areas(u)
-    assert np.array_equal(values, old_values)
-    assert np.array_equal(areas, old_areas)
+    # the cap's value is the mean of center and first ring; a cell's, of its corners
+    V, Vn = rings, np.roll(rings, -1, axis=1)
+    cells = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
+    assert np.array_equal(values, np.concatenate(([0.5 * (u.center + np.mean(V[0]))], cells.ravel())))
+    cap, ann = disc.cell_areas(grid)
+    assert np.array_equal(areas, np.concatenate(([cap], np.repeat(ann, n_theta))))
+    assert math.fsum(areas) == pytest.approx(math.pi, rel=REL)
     # the areas are built once per grid and shared read-only
     assert not areas.flags.writeable
     assert u.cell_values_and_areas()[1] is areas
@@ -187,7 +147,7 @@ def test_expl2_disc_matches_full_sort(cells):
 def test_expl2_disc_of_zero_is_exactly_zero(n, area):
     cells = Cells(np.zeros(n), np.full(n, area[0]))
     assert rearrange.expl2_disc(cells) == 0.0
-    assert old_expl2_of_disc(cells) == 0.0
+    assert expl2_quasinorm(rearrange_disc(cells)) == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -236,8 +196,11 @@ def test_running_residual_matches_rebuild_from_originals(two_term_run):
         for a, b in zip(dec.terms, greedy.terms)
     )
     for d in (dec, greedy):
-        rebuilt = old_residuals(seq.members, d.terms, grid)
-        expect = [old_expl2_of_disc(u) for u in rebuilt]
+        # each term's bubbles subtracted from the originals, by the extractor's bubble rule
+        rebuilt = list(seq.members)
+        for t in d.terms:
+            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, range(len(rebuilt)), grid)
+        expect = [expl2_quasinorm(rearrange_disc(u)) for u in rebuilt]
         assert d.remainder_expl2 == pytest.approx(expect, rel=REL, abs=0.0)
 
 

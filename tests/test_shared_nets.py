@@ -4,11 +4,10 @@
 (grid, block width, points), and `sample(u)`, which only gathers and
 combines.  The detector scan builds one net per scale, the grouped deflation
 one per (j, zeta) and the angular profiles one per center, and each samples
-every member that shares it.  The references are the code before the nets,
-kept verbatim: `old_interpolate` (conftest), the per-member scores below, the
-one-member deflation and angular profile (test_polar_net), the detector
-(test_placement) and `dweak_test` below.  Every output must equal theirs bit
-for bit.
+every member that shares it.  The references are the oracles in conftest
+(the direct sampler, the detector scores and detector, the one-block
+deflation and the dislocation-weak test one member at a time) and the live
+one-member calls.  Every output must equal theirs bit for bit.
 """
 
 import math
@@ -19,13 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moserlab import disc, functional, profiles, radial, seqgen
-from conftest import old_interpolate, smooth_plateau_profile
-from test_experiment_layer import zero_member
-from test_placement import old_concentration_detect
-from test_polar_net import (
-    bumps, detector_cases, grids, old_angular_profile_around, old_deflate, points,
-    rough_disc, same_disc, seeds,
+from moserlab import disc, profiles, radial, seqgen
+from conftest import (
+    bumps, detector_cases, grids, old_concentration_detect, old_deflate, old_dweak_test,
+    old_interpolate, old_scores, points, rough_disc, same_disc, seeds, smooth_plateau_profile,
+    zero_member,
 )
 
 
@@ -33,73 +30,6 @@ def detections(us, eps, j_max, refine, top_k):
     """concentration_detect of every member, from one scan of them all."""
     return [disc._detect(u, rows, eps, j_max, refine, top_k)
             for u, rows in zip(us, disc._scan(us, j_max))]
-
-
-# -- references: the replaced code -----------------------------------------------
-
-_OLD_GL8_X, _OLD_GL8_W = np.polynomial.legendre.leggauss(8)
-_OLD_BALL_RHO = np.sqrt(0.5 * (_OLD_GL8_X + 1.0))
-_OLD_BALL_PHI = 2.0 * math.pi * np.arange(16) / 16
-_OLD_BALL_W = np.repeat(0.5 * _OLD_GL8_W / 16, 16)
-
-
-def old_polar_samples(u, centers, radii, phis):
-    pts = np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * phis)
-    return old_interpolate(u, pts.ravel()).reshape(pts.shape)
-
-
-def old_average_many(u, radius, zs):
-    radius, zs = np.asarray(radius, dtype=float), np.asarray(zs)
-    vals = old_polar_samples(u, zs[..., None], radius[..., None] * _OLD_BALL_RHO, _OLD_BALL_PHI)
-    return vals.reshape(np.broadcast_shapes(radius.shape, zs.shape) + (-1,)) @ _OLD_BALL_W
-
-
-def old_scores(u, js, zs):
-    js = np.asarray(js)
-    radii = np.reshape([disc.RHO ** int(j) for j in js.flat], js.shape)
-    return np.abs(old_average_many(u, radii, zs)) * (1.0 / np.sqrt(js))
-
-
-def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
-    """`profiles.dweak_test` as it was: one detection and one deflation per member."""
-    members = profiles._as_disc_members(seq)
-    rng = np.random.default_rng(seed)
-    probes: dict = {}
-
-    tracks = [(1, 0.0 + 0.0j, "identity")]
-    for _ in range(n_random_tracks):
-        j = int(rng.integers(1, j_max + 1))
-        zeta = complex(*(rng.uniform(-0.35, 0.35, size=2)))
-        tracks.append((j, zeta, "random"))
-
-    per_member = []
-    witness = None
-    for u in members:
-        cands = old_concentration_detect(
-            u, eps=1e-4, j_max=j_max, top_k=2, refine=False
-        )
-        local = tracks + [(c[0].j, c[0].zeta, "detector") for c in cands]
-        best = 0.0
-        best_track = None
-        for j, zeta, kind in local:
-            try:
-                w = old_deflate(u, disc.DislocationParam(j, zeta))
-            except ValueError:
-                continue
-            key = (w.grid, w.order)
-            if key not in probes:
-                probes[key] = disc.make_probes(w.grid, probe_count, w.order)
-            val = disc.max_pairing(w, probes[key])
-            if val > best:
-                best = val
-                best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
-        per_member.append(best)
-        witness = best_track if best_track is not None else witness
-    if functional.tail_decayed(per_member, 0.5, 0.05):
-        verdict = "dweak-null-evidence"
-    else:
-        verdict = "non-vanishing"
-    return profiles.DWeakReport(tuple(per_member), witness, verdict)
 
 
 # -- one net, sampled bit-equal to the old interpolation ------------------------------
@@ -220,8 +150,8 @@ def test_grouped_angular_profiles_are_the_one_member_ones(grid, members, centers
     zetas = [centers[c] for _, c in members]  # centers repeat across members
     got = disc._angular_profiles(us, zetas, n_phi)
     for u, zeta, prof in zip(us, zetas, got):
-        old = old_angular_profile_around(u, zeta, n_phi)
-        assert np.array_equal(prof.nodes, old.nodes) and np.array_equal(prof.values, old.values)
+        one = disc.angular_profile_around(u, zeta, n_phi)
+        assert np.array_equal(prof.nodes, one.nodes) and np.array_equal(prof.values, one.values)
 
 
 # -- the dislocation-weak test -----------------------------------------------------------

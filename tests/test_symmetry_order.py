@@ -3,8 +3,9 @@
 A function of symmetry order j keeps one block of n_theta/j columns.  Every
 kernel must give what the tiled array gives: the forms, the rearrangement and
 its quasinorms to 1e-12 relative, evaluation and serialization exactly.  Forms
-and sums take operands of one order only.  The deflation and probe paths are
-pinned to the tiled code they replaced (`old_deflate`, `old_make_probes`).
+and sums take operands of one order only.  The deflations are pinned to the
+one-block reference in conftest, and their pairings and the order-j probes to
+the tiled twins with the order-1 probes.
 """
 
 import math
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, rearrange, seqgen
-from test_acceptance import _nonradial_test_function
-from test_experiment_layer import old_deflate, old_dweak_test, old_make_probes
+from conftest import (
+    nonradial_test_function, old_deflate, old_dweak_test, rough_disc, same_disc, seeds,
+)
 
 REL = 1e-12
 GRID = disc.PolarGrid(n_r=20, n_theta=96, s_max=4.0)
@@ -35,13 +37,9 @@ def _twin(u):
 
 
 def _block(order, seed):
-    rng = np.random.default_rng(seed)
-    rings = rng.normal(size=(GRID.n_r, GRID.n_theta // order))
-    rings[-1] = 0.0
-    return disc.DiscFunction(GRID, float(rng.normal()), rings, order=order)
+    return rough_disc(GRID, seed, order)
 
 
-seeds = st.integers(0, 2**32 - 1)
 blocks = st.builds(_block, st.sampled_from(ORDERS), seeds)
 
 
@@ -174,20 +172,18 @@ def _test_06_centers():
 
 @pytest.fixture(scope="module")
 def test_06_input():
-    return _nonradial_test_function(disc.PolarGrid(n_r=512, n_theta=192, s_max=8.0))
+    return nonradial_test_function(disc.PolarGrid(n_r=512, n_theta=192, s_max=8.0))
 
 
 @pytest.mark.parametrize("j", [1, 2, 8, 32])
 def test_test_06_ratios_match_the_tiled_path(test_06_input, j):
     u = test_06_input
     d = disc.DislocationParam(j, _test_06_centers()[j])
-    w, old = disc.deflate(u, d), old_deflate(u, d)
+    w = disc.deflate(u, d)
     assert w.order == j and w.rings.shape == (u.grid.n_r, u.grid.n_theta)
-    assert w.grid == old.grid and w.center == old.center
-    assert w.support_radius == old.support_radius
-    assert _tiled(w).tobytes() == old.rings.tobytes()
+    assert same_disc(w, old_deflate(u, d))
     e0 = disc.energy(u)
-    assert disc.energy(w) / e0 == pytest.approx(disc.energy(old) / e0, rel=REL, abs=0.0)
+    assert disc.energy(w) / e0 == pytest.approx(disc.energy(_twin(w)) / e0, rel=REL, abs=0.0)
 
 
 MOSER_GRID = disc.PolarGrid(n_r=192, n_theta=96, s_max=7.0)
@@ -198,23 +194,11 @@ def test_dweak_pairings_match_the_tiled_path(j):
     seq = seqgen.moser_sequence([math.exp(-2.0)], [0.1 + 0.05j], grid=MOSER_GRID)
     u = seq.members[0]
     for zeta in (0.1 + 0.05j, 0.0, -0.2 + 0.1j):
-        d = disc.DislocationParam(j, zeta)
-        w, old = disc.deflate(u, d), old_deflate(u, d)
+        w = disc.deflate(u, disc.DislocationParam(j, zeta))
         new_val = disc.max_pairing(w, disc.make_probes(w.grid, 8, w.order))
-        old_val = max(abs(disc.grad_inner(old, phi)) for phi in old_make_probes(old.grid, 8))
-        assert new_val == pytest.approx(old_val, rel=REL, abs=0.0)
-
-
-@pytest.mark.parametrize("j", [2, 3, 8, 32])
-def test_order_j_probes_are_the_blocks_of_the_old_probes(j):
-    grid = disc.PolarGrid(n_r=48, n_theta=96 * j, s_max=3.0)
-    old = old_make_probes(grid, 11)
-    kept = [phi for phi, spec in zip(old, _layout_modes(11)) if spec % j == 0]
-    new = disc.make_probes(grid, 11, j)
-    assert len(new) == len(kept)
-    for a, b in zip(new, kept):
-        assert a.order == j and a.center == pytest.approx(b.center, rel=REL, abs=0.0)
-        assert np.max(np.abs(_tiled(a) - b.rings)) <= REL * np.max(np.abs(b.rings))
+        twin = _twin(w)
+        tiled_val = max(abs(disc.grad_inner(twin, phi)) for phi in disc.make_probes(w.grid, 8))
+        assert new_val == pytest.approx(tiled_val, rel=REL, abs=0.0)
 
 
 def _layout_modes(count):
@@ -222,14 +206,42 @@ def _layout_modes(count):
     return [modes[k % len(modes)] for k in range(count)]
 
 
+@pytest.mark.parametrize("grid", [
+    disc.PolarGrid(n_r=96, n_theta=64, s_max=9.0),
+    disc.PolarGrid(n_r=64, n_theta=96, s_max=4.0),
+], ids=["geometric", "shallow"])
+def test_make_probes_are_unit_energy_angular_modes(grid):
+    """Each probe has unit energy and is its radial part times cos(mode theta),
+    the modes cycling through the layout's."""
+    th = disc._thetas(grid)
+    probes = disc.make_probes(grid, 11)
+    assert len(probes) == 11
+    for phi, mode in zip(probes, _layout_modes(11)):
+        assert disc.energy(phi) == pytest.approx(1.0, rel=REL, abs=0.0)
+        modulated = phi.rings[:, :1] * np.cos(mode * th)[None, :]  # column 0 is at theta = 0
+        assert np.max(np.abs(phi.rings - modulated)) <= REL * np.max(np.abs(phi.rings))
+
+
+@pytest.mark.parametrize("j", [2, 3, 8, 32])
+def test_order_j_probes_are_the_blocks_of_the_old_probes(j):
+    """The order-j set is the order-1 set less the entries whose mode j does
+    not divide, each entry as its first block."""
+    grid = disc.PolarGrid(n_r=48, n_theta=96 * j, s_max=3.0)
+    full = disc.make_probes(grid, 11)
+    kept = [phi for phi, mode in zip(full, _layout_modes(11)) if mode % j == 0]
+    new = disc.make_probes(grid, 11, j)
+    assert len(new) == len(kept)
+    for a, b in zip(new, kept):
+        assert a.order == j and a.center == pytest.approx(b.center, rel=REL, abs=0.0)
+        assert np.max(np.abs(_tiled(a) - b.rings)) <= REL * np.max(np.abs(b.rings))
+
+
 def test_dweak_test_to_scale_32_matches_the_tiled_path():
     seq = seqgen.moser_sequence(
         [math.exp(-k) for k in (1, 2, 3)], [0.1 + 0.05j] * 3, grid=MOSER_GRID
     )
     kw = dict(probe_count=6, n_random_tracks=4, j_max=32, seed=1)
-    new, old = profiles.dweak_test(seq, **kw), old_dweak_test(seq, **kw)
-    assert new.per_member == pytest.approx(old.per_member, rel=REL, abs=0.0)
-    assert new.witness == old.witness and new.verdict == old.verdict
+    assert profiles.dweak_test(seq, **kw) == old_dweak_test(seq, **kw)
 
 
 # -- memory is bounded in j ------------------------------------------------------------------
