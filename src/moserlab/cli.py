@@ -241,6 +241,7 @@ def cmd_generate(args) -> int:
 
 def cmd_decompose(args) -> int:
     out = args.out
+    profiles._check_options(args.eps_stop, args.max_terms, args.j_max)
     seq = seqgen.load_sequence(args.manifest)
     if not seq.is_disc():
         print("decompose expects disc-sampled members", file=sys.stderr)

@@ -18,14 +18,15 @@ least half the best one; two consecutive increases of the tail remainder
 energy stop it with status "diverged", unrefined.  A refine sweep starts it
 from a term's last (scale, center) on the members cleaned of every other term.
 
-The members carry one running residual: the chosen term's bubbles are
-subtracted once (the fit's tail bubble, already subtracted to rank it, is
-reused), and a refine sweep adds a term's bubbles back to get the cleaned
-members, which become the residual if the refit is accepted.  Nothing is
-rebuilt from the original members.  A bubble depends only on the term's
-(scale, center) at an index, and a track repeats few of them, so both the
-subtraction and the add-back build each bubble once per distinct (j, zeta)
-group and apply it to every member of the group.
+The members carry one running residual, and `_apply_bubbles` alone changes
+it, never rebuilding from the original members: it subtracts the chosen
+term's bubbles from every member, the tail included, and a refine sweep
+adds a term's bubbles back to get the cleaned members, which become the
+residual if the refit is accepted.  A fit is ranked without a subtraction,
+by the closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the tail energy
+it leaves, s its tail bubble.  A bubble depends only on the term's (scale,
+center) at an index, and a track repeats few of them, so each is built
+once per distinct (j, zeta) group and applied to every member of the group.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ __all__ = [
 _GRAD_NORM_BOUND = 10.0
 
 
+def _integer(x, what: str) -> int:
+    """x as an int; a ValueError, not a truncation, if x is not integral."""
+    if int(x) != x:
+        raise ValueError(f"{what}: {x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class FunctionSequence:
     """Indexed sequence of disc samples or radial profiles on one grid."""
@@ -68,7 +76,7 @@ class FunctionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
+        object.__setattr__(self, "k_list", tuple(_integer(k, "k_list") for k in self.k_list))
         if not self.members:
             raise ValueError("a sequence needs at least one member")
         if len(self.members) != len(self.k_list):
@@ -104,7 +112,7 @@ class ProfileTerm:
     zeta_track: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "j_track", tuple(int(j) for j in self.j_track))
+        object.__setattr__(self, "j_track", tuple(_integer(j, "j_track") for j in self.j_track))
         object.__setattr__(
             self, "zeta_track", tuple(complex(z) for z in self.zeta_track)
         )
@@ -279,15 +287,15 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     return track, w
 
 
-def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
-    """members[idx] = op(members[idx], bubble of term at idx), for idx in indices.
+def _apply_bubbles(op, members, term: ProfileTerm, grid) -> None:
+    """members[idx] = op(members[idx], bubble of term at idx), for every idx.
 
     The bubble depends only on (j, zeta): the field -log|z - zeta| is built
     once per distinct center, the bubble once per distinct pair, and each is
     freed before the next one is built.
     """
     groups: dict = {}
-    for idx in indices:
+    for idx in range(len(members)):
         groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
     for zeta, by_j in groups.items():
         field = disc._log_distance(grid, zeta)
@@ -299,31 +307,31 @@ def _apply_bubbles(op, members, term: ProfileTerm, indices, grid) -> None:
         del field
 
 
-def _fit_term(members, track, w, grid):
-    """(term, its tail bubble) fitted to a tracked (track, w), or None.
+def _fit_term(tail, track, w, grid):
+    """(term, tail energy it leaves) fitted to a tracked (track, w), or None.
 
-    The bubble is the term at the tail index: w inflated at the track's last
-    (j, zeta), up to rounding.  The other members' bubbles are built
-    later, by `_apply_bubbles`, once per distinct (j, zeta) group.
+    `tail` is the tail member m's factor and its energy E(m).  The candidate
+    bubble s is w inflated at the track's last (j, zeta); the term is beta w,
+    and the energy it leaves is E(m - beta s) in closed form,
+    E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is subtracted here.
     """
+    fm, em = tail
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
-        synth = disc.inflate(w, disc.DislocationParam(*track[-1]), grid)
+        fs = disc._stack([disc.inflate(w, disc.DislocationParam(*track[-1]), grid)])
     except disc.SupportError:
         return None
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
     # profile estimate overshooting the energy budget
-    fs = disc._stack([synth])
-    denom = float(disc._pair(fs, fs)[0])
-    if denom > 0:
-        beta = float(disc._pair(disc._stack([members[-1]]), fs)[0]) / denom
-        beta = min(1.25, max(0.5, beta))
-        if beta != 1.0:
-            w = RadialProfile(w.nodes, beta * w.values)
-            synth = disc.scale_disc(synth, beta)
-    return ProfileTerm(w, [j for j, _ in track], [z for _, z in track]), synth
+    ss = float(disc._pair(fs, fs)[0])
+    ms = float(disc._pair(fm, fs)[0])
+    beta = min(1.25, max(0.5, ms / ss)) if ss > 0 else 1.0
+    if beta != 1.0:
+        w = RadialProfile(w.nodes, beta * w.values)
+    term = ProfileTerm(w, [j for j, _ in track], [z for _, z in track])
+    return term, em - 2.0 * beta * ms + beta * beta * ss
 
 
 def _place_term(members, starts, j_max, grid, fits_budget):
@@ -334,36 +342,45 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     can refine to the same tail bubble but different early centers), so the
     order of the starts never decides.  Starts whose fit fails, whose term
     `fits_budget` rejects, or whose track repeats an earlier one (track and
-    profile fix the fit) are skipped.  Returns (tail energy, term), with the
-    members updated in place, or None with the members untouched.
+    profile fix the fit) are skipped.  Returns (closed-form tail energy,
+    term), with `_apply_bubbles` applied in place, or None, members untouched.
     """
-    tail = len(members) - 1
+    # the members do not change between starts: one tail factor and one memo serve them all
+    fm = disc._stack([members[-1]])
+    tail = (fm, float(disc._pair(fm, fm)[0]))
     chosen = None
     tracks = []
-    memo: dict = {}  # the members do not change between starts
+    memo: dict = {}
     for d0 in starts:
         track, w = _track_candidate(members, d0, j_max, memo)
         if track in tracks:
             continue
         tracks.append(track)
-        fit = _fit_term(members, track, w, grid)
+        fit = _fit_term(tail, track, w, grid)
         if fit is None or not fits_budget(fit[0]):
-            del fit  # a rejected bubble is freed before the next fit
             continue
-        term = fit[0]
-        resid = disc.subtract_disc(members[tail], fit[1])
-        del fit  # the bubble is freed before the energy
+        term, tail_energy = fit
         zl = term.zeta_track[-1]
-        key = (disc.energy(resid), term.j_track[-1], zl.real, zl.imag,
+        key = (tail_energy, term.j_track[-1], zl.real, zl.imag,
                term.j_track, [(z.real, z.imag) for z in term.zeta_track])
         if chosen is None or key < chosen[0]:
-            chosen = (key, term, resid)
-        del resid  # a losing residual is freed before the next fit
+            chosen = (key, term)
+    del fm, tail  # the factor is freed before the bubbles are built
     if chosen is None:
         return None
-    key, term, members[tail] = chosen
-    _apply_bubbles(disc.subtract_disc, members, term, range(tail), grid)
+    key, term = chosen
+    _apply_bubbles(disc.subtract_disc, members, term, grid)
     return key[0], term
+
+
+def _check_options(eps_stop: float, max_terms: int, j_max: int) -> None:
+    """ValueError unless `extract`'s options are legal; reads no member."""
+    if not eps_stop > 0:
+        raise ValueError("stop threshold must be positive")
+    if max_terms < 0:
+        raise ValueError("the term cap must be nonnegative")
+    if j_max < 1:
+        raise ValueError("the scale cap must be at least 1 (j_max >= 1)")
 
 
 def extract(
@@ -385,14 +402,11 @@ def extract(
     suppresses the first-order cross-talk between separated terms.  Neither
     pass accepts terms whose energies exceed the input budget.
     """
+    _check_options(eps_stop, max_terms, j_max)
     if not seq.is_disc():
         raise ValueError("extraction operates on disc-sampled sequences")
     if any(u.order > 1 for u in seq.members):
         raise ValueError("extraction operates on members of symmetry order 1")
-    if not eps_stop > 0:
-        raise ValueError("stop threshold must be positive")
-    if max_terms < 0:
-        raise ValueError("the term cap must be nonnegative")
     members = list(seq.members)
     grid = members[0].grid
     input_limsup = max(seq.energies)
@@ -436,7 +450,7 @@ def extract(
                 old = terms[i]
                 # the running residual plus term i: every other term removed
                 cleaned = list(members)
-                _apply_bubbles(disc.add, cleaned, old, range(len(cleaned)), grid)
+                _apply_bubbles(disc.add, cleaned, old, grid)
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
                     cleaned, [d0], j_max, grid,

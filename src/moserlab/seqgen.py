@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disc
-from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
+from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, _integer, orthogonality_check
 from .radial import (
     RadialProfile,
     gauge_apply,
@@ -155,7 +155,7 @@ def vanishing_sequence(k_list, bump2d: disc.DiscFunction) -> FunctionSequence:
     the discrete energies stay constant up to grid tolerance while the
     exponential-class quasinorm decays.
     """
-    ks = [int(k) for k in k_list]
+    ks = [_integer(k, "k_values") for k in k_list]
     if any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("indices must be increasing positive integers")
     if bump2d.support_radius >= 1.0:
@@ -219,14 +219,14 @@ def synthetic_superposition(
     n_k = len(terms[0].j_track) if terms else len(list(k_list or []))
     if k_list is None:
         k_list = range(1, n_k + 1)
-    ks = [int(k) for k in k_list]
+    ks = [_integer(k, "k_list") for k in k_list]
     if terms and any(len(t.j_track) != len(ks) for t in terms):
         raise ValueError("term tracks must cover the index list")
     # term by term, one bubble per (term, j, zeta); each member sums its
     # pieces in term order, then its noise
     members = [None] * len(ks)
     for t in terms:
-        _apply_bubbles(_accumulate, members, t, range(len(ks)), grid)
+        _apply_bubbles(_accumulate, members, t, grid)
     rng = np.random.default_rng(seed)
     for idx, k in enumerate(ks):
         if noise_energy > 0:
@@ -261,15 +261,16 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
             manifest = {"generator": "moser", "params": params}
         elif spec.kind == "counterexample":
             bump = profile_from_dict(p["bump"]) if p.get("bump") else None
-            seq = counterexample_sequence(int(p["k_max"]), bump)
-            manifest = {"generator": "counterexample", "k_max": int(p["k_max"])}
+            k_max = _integer(p["k_max"], "k_max")
+            seq = counterexample_sequence(k_max, bump)
+            manifest = {"generator": "counterexample", "k_max": k_max}
         elif spec.kind == "vanishing":
             if grid is None:
                 grid = disc.PolarGrid(n_r=256, n_theta=64, s_max=8.0)
             prof = profile_from_dict(p["bump_profile"])
             bump2d = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
             seq = vanishing_sequence(p["k_values"], bump2d)
-            manifest = {"generator": "vanishing", "k_values": list(p["k_values"])}
+            manifest = {"generator": "vanishing", "k_values": list(seq.k_list)}
         else:
             if grid is None:
                 grid = disc.PolarGrid(n_r=512, n_theta=256, s_max=7.0)

@@ -400,18 +400,40 @@ def test_cli_defaults_are_the_library_defaults():
     (["decompose", "--manifest", "missing.json"], 1, "missing.json"),
     (["decompose", "--manifest", "manifest.json", "--max-terms", "-1"], 1, "term cap"),
     (["decompose", "--manifest", "manifest.json", "--eps-stop", "nan"], 1, "stop threshold"),
+    (["decompose", "--manifest", "missing.json", "--max-terms", "-1"], 1, "term cap"),
+    (["decompose", "--manifest", "missing.json", "--j-max", "0"], 1, "scale cap"),
+    (["generate", "--kind", "superposition", "--params", "j_track.json"], 1,
+     "j_track: 1.5 is not an integer"),
+    (["generate", "--kind", "superposition", "--params", "k_list.json"], 1,
+     "k_list: 1.9 is not an integer"),
+    (["generate", "--kind", "counterexample", "--params", "k_max.json"], 1,
+     "k_max: 2.5 is not an integer"),
+    (["generate", "--kind", "vanishing", "--params", "k_values.json"], 1,
+     "k_values: 2.5 is not an integer"),
     (["verify", "--profile", "n3.json"], 2, "planar"),
     (["moser-limit", "--l-values", "5,3"], 1, "increasing"),
     (["moser-limit", "--rel-tol", "nan"], 1, "tolerances"),
     (["moser-limit", "--abs-tol", "nan"], 1, "tolerances"),
     (["counterexample", "--k-max", "0"], 1, ""),
 ], ids=["norms", "norms-two-fields", "generate", "decompose", "decompose-max-terms",
-        "decompose-eps-stop", "verify", "moser-limit", "moser-limit-rel-tol",
-        "moser-limit-abs-tol", "counterexample"])
+        "decompose-eps-stop", "decompose-max-terms-unread", "decompose-j-max-unread",
+        "generate-j-track", "generate-k-list", "generate-k-max", "generate-k-values",
+        "verify", "moser-limit", "moser-limit-rel-tol", "moser-limit-abs-tol",
+        "counterexample"])
 def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code, reason):
     record = {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]}
     (tmp_path / "planar.json").write_text(json.dumps(record))
     (tmp_path / "n3.json").write_text(json.dumps({**record, "n": 3}))
+    # generator parameters with fractional indices, on grids too small to matter
+    small = {"n_r": 16, "n_theta": 32, "s_max": 4.5}
+    term = {"profile": record, "j_track": [1, 1.5, 2.9], "zeta_track": [[0.1, 0.05]] * 3}
+    for name, params in {
+        "j_track.json": {"terms": [term], "grid": small},
+        "k_list.json": {"k_list": [1.9, 2.5, 3.7], "terms": [], "grid": small},
+        "k_max.json": {"k_max": 2.5},
+        "k_values.json": {"k_values": [1, 2.5, 4.9], "bump_profile": record, "grid": small},
+    }.items():
+        (tmp_path / name).write_text(json.dumps(params))
     if "manifest.json" in argv:
         grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=2.0)
         seq = profiles.FunctionSequence([disc.angular_mode(radial.moser_annular(1.0), grid, 1)], [1])

@@ -3,9 +3,8 @@ group and one -log|z - zeta| field per center (in the extractor and in the
 superposition generator), and disc results built on fresh arrays without a copy.
 
 The matched filter is checked against the `h1_inner(gauge_apply(...))` loop it
-replaces; the members' bit-identity under bubble reuse is checked by the
-`old_place_term` and `old_residuals` references in test_experiment_layer.py
-and test_remainder_path.py.
+replaces; the members after a placement are checked bit for bit against the
+one bubble rule in test_remainder_path.py.
 """
 
 import math
@@ -82,8 +81,10 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
     count = {"inflate": 0, "field": 0, "fit": 0}
     built = []  # weak references to the bubbles
     groups = []  # (distinct (j, zeta) pairs, distinct zeta, members touched) per application
-    inflated, log_distance = disc._inflated, disc._log_distance
+    tail_stacks = []  # per placement, the factorizations of its tail member
+    inflated, log_distance, stack = disc._inflated, disc._log_distance, disc._stack
     fit_term, apply_bubbles = profiles._fit_term, profiles._apply_bubbles
+    place_term = profiles._place_term
 
     # every bubble, `disc.inflate`'s included, is built by `_inflated`, and
     # every -log|z - zeta| field by `_log_distance`
@@ -103,15 +104,15 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         count["fit"] += 1
         return fit_term(*args, **kwargs)
 
-    def counted_apply(op, members, term, indices, grid):
-        indices = list(indices)
+    def counted_apply(op, members, term, grid):
+        indices = range(len(members))
         before, fields_before, ops = count["inflate"], count["field"], []
 
         def counted_op(u, v):
             ops.append(None)
             return op(u, v)
 
-        apply_bubbles(counted_op, members, term, indices, grid)
+        apply_bubbles(counted_op, members, term, grid)
         pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
         centers = {term.zeta_track[i] for i in indices}
         assert count["inflate"] - before == len(pairs)
@@ -119,13 +120,27 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         assert len(ops) == len(indices)
         groups.append((len(pairs), len(centers), len(indices)))
 
+    def counted_place(members, *args):
+        tail_stacks.append(0)
+
+        def counted_stack(us):
+            tail_stacks[-1] += isinstance(us, list) and any(u is members[-1] for u in us)
+            return stack(us)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(disc, "_stack", counted_stack)
+            return place_term(members, *args)
+
     monkeypatch.setattr(disc, "_inflated", counted_inflated)
     monkeypatch.setattr(disc, "_log_distance", counted_field)
     monkeypatch.setattr(profiles, "_fit_term", counted_fit)
     monkeypatch.setattr(profiles, "_apply_bubbles", counted_apply)
+    monkeypatch.setattr(profiles, "_place_term", counted_place)
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
 
     assert len(dec.terms) == 2
+    # each placement factors its tail member once, for all of its fits
+    assert len(tail_stacks) > 2 and tail_stacks == [1] * len(tail_stacks)
     # two greedy subtractions, then add-backs (and accepted refits) per sweep
     assert len(groups) > 2
     assert count["inflate"] == count["fit"] + sum(n for n, _, _ in groups)
@@ -143,9 +158,9 @@ def test_superposition_builds_one_bubble_per_term_j_and_zeta(monkeypatch):
     built, fields, held = [], [], []  # bubble (term, j, zeta, weakref); fields; member lists
     inflated, log_distance, apply_bubbles = disc._inflated, disc._log_distance, seqgen._apply_bubbles
 
-    def counted_apply(op, members, term, indices, grid):
+    def counted_apply(op, members, term, grid):
         held.append((members, term))
-        return apply_bubbles(op, members, term, indices, grid)
+        return apply_bubbles(op, members, term, grid)
 
     def counted_inflated(w, d, *args, **kwargs):
         # no bubble outlives its group, except as a member itself: the first

@@ -70,8 +70,9 @@ def placement_setup():
     starts = [d for d, _ in cands] + [
         disc.DislocationParam(1, 0.0), disc.DislocationParam(3, 0.05 - 0.3j)
     ]
+    tail = (disc._stack(members[-1:]), disc.energy(members[-1]))
     energies = sorted(
-        profiles._fit_term(members, *profiles._track_candidate(members, d, 8), grid)[0]
+        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8), grid)[0]
         .energy()
         for d in starts
     )

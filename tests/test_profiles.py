@@ -71,6 +71,17 @@ class TestTypes:
         with pytest.raises(ValueError, match="half-disc"):
             profiles.ProfileTerm(w, [1, 2, 3], [0.9] * 3)
 
+    def test_fractional_indices_are_rejected_not_truncated(self, small_grid):
+        w = radial.moser_annular(1.0, 0.5)
+        with pytest.raises(ValueError, match=r"^j_track: 1\.5 is not an integer$"):
+            profiles.ProfileTerm(w, [1, 1.5, 2.9], [0.0] * 3)
+        u = disc.DiscFunction(small_grid, 0.0, np.zeros((small_grid.n_r, small_grid.n_theta)))
+        with pytest.raises(ValueError, match=r"^k_list: 1\.9 is not an integer$"):
+            profiles.FunctionSequence([u, u], [1.9, 2.5])
+        # integral values of any type are taken as they are
+        assert profiles.ProfileTerm(w, [1.0, np.int64(2)], [0.0] * 2).j_track == (1, 2)
+        assert profiles.FunctionSequence([u, u], [1.0, 3]).k_list == (1, 3)
+
     def test_decomposition_energy_budget(self):
         w = radial.moser_annular(1.0, 0.5)
         term = profiles.ProfileTerm(w, [1, 2], [0.0] * 2)
@@ -105,6 +116,16 @@ class TestExtract:
         dec = profiles.extract(profiles.FunctionSequence([z] * 4, range(1, 5)))
         assert dec.terms == ()
         assert max(dec.remainder_expl2) == 0.0
+
+    @pytest.mark.parametrize("kw, reason", [
+        ({"eps_stop": math.nan}, "stop threshold"),
+        ({"max_terms": -1}, "term cap"),
+        ({"j_max": 0}, "scale cap"),
+    ])
+    def test_options_are_checked_before_the_sequence(self, kw, reason):
+        # None in place of a sequence: the options are checked before it is read
+        with pytest.raises(ValueError, match=reason):
+            profiles.extract(None, **kw)
 
     def test_radial_members_rejected(self):
         prof = radial.moser_annular(1.0)

@@ -199,9 +199,48 @@ def test_running_residual_matches_rebuild_from_originals(two_term_run):
         # each term's bubbles subtracted from the originals, by the extractor's bubble rule
         rebuilt = list(seq.members)
         for t in d.terms:
-            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, range(len(rebuilt)), grid)
+            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, grid)
         expect = [expl2_quasinorm(rearrange_disc(u)) for u in rebuilt]
         assert d.remainder_expl2 == pytest.approx(expect, rel=REL, abs=0.0)
+
+
+# -- one bubble rule for every member -----------------------------------------------------
+
+def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run):
+    seq, grid = two_term_run[:2]
+    cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
+    members = list(seq.members)
+    tail_energy, term = profiles._place_term(
+        members, [d for d, _ in cands], 8, grid, lambda t: True
+    )
+    rebuilt = list(seq.members)
+    profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, grid)
+    # every member, the tail included, bit for bit
+    for u, v in zip(members, rebuilt):
+        assert u.center == v.center and np.array_equal(u.rings, v.rings)
+    assert tail_energy == pytest.approx(disc.energy(members[-1]), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    j=st.integers(1, 4),
+    r=st.floats(0.0, 0.3),
+    theta=st.floats(0.0, 2.0 * math.pi),
+    t_start=st.floats(0.4, 1.2),
+    log_c=st.floats(-2.0, 1.5),
+)
+def test_fit_energy_is_the_energy_the_bubble_rule_leaves(
+    two_term_run, j, r, theta, t_start, log_c
+):
+    seq, grid = two_term_run[:2]
+    m = seq.members[-1]
+    em = disc.energy(m)
+    zeta = complex(r * math.cos(theta), r * math.sin(theta))
+    w = radial.scale(smooth_plateau_profile(t_start, 1.0), math.exp(log_c))
+    term, tail_energy = profiles._fit_term((disc._stack([m]), em), [(j, zeta)], w, grid)
+    left = [m]
+    profiles._apply_bubbles(disc.subtract_disc, left, term, grid)
+    assert abs(tail_energy - disc.energy(left[0])) <= 1e-12 * em
 
 
 # -- the energy budget guard -------------------------------------------------------------
@@ -226,10 +265,10 @@ def test_greedy_pass_skips_over_budget_candidates(two_term_run, monkeypatch):
         got = fit(*args, **kwargs)
         if got is None:
             return None
-        t, bubble = got
+        t, tail_energy = got
         w = radial.RadialProfile.from_arrays(t.w.nodes, 2.0 * t.w.values, 2)
         term = profiles.ProfileTerm(w, t.j_track, t.zeta_track)
-        return term, disc.scale_disc(bubble, 2.0)
+        return term, tail_energy
 
     monkeypatch.setattr(profiles, "_fit_term", overshooting_fit)
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)

@@ -124,6 +124,17 @@ class TestVanishing:
         ]
         assert all(b < a for a, b in zip(q, q[1:]))
 
+    def test_fractional_indices_rejected(self, bump2d):
+        with pytest.raises(ValueError, match=r"^k_values: 2\.5 is not an integer$"):
+            seqgen.vanishing_sequence([1, 2.5, 4.9], bump2d)
+        bump = {"n": 2, "nodes": [0.0, 0.8, 1.6, 2.4], "values": [0.0, 0.0, 1.0, 0.0]}
+        grid = {"n_r": 16, "n_theta": 32, "s_max": 4.0}
+        spec = seqgen.GeneratorSpec(
+            "vanishing", {"k_values": [1, 2.0], "bump_profile": bump, "grid": grid}
+        )
+        # the manifest records the indices the members were built with
+        assert json.dumps(seqgen.build_sequence(spec)[1]["k_values"]) == "[1, 2]"
+
     def test_requires_compact_support(self):
         grid = disc.PolarGrid(n_r=64, n_theta=32, s_max=4.0)
         prof = radial.moser_annular(1.0)  # support radius 1
@@ -200,6 +211,16 @@ class TestSuperposition:
         with open(ref, "w", encoding="utf-8") as fh:
             json.dump(disc.disc_to_dict(seq.members[1]), fh, sort_keys=True)
         assert (tmp_path / "seq" / "member_0002.json").read_bytes() == ref.read_bytes()
+
+    def test_fractional_indices_rejected(self):
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=4.0)
+        with pytest.raises(ValueError, match=r"^k_list: 1\.9 is not an integer$"):
+            seqgen.synthetic_superposition([], 0.0, 0, grid, k_list=[1.9, 2.5, 3.7])
+        spec = seqgen.GeneratorSpec("counterexample", {"k_max": 2.5})
+        with pytest.raises(ValueError, match=r"^k_max: 2\.5 is not an integer$"):
+            seqgen.build_sequence(spec)
+        _, manifest = seqgen.build_sequence(seqgen.GeneratorSpec("counterexample", {"k_max": 2.0}))
+        assert json.dumps(manifest["k_max"]) == "2"
 
     def test_counterexample_spec_round_trip(self, tmp_path):
         spec = seqgen.GeneratorSpec("counterexample", {"k_max": 4})
