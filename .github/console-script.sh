@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# End-to-end run of the installed `moserlab` console script.
+# Usage: .github/console-script.sh DIR  (DIR receives every output; it must exist)
+set -euo pipefail
+tmp="$1"
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+
+# a command that must fail with exit 1 and leave its --out unwritten
+rejects() {
+  local out="$1"
+  shift
+  local code=0
+  moserlab "$@" --out "$out" || code=$?
+  test "$code" -eq 1 && test ! -e "$out"
+}
+
+moserlab counterexample --k-max 4 --out "$tmp/ce"
+moserlab verify --out "$tmp/verify"
+moserlab generate --kind superposition --grid-nr 96 --grid-ntheta 96 --out "$tmp/seq"
+moserlab norms --input "$tmp/seq/member_0006.json" --out "$tmp/norms"
+rejects "$tmp/rejected" norms --input "$tmp/seq/member_0006.json" --indices "inf,inf,nan"
+rejects "$tmp/rejected-dec" decompose --manifest missing.json --max-terms -1
+echo '{"k_max": 2.5}' > "$tmp/k_max.json"
+rejects "$tmp/rejected-gen" generate --kind counterexample --params "$tmp/k_max.json"
+echo '{"k_max": true}' > "$tmp/k_max_bool.json"
+rejects "$tmp/rejected-bool" generate --kind counterexample --params "$tmp/k_max_bool.json"
+echo '{"k_list": [1], "terms": [], "grid": {"n_r": 96.0, "n_theta": 96}}' > "$tmp/float_grid.json"
+moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
+moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
+moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"
+moserlab decompose --manifest "$tmp/seq/manifest.json" --out "$tmp/dec"
+moserlab moser-limit --l-values 5,10 --out "$tmp/ml"
+cd "$tmp" && python "$repo/tests/test_import_graph.py"

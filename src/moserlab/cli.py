@@ -7,11 +7,10 @@ that rejects its input writes nothing.  Every default lives in this module:
 the shared options restate the library's (`QuadratureSpec()`, `extract`,
 `GeneratorSpec`), next to the generator parameters (`_DEFAULT_PARAMS`,
 `_DEFAULT_GRID`) and the per-command defaults (`--l-values`, `--k-max`,
-`--indices`, `--max-terms`).  Flags override them;
-`--grid-nr` and `--grid-ntheta`, when given, override the sizes of any
-generator grid, a kind's default grid included; the counterexample, whose
-members are radial profiles, rejects them.  Environment variables are never
-read.
+`--indices`, `--max-terms`).  `generate` reads `--params` or the kind's
+defaults, gives a grid-less disc kind `_DEFAULT_GRID` and applies
+`--grid-nr` / `--grid-ntheta` (the counterexample rejects them); seqgen
+checks the rest.  Environment variables are never read.
 """
 
 from __future__ import annotations
@@ -204,12 +203,12 @@ def cmd_generate(args) -> int:
     if args.params is not None:
         with open(args.params, encoding="utf-8") as fh:
             params = json.load(fh)
-        if not isinstance(params, dict):
-            raise ValueError(f"malformed {args.kind} parameters: not a JSON object")
     else:
         params = json.loads(json.dumps(_DEFAULT_PARAMS[args.kind]))
+    # the spec checks that params is an object; build_sequence checks the rest
+    spec = seqgen.GeneratorSpec(args.kind, params, seed=args.seed)
     if args.kind == "counterexample":
-        if "grid" in params or args.grid_nr is not None or args.grid_ntheta is not None:
+        if args.grid_nr is not None or args.grid_ntheta is not None:
             raise ValueError("counterexample members are radial profiles and take no grid")
     else:
         grid = params.setdefault("grid", dict(_DEFAULT_GRID))
@@ -220,19 +219,6 @@ def cmd_generate(args) -> int:
             if not isinstance(grid, dict):
                 raise ValueError(f"malformed {args.kind} parameters: 'grid' is not an object")
             grid.update(given)
-    if args.kind == "superposition":
-        terms = params.get("terms", [])
-        if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
-            raise ValueError(
-                "malformed superposition parameters: 'terms' is not a list of objects"
-            )
-        for t in terms:
-            if "profile" not in t:
-                raise ValueError("malformed superposition parameters: 'profile'")
-            prof = radial.profile_from_dict(t["profile"])
-            prof = radial.scale(prof, 1.0 / radial.grad_norm(prof))
-            t["profile"] = radial.profile_to_dict(prof)
-    spec = seqgen.GeneratorSpec(args.kind, params, seed=args.seed)
     seq, manifest = seqgen.build_sequence(spec)
     path = seqgen.save_sequence(seq, args.out, manifest)
     print(path)

@@ -38,7 +38,6 @@ Out-of-domain reads are zero everywhere (extension by zero).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,6 +78,17 @@ class GridResolutionError(ValueError):
     """An operation needs finer grid resolution than available."""
 
 
+def _integer(x, what: str) -> int:
+    """x as an int if a finite integral real, not a bool; else a ValueError."""
+    try:
+        ok = not isinstance(x, bool) and int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{what}: {x!r} is not an integer")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     n_r: int
@@ -86,8 +96,8 @@ class PolarGrid:
     s_max: float = 12.0
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) for n in (self.n_r, self.n_theta)):
-            raise ValueError("grid sizes must be integers")
+        object.__setattr__(self, "n_r", _integer(self.n_r, "n_r"))
+        object.__setattr__(self, "n_theta", _integer(self.n_theta, "n_theta"))
         if self.n_r < 16:
             raise ValueError("need at least 16 radial cells")
         if self.n_theta < 32:
@@ -236,7 +246,7 @@ class DislocationParam:
     zeta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "j", int(self.j))
+        object.__setattr__(self, "j", _integer(self.j, "j"))
         object.__setattr__(self, "zeta", complex(self.zeta))
         if self.j < 1:
             raise ValueError("scale exponent must be a positive integer")

@@ -352,7 +352,7 @@ def dilation_concentration_demo(
     from zero.  Members are exact radial dilations, so J is evaluated on the
     dilated profiles directly; pairings use the sampled disc functions.
     """
-    js = [int(j) for j in j_list]
+    js = [disc._integer(j, "j_list") for j in j_list]
     if any(j < 1 for j in js) or any(b < a for a, b in zip(js, js[1:])):
         raise ValueError("dilation schedule must be nondecreasing positive integers")
     grid = disc.PolarGrid(

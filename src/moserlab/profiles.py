@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disc
+from .disc import _integer
 from .functional import tail_decayed
 from .radial import OMEGA, RadialProfile, gauge_apply, grad_norm
 from .radial import profile_from_dict, profile_to_dict
@@ -56,13 +57,6 @@ __all__ = [
 
 
 _GRAD_NORM_BOUND = 10.0
-
-
-def _integer(x, what: str) -> int:
-    """x as an int; a ValueError, not a truncation, if x is not integral."""
-    if int(x) != x:
-        raise ValueError(f"{what}: {x!r} is not an integer")
-    return int(x)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ concentrating ramp ("moser") sequences, translated or in dilation form; the
 equal-energy disjoint-bump counterexample built exactly in the PL radial
 calculus; plain shrinking-bump vanishing sequences; and synthetic
 superpositions of planted dislocated profiles plus high-angular-frequency
-noise for closed-loop extractor scoring.
+noise for closed-loop extractor scoring.  `build_sequence` and its spec alone
+decide what valid input is: disc kinds need a grid, the counterexample takes
+none, planted profiles get unit energy, indices obey `disc._integer`.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disc
-from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, _integer, orthogonality_check
+from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
 from .radial import (
     RadialProfile,
     gauge_apply,
+    grad_norm,
     moser_annular,
     profile_from_dict,
     profile_to_dict,
+    scale,
 )
 
 __all__ = [
@@ -52,6 +56,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"malformed {self.kind} parameters: not a JSON object")
 
 
 # -- concentrating ramp sequences ------------------------------------------------
@@ -155,7 +161,7 @@ def vanishing_sequence(k_list, bump2d: disc.DiscFunction) -> FunctionSequence:
     the discrete energies stay constant up to grid tolerance while the
     exponential-class quasinorm decays.
     """
-    ks = [_integer(k, "k_values") for k in k_list]
+    ks = [disc._integer(k, "k_values") for k in k_list]
     if any(k < 1 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("indices must be increasing positive integers")
     if bump2d.support_radius >= 1.0:
@@ -219,7 +225,7 @@ def synthetic_superposition(
     n_k = len(terms[0].j_track) if terms else len(list(k_list or []))
     if k_list is None:
         k_list = range(1, n_k + 1)
-    ks = [_integer(k, "k_list") for k in k_list]
+    ks = [disc._integer(k, "k_list") for k in k_list]
     if terms and any(len(t.j_track) != len(ks) for t in terms):
         raise ValueError("term tracks must cover the index list")
     # term by term, one bubble per (term, j, zeta); each member sums its
@@ -249,10 +255,13 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
     """Construct the sequence described by a generator spec; returns manifest too."""
     p = dict(spec.params)
     try:
-        g = p.get("grid")
-        grid = None if g is None else disc._parse_grid(
-            g["n_r"], g["n_theta"], g.get("s_max", 12.0), g.get("spacing", "geometric")
-        )
+        if spec.kind != "counterexample":
+            g = p["grid"]
+            grid = disc._parse_grid(
+                g["n_r"], g["n_theta"], g.get("s_max", 12.0), g.get("spacing", "geometric")
+            )
+        elif "grid" in p:
+            raise ValueError("counterexample members are radial profiles and take no grid")
         if spec.kind == "moser":
             seq = moser_sequence(
                 p["s_values"], p["centers"], grid=grid, form=p.get("form", "translate")
@@ -261,20 +270,21 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
             manifest = {"generator": "moser", "params": params}
         elif spec.kind == "counterexample":
             bump = profile_from_dict(p["bump"]) if p.get("bump") else None
-            k_max = _integer(p["k_max"], "k_max")
+            k_max = disc._integer(p["k_max"], "k_max")
             seq = counterexample_sequence(k_max, bump)
             manifest = {"generator": "counterexample", "k_max": k_max}
         elif spec.kind == "vanishing":
-            if grid is None:
-                grid = disc.PolarGrid(n_r=256, n_theta=64, s_max=8.0)
             prof = profile_from_dict(p["bump_profile"])
             bump2d = disc.inflate(prof, disc.DislocationParam(1, 0.0), grid)
             seq = vanishing_sequence(p["k_values"], bump2d)
             manifest = {"generator": "vanishing", "k_values": list(seq.k_list)}
         else:
-            if grid is None:
-                grid = disc.PolarGrid(n_r=512, n_theta=256, s_max=7.0)
-            terms = [ProfileTerm.from_dict(t) for t in p.get("terms", [])]
+            terms = p.get("terms", [])
+            if not isinstance(terms, list):
+                raise TypeError("'terms' is not a list")
+            terms = [ProfileTerm.from_dict(t) for t in terms]
+            terms = [ProfileTerm(scale(t.w, 1.0 / grad_norm(t.w)), t.j_track, t.zeta_track)
+                     for t in terms]
             seq, manifest = synthetic_superposition(
                 terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,
                 k_list=p.get("k_list"),
@@ -313,13 +323,13 @@ def load_sequence(manifest_path: str) -> FunctionSequence:
         doc = json.load(fh)
     try:
         names, k_list = doc["members"], doc["k_list"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(k_list, list):
+            raise TypeError("'k_list' is not a list")
+        k_list = [disc._integer(k, "k_list") for k in k_list]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed sequence manifest: {exc}") from exc
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ValueError("malformed sequence manifest: 'members' is not a list of file names")
-    if not (isinstance(k_list, list)
-            and all(isinstance(k, int) and not isinstance(k, bool) for k in k_list)):
-        raise ValueError("malformed sequence manifest: 'k_list' is not a list of integers")
     members = []
     for name in names:
         with open(os.path.join(base, name), encoding="utf-8") as fh:

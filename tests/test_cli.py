@@ -174,9 +174,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("fields, reason", [
         ({"members": "m.json", "k_list": [1]}, "'members' is not a list of file names"),
         ({"members": ["m.json", 3], "k_list": [1, 2]}, "'members' is not a list of file names"),
-        ({"members": ["m.json"], "k_list": "1"}, "'k_list' is not a list of integers"),
-        ({"members": ["m.json"], "k_list": [1.5]}, "'k_list' is not a list of integers"),
-        ({"members": ["m.json"], "k_list": [True]}, "'k_list' is not a list of integers"),
+        ({"members": ["m.json"], "k_list": "1"}, "'k_list' is not a list"),
+        ({"members": ["m.json"], "k_list": [1.5]}, "k_list: 1.5 is not an integer"),
+        ({"members": ["m.json"], "k_list": [True]}, "k_list: True is not an integer"),
     ], ids=["members-string", "members-number", "k-list-string", "k-list-float", "k-list-bool"])
     def test_manifest_with_wrong_types(self, tmp_path, capsys, fields, reason):
         manifest = tmp_path / "manifest.json"
@@ -296,8 +296,8 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize("field, value, reason", [
-        ("n_r", 16.5, "grid sizes must be integers"),
-        ("n_theta", 32.5, "grid sizes must be integers"),
+        ("n_r", 16.5, "n_r: 16.5 is not an integer"),
+        ("n_theta", 32.5, "n_theta: 32.5 is not an integer"),
         ("s_max", math.inf, "finite s_max > 0"),
         ("s_max", math.nan, "finite s_max > 0"),
     ], ids=["fractional-n_r", "fractional-n_theta", "infinite-s_max", "nan-s_max"])
@@ -316,7 +316,7 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize("field, value, reason", [
-        ("n_r", 64.5, "grid sizes must be integers"),
+        ("n_r", 64.5, "n_r: 64.5 is not an integer"),
         ("s_max", math.inf, "finite s_max > 0"),
     ], ids=["fractional-n_r", "infinite-s_max"])
     def test_generator_grid_malformed(self, tmp_path, capsys, field, value, reason):
@@ -381,6 +381,7 @@ class TestMalformedInput:
 def test_cli_defaults_are_the_library_defaults():
     parser = cli.build_parser()
     dec = parser.parse_args(["decompose", "--manifest", "m"])
+    gen = parser.parse_args(["generate", "--kind", "moser"])
     ml = parser.parse_args(["moser-limit"])
     spec = functional.QuadratureSpec()
     extract = inspect.signature(profiles.extract).parameters
@@ -389,7 +390,7 @@ def test_cli_defaults_are_the_library_defaults():
     assert [getattr(dec, k) for k in ("eps_stop", "max_terms", "j_max")] == [
         extract[k].default for k in ("eps_stop", "max_terms", "j_max")
     ]
-    assert dec.seed == seed
+    assert gen.seed == seed
 
 
 @pytest.mark.parametrize("argv, code, reason", [
@@ -444,3 +445,78 @@ def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code, reason)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and reason in err
     assert not out.exists()
+
+
+# one integer rule for every outside input: an integral float is read as its int;
+# a fractional float, a bool, null, a string and Infinity are rejected by name
+_BUMP = {"n": 2, "nodes": [0.0, 0.8, 1.6, 2.4], "values": [0.0, 0.0, 1.0, 0.0]}
+_SMALL = {"n_r": 16, "n_theta": 32, "s_max": 4.5}
+
+
+def _integer_input(tmp_path, name, v):
+    """The argv that carries v as the input `name`, and a check of the output."""
+    small, term = dict(_SMALL), {"profile": _BUMP, "j_track": [1, 1], "zeta_track": [[0, 0]] * 2}
+    if name in ("n_r", "n_theta"):
+        small[name] = v
+    if name == "j_track":
+        term["j_track"] = [1, v]
+    kind, params = {
+        "k_list": ("superposition", {"k_list": [1, v], "terms": [], "grid": small}),
+        "k_max": ("counterexample", {"k_max": v}),
+        "k_values": ("vanishing", {"k_values": [1, v], "bump_profile": _BUMP, "grid": small}),
+        "j_track": ("superposition", {"terms": [term], "grid": small}),
+        "n_r": ("superposition", {"k_list": [1], "terms": [], "grid": small}),
+        "n_theta": ("superposition", {"k_list": [1], "terms": [], "grid": small}),
+    }[name]
+    (tmp_path / "p.json").write_text(json.dumps(params))
+    argv = ["generate", "--kind", kind, "--params", str(tmp_path / "p.json")]
+
+    def check(out):
+        # the JSON text tells 2 from 2.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        if name in ("n_r", "n_theta"):
+            assert f'"{name}": {int(v)},' in (out / manifest["members"][0]).read_text()
+        elif name == "j_track":
+            assert json.dumps(manifest["planted_terms"][0]["j_track"]) == "[1, 2]"
+        else:
+            assert json.dumps(manifest[name]) == ("2" if name == "k_max" else "[1, 2]")
+    return argv, check
+
+
+@pytest.mark.parametrize("value", ["integral", 2.5, True, None, "2", math.inf],
+                         ids=["integral-float", "fractional", "true", "null", "string",
+                              "infinity"])
+@pytest.mark.parametrize("name", ["k_list", "k_max", "k_values", "j_track", "n_r", "n_theta",
+                                  "manifest-k_list", "DislocationParam.j"])
+def test_one_integer_rule_for_every_outside_input(tmp_path, capsys, name, value):
+    v = {"n_r": 16.0, "n_theta": 32.0}.get(name, 2.0) if value == "integral" else value
+    if name == "DislocationParam.j":
+        if value == "integral":
+            assert type(disc.DislocationParam(v, 0.0).j) is int
+        else:
+            with pytest.raises(ValueError, match=r"^j: .* is not an integer$"):
+                disc.DislocationParam(v, 0.0)
+        return
+    if name == "manifest-k_list":
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=2.0)
+        seq = profiles.FunctionSequence([disc.angular_mode(radial.moser_annular(1.0), grid, 1)], [1])
+        path = seqgen.save_sequence(seq, str(tmp_path), {})
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        (tmp_path / "manifest.json").write_text(json.dumps({**doc, "k_list": [v]}))
+        argv, name = ["decompose", "--manifest", path, "--j-max", "4"], "k_list"
+
+        def check(out):
+            rows = (out / "remainder.csv").read_text().splitlines()
+            assert rows[2].startswith("2,")
+    else:
+        argv, check = _integer_input(tmp_path, name, v)
+    out = tmp_path / "out"
+    code = run([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    if value == "integral":
+        assert code == 0, err
+        check(out)
+    else:
+        assert code == 1
+        assert err.count("\n") == 1 and f"{name}: {v!r} is not an integer" in err
+        assert "Traceback" not in err and not out.exists()

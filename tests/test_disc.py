@@ -41,15 +41,21 @@ class TestGrid:
             disc.PolarGrid(n_r=64, n_theta=64, s_max=0.0)
 
     @pytest.mark.parametrize("n_r, n_theta, s_max, reason", [
-        (16.5, 32, 12.0, "integers"),
-        (16, 32.0, 12.0, "integers"),
-        ("16", 32, 12.0, "integers"),
+        pytest.param(16.5, 32, 12.0, "^n_r: 16.5 is not an integer$", id="16.5-32-12.0-n_r"),
+        pytest.param(16, 32.5, 12.0, "^n_theta: 32.5 is not an integer$",
+                     id="16-32.5-12.0-n_theta"),
+        pytest.param("16", 32, 12.0, "^n_r: '16' is not an integer$", id="string-32-12.0-n_r"),
         (16, 32, math.inf, "finite s_max"),
         (16, 32, math.nan, "finite s_max"),
     ])
     def test_malformed_grids_rejected(self, n_r, n_theta, s_max, reason):
         with pytest.raises(ValueError, match=reason):
             disc.PolarGrid(n_r, n_theta, s_max)
+
+    def test_integral_float_sizes_are_read_as_ints(self):
+        g = disc.PolarGrid(16.0, 32.0)
+        assert g == disc.PolarGrid(16, 32)
+        assert (type(g.n_r), type(g.n_theta)) == (int, int)
 
     def test_areas_sum_to_disc_on_a_shallow_grid(self):
         g = disc.PolarGrid(n_r=64, n_theta=32, s_max=1.5)

@@ -245,7 +245,8 @@ def test_term_record_with_profile_file_name():
 def test_generator_term_missing_key_is_a_value_error():
     doc = TERM.to_dict()
     del doc["zeta_track"]
-    spec = seqgen.GeneratorSpec("superposition", {"terms": [doc]})
+    grid = {"n_r": 16, "n_theta": 32, "s_max": 4.0}
+    spec = seqgen.GeneratorSpec("superposition", {"terms": [doc], "grid": grid})
     with pytest.raises(ValueError, match="malformed superposition parameters: 'zeta_track'"):
         seqgen.build_sequence(spec)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from moserlab import disc, profiles, radial, rearrange, seqgen
+from moserlab import cli, disc, profiles, radial, rearrange, seqgen
 
 
 class TestMoserSequence:
@@ -229,3 +229,42 @@ class TestSuperposition:
         loaded = seqgen.load_sequence(path)
         assert not loaded.is_disc()
         assert np.array_equal(loaded.members[2].values, seq.members[2].values)
+
+
+class TestGeneratorContract:
+    """build_sequence alone decides what valid generator input is."""
+
+    def test_library_and_cli_build_the_same_sequence(self, tmp_path):
+        # a planted profile of energy about 25: both paths scale it to unit energy
+        prof = radial.scale(radial.moser_annular(0.8, 0.4), 5.0)
+        params = {
+            "noise_energy": 0.01,
+            "terms": [{"profile": radial.profile_to_dict(prof), "j_track": [1, 2],
+                       "zeta_track": [[0.05, 0.0]] * 2}],
+            "grid": {"n_r": 64, "n_theta": 32, "s_max": 4.0},
+        }
+        (tmp_path / "p.json").write_text(json.dumps(params))
+        assert cli.main(["generate", "--kind", "superposition", "--params",
+                         str(tmp_path / "p.json"), "--seed", "3",
+                         "--out", str(tmp_path / "g")]) == 0
+        loaded = seqgen.load_sequence(str(tmp_path / "g" / "manifest.json"))
+        seq, _ = seqgen.build_sequence(seqgen.GeneratorSpec("superposition", params, seed=3))
+        for a, b in zip(seq.members, loaded.members):
+            assert np.array_equal(a.rings, b.rings)
+        assert seq.energies[0] == pytest.approx(1.0 + 0.01, abs=0.05)
+
+    @pytest.mark.parametrize("kind, params, reason", [
+        ("counterexample", {"k_max": 3, "grid": {"n_r": 64, "n_theta": 64}},
+         "^counterexample members are radial profiles and take no grid$"),
+        ("moser", {"s_values": [0.3], "centers": [[0.0, 0.0]]},
+         "^malformed moser parameters: 'grid'$"),
+        ("vanishing", {"k_values": [1], "bump_profile": {}},
+         "^malformed vanishing parameters: 'grid'$"),
+        ("superposition", [1, 2], "^malformed superposition parameters: not a JSON object$"),
+        ("superposition", {"terms": {}, "grid": {"n_r": 16, "n_theta": 32}},
+         "^malformed superposition parameters: 'terms' is not a list$"),
+    ], ids=["counterexample-grid", "moser-no-grid", "vanishing-no-grid", "not-a-dict",
+            "terms-object"])
+    def test_spec_rejections(self, kind, params, reason):
+        with pytest.raises(ValueError, match=reason):
+            seqgen.build_sequence(seqgen.GeneratorSpec(kind, params))
