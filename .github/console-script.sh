@@ -25,6 +25,8 @@ rejects "$tmp/rejected-gen" generate --kind counterexample --params "$tmp/k_max.
 echo '{"k_max": true}' > "$tmp/k_max_bool.json"
 rejects "$tmp/rejected-bool" generate --kind counterexample --params "$tmp/k_max_bool.json"
 echo '{"k_list": [1], "terms": [], "grid": {"n_r": 96.0, "n_theta": 96}}' > "$tmp/float_grid.json"
+echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1], "values": [0, 0]}, "j_track": [1], "zeta_track": [[0, 0]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/zero_profile.json"
+rejects "$tmp/rejected-zero" generate --kind superposition --params "$tmp/zero_profile.json"
 moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
 moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
 moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"

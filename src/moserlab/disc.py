@@ -231,10 +231,14 @@ class DiscFunction:
         shared read-only array per grid and order.
         """
         V = self.rings
-        Vn = np.roll(V, -1, axis=1)
-        cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
-        cap_val = 0.5 * (self.center + float(np.mean(V[0])))
-        values = np.concatenate(([cap_val], cell_vals.ravel()))
+        values = np.empty(1 + V[1:].size)
+        values[0] = 0.5 * (self.center + float(np.mean(V[0])))
+        cells = values[1:].reshape(V[1:].shape)  # ((a + b) + c) + d, next column cyclic
+        np.add(V[:-1], V[1:], out=cells)
+        for row in (V[:-1], V[1:]):
+            cells[:, :-1] += row[:, 1:]
+            cells[:, -1] += row[:, 0]
+        cells *= 0.25
         return values, _cell_area_array(self.grid, self.order)
 
 
@@ -328,17 +332,25 @@ def grad_norm_disc(u: DiscFunction) -> float:
     return math.sqrt(energy(u))
 
 
-def _combine(u: DiscFunction, v: DiscFunction, op) -> DiscFunction:
-    """op of two functions of one grid and one symmetry order, blockwise."""
+def _owned_copy(u: DiscFunction) -> DiscFunction:
+    """u's copy for an in-place `_combine`: its rings view, read-only, a
+    writable array that no caller holds."""
+    rings = np.array(u.rings)[...]
+    return DiscFunction._owned(u.grid, u.center, rings, u.support_radius, u.zero_trace, u.order)
+
+
+def _combine(u: DiscFunction, v: DiscFunction, op, in_place=False) -> DiscFunction:
+    """op of two functions of one grid and one symmetry order, blockwise; in
+    place, u (an `_owned_copy`) becomes the result, with the same checks."""
     _check_operands(u, v)
-    return DiscFunction._owned(
-        u.grid,
-        float(op(u.center, v.center)),
-        op(u.rings, v.rings),
-        support_radius=max(u.support_radius, v.support_radius),
-        zero_trace=u.zero_trace and v.zero_trace,
-        order=u.order,
-    )
+    fields = dict(center=float(op(u.center, v.center)), zero_trace=u.zero_trace and v.zero_trace,
+                  support_radius=max(u.support_radius, v.support_radius))
+    if not in_place:
+        return DiscFunction._owned(u.grid, rings=op(u.rings, v.rings), order=u.order, **fields)
+    op(u.rings.base, v.rings, out=u.rings.base)
+    vars(u).update(fields)
+    u._own(u.rings)
+    return u
 
 
 def add(u: DiscFunction, v: DiscFunction) -> DiscFunction:
@@ -384,13 +396,11 @@ def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
     thetas = _thetas(grid)[: 1 if zeta == 0 else None]
     zx, zy = zeta.real, zeta.imag
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    d2 = (
-        radii[:, None] ** 2
-        + (zx * zx + zy * zy)
-        - 2.0 * radii[:, None] * (zx * cos_t + zy * sin_t)[None, :]
-    )
+    d2 = np.multiply(2.0 * radii[:, None], (zx * cos_t + zy * sin_t)[None, :])
+    np.subtract(radii[:, None] ** 2 + (zx * zx + zy * zy), d2, out=d2)
+    np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
     with np.errstate(divide="ignore"):
-        return -np.log(np.sqrt(np.maximum(d2, 0.0)))
+        return np.negative(np.log(d2, out=d2), out=d2)
 
 
 def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
@@ -405,7 +415,8 @@ def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None
         )
     if field is None:
         field = _log_distance(grid, zeta)
-    rings = math.sqrt(j) * w.value_at(field / j)
+    rings = w.value_at(field / j)
+    rings *= math.sqrt(j)
     if rings.shape[1] == 1:
         rings = np.repeat(rings, grid.n_theta // order, axis=1)
     rings[-1, :] = 0.0

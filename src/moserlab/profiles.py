@@ -18,21 +18,22 @@ least half the best one; two consecutive increases of the tail remainder
 energy stop it with status "diverged", unrefined.  A refine sweep starts it
 from a term's last (scale, center) on the members cleaned of every other term.
 
-The members carry one running residual, and `_apply_bubbles` alone changes
-it, never rebuilding from the original members: it subtracts the chosen
-term's bubbles from every member, the tail included, and a refine sweep
-adds a term's bubbles back to get the cleaned members, which become the
-residual if the refit is accepted.  A fit is ranked without a subtraction,
-by the closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the tail energy
-it leaves, s its tail bubble.  A bubble depends only on the term's (scale,
-center) at an index, and a track repeats few of them, so each is built
-once per distinct (j, zeta) group and applied to every member of the group.
+The members carry one running residual, an owned copy of the inputs made
+once, and `_apply_bubbles` alone changes it, in place: it subtracts the
+chosen term's bubbles from every member, the tail included.  A refine sweep
+adds a term's bubbles back and refits, then subtracts the refit, or the old
+bubbles if it is rejected.  A fit is ranked without a subtraction, by the
+closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the tail energy it
+leaves, s its tail bubble.  A bubble depends only on the term's (scale,
+center) at an index, and a track repeats few of them, so each is built once
+per distinct (j, zeta) group and applied to every member of the group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -57,6 +58,8 @@ __all__ = [
 
 
 _GRAD_NORM_BOUND = 10.0
+# the two updates of the extractor's running residual, in place on `disc._owned_copy`s
+_SUBTRACT, _ADD = (partial(disc._combine, op=op, in_place=True) for op in (np.subtract, np.add))
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,7 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     order of the starts never decides.  Starts whose fit fails, whose term
     `fits_budget` rejects, or whose track repeats an earlier one (track and
     profile fix the fit) are skipped.  Returns (closed-form tail energy,
-    term), with `_apply_bubbles` applied in place, or None, members untouched.
+    term), subtracted in place from the members, or None, members untouched.
     """
     # the members do not change between starts: one tail factor and one memo serve them all
     fm = disc._stack([members[-1]])
@@ -363,7 +366,7 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     if chosen is None:
         return None
     key, term = chosen
-    _apply_bubbles(disc.subtract_disc, members, term, grid)
+    _apply_bubbles(_SUBTRACT, members, term, grid)
     return key[0], term
 
 
@@ -401,7 +404,7 @@ def extract(
         raise ValueError("extraction operates on disc-sampled sequences")
     if any(u.order > 1 for u in seq.members):
         raise ValueError("extraction operates on members of symmetry order 1")
-    members = list(seq.members)
+    members = [disc._owned_copy(u) for u in seq.members]
     grid = members[0].grid
     input_limsup = max(seq.energies)
 
@@ -443,19 +446,18 @@ def extract(
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
-                cleaned = list(members)
-                _apply_bubbles(disc.add, cleaned, old, grid)
+                _apply_bubbles(_ADD, members, old, grid)
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
-                    cleaned, [d0], j_max, grid,
+                    members, [d0], j_max, grid,
                     lambda t: _within_budget(
                         terms[:i] + [t] + terms[i + 1:], input_limsup
                     ),
                 )
-                if placed is not None:
+                if placed is None:
+                    _apply_bubbles(_SUBTRACT, members, old, grid)
+                else:
                     terms[i] = placed[1]
-                    members = cleaned
-                del cleaned
 
     remainder = tuple(expl2_disc(u) for u in members)
     return Decomposition(

@@ -500,7 +500,7 @@ def expl2_disc(u) -> float:
     the summation order of the total area.
     """
     values, areas = u.cell_values_and_areas()
-    mags = np.abs(values)
+    mags = np.abs(values, out=values)
     vmax = float(mags.max())
     if vmax == 0.0:
         return 0.0

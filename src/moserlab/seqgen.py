@@ -283,8 +283,11 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
             if not isinstance(terms, list):
                 raise TypeError("'terms' is not a list")
             terms = [ProfileTerm.from_dict(t) for t in terms]
-            terms = [ProfileTerm(scale(t.w, 1.0 / grad_norm(t.w)), t.j_track, t.zeta_track)
-                     for t in terms]
+            norms = [grad_norm(t.w) for t in terms]
+            if 0.0 in norms:
+                raise ValueError(f"superposition term {norms.index(0.0)}: the profile has zero energy")
+            terms = [ProfileTerm(scale(t.w, 1.0 / n), t.j_track, t.zeta_track)
+                     for t, n in zip(terms, norms)]
             seq, manifest = synthetic_superposition(
                 terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,
                 k_list=p.get("k_list"),

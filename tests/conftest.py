@@ -4,9 +4,10 @@ The second half of this module holds the independent oracles that the live
 kernels are checked against, each once: the direct bilinear sampler, the
 per-scale ball means with the detector scores, the stencil refine and the
 detector built on them, the closed energy formula with the polarization
-identity, the one-block deflation and the dislocation-weak test written out
-one member at a time.  Test modules import from here and never from each
-other.
+identity, the one-block deflation, the dislocation-weak test written out
+one member at a time, the member sums on fresh arrays with the bubble rule
+that applies them, and the cell values by a rolled copy.  Test modules
+import from here and never from each other.
 """
 
 import math
@@ -367,3 +368,52 @@ def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
     else:
         verdict = "non-vanishing"
     return profiles.DWeakReport(tuple(per_member), witness, verdict)
+
+
+# -- member sums on fresh arrays, and the cell values by a rolled copy -----------------------
+
+def old_combine(u, v, op):
+    """op of two functions of one grid and one symmetry order, blockwise, on a fresh array."""
+    disc._check_operands(u, v)
+    return disc.DiscFunction._owned(
+        u.grid,
+        float(op(u.center, v.center)),
+        op(u.rings, v.rings),
+        support_radius=max(u.support_radius, v.support_radius),
+        zero_trace=u.zero_trace and v.zero_trace,
+        order=u.order,
+    )
+
+
+def old_subtract(u, v):
+    return old_combine(u, v, np.subtract)
+
+
+def old_add(u, v):
+    return old_combine(u, v, np.add)
+
+
+def old_apply_bubbles(op, members, term, grid) -> None:
+    """members[idx] = op(members[idx], bubble of term at idx), for every idx: one
+    field per center, one bubble per (j, zeta), each freed before the next."""
+    groups: dict = {}
+    for idx in range(len(members)):
+        groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
+    for zeta, by_j in groups.items():
+        field = disc._log_distance(grid, zeta)
+        for j, group in by_j.items():
+            bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
+            for idx in group:
+                members[idx] = op(members[idx], bubble)
+            del bubble
+        del field
+
+
+def old_cell_values_and_areas(u):
+    """Per-cell values (cap first) from the rings and a copy rolled by one column."""
+    V = u.rings
+    Vn = np.roll(V, -1, axis=1)
+    cell_vals = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
+    cap_val = 0.5 * (u.center + float(np.mean(V[0])))
+    values = np.concatenate(([cap_val], cell_vals.ravel()))
+    return values, disc._cell_area_array(u.grid, u.order)

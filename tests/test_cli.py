@@ -411,6 +411,8 @@ def test_cli_defaults_are_the_library_defaults():
      "k_max: 2.5 is not an integer"),
     (["generate", "--kind", "vanishing", "--params", "k_values.json"], 1,
      "k_values: 2.5 is not an integer"),
+    (["generate", "--kind", "superposition", "--params", "zero.json"], 1,
+     "superposition term 0: the profile has zero energy"),
     (["verify", "--profile", "n3.json"], 2, "planar"),
     (["moser-limit", "--l-values", "5,3"], 1, "increasing"),
     (["moser-limit", "--rel-tol", "nan"], 1, "tolerances"),
@@ -419,8 +421,8 @@ def test_cli_defaults_are_the_library_defaults():
 ], ids=["norms", "norms-two-fields", "generate", "decompose", "decompose-max-terms",
         "decompose-eps-stop", "decompose-max-terms-unread", "decompose-j-max-unread",
         "generate-j-track", "generate-k-list", "generate-k-max", "generate-k-values",
-        "verify", "moser-limit", "moser-limit-rel-tol", "moser-limit-abs-tol",
-        "counterexample"])
+        "generate-zero-profile", "verify", "moser-limit", "moser-limit-rel-tol",
+        "moser-limit-abs-tol", "counterexample"])
 def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code, reason):
     record = {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]}
     (tmp_path / "planar.json").write_text(json.dumps(record))
@@ -433,6 +435,8 @@ def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code, reason)
         "k_list.json": {"k_list": [1.9, 2.5, 3.7], "terms": [], "grid": small},
         "k_max.json": {"k_max": 2.5},
         "k_values.json": {"k_values": [1, 2.5, 4.9], "bump_profile": record, "grid": small},
+        "zero.json": {"terms": [{**term, "profile": {**record, "values": [0.0, 0.0]},
+                                 "j_track": [1, 1, 2]}], "grid": small},
     }.items():
         (tmp_path / name).write_text(json.dumps(params))
     if "manifest.json" in argv:

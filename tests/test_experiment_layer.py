@@ -161,14 +161,14 @@ def test_sequence_bound_is_on_the_gradient_norm(superposed):
 
 
 def _place_counting_fits(members, starts, grid):
-    """(placement, members after it, the tracks fitted), from a copy of the members."""
+    """(placement, members after it, the tracks fitted), from owned copies of the members."""
     fits, fit = [], profiles._fit_term
 
     def counted_fit(members, track, w, grid):
         fits.append(track)
         return fit(members, track, w, grid)
 
-    members = list(members)
+    members = [disc._owned_copy(u) for u in members]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "_fit_term", counted_fit)
         placed = profiles._place_term(members, starts, 8, grid, lambda t: True)

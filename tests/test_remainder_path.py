@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, rearrange, seqgen
 from moserlab.rearrange import expl2_quasinorm, rearrange_disc
-from conftest import smooth_plateau_profile
+from conftest import old_cell_values_and_areas, smooth_plateau_profile
 
 REL = 1e-12
 NB = rearrange._EXPL2_BUCKETS
@@ -60,22 +60,26 @@ def test_step_closed_form_matches_sup_pieces(seed, pieces, split):
 
 # -- per-cell values and areas ----------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(16, 80), st.integers(32, 96),
-       st.sampled_from([5.0, 2.0]))
-def test_cell_values_and_areas_match_old(seed, n_r, n_theta, s_max):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(16, 80), st.sampled_from([32, 48, 64, 96]),
+       st.sampled_from([5.0, 2.0]), st.sampled_from([1, 2, 3, 4, 8, 16, 32]))
+def test_cell_values_and_areas_match_old(seed, n_r, n_theta, s_max, order):
+    # order-1 and order-j functions, down to a block one column wide
+    order = order if n_theta % order == 0 else 1
     grid = disc.PolarGrid(n_r=n_r, n_theta=n_theta, s_max=s_max)
     rng = np.random.default_rng(seed)
-    rings = rng.normal(size=(n_r, n_theta)) * 10.0 ** rng.uniform(-6, 6, (n_r, n_theta))
+    shape = (n_r, n_theta // order)
+    rings = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
     rings[-1] = 0.0
-    u = disc.DiscFunction(grid, float(rng.normal()), rings)
+    u = disc.DiscFunction(grid, float(rng.normal()), rings, order=order)
     values, areas = u.cell_values_and_areas()
-    # the cap's value is the mean of center and first ring; a cell's, of its corners
-    V, Vn = rings, np.roll(rings, -1, axis=1)
-    cells = 0.25 * (V[:-1] + V[1:] + Vn[:-1] + Vn[1:])
-    assert np.array_equal(values, np.concatenate(([0.5 * (u.center + np.mean(V[0]))], cells.ravel())))
+    # the cap's value is the mean of center and first ring; a cell's, of its corners,
+    # summed into the output in the order of the rolled-copy formula: bit for bit
+    ref_values, ref_areas = old_cell_values_and_areas(u)
+    assert values.tobytes() == ref_values.tobytes()
+    assert areas is ref_areas
     cap, ann = disc.cell_areas(grid)
-    assert np.array_equal(areas, np.concatenate(([cap], np.repeat(ann, n_theta))))
+    assert np.array_equal(areas, np.concatenate(([cap], np.repeat(ann * order, n_theta // order))))
     assert math.fsum(areas) == pytest.approx(math.pi, rel=REL)
     # the areas are built once per grid and shared read-only
     assert not areas.flags.writeable
@@ -209,7 +213,7 @@ def test_running_residual_matches_rebuild_from_originals(two_term_run):
 def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run):
     seq, grid = two_term_run[:2]
     cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
-    members = list(seq.members)
+    members = [disc._owned_copy(u) for u in seq.members]
     tail_energy, term = profiles._place_term(
         members, [d for d, _ in cands], 8, grid, lambda t: True
     )

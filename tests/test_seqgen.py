@@ -263,8 +263,15 @@ class TestGeneratorContract:
         ("superposition", [1, 2], "^malformed superposition parameters: not a JSON object$"),
         ("superposition", {"terms": {}, "grid": {"n_r": 16, "n_theta": 32}},
          "^malformed superposition parameters: 'terms' is not a list$"),
+        # the second planted profile is zero: no energy to scale to 1
+        ("superposition", {"terms": [
+            {"profile": {"n": 2, "nodes": [0.0, 1.0, 2.0], "values": v},
+             "j_track": [1], "zeta_track": [[0.0, 0.0]]}
+            for v in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        ], "grid": {"n_r": 16, "n_theta": 32}},
+         "^superposition term 1: the profile has zero energy$"),
     ], ids=["counterexample-grid", "moser-no-grid", "vanishing-no-grid", "not-a-dict",
-            "terms-object"])
+            "terms-object", "zero-profile"])
     def test_spec_rejections(self, kind, params, reason):
         with pytest.raises(ValueError, match=reason):
             seqgen.build_sequence(seqgen.GeneratorSpec(kind, params))
