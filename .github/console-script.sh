@@ -5,28 +5,32 @@ set -euo pipefail
 tmp="$1"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 
-# a command that must fail with exit 1 and leave its --out unwritten
+# rejects OUT CODE REASON ARGS...: the command must exit with CODE, name REASON
+# on stderr and leave its --out unwritten
 rejects() {
-  local out="$1"
-  shift
+  local out="$1" want="$2" reason="$3"
+  shift 3
   local code=0
-  moserlab "$@" --out "$out" || code=$?
-  test "$code" -eq 1 && test ! -e "$out"
+  moserlab "$@" --out "$out" 2> "$tmp/stderr" || code=$?
+  cat "$tmp/stderr" >&2
+  test "$code" -eq "$want" && grep -qF -- "$reason" "$tmp/stderr" && test ! -e "$out"
 }
 
 moserlab counterexample --k-max 4 --out "$tmp/ce"
 moserlab verify --out "$tmp/verify"
 moserlab generate --kind superposition --grid-nr 96 --grid-ntheta 96 --out "$tmp/seq"
 moserlab norms --input "$tmp/seq/member_0006.json" --out "$tmp/norms"
-rejects "$tmp/rejected" norms --input "$tmp/seq/member_0006.json" --indices "inf,inf,nan"
-rejects "$tmp/rejected-dec" decompose --manifest missing.json --max-terms -1
+rejects "$tmp/rejected" 1 "third index must be finite" norms --input "$tmp/seq/member_0006.json" --indices "inf,inf,nan"
+rejects "$tmp/rejected-dec" 1 "term cap" decompose --manifest missing.json --max-terms -1
+rejects "$tmp/rejected-flag" 2 "unrecognized arguments: --seed 3" counterexample --seed 3
 echo '{"k_max": 2.5}' > "$tmp/k_max.json"
-rejects "$tmp/rejected-gen" generate --kind counterexample --params "$tmp/k_max.json"
+rejects "$tmp/rejected-gen" 1 "k_max: 2.5 is not an integer" generate --kind counterexample --params "$tmp/k_max.json"
 echo '{"k_max": true}' > "$tmp/k_max_bool.json"
-rejects "$tmp/rejected-bool" generate --kind counterexample --params "$tmp/k_max_bool.json"
+rejects "$tmp/rejected-bool" 1 "k_max: True is not an integer" generate --kind counterexample --params "$tmp/k_max_bool.json"
 echo '{"k_list": [1], "terms": [], "grid": {"n_r": 96.0, "n_theta": 96}}' > "$tmp/float_grid.json"
 echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1], "values": [0, 0]}, "j_track": [1], "zeta_track": [[0, 0]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/zero_profile.json"
-rejects "$tmp/rejected-zero" generate --kind superposition --params "$tmp/zero_profile.json"
+rejects "$tmp/rejected-zero" 1 "superposition term 0: the profile has zero energy" \
+  generate --kind superposition --params "$tmp/zero_profile.json"
 moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
 moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
 moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"

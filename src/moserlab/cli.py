@@ -3,14 +3,13 @@
 Commands write both a CSV (human-diffable; first line is a timestamp comment
 excluded from determinism comparisons) and a JSON document (structured, no
 timestamps) into the output directory, which the writers create: a command
-that rejects its input writes nothing.  Every default lives in this module:
-the shared options restate the library's (`QuadratureSpec()`, `extract`,
-`GeneratorSpec`), next to the generator parameters (`_DEFAULT_PARAMS`,
-`_DEFAULT_GRID`) and the per-command defaults (`--l-values`, `--k-max`,
-`--indices`, `--max-terms`).  `generate` reads `--params` or the kind's
-defaults, gives a grid-less disc kind `_DEFAULT_GRID` and applies
-`--grid-nr` / `--grid-ntheta` (the counterexample rejects them); seqgen
-checks the rest.  Environment variables are never read.
+that rejects its input writes nothing.  Each command takes `--out` and only
+the flags it reads.  Every default lives in this module: the options restate
+the library's (`QuadratureSpec()`, `extract`, `GeneratorSpec`), next to the
+generator parameters (`_DEFAULT_PARAMS`, `_DEFAULT_GRID`).  `generate` reads
+`--params` or the kind's defaults, gives a grid-less disc kind
+`_DEFAULT_GRID` and writes `--grid-nr` / `--grid-ntheta` into the grid;
+seqgen checks the rest.  Environment variables are never read.
 """
 
 from __future__ import annotations
@@ -207,18 +206,16 @@ def cmd_generate(args) -> int:
         params = json.loads(json.dumps(_DEFAULT_PARAMS[args.kind]))
     # the spec checks that params is an object; build_sequence checks the rest
     spec = seqgen.GeneratorSpec(args.kind, params, seed=args.seed)
-    if args.kind == "counterexample":
-        if args.grid_nr is not None or args.grid_ntheta is not None:
-            raise ValueError("counterexample members are radial profiles and take no grid")
-    else:
-        grid = params.setdefault("grid", dict(_DEFAULT_GRID))
-        # explicit grid flags override the sizes of any grid
-        given = {k: v for k, v in (("n_r", args.grid_nr), ("n_theta", args.grid_ntheta))
-                 if v is not None}
-        if given:
-            if not isinstance(grid, dict):
-                raise ValueError(f"malformed {args.kind} parameters: 'grid' is not an object")
-            grid.update(given)
+    if args.kind != "counterexample":
+        params.setdefault("grid", dict(_DEFAULT_GRID))
+    # grid flags override any grid's sizes; build_sequence rejects a counterexample's
+    given = {k: v for k, v in (("n_r", args.grid_nr), ("n_theta", args.grid_ntheta))
+             if v is not None}
+    if given:
+        grid = params.setdefault("grid", {})
+        if not isinstance(grid, dict):
+            raise ValueError(f"malformed {args.kind} parameters: 'grid' is not an object")
+        grid.update(given)
     seq, manifest = seqgen.build_sequence(spec)
     path = seqgen.save_sequence(seq, args.out, manifest)
     print(path)
@@ -274,45 +271,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical experiments around concentration in the planar "
         "exponential-growth functional",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=0)
-    # None: the kind's grid, or _DEFAULT_GRID's sizes for a kind without one
-    common.add_argument("--grid-nr", type=int, default=None)
-    common.add_argument("--grid-ntheta", type=int, default=None)
-    common.add_argument("--rel-tol", type=float, default=1e-10)
-    common.add_argument("--abs-tol", type=float, default=1e-12)
-    common.add_argument("--eps-stop", type=float, default=0.05)
-    common.add_argument("--j-max", type=int, default=24)
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="run all invariant suites")
+    def command(name, fn, **kw):  # every command writes into --out
+        p = sub.add_parser(name, **kw)
+        p.add_argument("--out", default="out", help="output directory")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("verify", cmd_verify, help="run all invariant suites")
     p.add_argument("--profile", default=None, help="also validate a profile file")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("moser-limit", parents=[common])
+    p = command("moser-limit", cmd_moser_limit)
     p.add_argument("--l-values", default="5,10,20,40")
-    p.set_defaults(fn=cmd_moser_limit)
+    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--abs-tol", type=float, default=1e-12)
 
-    p = sub.add_parser("counterexample", parents=[common])
+    p = command("counterexample", cmd_counterexample)
     p.add_argument("--k-max", type=int, default=32)
-    p.set_defaults(fn=cmd_counterexample)
 
-    p = sub.add_parser("norms", parents=[common])
+    p = command("norms", cmd_norms)
     p.add_argument("--input", required=True)
     p.add_argument("--indices", default="inf,inf,-0.5;inf,2,-1;inf,2,-0.5")
-    p.set_defaults(fn=cmd_norms)
 
-    p = sub.add_parser("generate", parents=[common])
+    p = command("generate", cmd_generate)
     p.add_argument("--kind", required=True, choices=sorted(_DEFAULT_PARAMS))
     p.add_argument("--params", default=None, help="JSON file with generator params")
-    p.set_defaults(fn=cmd_generate)
+    p.add_argument("--seed", type=int, default=0)
+    # None: the kind's grid, or _DEFAULT_GRID's sizes for a kind without one
+    p.add_argument("--grid-nr", type=int, default=None)
+    p.add_argument("--grid-ntheta", type=int, default=None)
 
-    p = sub.add_parser("decompose", parents=[common])
+    p = command("decompose", cmd_decompose)
     p.add_argument("--manifest", required=True)
     p.add_argument("--max-terms", type=int, default=4)
-    p.set_defaults(fn=cmd_decompose)
+    p.add_argument("--eps-stop", type=float, default=0.05)
+    p.add_argument("--j-max", type=int, default=24)
     return parser
 
 

@@ -89,6 +89,13 @@ def _integer(x, what: str) -> int:
     return int(x)
 
 
+def _boolean(x, what: str) -> bool:
+    """x if a bool (JSON true or false); else a ValueError."""
+    if not isinstance(x, bool):
+        raise ValueError(f"{what}: {x!r} is not a boolean")
+    return x
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     n_r: int
@@ -833,7 +840,7 @@ def disc_from_dict(d: dict) -> DiscFunction:
             float(d["center"]),
             rings,
             support_radius=float(d.get("support_radius", 1.0)),
-            zero_trace=bool(d.get("zero_trace", True)),
+            zero_trace=_boolean(d.get("zero_trace", True), "zero_trace"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed disc-function record: {exc}") from exc

@@ -36,7 +36,6 @@ from .radial import (
     grad_norm,
     moser_annular,
     moser_from_exponent,
-    scale,
 )
 
 __all__ = [
@@ -273,8 +272,29 @@ def _classify(pairings, j_values) -> str:
 
 
 _PROBE_COUNT = 6
-# the critical budget: unit-norm members keep J away from J(0) = 0
-_GRADIENT_BUDGET = 1.0
+
+
+def _moser_family(s_list, centers):
+    """The translated Moser family: one (s, center, L, profile) row per member,
+    L = log(1/s) and the annular profile whose translate by the center fits in
+    the disc; also the extent max L + max pad that the rows reach in s."""
+    s_arr = [float(s) for s in s_list]
+    zetas = [complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z) for z in centers]
+    if len(s_arr) != len(zetas):
+        raise ValueError("need one center per concentration parameter")
+    if any(not (0.0 < s < 1.0) for s in s_arr):
+        raise ValueError("concentration parameters must lie in (0,1)")
+    if any(abs(z) > 0.5 for z in zetas):
+        raise ValueError("centers must stay in the closed half-disc")
+    L_arr = [-math.log(s) for s in s_arr]
+    pads = [-math.log1p(-abs(z)) for z in zetas]
+    rows = [(s, z, L, moser_annular(L, pad)) for s, z, L, pad in zip(s_arr, zetas, L_arr, pads)]
+    return rows, max(L_arr, default=0.0) + max(pads, default=0.0)
+
+
+def _default_grid(n_theta: int, extent: float) -> "disc.PolarGrid":
+    """The concentration experiments' grid: 512 rings, padded by 2 past `extent`."""
+    return disc.PolarGrid(n_r=512, n_theta=n_theta, s_max=extent + 2.0)
 
 
 def _demo_report(grid, cases, probe_count, notes) -> WeakDiscontinuityReport:
@@ -305,40 +325,16 @@ def weak_discontinuity_demo(
 ) -> WeakDiscontinuityReport:
     """Translated concentrating sequence: weak-limit proxies vs. J values.
 
-    Members are u_k = (translate by center_k of the subordinated ramp profile
-    with exponent L_k = log(1/s_k)), at the critical gradient budget 1,
-    sampled on a polar grid.  The report tabulates, per member, the maximal
-    discrete pairing against a fixed probe set and the exact J value carried
-    by the radial profile (J is translation invariant for supports inside the
-    disc).
+    Members are the translated Moser family of `_moser_family` (s may
+    repeat) on a polar grid, 512 x 256 by default.  Each row holds a member's
+    largest pairing against a fixed probe set and the exact J of its radial
+    profile (J is translation invariant for supports inside the disc).
     """
-    s_arr = [float(s) for s in s_list]
-    zetas = [complex(z) for z in centers]
-    if len(s_arr) != len(zetas):
-        raise ValueError("need one center per concentration parameter")
-    if any(not (0.0 < s < 1.0) for s in s_arr):
-        raise ValueError("concentration parameters must lie in (0,1)")
-    for z in zetas:
-        if abs(z) > 0.5:
-            raise ValueError(
-                f"center {z} too close to the boundary: translates must stay "
-                "inside the disc (|center| <= 1/2)"
-            )
-    L_arr = [-math.log(s) for s in s_arr]
-    if grid is None:
-        grid = disc.PolarGrid(
-            n_r=512, n_theta=256,
-            s_max=max(L_arr) + max(-math.log1p(-abs(z)) for z in zetas) + 2.0,
-        )
-    cases = []
-    for s, L, z in zip(s_arr, L_arr, zetas):
-        inner = -math.log1p(-abs(z))
-        prof = scale(moser_annular(L, inner), _GRADIENT_BUDGET)
-        labels = {"s": s, "center": [z.real, z.imag]}
-        cases.append((labels, prof, disc.DislocationParam(1, z), prof))
-    return _demo_report(
-        grid, cases, probe_count, {"gradient_budget": _GRADIENT_BUDGET}
-    )
+    rows, extent = _moser_family(s_list, centers)
+    grid = grid or _default_grid(256, extent)
+    cases = [({"s": s, "center": [z.real, z.imag]}, prof, disc.DislocationParam(1, z), prof)
+             for s, z, _L, prof in rows]
+    return _demo_report(grid, cases, probe_count, {})
 
 
 def dilation_concentration_demo(
@@ -355,9 +351,7 @@ def dilation_concentration_demo(
     js = [disc._integer(j, "j_list") for j in j_list]
     if any(j < 1 for j in js) or any(b < a for a, b in zip(js, js[1:])):
         raise ValueError("dilation schedule must be nondecreasing positive integers")
-    grid = disc.PolarGrid(
-        n_r=512, n_theta=128, s_max=float(base.nodes[-1]) * max(js) + 2.0
-    )
+    grid = _default_grid(128, float(base.nodes[-1]) * max(js))
     cases = [
         ({"j": j}, base, disc.DislocationParam(j, 0.0), gauge_apply(base, 1.0 / j))
         for j in js

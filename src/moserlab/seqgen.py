@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disc
+from .functional import _default_grid, _moser_family
 from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
 from .radial import (
     RadialProfile,
@@ -70,41 +71,25 @@ def moser_sequence(
 ) -> FunctionSequence:
     """Concentrating sequence u_k on the disc.
 
-    form "translate": u_k is the translate by center_k of the unit-norm
-    ramp/plateau profile with exponent log(1/s_k); off-origin centers use the
-    annular variant whose support radius is 1 - |center| so the translate
-    fits in the disc exactly.  form "dilate" uses integer dilations
-    (round(log(1/s_k)), 0) of the unit-exponent profile and requires all
-    centers at the origin.
+    form "translate": u_k is the k-th member of the translated Moser family
+    (`functional._moser_family`): the translate by center_k of the unit-norm
+    ramp/plateau profile with exponent log(1/s_k), annular off the origin so
+    that the translate fits in the disc exactly.  form "dilate" uses integer
+    dilations (round(log(1/s_k)), 0) of the unit-exponent profile and
+    requires all centers at the origin.  The default grid is 512 x 128.
     """
-    s_arr = [float(s) for s in s_list]
-    zetas = [complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z) for z in centers]
-    if len(s_arr) != len(zetas):
-        raise ValueError("need one center per concentration parameter")
-    if any(not (0.0 < s < 1.0) for s in s_arr):
-        raise ValueError("concentration parameters must lie in (0,1)")
-    if any(b >= a for a, b in zip(s_arr, s_arr[1:])):
+    rows, extent = _moser_family(s_list, centers)
+    if any(b[0] >= a[0] for a, b in zip(rows, rows[1:])):
         raise ValueError("concentration parameters must decrease")
-    if any(abs(z) > 0.5 for z in zetas):
-        raise ValueError("centers must stay in the closed half-disc")
-    L_arr = [-math.log(s) for s in s_arr]
     if form not in ("translate", "dilate"):
         raise ValueError(f"unknown form {form!r}")
-    if form == "dilate" and any(z != 0 for z in zetas):
+    if form == "dilate" and any(z != 0 for _s, z, _L, _prof in rows):
         raise ValueError("dilation form concentrates at the origin only")
-    if grid is None:
-        pad = max(-math.log1p(-abs(z)) for z in zetas)
-        grid = disc.PolarGrid(n_r=512, n_theta=128, s_max=max(L_arr) + pad + 2.0)
-    members = []
-    for s, L, z in zip(s_arr, L_arr, zetas):
-        if form == "translate":
-            inner = -math.log1p(-abs(z))
-            prof = moser_annular(L, inner)
-            members.append(disc.inflate(prof, disc.DislocationParam(1, z), grid))
-        else:
-            j = max(1, round(L))
-            prof = moser_annular(1.0)
-            members.append(disc.inflate(prof, disc.DislocationParam(j, 0.0), grid))
+    grid = grid or _default_grid(128, extent)
+    unit = moser_annular(1.0)
+    members = [disc.inflate(prof, disc.DislocationParam(1, z), grid) if form == "translate"
+               else disc.inflate(unit, disc.DislocationParam(max(1, round(L)), 0.0), grid)
+               for _s, z, L, prof in rows]
     return FunctionSequence(members, range(1, len(members) + 1))
 
 

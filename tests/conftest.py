@@ -6,8 +6,9 @@ per-scale ball means with the detector scores, the stencil refine and the
 detector built on them, the closed energy formula with the polarization
 identity, the one-block deflation, the dislocation-weak test written out
 one member at a time, the member sums on fresh arrays with the bubble rule
-that applies them, and the cell values by a rolled copy.  Test modules
-import from here and never from each other.
+that applies them, the cell values by a rolled copy, and the translated
+Moser family as the generator and each demo built it on its own.  Test
+modules import from here and never from each other.
 """
 
 import math
@@ -417,3 +418,51 @@ def old_cell_values_and_areas(u):
     cap_val = 0.5 * (u.center + float(np.mean(V[0])))
     values = np.concatenate(([cap_val], cell_vals.ravel()))
     return values, disc._cell_area_array(u.grid, u.order)
+
+
+# -- the translated Moser family, as each caller built it on its own ------------------------
+
+def old_moser_sequence(s_list, centers, grid=None, form="translate"):
+    """The generator's own checks, annular profiles and 512 x 128 default grid."""
+    s_arr = [float(s) for s in s_list]
+    zetas = [complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z) for z in centers]
+    L_arr = [-math.log(s) for s in s_arr]
+    if grid is None:
+        pad = max(-math.log1p(-abs(z)) for z in zetas)
+        grid = disc.PolarGrid(n_r=512, n_theta=128, s_max=max(L_arr) + pad + 2.0)
+    members = []
+    for L, z in zip(L_arr, zetas):
+        if form == "translate":
+            prof = radial.moser_annular(L, -math.log1p(-abs(z)))
+            members.append(disc.inflate(prof, disc.DislocationParam(1, z), grid))
+        else:
+            prof = radial.moser_annular(1.0)
+            members.append(disc.inflate(prof, disc.DislocationParam(max(1, round(L)), 0.0), grid))
+    return profiles.FunctionSequence(members, range(1, len(members) + 1))
+
+
+def old_weak_discontinuity_demo(s_list, centers, grid=None, probe_count=6):
+    """The translate demo's cases on its own 512 x 256 default grid, each
+    profile scaled by the gradient budget 1, through the shared pipeline."""
+    s_arr = [float(s) for s in s_list]
+    zetas = [complex(z) for z in centers]
+    L_arr = [-math.log(s) for s in s_arr]
+    if grid is None:
+        grid = disc.PolarGrid(
+            n_r=512, n_theta=256,
+            s_max=max(L_arr) + max(-math.log1p(-abs(z)) for z in zetas) + 2.0,
+        )
+    cases = []
+    for s, L, z in zip(s_arr, L_arr, zetas):
+        prof = radial.scale(radial.moser_annular(L, -math.log1p(-abs(z))), 1.0)
+        cases.append(({"s": s, "center": [z.real, z.imag]}, prof, disc.DislocationParam(1, z), prof))
+    return functional._demo_report(grid, cases, probe_count, {"gradient_budget": 1.0})
+
+
+def old_dilation_concentration_demo(base, j_list):
+    """The dilation demo's cases on its own 512 x 128 grid, through the shared pipeline."""
+    js = [int(j) for j in j_list]
+    grid = disc.PolarGrid(n_r=512, n_theta=128, s_max=float(base.nodes[-1]) * max(js) + 2.0)
+    cases = [({"j": j}, base, disc.DislocationParam(j, 0.0), radial.gauge_apply(base, 1.0 / j))
+             for j in js]
+    return functional._demo_report(grid, cases, 6, {"base_grad_norm": radial.grad_norm(base)})

@@ -1,6 +1,8 @@
+import argparse
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -393,10 +395,40 @@ def test_cli_defaults_are_the_library_defaults():
     assert gen.seed == seed
 
 
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == [
+        "counterexample", "decompose", "generate", "moser-limit", "norms", "verify",
+    ]
+    for name, p in commands.choices.items():
+        dests = {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        reads = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(p.get_default("fn"))))
+        assert dests == reads, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "3"],
+    ["moser-limit", "--j-max", "8"],
+    ["counterexample", "--seed", "3"],
+    ["norms", "--input", "planar.json", "--rel-tol", "1e-3"],
+    ["generate", "--kind", "moser", "--eps-stop", "0.1"],
+    ["decompose", "--manifest", "manifest.json", "--grid-nr", "64"],
+], ids=lambda argv: argv[0])
+def test_an_unread_flag_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code, reason", [
     (["norms", "--input", "planar.json", "--indices", "inf,inf,nan"], 1, "finite"),
     (["norms", "--input", "planar.json", "--indices", "inf,inf"], 1,
      "index 'inf,inf' needs three fields p,q,alpha"),
+    (["norms", "--input", "zero_trace.json"], 1, "zero_trace: 'false' is not a boolean"),
     (["generate", "--kind", "moser", "--params", "n3.json"], 1, "malformed moser parameters"),
     (["decompose", "--manifest", "missing.json"], 1, "missing.json"),
     (["decompose", "--manifest", "manifest.json", "--max-terms", "-1"], 1, "term cap"),
@@ -418,8 +450,8 @@ def test_cli_defaults_are_the_library_defaults():
     (["moser-limit", "--rel-tol", "nan"], 1, "tolerances"),
     (["moser-limit", "--abs-tol", "nan"], 1, "tolerances"),
     (["counterexample", "--k-max", "0"], 1, ""),
-], ids=["norms", "norms-two-fields", "generate", "decompose", "decompose-max-terms",
-        "decompose-eps-stop", "decompose-max-terms-unread", "decompose-j-max-unread",
+], ids=["norms", "norms-two-fields", "norms-zero-trace", "generate", "decompose",
+        "decompose-max-terms", "decompose-eps-stop", "decompose-max-terms-unread", "decompose-j-max-unread",
         "generate-j-track", "generate-k-list", "generate-k-max", "generate-k-values",
         "generate-zero-profile", "verify", "moser-limit", "moser-limit-rel-tol",
         "moser-limit-abs-tol", "counterexample"])
@@ -437,6 +469,10 @@ def test_a_rejected_command_writes_nothing(tmp_path, capsys, argv, code, reason)
         "k_values.json": {"k_values": [1, 2.5, 4.9], "bump_profile": record, "grid": small},
         "zero.json": {"terms": [{**term, "profile": {**record, "values": [0.0, 0.0]},
                                  "j_track": [1, 1, 2]}], "grid": small},
+        # a string where a JSON boolean belongs, on a record with a live boundary ring
+        "zero_trace.json": {**disc.disc_to_dict(disc.DiscFunction(
+            disc.PolarGrid(16, 32), 1.0, np.ones((16, 32)), zero_trace=False)),
+            "zero_trace": "false"},
     }.items():
         (tmp_path / name).write_text(json.dumps(params))
     if "manifest.json" in argv:

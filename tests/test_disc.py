@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ class TestDiscFunction:
         doc["spacing"]["kind"] = "uniform"
         with pytest.raises(ValueError, match="'uniform'"):
             disc.disc_from_dict(doc)
+
+    def test_record_zero_trace_is_a_json_boolean(self):
+        # a field with a live boundary ring: only zero_trace false admits it
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=2.0)
+        doc = disc.disc_to_dict(disc.DiscFunction(grid, 1.0, np.ones((16, 32)), zero_trace=False))
+        assert doc["zero_trace"] is False
+        assert disc.disc_from_dict(doc).zero_trace is False
+        del doc["zero_trace"]
+        with pytest.raises(ValueError, match="boundary ring must vanish"):
+            disc.disc_from_dict(doc)
+        assert disc.disc_from_dict({**doc, "rings": [0.0] * 512, "zero_trace": True}).zero_trace
+        for value in ("false", 0, None, [], "true", 1):
+            with pytest.raises(ValueError, match=rf"^zero_trace: {re.escape(repr(value))} is not a boolean$"):
+                disc.disc_from_dict({**doc, "zero_trace": value})
 
 
 class TestInflate:

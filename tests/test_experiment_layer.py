@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from moserlab import cli, disc, functional, profiles, radial, rearrange, seqgen
 from moserlab.radial import grad_norm
-from conftest import same_disc, smooth_plateau_profile
+from conftest import (
+    old_dilation_concentration_demo,
+    old_moser_sequence,
+    old_weak_discontinuity_demo,
+    same_disc,
+    smooth_plateau_profile,
+)
 
 
 # -- the demos: one pipeline, one pairing proxy ------------------------------------------
@@ -37,7 +43,54 @@ def test_constant_sequence_demo_matches_old():
     assert rep.classification == functional._classify([pairing] * 5, [row["J"]] * 5)
     assert rep.classification == "non-concentrating"
     assert rep.max_discrete_grad_norm == math.sqrt(disc.energy(member))
-    assert rep.notes == {"gradient_budget": 1.0}
+    assert rep.notes == {}
+
+
+# -- one builder for the translated Moser family: the separate builders' numbers, bit for bit
+
+def _same_report(rep, old):
+    # repr tells every float's bits apart, signed zeros included
+    assert repr(rep.rows) == repr(old.rows)
+    assert rep.classification == old.classification
+    assert rep.max_discrete_grad_norm.hex() == old.max_discrete_grad_norm.hex()
+
+
+@pytest.mark.parametrize("s_list, centers", [
+    ([math.exp(-k) for k in (1, 2, 3)], [0.15 + 0.08j] * 3),
+    ([0.25] * 3, [0.1] * 3),
+], ids=["off-origin-decreasing", "constant"])
+def test_translate_demo_matches_its_own_builder(s_list, centers):
+    # the default 512 x 256 grid included
+    _same_report(functional.weak_discontinuity_demo(s_list, centers),
+                 old_weak_discontinuity_demo(s_list, centers))
+
+
+def test_dilation_demo_matches_its_own_builder():
+    base = radial.scale(radial.moser_from_exponent(3.0), 0.9)
+    _same_report(functional.dilation_concentration_demo(base, [1, 2, 2, 4]),
+                 old_dilation_concentration_demo(base, [1, 2, 2, 4]))
+
+
+@pytest.mark.parametrize("centers, form, grid", [
+    ([0.1 + 0.05j] * 3, "translate", None),
+    ([(0.15, -0.08), (0.0, 0.3), 0.5j], "translate", None),
+    ([0.1 + 0.05j] * 3, "translate", disc.PolarGrid(n_r=96, n_theta=64, s_max=6.0)),
+    ([0.0] * 3, "dilate", None),
+    ([(0.0, 0.0)] * 3, "dilate", disc.PolarGrid(n_r=96, n_theta=64, s_max=6.0)),
+], ids=["translate-default-grid", "translate-pairs", "translate-grid", "dilate-default-grid",
+        "dilate-grid"])
+def test_moser_sequence_matches_its_own_builder(centers, form, grid):
+    s_list = [math.exp(-k) for k in (1, 1.6, 2.5)]
+    seq = seqgen.moser_sequence(s_list, centers, grid=grid, form=form)
+    old = old_moser_sequence(s_list, centers, grid=grid, form=form)
+    assert seq.k_list == old.k_list
+    assert all(same_disc(a, b) for a, b in zip(seq.members, old.members, strict=True))
+
+
+def test_the_generator_keeps_its_own_decrease_check():
+    # the demo takes constant s (the "constant" case above); the generator does not
+    with pytest.raises(ValueError, match="must decrease"):
+        seqgen.moser_sequence([0.25] * 2, [0.1] * 2)
 
 
 def test_pairing_over_no_probes_is_an_error():

@@ -133,5 +133,5 @@ class TestConcentrationDemos:
         assert j_vals[-1] < 0.05
 
     def test_center_near_boundary_rejected(self):
-        with pytest.raises(ValueError, match="too close"):
+        with pytest.raises(ValueError, match="half-disc"):
             functional.weak_discontinuity_demo([0.2], [0.7 + 0.0j])
