@@ -21,6 +21,9 @@ moserlab verify --out "$tmp/verify"
 moserlab generate --kind superposition --grid-nr 96 --grid-ntheta 96 --out "$tmp/seq"
 moserlab norms --input "$tmp/seq/member_0006.json" --out "$tmp/norms"
 rejects "$tmp/rejected" 1 "third index must be finite" norms --input "$tmp/seq/member_0006.json" --indices "inf,inf,nan"
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["center"] = "0.5"; json.dump(d, open(sys.argv[2], "w"))' \
+  "$tmp/seq/member_0006.json" "$tmp/string_center.json"
+rejects "$tmp/rejected-center" 1 "center: '0.5' is not a real number" norms --input "$tmp/string_center.json"
 rejects "$tmp/rejected-dec" 1 "term cap" decompose --manifest missing.json --max-terms -1
 rejects "$tmp/rejected-flag" 2 "unrecognized arguments: --seed 3" counterexample --seed 3
 echo '{"k_max": 2.5}' > "$tmp/k_max.json"

@@ -96,6 +96,35 @@ def _boolean(x, what: str) -> bool:
     return x
 
 
+def _real(x, what: str) -> float:
+    """x as a float if an int or float, not a bool; else a ValueError.
+
+    Finiteness is left to the checks of the object that x goes into."""
+    try:
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
+            return float(x)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what}: {x!r} is not a real number")
+
+
+def _reals(x, what: str) -> np.ndarray:
+    """x as a float array if a flat list of ints and floats (no bool, string
+    or null) or a numeric array; a ValueError names a wrong entry type, and
+    anything else is a TypeError.  Each list entry is checked, since numpy
+    reads a bool among numbers as 0 or 1."""
+    if isinstance(x, np.ndarray):
+        bad = set() if x.dtype.kind in "iuf" else {x.dtype.type}
+    elif isinstance(x, list):
+        bad = set(map(type, x)) - {int, float}
+    else:
+        raise TypeError(f"{what}: {type(x).__name__} is not a list")
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise ValueError(f"{what}: entries of type {names} are not real numbers")
+    return np.asarray(x, dtype=float)
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     n_r: int
@@ -175,8 +204,8 @@ def _cell_area_array(grid: PolarGrid, order: int) -> np.ndarray:
 class DiscFunction:
     """Node samples on a polar grid: ring values (n_r, n_theta) plus a center.
 
-    Zero trace on the boundary ring is the default contract; evaluation
-    fields such as ball averages opt out via zero_trace=False.  A function of
+    Zero trace on the boundary ring is the default contract; zero_trace=False
+    marks a function whose boundary ring need not vanish.  A function of
     symmetry order j (invariant under rotation by 2 pi / j, j dividing
     n_theta) stores one block of rings, shape (n_r, n_theta / j), and every
     kernel works on that block; only `disc_to_dict` writes the full array.
@@ -825,7 +854,7 @@ def _parse_grid(n_r, n_theta, s_max, kind) -> PolarGrid:
     rejected, and PolarGrid checks the sizes and s_max."""
     if kind != "geometric":
         raise ValueError(f"unknown grid spacing {kind!r}: grids are geometric")
-    return PolarGrid(n_r, n_theta, float(s_max))
+    return PolarGrid(n_r, n_theta, _real(s_max, "s_max"))
 
 
 def disc_from_dict(d: dict) -> DiscFunction:
@@ -834,12 +863,12 @@ def disc_from_dict(d: dict) -> DiscFunction:
         grid = _parse_grid(
             d["n_r"], d["n_theta"], spacing["s_max"], spacing.get("kind", "geometric")
         )
-        rings = np.asarray(d["rings"], dtype=float).reshape(grid.n_r, grid.n_theta)
+        rings = _reals(d["rings"], "rings").reshape(grid.n_r, grid.n_theta)
         return DiscFunction(
             grid,
-            float(d["center"]),
+            _real(d["center"], "center"),
             rings,
-            support_radius=float(d.get("support_radius", 1.0)),
+            support_radius=_real(d.get("support_radius", 1.0), "support_radius"),
             zero_trace=_boolean(d.get("zero_trace", True), "zero_trace"),
         )
     except (KeyError, TypeError) as exc:

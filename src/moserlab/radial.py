@@ -362,10 +362,12 @@ def profile_to_dict(u: RadialProfile) -> dict:
 
 
 def profile_from_dict(d: dict) -> RadialProfile:
+    from .disc import _reals  # disc imports this module
+
     try:
         n = d["n"]
-        nodes = np.asarray(d["nodes"], dtype=float)
-        values = np.asarray(d["values"], dtype=float)
+        nodes = _reals(d["nodes"], "nodes")
+        values = _reals(d["values"], "values")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed radial profile record: {exc}") from exc
     return RadialProfile.from_arrays(nodes, values, n)

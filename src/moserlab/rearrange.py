@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disc import _reals
 from .radial import RadialProfile, _abs_segments, _exp_moment
 
 __all__ = [
@@ -60,6 +61,9 @@ __all__ = [
 # precision, so super-level sets thinner than this are absorbed into the
 # constant cap at the essential sup (conservative for sup-type norms)
 _TAU_FLOOR = 1e-280
+
+# chord error, relative to sup|u|, below which rearrange_radial stops bisecting
+_CHORD_TOL = 1e-6
 
 
 def _ell(tau):
@@ -180,10 +184,9 @@ class _Distribution:
         self.e0 = np.exp(-2.0 * self.t0)
         self.e1 = np.exp(-2.0 * self.t1)
         self.full = self.e0 - self.e1
-        self.flat = self.v0 == self.v1
         self.lo = np.minimum(self.v0, self.v1)
         self.hi = np.maximum(self.v0, self.v1)
-        self.dv = np.where(self.flat, 1.0, self.v1 - self.v0)
+        self.dv = np.where(self.v0 == self.v1, 1.0, self.v1 - self.v0)
         self.T, self.c = T, c
         self.vmax = float(max(self.hi.max(initial=0.0), c))
 
@@ -200,91 +203,63 @@ class _Distribution:
     def _measure_chunk(self, lams, strict):
         above = np.greater if strict else np.greater_equal
         lam = lams[:, None]
-        above_flat = above(self.v0[None, :], lam)
-        all_above = above(self.lo[None, :], lam)
-        crossing = above(self.hi[None, :], lam) & ~all_above
-        tc = self.t0[None, :] + (lam - self.v0[None, :]) / self.dv[None, :] * (
-            self.t1[None, :] - self.t0[None, :]
-        )
+        # a flat piece has lo == hi: wholly above lam or not at all, never crossing
+        all_above = above(self.lo, lam)
+        crossing = above(self.hi, lam) & ~all_above
+        # a subnormal slope overflows only where lam does not cross: discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            tc = self.t0 + (lam - self.v0) / self.dv * (self.t1 - self.t0)
         ec = np.exp(-2.0 * np.clip(tc, 0.0, 400.0))
-        inc = (self.v1 > self.v0)[None, :]
-        cross_part = np.where(inc, ec - self.e1[None, :], self.e0[None, :] - ec)
-        seg = np.where(
-            self.flat[None, :],
-            np.where(above_flat, self.full[None, :], 0.0),
-            np.where(
-                all_above,
-                self.full[None, :],
-                np.where(crossing, cross_part, 0.0),
-            ),
-        )
+        cross_part = np.where(self.v1 > self.v0, ec - self.e1, self.e0 - ec)
+        seg = np.where(all_above, self.full, np.where(crossing, cross_part, 0.0))
         total = seg.sum(axis=1)
         plateau = above(self.c, lams)
         return total + np.where(plateau, math.exp(-2.0 * self.T), 0.0)
 
 
-def rearrange_radial(u: RadialProfile, tol: float = 1e-6) -> RearrangedFunction:
+def rearrange_radial(u: RadialProfile) -> RearrangedFunction:
     """Exact decreasing rearrangement of a radial profile over relative measure.
 
     Level breakpoints of the PL data anchor the representation; flat levels
     (the plateau) become exact constant pieces.  Between anchors the curve is
-    refined in the (ell, value) plane until the chord error is below
-    tol * sup|u|.  For profiles monotone in t the curve is exactly affine
-    there, so the anchors alone represent the rearrangement with zero error
-    regardless of tol; the tolerance only matters for multimodal data.
+    bisected in the (ell, value) plane until the chord error is at most
+    _CHORD_TOL * sup|u| or the value gap is at most 1e-14 * sup|u|.  For
+    profiles monotone in t the curve is exactly affine there, so the anchors
+    alone represent the rearrangement with zero error; the tolerance only
+    matters for multimodal data.  Each round halves every value gap, so the
+    bisection ends within 47 rounds.
     """
     dist = _Distribution(u)
     vmax = dist.vmax
     if vmax == 0.0:
         return RearrangedFunction(np.array([1.0]), np.array([0.0, 0.0]), "loglin")
-    abs_tol = tol * vmax
 
-    levels = np.unique(
-        np.concatenate((dist.v0, dist.v1, [dist.c, 0.0]))
-    )[::-1]
+    levels = np.unique(np.concatenate((dist.v0, dist.v1, [dist.c, 0.0])))[::-1]
     ms = dist.measure_above(levels, strict=True)
     mw = dist.measure_above(levels, strict=False)
+    # anchors as (tau, value) columns: each level at its strict measure, and
+    # again at its non-strict one where the level set has measure
+    keep = np.full(2 * levels.size, True)
+    keep[1::2] = mw > ms
+    pts = np.stack((np.stack((ms, mw), axis=1).ravel(), np.repeat(levels, 2)))[:, keep]
 
-    taus, lams = [], []
-    for lev, a, b in zip(levels, ms, mw):
-        taus.append(float(a))
-        lams.append(float(lev))
-        if b > a:
-            taus.append(float(b))
-            lams.append(float(lev))
-
-    # refine between anchors with a worklist: converged chords are final
-    work = [
-        (taus[i], lams[i], taus[i + 1], lams[i + 1])
-        for i in range(len(taus) - 1)
-        if lams[i] - lams[i + 1] > 1e-14 * vmax
-    ]
-    for _ in range(60):
-        if not work:
-            break
-        arr = np.asarray(work)
-        tau_a, lam_a, tau_b, lam_b = arr.T
-        lam_mid = 0.5 * (lam_a + lam_b)
-        tau_mid = dist.measure_above(lam_mid, strict=True)
-        la, lb, lm = _ell(tau_a), _ell(tau_b), _ell(tau_mid)
+    # bisect between consecutive points: hi and lo are the interval ends
+    found, hi, lo = [pts], pts[:, :-1], pts[:, 1:]
+    while (wide := hi[1] - lo[1] > 1e-14 * vmax).any():
+        hi, lo = hi[:, wide], lo[:, wide]
+        lam_mid = 0.5 * (hi[1] + lo[1])
+        mid = np.stack((dist.measure_above(lam_mid, strict=True), lam_mid))
+        la, lb, lm = _ell(hi[0]), _ell(lo[0]), _ell(mid[0])
         denom = np.where(lb == la, 1.0, lb - la)
-        lam_chord = lam_a + (lm - la) / denom * (lam_b - lam_a)
-        bad = (
-            (np.abs(lam_chord - lam_mid) > abs_tol)
-            & (lam_a - lam_b > 1e-14 * vmax)
-            & (tau_b >= _TAU_FLOOR)
-        )
-        next_work = []
-        for i in np.nonzero(bad)[0]:
-            taus.append(float(tau_mid[i]))
-            lams.append(float(lam_mid[i]))
-            next_work.append((tau_a[i], lam_a[i], tau_mid[i], lam_mid[i]))
-            next_work.append((tau_mid[i], lam_mid[i], tau_b[i], lam_b[i]))
-        work = next_work
+        lam_chord = hi[1] + (lm - la) / denom * (lo[1] - hi[1])
+        bad = (np.abs(lam_chord - lam_mid) > _CHORD_TOL * vmax) & (lo[0] >= _TAU_FLOOR)
+        hi, mid, lo = hi[:, bad], mid[:, bad], lo[:, bad]
+        found.append(mid)
+        hi, lo = np.concatenate((hi, mid), axis=1), np.concatenate((mid, lo), axis=1)
 
-    order = np.lexsort((-np.asarray(lams), np.asarray(taus)))
-    taus = np.asarray(taus)[order]
-    lams = np.asarray(lams)[order]
+    taus, lams = np.concatenate(found, axis=1)
+    order = np.lexsort((-lams, taus))
+    taus, lams = taus[order], lams[order]
     keep = taus >= _TAU_FLOOR
     lam_floor = float(np.min(lams[~keep])) if not np.all(keep) else vmax
     taus, lams = taus[keep], lams[keep]
@@ -557,8 +532,8 @@ def rearranged_to_dict(f: RearrangedFunction) -> dict:
 def rearranged_from_dict(d: dict) -> RearrangedFunction:
     try:
         return RearrangedFunction(
-            np.asarray(d["breakpoints"], dtype=float),
-            np.asarray(d["values"], dtype=float),
+            _reals(d["breakpoints"], "breakpoints"),
+            _reals(d["values"], "values"),
             str(d["kind"]),
         )
     except (KeyError, TypeError) as exc:

@@ -6,8 +6,9 @@ per-scale ball means with the detector scores, the stencil refine and the
 detector built on them, the closed energy formula with the polarization
 identity, the one-block deflation, the dislocation-weak test written out
 one member at a time, the member sums on fresh arrays with the bubble rule
-that applies them, the cell values by a rolled copy, and the translated
-Moser family as the generator and each demo built it on its own.  Test
+that applies them, the cell values by a rolled copy, the translated
+Moser family as the generator and each demo built it on its own, and the
+radial rearrangement with its point-by-point worklist.  Test
 modules import from here and never from each other.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from moserlab import disc, functional, profiles, radial
+from moserlab import disc, functional, profiles, radial, rearrange
 
 
 @pytest.fixture
@@ -466,3 +467,136 @@ def old_dilation_concentration_demo(base, j_list):
     cases = [({"j": j}, base, disc.DislocationParam(j, 0.0), radial.gauge_apply(base, 1.0 / j))
              for j in js]
     return functional._demo_report(grid, cases, 6, {"base_grad_norm": radial.grad_norm(base)})
+
+
+# -- the radial rearrangement with a Python worklist and a two-branch measure kernel ---------
+
+class OldDistribution:
+    """Relative measure of super-level sets of |u| for a PL radial profile."""
+
+    def __init__(self, u: radial.RadialProfile):
+        segs, T, c = radial._abs_segments(u)
+        arr = np.asarray(segs, dtype=float).reshape(-1, 4)
+        self.t0, self.t1 = arr[:, 0], arr[:, 1]
+        self.v0, self.v1 = arr[:, 2], arr[:, 3]
+        self.e0 = np.exp(-2.0 * self.t0)
+        self.e1 = np.exp(-2.0 * self.t1)
+        self.full = self.e0 - self.e1
+        self.flat = self.v0 == self.v1
+        self.lo = np.minimum(self.v0, self.v1)
+        self.hi = np.maximum(self.v0, self.v1)
+        self.dv = np.where(self.flat, 1.0, self.v1 - self.v0)
+        self.T, self.c = T, c
+        self.vmax = float(max(self.hi.max(initial=0.0), c))
+
+    def measure_above(self, lams, strict: bool = True):
+        """mu(lam) = |{ |u| > lam }| (or >=), vectorized over lam, chunked."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        out = np.empty(lams.shape, dtype=float)
+        chunk = max(1, int(4e6 // max(1, self.t0.size)))
+        for start in range(0, lams.size, chunk):
+            sl = slice(start, min(start + chunk, lams.size))
+            out[sl] = self._measure_chunk(lams[sl], strict)
+        return out
+
+    def _measure_chunk(self, lams, strict):
+        above = np.greater if strict else np.greater_equal
+        lam = lams[:, None]
+        above_flat = above(self.v0[None, :], lam)
+        all_above = above(self.lo[None, :], lam)
+        crossing = above(self.hi[None, :], lam) & ~all_above
+        tc = self.t0[None, :] + (lam - self.v0[None, :]) / self.dv[None, :] * (
+            self.t1[None, :] - self.t0[None, :]
+        )
+        ec = np.exp(-2.0 * np.clip(tc, 0.0, 400.0))
+        inc = (self.v1 > self.v0)[None, :]
+        cross_part = np.where(inc, ec - self.e1[None, :], self.e0[None, :] - ec)
+        seg = np.where(
+            self.flat[None, :],
+            np.where(above_flat, self.full[None, :], 0.0),
+            np.where(
+                all_above,
+                self.full[None, :],
+                np.where(crossing, cross_part, 0.0),
+            ),
+        )
+        total = seg.sum(axis=1)
+        plateau = above(self.c, lams)
+        return total + np.where(plateau, math.exp(-2.0 * self.T), 0.0)
+
+
+def old_rearrange_radial(u: radial.RadialProfile, tol: float = 1e-6):
+    """Exact decreasing rearrangement of a radial profile over relative measure.
+
+    Level breakpoints of the PL data anchor the representation; flat levels
+    (the plateau) become exact constant pieces.  Between anchors the curve is
+    refined in the (ell, value) plane until the chord error is below
+    tol * sup|u|.  For profiles monotone in t the curve is exactly affine
+    there, so the anchors alone represent the rearrangement with zero error
+    regardless of tol; the tolerance only matters for multimodal data.
+    """
+    dist = OldDistribution(u)
+    vmax = dist.vmax
+    if vmax == 0.0:
+        return rearrange.RearrangedFunction(np.array([1.0]), np.array([0.0, 0.0]), "loglin")
+    abs_tol = tol * vmax
+
+    levels = np.unique(
+        np.concatenate((dist.v0, dist.v1, [dist.c, 0.0]))
+    )[::-1]
+    ms = dist.measure_above(levels, strict=True)
+    mw = dist.measure_above(levels, strict=False)
+
+    taus, lams = [], []
+    for lev, a, b in zip(levels, ms, mw):
+        taus.append(float(a))
+        lams.append(float(lev))
+        if b > a:
+            taus.append(float(b))
+            lams.append(float(lev))
+
+    # refine between anchors with a worklist: converged chords are final
+    work = [
+        (taus[i], lams[i], taus[i + 1], lams[i + 1])
+        for i in range(len(taus) - 1)
+        if lams[i] - lams[i + 1] > 1e-14 * vmax
+    ]
+    for _ in range(60):
+        if not work:
+            break
+        arr = np.asarray(work)
+        tau_a, lam_a, tau_b, lam_b = arr.T
+        lam_mid = 0.5 * (lam_a + lam_b)
+        tau_mid = dist.measure_above(lam_mid, strict=True)
+        la, lb, lm = rearrange._ell(tau_a), rearrange._ell(tau_b), rearrange._ell(tau_mid)
+        denom = np.where(lb == la, 1.0, lb - la)
+        lam_chord = lam_a + (lm - la) / denom * (lam_b - lam_a)
+        bad = (
+            (np.abs(lam_chord - lam_mid) > abs_tol)
+            & (lam_a - lam_b > 1e-14 * vmax)
+            & (tau_b >= rearrange._TAU_FLOOR)
+        )
+        next_work = []
+        for i in np.nonzero(bad)[0]:
+            taus.append(float(tau_mid[i]))
+            lams.append(float(lam_mid[i]))
+            next_work.append((tau_a[i], lam_a[i], tau_mid[i], lam_mid[i]))
+            next_work.append((tau_mid[i], lam_mid[i], tau_b[i], lam_b[i]))
+        work = next_work
+
+    order = np.lexsort((-np.asarray(lams), np.asarray(taus)))
+    taus = np.asarray(taus)[order]
+    lams = np.asarray(lams)[order]
+    keep = taus >= rearrange._TAU_FLOOR
+    lam_floor = float(np.min(lams[~keep])) if not np.all(keep) else vmax
+    taus, lams = taus[keep], lams[keep]
+    if lam_floor < vmax * (1.0 - 1e-12):
+        # sub-floor points carried real curve information: collapse them
+        # into a breakpoint at the floor; the cap above holds the ess sup
+        taus = np.concatenate(([rearrange._TAU_FLOOR], taus))
+        lams = np.concatenate(([lam_floor], lams))
+    strictly = np.concatenate(([True], np.diff(taus) > 0.0))
+    taus, lams = taus[strictly], lams[strictly]
+    taus[-1] = 1.0
+    values = np.concatenate(([vmax], np.minimum.accumulate(lams)))
+    return rearrange.RearrangedFunction(taus, values, "loglin")

@@ -318,6 +318,38 @@ class TestMalformedInput:
         )
 
     @pytest.mark.parametrize("field, value, reason", [
+        ("center", "0.5", "center: '0.5' is not a real number"),
+        ("support_radius", True, "support_radius: True is not a real number"),
+        ("s_max", "3.0", "s_max: '3.0' is not a real number"),
+        ("rings", "0.0", "rings: entries of type str are not real numbers"),
+    ], ids=["string-center", "bool-support", "string-s_max", "string-ring"])
+    def test_disc_record_with_a_non_number(self, tmp_path, capsys, field, value, reason):
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=3.0)
+        doc = disc.disc_to_dict(disc.DiscFunction(grid, 1.0, np.zeros((16, 32))))
+        if field == "s_max":
+            doc["spacing"]["s_max"] = value
+        elif field == "rings":
+            doc["rings"][5] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "n"
+        self._fails_soft(["norms", "--input", str(path), "--out", str(out)], "norms", reason, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nodes, values, reason", [
+        (["0", "1"], [0.0, 1.0], "nodes: entries of type str are not real numbers"),
+        ([0.0, 1.0], [0.0, True], "values: entries of type bool are not real numbers"),
+    ], ids=["string-nodes", "bool-value"])
+    def test_profile_record_with_a_non_number(self, tmp_path, capsys, nodes, values, reason):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 2, "nodes": nodes, "values": values}))
+        out = tmp_path / "n"
+        self._fails_soft(["norms", "--input", str(path), "--out", str(out)], "norms", reason, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, reason", [
         ("n_r", 64.5, "n_r: 64.5 is not an integer"),
         ("s_max", math.inf, "finite s_max > 0"),
     ], ids=["fractional-n_r", "infinite-s_max"])
@@ -337,7 +369,10 @@ class TestMalformedInput:
         ([0.5, 1.0], [math.inf, 1.0], "must be finite"),
         ([math.nan, 1.0], [1.0, 0.5], "must be finite"),
         ({"a": 1.0}, [1.0], "malformed rearranged-function record"),
-    ], ids=["nan-value", "inf-value", "nan-breakpoint", "breakpoints-object"])
+        (["0.5", 1.0], [1.0, 0.5], "breakpoints: entries of type str are not real numbers"),
+        ([True, 1.0], [1.0, 0.5], "breakpoints: entries of type bool are not real numbers"),
+    ], ids=["nan-value", "inf-value", "nan-breakpoint", "breakpoints-object",
+            "string-breakpoint", "bool-breakpoint"])
     def test_malformed_rearrangement(self, tmp_path, capsys, breakpoints, values, reason):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"breakpoints": breakpoints, "values": values, "kind": "step"}))

@@ -134,6 +134,61 @@ class TestDiscFunction:
                 disc.disc_from_dict({**doc, "zero_trace": value})
 
 
+    @pytest.mark.parametrize("keys, value, message", [
+        (("center",), "0.5", "center: '0.5' is not a real number"),
+        (("center",), None, "center: None is not a real number"),
+        (("support_radius",), True, "support_radius: True is not a real number"),
+        (("spacing", "s_max"), "3.0", "s_max: '3.0' is not a real number"),
+        (("rings", 0), "0.0", "rings: entries of type str are not real numbers"),
+        (("rings", 0), False, "rings: entries of type bool are not real numbers"),
+        (("rings", 0), None, "rings: entries of type NoneType are not real numbers"),
+    ], ids=["string-center", "null-center", "bool-support", "string-s_max",
+            "string-ring", "bool-ring", "null-ring"])
+    def test_record_numbers_are_json_numbers(self, keys, value, message):
+        grid = disc.PolarGrid(n_r=16, n_theta=32, s_max=2.0)
+        doc = disc.disc_to_dict(disc.DiscFunction(grid, 1.0, np.zeros((16, 32))))
+        *path, last = keys
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            disc.disc_from_dict(doc)
+
+    def test_record_integers_are_reals(self):
+        # JSON writes 1.0 as 1 only by hand, but an int is a real number
+        doc = {"n_r": 16, "n_theta": 32, "spacing": {"s_max": 2}, "center": 1,
+               "support_radius": 1, "rings": [0] * 512}
+        u = disc.disc_from_dict(doc)
+        assert (u.center, u.support_radius, u.grid.s_max) == (1.0, 1.0, 2.0)
+        assert u.rings.dtype == float and not u.rings.any()
+
+    @pytest.mark.parametrize("x", [10**400, "1", None, True, np.True_, 1j, [1.0]])
+    def test_real_rule(self, x):
+        with pytest.raises(ValueError, match=r"^x: .* is not a real number$"):
+            disc._real(x, "x")
+
+    def test_real_rule_leaves_finiteness_to_the_record(self):
+        assert disc._real(np.float64(0.5), "x") == 0.5
+        assert disc._real(3, "x") == 3.0
+        assert math.isnan(disc._real(math.nan, "x"))
+        doc = disc.disc_to_dict(disc.DiscFunction(disc.PolarGrid(16, 32, 2.0), 1.0, np.zeros((16, 32))))
+        with pytest.raises(ValueError, match="disc samples must be finite"):
+            disc.disc_from_dict({**doc, "center": math.inf})
+
+    def test_reals_rule(self):
+        assert disc._reals([0, 1.5], "v").tolist() == [0.0, 1.5]
+        assert disc._reals(np.arange(3), "v").dtype == float
+        with pytest.raises(ValueError, match=r"^v: entries of type bool, str are not real numbers$"):
+            disc._reals([1.0, "2", True], "v")
+        with pytest.raises(ValueError, match=r"^v: entries of type bool are not real numbers$"):
+            disc._reals(np.array([True, False]), "v")
+        with pytest.raises(ValueError, match=r"^v: entries of type list are not real numbers$"):
+            disc._reals([[0.0, 1.0]], "v")
+        with pytest.raises(TypeError, match=r"^v: dict is not a list$"):
+            disc._reals({"a": 1.0}, "v")
+
+
 class TestInflate:
     def test_identity_dislocation_is_radial_embedding(self, grid):
         m = radial.make_moser(math.exp(-1.0))

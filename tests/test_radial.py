@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ class TestSerialization:
     def test_loader_rejects_non_planar_record(self, n):
         with pytest.raises(ValueError, match="radial profiles are planar"):
             radial.profile_from_dict({"n": n, "nodes": [0.0, 1.0], "values": [0.0, 1.0]})
+
+    @pytest.mark.parametrize("nodes, values, message", [
+        (["0", "1"], [0.0, 1.0], "nodes: entries of type str are not real numbers"),
+        ([0.0, 1.0], [0.0, True], "values: entries of type bool are not real numbers"),
+        ([0.0, None], [0.0, 1.0], "nodes: entries of type NoneType are not real numbers"),
+        ("01", [0.0, 1.0], "nodes: str is not a list"),
+    ], ids=["string-nodes", "bool-value", "null-node", "string-for-list"])
+    def test_loader_rejects_non_numbers(self, nodes, values, message):
+        with pytest.raises(ValueError, match=re.escape(f"malformed radial profile record: {message}")):
+            radial.profile_from_dict({"n": 2, "nodes": nodes, "values": values})
 
     def test_loader_rejects_nonmonotone_grid(self, tmp_path):
         path = tmp_path / "bad.json"

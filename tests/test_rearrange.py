@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moserlab import disc, radial, rearrange
+from conftest import old_rearrange_radial
+from moserlab import disc, radial, rearrange, seqgen
 
 INF = math.inf
 
@@ -57,7 +58,7 @@ class TestRearrangeRadial:
     def test_equimeasurability_multimodal(self, rng):
         for _ in range(10):
             u = radial.random_profile(rng, segments=8)
-            f = rearrange.rearrange_radial(u, tol=1e-8)
+            f = rearrange.rearrange_radial(u)
             for p in (1, 2, 4):
                 assert rearrange.lp_mass_rearranged(f, p) == pytest.approx(
                     radial.lp_mass(u, p), rel=2e-5, abs=1e-9
@@ -92,6 +93,72 @@ class TestRearrangeRadial:
         f = rearrange.rearrange_radial(z)
         assert f.values[0] == 0.0
         assert rearrange.expl2_quasinorm(f) == 0.0
+
+
+@st.composite
+def pl_profiles(draw):
+    """PL profiles with sign changes, flat pieces and a plateau, some ending in
+    a ramp of length L >= 400, whose top levels have measure below 1e-280."""
+    n = draw(st.integers(1, 9))
+    widths = draw(st.lists(st.floats(1e-3, 3.0), min_size=n, max_size=n))
+    level = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    values = [0.0] + draw(st.lists(level, min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(1, n), max_size=3)):
+        values[i] = values[i - 1]
+    nodes = np.concatenate(([0.0], np.cumsum(widths)))
+    ramp = draw(st.sampled_from([None, 400.0, 3e3, 1e5]))
+    if ramp is not None:
+        nodes = np.append(nodes, nodes[-1] + ramp)
+        values.append(values[-1] + draw(st.floats(0.5, 100.0)))
+    return radial.RadialProfile(nodes, values)
+
+
+def same_rearrangement(f, g) -> bool:
+    return (
+        f.kind == g.kind
+        and f.breakpoints.tobytes() == g.breakpoints.tobytes()
+        and f.values.tobytes() == g.values.tobytes()
+    )
+
+
+class TestRearrangeRadialEquivalence:
+    """The array bisection gives the worklist's breakpoints and values bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pl_profiles())
+    @example(radial.RadialProfile([0.0, 1.0, 2.0], [0.0, 5e-324, -3.0]))
+    def test_drawn_profiles(self, u):
+        # the worklist's kernel warns on a subnormal slope; the live one must not
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = old_rearrange_radial(u)
+        assert same_rearrangement(rearrange.rearrange_radial(u), want)
+
+    def test_counterexample_members(self):
+        for u in seqgen.counterexample_sequence(64).members:
+            assert same_rearrangement(rearrange.rearrange_radial(u), old_rearrange_radial(u))
+
+    @pytest.mark.parametrize("L", [400.0, 1e3, 1e5])
+    def test_moser_ramps(self, L):
+        for u in (radial.moser_from_exponent(L), radial.moser_annular(L, 0.3)):
+            assert same_rearrangement(rearrange.rearrange_radial(u), old_rearrange_radial(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_profiles())
+def test_bisection_ends_within_47_rounds(u):
+    # two anchor calls, then one call per round: every round halves each
+    # value gap, and a gap of at most 1e-14 sup|u| is never split
+    calls = []
+    measure = rearrange._Distribution.measure_above
+
+    def counted(self, lams, strict=True):
+        calls.append(np.size(lams))
+        return measure(self, lams, strict)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rearrange._Distribution, "measure_above", counted)
+        rearrange.rearrange_radial(u)
+    assert len(calls) <= 2 + 47
 
 
 @pytest.mark.parametrize("kind, breakpoints, values", [
@@ -241,6 +308,16 @@ class TestQuasinorms:
         brute = float(np.max(taus**0.25 * f.value_at(taus)))
         assert val == pytest.approx(brute, rel=1e-3)
         assert val >= brute - 1e-12  # the exact sup dominates any sample
+
+    @pytest.mark.parametrize("breakpoints, values, message", [
+        (["0.5", 1.0], [1.0, 0.5], "breakpoints: entries of type str are not real numbers"),
+        ([True, 1.0], [1.0, 0.5], "breakpoints: entries of type bool are not real numbers"),
+        ([0.5, 1.0], [1.0, None], "values: entries of type NoneType are not real numbers"),
+    ], ids=["string-breakpoint", "bool-breakpoint", "null-value"])
+    def test_loader_rejects_non_numbers(self, breakpoints, values, message):
+        record = {"breakpoints": breakpoints, "values": values, "kind": "step"}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rearrange.rearranged_from_dict(record)
 
     def test_serialization_round_trip(self, rng):
         f = rearrange.random_rearranged(rng)
