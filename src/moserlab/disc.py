@@ -110,15 +110,12 @@ def _real(x, what: str) -> float:
 
 def _reals(x, what: str) -> np.ndarray:
     """x as a float array if a flat list of ints and floats (no bool, string
-    or null) or a numeric array; a ValueError names a wrong entry type, and
-    anything else is a TypeError.  Each list entry is checked, since numpy
-    reads a bool among numbers as 0 or 1."""
-    if isinstance(x, np.ndarray):
-        bad = set() if x.dtype.kind in "iuf" else {x.dtype.type}
-    elif isinstance(x, list):
-        bad = set(map(type, x)) - {int, float}
-    else:
+    or null); a ValueError names a wrong entry type, and anything else is a
+    TypeError.  Each entry is checked, since numpy reads a bool among
+    numbers as 0 or 1."""
+    if not isinstance(x, list):
         raise TypeError(f"{what}: {type(x).__name__} is not a list")
+    bad = set(map(type, x)) - {int, float}
     if bad:
         names = ", ".join(sorted(t.__name__ for t in bad))
         raise ValueError(f"{what}: entries of type {names} are not real numbers")

@@ -226,8 +226,9 @@ def rearrange_radial(u: RadialProfile) -> RearrangedFunction:
     _CHORD_TOL * sup|u| or the value gap is at most 1e-14 * sup|u|.  For
     profiles monotone in t the curve is exactly affine there, so the anchors
     alone represent the rearrangement with zero error; the tolerance only
-    matters for multimodal data.  Each round halves every value gap, so the
-    bisection ends within 47 rounds.
+    matters for multimodal data.  Each round halves every value gap, so for
+    normal sup|u| the bisection ends within 47 rounds; a subnormal sup|u| can
+    leave one-ulp intervals that split into themselves, so 60 rounds cap it.
     """
     dist = _Distribution(u)
     vmax = dist.vmax
@@ -245,7 +246,10 @@ def rearrange_radial(u: RadialProfile) -> RearrangedFunction:
 
     # bisect between consecutive points: hi and lo are the interval ends
     found, hi, lo = [pts], pts[:, :-1], pts[:, 1:]
-    while (wide := hi[1] - lo[1] > 1e-14 * vmax).any():
+    for _ in range(60):
+        wide = hi[1] - lo[1] > 1e-14 * vmax
+        if not wide.any():
+            break
         hi, lo = hi[:, wide], lo[:, wide]
         lam_mid = 0.5 * (hi[1] + lo[1])
         mid = np.stack((dist.measure_above(lam_mid, strict=True), lam_mid))
