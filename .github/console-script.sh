@@ -34,9 +34,15 @@ echo '{"k_list": [1], "terms": [], "grid": {"n_r": 96.0, "n_theta": 96}}' > "$tm
 echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1], "values": [0, 0]}, "j_track": [1], "zeta_track": [[0, 0]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/zero_profile.json"
 rejects "$tmp/rejected-zero" 1 "superposition term 0: the profile has zero energy" \
   generate --kind superposition --params "$tmp/zero_profile.json"
+echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1, 2], "values": [0, 0, 1]}, "j_track": [1], "zeta_track": [[false, false]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/bool_center.json"
+rejects "$tmp/rejected-bool-center" 1 "zeta_track[0]: False is not a real number" \
+  generate --kind superposition --params "$tmp/bool_center.json"
 moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
 moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
 moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"
 moserlab decompose --manifest "$tmp/seq/manifest.json" --out "$tmp/dec"
+# a rerun on the same manifest writes the same bytes
+moserlab decompose --manifest "$tmp/seq/manifest.json" --out "$tmp/dec-again"
+cmp "$tmp/dec/decomposition.json" "$tmp/dec-again/decomposition.json"
 moserlab moser-limit --l-values 5,10 --out "$tmp/ml"
 cd "$tmp" && python "$repo/tests/test_import_graph.py"

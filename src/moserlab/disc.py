@@ -169,11 +169,11 @@ def _thetas(grid: PolarGrid) -> np.ndarray:
 
 def _angular_index(grid: PolarGrid, theta: np.ndarray, width: int):
     """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi],
-    as int32 columns of a ring array `width` wide (n_theta, or the block width
+    as intp columns of a ring array `width` wide (n_theta, or the block width
     of a j-fold function), and the weight eta of the second one."""
     y = theta / grid.dtheta
     floor = np.floor(y)
-    m = floor.astype(np.int32)
+    m = floor.astype(np.intp)
     m[m >= width] %= width  # theta = 2 pi (an angle just below 0 rounds up), or a j-fold block
     return m, np.where(m == width - 1, 0, m + 1), y - floor
 
@@ -220,28 +220,31 @@ class DiscFunction:
         self._own(np.array(self.rings, dtype=float, order="C"))
 
     @classmethod
-    def _owned(cls, grid, center, rings, support_radius=1.0, zero_trace=True, order=1):
+    def _owned(cls, grid, center, rings, support_radius=1.0, zero_trace=True, order=1, peak=None):
         """The constructor for a fresh float array that no caller holds.
 
-        Same checks as the public constructor; only the copy is skipped.
+        Same checks as the public constructor; only the copy is skipped, and
+        the extremes are not taken again if the caller gives their `peak`.
         """
         u = object.__new__(cls)
         for name, value in (("grid", grid), ("center", center),
                             ("support_radius", support_radius),
                             ("zero_trace", zero_trace), ("order", order)):
             object.__setattr__(u, name, value)
-        u._own(rings)
+        u._own(rings, peak)
         return u
 
-    def _own(self, rings: np.ndarray) -> None:
-        """Validate the samples and store `rings`, read-only, as this function's."""
+    def _own(self, rings: np.ndarray, peak=None) -> None:
+        """Validate the samples and store `rings`, read-only, as this function's;
+        `peak`, if given, is max(rings.max(), -rings.min()), taken by the caller."""
         if self.order < 1 or self.grid.n_theta % self.order:
             raise ValueError("symmetry order must divide n_theta")
         if rings.shape != (self.grid.n_r, self.grid.n_theta // self.order):
             raise ValueError("ring values must have shape (n_r, n_theta / order)")
         # NaN and inf propagate into the extremes, so the largest magnitude
         # both validates the samples and gives the zero-trace scale
-        peak = max(float(rings.max()), -float(rings.min()))
+        if peak is None:
+            peak = max(float(rings.max()), -float(rings.min()))
         if not math.isfinite(peak) or not math.isfinite(self.center):
             raise ValueError("disc samples must be finite")
         if not (0.0 < self.support_radius <= 1.0):
@@ -266,11 +269,15 @@ class DiscFunction:
         V = self.rings
         values = np.empty(1 + V[1:].size)
         values[0] = 0.5 * (self.center + float(np.mean(V[0])))
-        cells = values[1:].reshape(V[1:].shape)  # ((a + b) + c) + d, next column cyclic
-        np.add(V[:-1], V[1:], out=cells)
-        for row in (V[:-1], V[1:]):
-            cells[:, :-1] += row[:, 1:]
-            cells[:, -1] += row[:, 0]
+        cells = values[1:]  # ((a + b) + c) + d, c and d of the next column, cyclic
+        np.add(V[:-1].ravel(), V[1:].ravel(), out=cells)
+        # on flat views the last column adds the next ring's first node: it is redone on its own
+        for row in (V[:-1].ravel(), V[1:].ravel()):
+            cells[:-1] += row[1:]
+        last = cells.reshape(V[1:].shape)[:, -1]
+        np.add(V[:-1, -1], V[1:, -1], out=last)
+        last += V[:-1, 0]
+        last += V[1:, 0]
         cells *= 0.25
         return values, _cell_area_array(self.grid, self.order)
 
@@ -293,6 +300,10 @@ class DislocationParam:
 
 # -- energy and inner products ------------------------------------------------
 
+# nodes per block of a pass in blocks (`_pair`, `_inflated`, `expl2_disc`): its scratch stays in L2
+_BLOCK = 1 << 15
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per row of a, its dot product with that row of each array stacked in b."""
     return np.einsum("ij,pij->pi", a, b)
@@ -306,50 +317,85 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
         raise ValueError("disc functions have different symmetry orders")
 
 
-def _stack(us) -> tuple:
-    """The factors of functions of one grid and order, stacked: us[0], then
-    their radial and cyclic angular differences and cap rows rings[0] - center,
-    unshifted and shifted by a column, on a leading axis; a stack as is."""
+def _stack(us, keep: bool = False) -> tuple:
+    """Functions of one grid and order stacked for `_pair`: the first, their
+    ring arrays (not copied), their centers and the buffers that each pairing
+    with the stack reuses; an entry that is a stack adds its functions, and a
+    stack is returned as is.  With `keep`, for a stack paired many times (the
+    probes), the differences of its functions are taken once, whole."""
     if isinstance(us, tuple):
         return us
     if not us:
         raise ValueError("no probes to pair with")
-    V = us[0].rings
-    A, G, a0, a1 = (np.empty((len(us),) + x.shape) for x in (V[1:], V, V[0], V[0]))
-    for p, u in enumerate(us):
-        _check_operands(us[0], u)  # before its arrays are written
-        V = u.rings
-        np.subtract(V[1:], V[:-1], out=A[p])
-        np.subtract(V[:, 1:], V[:, :-1], out=G[p, :, :-1])
-        np.subtract(V[:, 0], V[:, -1], out=G[p, :, -1])
-        np.subtract(V[0], u.center, out=a0[p])
-    a1[:, :-1], a1[:, -1] = a0[:, 1:], a0[:, 0]
-    return us[0], A, G, a0, a1
+    parts = [u if isinstance(u, tuple) else (u, [u.rings], [u.center]) for u in us]
+    for part in parts:
+        _check_operands(parts[0][0], part[0])
+    rings = [r for part in parts for r in part[1]]
+    scratch = {}
+    if keep:
+        n, w = rings[0].shape
+        scratch["whole"] = _differences(
+            rings, 0, n - 1, np.empty((len(rings), n - 1, w)), np.empty((len(rings), n, w)))
+    return parts[0][0], rings, np.array([c for part in parts for c in part[2]], dtype=float), scratch
+
+
+def _differences(Vs, a: int, b: int, A: np.ndarray, G: np.ndarray) -> tuple:
+    """The radial differences of rings a .. b - 1 and the cyclic angular
+    differences of rings a .. b of each ring array in Vs, written into the
+    first rows of the buffers A and G, one slot per array."""
+    A, G = A[:, :b - a], G[:, :b + 1 - a]
+    for p, V in enumerate(Vs):
+        np.subtract(V[a + 1:b + 1], V[a:b], out=A[p])
+        # on flat views the last column takes the next ring's first node: it is redone on its own
+        Vf = V[a:b + 1].reshape(-1)
+        np.subtract(Vf[1:], Vf[:-1], out=G[p].reshape(-1)[:-1])
+        np.subtract(V[a:b + 1, 0], V[a:b + 1, -1], out=G[p, :, -1])
+    return A, G
 
 
 def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
-    """Dirichlet bilinear form of a factored bilinear interpolant with each
-    factor of a stack, exact cap included: one value per stacked factor.
+    """Dirichlet bilinear form of the first function of a stack with each
+    function of a stack, exact cap included: one value per stacked function.
 
     A cell's edge differences (A, B radial; C, D angular) enter as
     (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3, with B the A of the next
     column and C, D rows i, i+1 of the angular difference G: each term is a
-    row dot product of the factors' arrays.  Of j-fold functions each cyclic
-    row sum is j times the sum over one block: the form is j times the block's.
+    row dot product.  The differences are taken in blocks of rings that stay
+    in cache, once for a function that is in both stacks, and each row's sums
+    are those of the whole arrays.  Of j-fold functions each cyclic row sum is
+    j times the sum over one block: the form is j times the block's.
     """
-    (u, *one), (v, Av, Gv, a0v, a1v) = fu, fvs
-    Au, Gu, a0u, a1u = (x[0] for x in one)
+    (u, Ru, cu, _), (v, Rv, cv, scratch) = fu, fvs
     _check_operands(u, v)
+    Vu, shared = Ru[0], Rv[0] is Ru[0]
+    n, w = Vu.shape
     s, dth = _ring_s(u.grid), u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
-    cross = ((_rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
-             + (_rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
-    radial = 2.0 * _rowdot(Au, Av) + 0.5 * cross
-    # one np.dot per stacked factor, as for one: a matrix product sums in another order
+    radial, Q, P = np.empty((len(Rv), n - 1)), np.empty((len(Rv), n - 1)), np.empty((len(Rv), n))
+    whole = scratch.get("whole")
+    step = max(1, _BLOCK // (w * (1 if whole else len(Rv))))
+    if shared not in scratch:  # the differences of the stack's functions, and of u unless shared
+        scratch[shared] = [(np.empty((k, step, w)), np.empty((k, step + 1, w)))
+                           for k in (0 if whole else len(Rv), 1 - shared)]
+    bufs = scratch[shared]
+    for a in range(0, n - 1, step):
+        b = min(a + step, n - 1)
+        if whole:
+            Av, Gv = whole[0][:, a:b], whole[1][:, a:b + 1]
+        else:
+            Av, Gv = _differences(Rv, a, b, *bufs[0])
+        Au, Gu = (x[0] for x in ((Av, Gv) if shared else _differences([Vu], a, b, *bufs[1])))
+        cross = ((_rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
+                 + (_rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
+        radial[:, a:b] = 2.0 * _rowdot(Au, Av) + 0.5 * cross
+        P[:, a:b + 1] = _rowdot(Gu, Gv)
+        Q[:, a:b] = _rowdot(Gu[:-1], Gv[:, 1:]) + _rowdot(Gu[1:], Gv[:, :-1])
+    # one np.dot per stacked function, as for one: a matrix product sums in another order
     e_s = np.array([np.dot(dth / ds, row) for row in radial]) / 3.0
-    P = _rowdot(Gu, Gv)
-    Q = _rowdot(Gu[:-1], Gv[:, 1:]) + _rowdot(Gu[1:], Gv[:, :-1])
     e_t = np.array([np.dot(ds / dth, row) for row in P[:, :-1] + P[:, 1:] + 0.5 * Q]) / 3.0
+    # the cap rows rings[0] - center, unshifted and shifted by a column
+    a0u, a0v = Vu[0] - cu[0], np.array([V[0] for V in Rv]) - cv[:, None]
+    a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1, axis=1)
     cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v, axis=1) / 6.0
     cap_t = 0.5 * P[:, 0] / dth
     return u.order * (e_s + e_t + cap_r + cap_t)
@@ -365,11 +411,24 @@ def grad_norm_disc(u: DiscFunction) -> float:
     return math.sqrt(energy(u))
 
 
+def _blockwise(op, out: np.ndarray, *ins) -> float:
+    """op(*ins, out=out) in blocks of rings, each one's extremes taken while it
+    is in cache: max(out.max(), -out.min()), NaN if out holds one."""
+    peak = np.float64(0.0)
+    step = max(1, _BLOCK // out.shape[1])
+    for a in range(0, len(out), step):
+        block = op(*(x[a:a + step] for x in ins), out=out[a:a + step])
+        peak = np.maximum(peak, np.maximum(block.max(), -block.min()))
+    return float(peak)
+
+
 def _owned_copy(u: DiscFunction) -> DiscFunction:
     """u's copy for an in-place `_combine`: its rings view, read-only, a
     writable array that no caller holds."""
-    rings = np.array(u.rings)[...]
-    return DiscFunction._owned(u.grid, u.center, rings, u.support_radius, u.zero_trace, u.order)
+    rings = np.empty(u.rings.shape)
+    peak = _blockwise(np.positive, rings, u.rings)  # +x is x, bit for bit
+    return DiscFunction._owned(u.grid, u.center, rings[...], u.support_radius, u.zero_trace,
+                               u.order, peak)
 
 
 def _combine(u: DiscFunction, v: DiscFunction, op, in_place=False) -> DiscFunction:
@@ -380,9 +439,11 @@ def _combine(u: DiscFunction, v: DiscFunction, op, in_place=False) -> DiscFuncti
                   support_radius=max(u.support_radius, v.support_radius))
     if not in_place:
         return DiscFunction._owned(u.grid, rings=op(u.rings, v.rings), order=u.order, **fields)
-    op(u.rings.base, v.rings, out=u.rings.base)
+    if u.rings.base is None:
+        raise TypeError("an in-place update needs an `_owned_copy`")
+    peak = _blockwise(op, u.rings.base, u.rings.base, v.rings)
     vars(u).update(fields)
-    u._own(u.rings)
+    u._own(u.rings, peak)
     return u
 
 
@@ -425,20 +486,28 @@ def inflate(
 def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
     """-log|z - zeta| at the ring nodes, n_theta columns wide; at the origin,
     where 0 cos theta and 0 sin theta are +-0, one column."""
-    radii = _ring_radii(grid)
+    radii = _ring_radii(grid)[:, None]
     thetas = _thetas(grid)[: 1 if zeta == 0 else None]
     zx, zy = zeta.real, zeta.imag
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    d2 = np.multiply(2.0 * radii[:, None], (zx * cos_t + zy * sin_t)[None, :])
-    np.subtract(radii[:, None] ** 2 + (zx * zx + zy * zy), d2, out=d2)
-    np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    with np.errstate(divide="ignore"):
-        return np.negative(np.log(d2, out=d2), out=d2)
+    proj = (zx * np.cos(thetas) + zy * np.sin(thetas))[None, :]
+    field = np.empty((len(radii), len(thetas)))
+    step = max(1, _BLOCK // len(thetas))
+    for a in range(0, len(radii), step):  # in blocks of rings that stay in cache
+        r, d2 = radii[a:a + step], field[a:a + step]
+        np.multiply(2.0 * r, proj, out=d2)
+        np.subtract(r ** 2 + (zx * zx + zy * zy), d2, out=d2)
+        np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+        with np.errstate(divide="ignore"):
+            np.negative(np.log(d2, out=d2), out=d2)
+    return field
 
 
 def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
-    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given; a
-    one-column field (the origin) is evaluated once and repeated across the block."""
+    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given, or on
+    `field(d.zeta)` if it is a function, called once the support fits; a
+    one-column field (the origin) is evaluated once and repeated across the
+    block.  The field is read in blocks of rings, so that its scaled copy and
+    the profile's values never take a grid-sized temporary."""
     j, zeta = d.j, d.zeta
     R_inf = math.exp(-w.support_log_radius()) ** j
     if R_inf > 1.0 - abs(zeta) + 1e-12:
@@ -446,19 +515,24 @@ def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None
             f"inflated support radius {R_inf:.6g} around {zeta} leaves the disc "
             f"(available {1.0 - abs(zeta):.6g})"
         )
-    if field is None:
-        field = _log_distance(grid, zeta)
-    rings = w.value_at(field / j)
-    rings *= math.sqrt(j)
+    field = _log_distance(grid, zeta) if field is None else field
+    field = field(zeta) if callable(field) else field
+    rings = np.empty(field.shape)
+    rings[-1] = 0.0  # the boundary ring, which the profile's values below skip
+    scaled = np.empty((max(1, _BLOCK // field.shape[1]), field.shape[1]))
+
+    def values(x, out):
+        return np.multiply(w.value_at(np.divide(x, j, out=scaled[:len(x)])), math.sqrt(j), out=out)
+
+    peak = _blockwise(values, rings[:-1], field[:-1])
     if rings.shape[1] == 1:
         rings = np.repeat(rings, grid.n_theta // order, axis=1)
-    rings[-1, :] = 0.0
     dist_c = abs(zeta)
     with np.errstate(divide="ignore"):
         t_c = math.inf if dist_c == 0.0 else -math.log(dist_c) / j
     center = math.sqrt(j) * float(w.value_at(t_c))
     return DiscFunction._owned(
-        grid, center, rings, support_radius=min(1.0, abs(zeta) + R_inf), order=order
+        grid, center, rings, support_radius=min(1.0, abs(zeta) + R_inf), order=order, peak=peak
     )
 
 
@@ -536,7 +610,8 @@ def _angular_profiles(us, zetas, n_phi: int | None = None) -> list[RadialProfile
 class _Net:
     """Where points z fall on a grid whose functions store blocks `width` wide.
 
-    Every point keeps the int32 flat indices of four ring corners and the weights
+    Every point keeps the intp flat indices of its two inner ring corners (the
+    outer two are read through the rings shifted by one ring) and the weights
     1 - xi, xi, 1 - eta, eta at r clamped to [r0, 1]; cap points also their two
     first-ring nodes, 1 - eta, eta and r / r0; points outside (not r < 1, NaN
     included) read 0.  `sample(u)` only gathers and combines, in the arithmetic
@@ -555,23 +630,24 @@ class _Net:
         self.outside = np.flatnonzero(~(r < 1.0))
         r[cap], r[self.outside], theta[self.outside] = r0, 1.0, 0.0
         x = np.clip((grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1)), 0, grid.n_r - 1)
-        i = np.minimum(x.astype(np.int32), grid.n_r - 2)
+        i = np.minimum(x.astype(np.intp), grid.n_r - 2)
         xi = x - i
         m, m1, eta = _angular_index(grid, theta, width)
-        k, k1 = i * width + m, i * width + m1
-        self.plan = (k, k + width, k1, k1 + width, 1 - xi, xi, 1 - eta, eta)
+        i *= width
+        self.width, self.plan = width, (i + m, i + m1, 1 - xi, xi, 1 - eta, eta)
 
     def sample(self, u: DiscFunction) -> np.ndarray:
         """u at the points, in their shape."""
         V = u.rings.ravel()
-        k00, k10, k01, k11, xi1, xi, eta1, eta = self.plan
+        outer = V[self.width:]  # flat index k here is k + width in V
+        k0, k1, xi1, xi, eta1, eta = self.plan
         out, buf = np.empty(xi.size), np.empty(xi.size)
         # the indices are in range: "clip" skips the bounds check and a buffered copy to out
-        V.take(k00, out=out, mode="clip")
+        V.take(k0, out=out, mode="clip")
         out *= xi1
         out *= eta1
-        for k, a, b in ((k10, xi, eta1), (k01, xi1, eta), (k11, xi, eta)):
-            V.take(k, out=buf, mode="clip")
+        for W, k, a, b in ((outer, k0, xi, eta1), (V, k1, xi1, eta), (outer, k1, xi, eta)):
+            W.take(k, out=buf, mode="clip")
             buf *= a
             buf *= b
             out += buf
@@ -746,16 +822,29 @@ def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
 
     A stencil point replaces the current center only if it beats `score`.
     """
-    best = (score, complex(zeta))
+    return _refine_centers([u], zeta, [j], score)[0]
+
+
+def _refine_centers(us, zeta, js, score=-math.inf) -> list:
+    """_refine_center(us[k], zeta, js[k], score) for every k: the members at one
+    stencil and scale, the coarse one above all, share its net."""
+    best = [(score, complex(zeta))] * len(us)
+    live = range(len(us))
     for spacing in _REFINE_SPACINGS:
-        zs = best[1] + spacing * _STENCIL
-        zs = zs[np.abs(zs) <= 0.5]
-        if zs.size == 0:
-            break
-        scores = _scores([u], j, zs)[0]
-        k = int(np.argmax(scores))
-        if scores[k] > best[0]:
-            best = (float(scores[k]), complex(zs[k]))
+        groups: dict = {}
+        for k in live:
+            groups.setdefault((best[k][1], js[k]), []).append(k)
+        live = []
+        for (center, j), ks in groups.items():
+            zs = center + spacing * _STENCIL
+            zs = zs[np.abs(zs) <= 0.5]
+            if zs.size == 0:
+                continue  # an empty stencil ends the search of its members
+            live += ks
+            for k, scores in zip(ks, _scores([us[k] for k in ks], j, zs)):
+                i = int(np.argmax(scores))
+                if scores[i] > best[k][0]:
+                    best[k] = (float(scores[i]), complex(zs[i]))
     return best
 
 

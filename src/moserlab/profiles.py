@@ -38,11 +38,11 @@ from functools import partial
 import numpy as np
 
 from . import disc
-from .disc import _integer
+from .disc import _integer, _real
 from .functional import tail_decayed
 from .radial import OMEGA, RadialProfile, gauge_apply, grad_norm
 from .radial import profile_from_dict, profile_to_dict
-from .rearrange import expl2_disc
+from .rearrange import _RemainderNorm, expl2_disc
 
 __all__ = [
     "FunctionSequence",
@@ -136,12 +136,16 @@ class ProfileTerm:
 
     @staticmethod
     def from_dict(d: dict) -> "ProfileTerm":
-        """The term of a record with an inline profile; "energy" is not read."""
-        return ProfileTerm(
-            profile_from_dict(d["profile"]),
-            d["j_track"],
-            [complex(z[0], z[1]) for z in d["zeta_track"]],
-        )
+        """The term of a record with an inline profile; "energy" is not read.
+
+        Each center is a pair of real numbers (no bool, string or null)."""
+        zetas = []
+        for i, z in enumerate(d["zeta_track"]):
+            what = f"zeta_track[{i}]"
+            if not isinstance(z, (list, tuple)) or len(z) != 2:
+                raise ValueError(f"{what}: {z!r} is not a pair of real numbers")
+            zetas.append(complex(_real(z[0], what), _real(z[1], what)))
+        return ProfileTerm(profile_from_dict(d["profile"]), d["j_track"], zetas)
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,7 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     """
     scan = disc._scores(members, np.arange(1, j_max + 1), d0.zeta)  # one net
     js = [1 + int(k) for k in np.argmax(scan, axis=1)]
-    zetas = [disc._refine_center(u, d0.zeta, j)[1] for u, j in zip(members, js)]
+    zetas = [z for _, z in disc._refine_centers(members, d0.zeta, js)]
     memo = {} if memo is None else memo
     new = [(k, z) for k, z in enumerate(zetas) if (k, z) not in memo]
     memo.update(zip(new, disc._angular_profiles([members[k] for k, _ in new],
@@ -284,19 +288,43 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     return track, w
 
 
-def _apply_bubbles(op, members, term: ProfileTerm, grid) -> None:
+class _Fields:
+    """The fields -log|z - zeta| of one grid that an `extract` call keeps: the
+    last one asked for and the one of the center held, each built once while
+    kept.  Any other is freed before a field is built; `clear` frees them all."""
+
+    def __init__(self, grid):
+        self.grid, self.kept, self.held = grid, {}, None
+
+    def __call__(self, zeta: complex) -> np.ndarray:
+        if zeta not in self.kept:
+            self.kept = {z: f for z, f in self.kept.items() if z == self.held}
+            self.kept[zeta] = disc._log_distance(self.grid, zeta)
+        return self.kept[zeta]
+
+    def hold(self, zeta) -> None:
+        self.held = zeta
+
+    def clear(self) -> None:
+        self.kept, self.held = {}, None
+
+
+def _apply_bubbles(op, members, term: ProfileTerm, grid, fields=None) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for every idx.
 
     The bubble depends only on (j, zeta): the field -log|z - zeta| is built
-    once per distinct center, the bubble once per distinct pair, and each is
-    freed before the next one is built.
+    once per distinct center, the bubble once per distinct pair, and each
+    bubble is freed before the next one is built.  With `fields`, a `_Fields`,
+    the centers it keeps go first and it keeps the last one; without, each
+    field is freed before the next one is built.
     """
     groups: dict = {}
     for idx in range(len(members)):
         groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
-    for zeta, by_j in groups.items():
-        field = disc._log_distance(grid, zeta)
-        for j, group in by_j.items():
+    kept = fields.kept if fields is not None else {}
+    for zeta in sorted(groups, key=lambda z: z not in kept):
+        field = disc._log_distance(grid, zeta) if fields is None else fields(zeta)
+        for j, group in groups[zeta].items():
             bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
             for idx in group:
                 members[idx] = op(members[idx], bubble)
@@ -304,26 +332,28 @@ def _apply_bubbles(op, members, term: ProfileTerm, grid) -> None:
         del field
 
 
-def _fit_term(tail, track, w, grid):
+def _fit_term(tail, track, w, grid, fields=None):
     """(term, tail energy it leaves) fitted to a tracked (track, w), or None.
 
-    `tail` is the tail member m's factor and its energy E(m).  The candidate
-    bubble s is w inflated at the track's last (j, zeta); the term is beta w,
-    and the energy it leaves is E(m - beta s) in closed form,
-    E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is subtracted here.
+    `tail` is the tail member m's stack and its energy E(m).  The candidate
+    bubble s is w inflated at the track's last (j, zeta), on `fields` if
+    given; the term is beta w, and the energy it leaves is E(m - beta s) in
+    closed form, E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is
+    subtracted here.
     """
     fm, em = tail
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
-        fs = disc._stack([disc.inflate(w, disc.DislocationParam(*track[-1]), grid)])
+        bubble = disc._inflated(w, disc.DislocationParam(*track[-1]), grid, fields)
     except disc.SupportError:
         return None
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
-    # profile estimate overshooting the energy budget
-    ss = float(disc._pair(fs, fs)[0])
-    ms = float(disc._pair(fm, fs)[0])
+    # profile estimate overshooting the energy budget; one pairing of the
+    # bubble with the stack (bubble, tail) gives <s, s> and <s, m>
+    fs = disc._stack([bubble, fm])
+    ss, ms = (float(x) for x in disc._pair(fs, fs))
     beta = min(1.25, max(0.5, ms / ss)) if ss > 0 else 1.0
     if beta != 1.0:
         w = RadialProfile(w.nodes, beta * w.values)
@@ -331,7 +361,7 @@ def _fit_term(tail, track, w, grid):
     return term, em - 2.0 * beta * ms + beta * beta * ss
 
 
-def _place_term(members, starts, j_max, grid, fits_budget):
+def _place_term(members, starts, j_max, grid, fits_budget, fields=None):
     """Fit a term from each start and subtract the best one from every member.
 
     The best term leaves the least tail energy, ties broken by smaller scale,
@@ -341,8 +371,11 @@ def _place_term(members, starts, j_max, grid, fits_budget):
     `fits_budget` rejects, or whose track repeats an earlier one (track and
     profile fix the fit) are skipped.  Returns (closed-form tail energy,
     term), subtracted in place from the members, or None, members untouched.
+    The fits and the subtraction share `fields` (a `_Fields` of the grid, or
+    one of their own), which holds the best fit's center until the end.
     """
-    # the members do not change between starts: one tail factor and one memo serve them all
+    fields = _Fields(grid) if fields is None else fields
+    # the members do not change between starts: one tail stack and one memo serve them all
     fm = disc._stack([members[-1]])
     tail = (fm, float(disc._pair(fm, fm)[0]))
     chosen = None
@@ -353,7 +386,7 @@ def _place_term(members, starts, j_max, grid, fits_budget):
         if track in tracks:
             continue
         tracks.append(track)
-        fit = _fit_term(tail, track, w, grid)
+        fit = _fit_term(tail, track, w, grid, fields)
         if fit is None or not fits_budget(fit[0]):
             continue
         term, tail_energy = fit
@@ -362,11 +395,12 @@ def _place_term(members, starts, j_max, grid, fits_budget):
                term.j_track, [(z.real, z.imag) for z in term.zeta_track])
         if chosen is None or key < chosen[0]:
             chosen = (key, term)
-    del fm, tail  # the factor is freed before the bubbles are built
+            fields.hold(zl)
+    fields.hold(None)
     if chosen is None:
         return None
     key, term = chosen
-    _apply_bubbles(_SUBTRACT, members, term, grid)
+    _apply_bubbles(_SUBTRACT, members, term, grid, fields)
     return key[0], term
 
 
@@ -407,14 +441,19 @@ def extract(
     members = [disc._owned_copy(u) for u in seq.members]
     grid = members[0].grid
     input_limsup = max(seq.energies)
+    # the fields of the call, kept over a placement (or a refine step) and freed
+    # before each detection and the final norms
+    fields = _Fields(grid)
 
     terms: list[ProfileTerm] = []
     status = "converged"
     prev_tail_energy = seq.energies[-1]
     increases = 0
+    tail_norm = None  # the tail's remainder norm, while no bubble has changed the members since
 
     for _ in range(max_terms):
-        if expl2_disc(members[-1]) < eps_stop:
+        tail_norm = expl2_disc(members[-1])
+        if tail_norm < eps_stop:
             break
         cands = disc.concentration_detect(
             members[-1], eps=eps_stop / 4.0, j_max=j_max, top_k=4
@@ -422,11 +461,13 @@ def extract(
         shortlist = [d0 for d0, score in cands if score >= 0.5 * cands[0][1]]
         placed = _place_term(
             members, shortlist, j_max, grid,
-            lambda t: _within_budget(terms + [t], input_limsup),
+            lambda t: _within_budget(terms + [t], input_limsup), fields,
         )
+        fields.clear()
         if placed is None:
             status = "no-candidates"
             break
+        tail_norm = None
         tail_energy, term = placed
         terms.append(term)
         if tail_energy > prev_tail_energy + 1e-12:
@@ -438,28 +479,35 @@ def extract(
             increases = 0
         prev_tail_energy = tail_energy
     else:  # every placement ran
-        if expl2_disc(members[-1]) >= eps_stop:
+        tail_norm = expl2_disc(members[-1])
+        if tail_norm >= eps_stop:
             status = "max-terms"
 
-    if len(terms) > 1 and status != "diverged":
-        for _ in range(max(0, refine_sweeps)):
+    if len(terms) > 1 and status != "diverged" and refine_sweeps > 0:
+        tail_norm = None
+        for _ in range(refine_sweeps):
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
-                _apply_bubbles(_ADD, members, old, grid)
+                _apply_bubbles(_ADD, members, old, grid, fields)
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
                     members, [d0], j_max, grid,
                     lambda t: _within_budget(
                         terms[:i] + [t] + terms[i + 1:], input_limsup
                     ),
+                    fields,
                 )
                 if placed is None:
-                    _apply_bubbles(_SUBTRACT, members, old, grid)
+                    _apply_bubbles(_SUBTRACT, members, old, grid, fields)
                 else:
                     terms[i] = placed[1]
+    fields.clear()
 
-    remainder = tuple(expl2_disc(u) for u in members)
+    # one scratch for the norms of every member; the tail's is reused if still current
+    norm = _RemainderNorm()
+    remainder = tuple(norm(u) for u in members[:-1])
+    remainder += (norm(members[-1]) if tail_norm is None else tail_norm,)
     return Decomposition(
         terms=tuple(terms),
         remainder_expl2=remainder,
@@ -541,7 +589,7 @@ def dweak_test(
             key = (w.grid, w.order)
             if key not in probes:
                 probes.clear()
-                probes[key] = disc._stack(disc.make_probes(w.grid, probe_count, w.order))
+                probes[key] = disc._stack(disc.make_probes(w.grid, probe_count, w.order), keep=True)
             pairings[k, t] = disc.max_pairing(w, probes[key])
 
     per_member = []

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import _reals
+from .disc import _BLOCK, _reals
 from .radial import RadialProfile, _abs_segments, _exp_moment
 
 __all__ = [
@@ -456,11 +456,62 @@ def _expl2_prefix(mags, areas, total, mask, start):
     area `start`.  Returns the sup, the last value and its cumulative area.
     """
     sel = np.flatnonzero(mask)
-    order = sel[np.argsort(mags[sel], kind="stable")[::-1]]
-    vals = mags[order]
-    taus = np.cumsum(np.concatenate(([start], areas[order])))[1:]
-    best = float(np.max(vals * _expl2_weight(taus / total)))
-    return best, float(vals[-1]), float(taus[-1])
+    vals = mags[sel]
+    order = vals.argsort()[::-1]
+    desc = vals[order]  # descending, the same for any sort
+    if (desc[1:] == desc[:-1]).any():
+        # equal values: the order of their cells, and with it the areas summed, is the stable sort's
+        order = vals.argsort(kind="stable")[::-1]
+    taus = areas[sel[order]]
+    taus[0] += start
+    np.cumsum(taus, out=taus)
+    s_last = float(taus[-1])
+    # desc * _expl2_weight(taus / total), in place
+    taus /= total
+    np.log(np.maximum(taus, 1e-300, out=taus), out=taus)
+    np.power(np.subtract(1.0, taus, out=taus), -0.5, out=taus)
+    taus *= desc
+    return float(taus.max()), float(desc[-1]), s_last
+
+
+class _RemainderNorm:
+    """`expl2_disc` that keeps its grid-sized scratch, the bucket index of
+    every cell, and the total cell area between calls: the remainder norm of
+    one owner, an `extract` call's final tuple."""
+
+    def __init__(self):
+        self.bucket, self.areas, self.total = np.empty(0, np.intp), None, 0.0
+
+    def __call__(self, u) -> float:
+        values, areas = u.cell_values_and_areas()
+        mags = np.abs(values, out=values)
+        vmax = float(mags.max())
+        if vmax == 0.0:
+            return 0.0
+        if areas is not self.areas:
+            self.areas, self.total = areas, float(areas.sum())
+        total, nb = self.total, _EXPL2_BUCKETS
+        if self.bucket.size != mags.size:
+            self.bucket = np.empty(mags.size, np.intp)
+        bucket, scaled = self.bucket, np.empty(min(_BLOCK, mags.size))
+        for a in range(0, mags.size, _BLOCK):
+            # mags / vmax lies in [0, 1]: no overflow, however small vmax is
+            x = np.divide(mags[a:a + _BLOCK], vmax, out=scaled[:mags.size - a])
+            x *= nb
+            bucket[a:a + _BLOCK] = x  # truncated, as by astype
+            np.minimum(bucket[a:a + _BLOCK], nb - 1, out=bucket[a:a + _BLOCK])
+        hist = np.bincount(bucket, weights=areas, minlength=nb)
+        w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
+        edges = np.arange(nb + 1) * (vmax / nb)
+        first = int(np.argmax(edges[:-1] * w_reach))
+        best, v_last, s_last = _expl2_prefix(mags, areas, total, bucket >= first, 0.0)
+        # every cell below `first` has |v| < v_last (the index is monotone in |v|)
+        bound = np.minimum(edges[1:first + 1], v_last) * w_reach[:first]
+        can_win = np.flatnonzero((bound > best) & (hist[:first] > 0))
+        if can_win.size:
+            run = (bucket >= can_win[0]) & (bucket < first)
+            best = max(best, _expl2_prefix(mags, areas, total, run, s_last)[0])
+        return best
 
 
 def expl2_disc(u) -> float:
@@ -476,29 +527,11 @@ def expl2_disc(u) -> float:
     bounded by min(top edge, last value) x weight; those whose bound beats
     the sup are sorted as a continuation of the same prefix.  The cumulative
     areas are those of the full sort: the result differs from it only through
-    the summation order of the total area.
+    the summation order of the total area.  A prefix without equal values has
+    one descending order, which the default sort finds; the stable sort runs
+    only on a prefix with ties.
     """
-    values, areas = u.cell_values_and_areas()
-    mags = np.abs(values, out=values)
-    vmax = float(mags.max())
-    if vmax == 0.0:
-        return 0.0
-    nb = _EXPL2_BUCKETS
-    # mags / vmax lies in [0, 1]: no overflow, however small vmax is
-    bucket = np.minimum((mags / vmax * nb).astype(np.intp), nb - 1)
-    hist = np.bincount(bucket, weights=areas, minlength=nb)
-    total = float(areas.sum())
-    w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
-    edges = np.arange(nb + 1) * (vmax / nb)
-    first = int(np.argmax(edges[:-1] * w_reach))
-    best, v_last, s_last = _expl2_prefix(mags, areas, total, bucket >= first, 0.0)
-    # every cell below `first` has |v| < v_last (the index is monotone in |v|)
-    bound = np.minimum(edges[1:first + 1], v_last) * w_reach[:first]
-    can_win = np.flatnonzero((bound > best) & (hist[:first] > 0))
-    if can_win.size:
-        run = (bucket >= can_win[0]) & (bucket < first)
-        best = max(best, _expl2_prefix(mags, areas, total, run, s_last)[0])
-    return best
+    return _RemainderNorm()(u)
 
 
 def lp_mass_rearranged(f: RearrangedFunction, p: int) -> float:

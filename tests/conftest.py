@@ -7,9 +7,12 @@ detector built on them, the closed energy formula with the polarization
 identity, the one-block deflation, the dislocation-weak test written out
 one member at a time, the member sums on fresh arrays with the bubble rule
 that applies them, the cell values by a rolled copy, the translated
-Moser family as the generator and each demo built it on its own, and the
-radial rearrangement with its point-by-point worklist.  Test
-modules import from here and never from each other.
+Moser family as the generator and each demo built it on its own, the
+radial rearrangement with its point-by-point worklist, and the whole-array
+kernels that the blocked ones replaced: the pairing on materialized
+differences, the remainder norm with its stable prefix sort, the int32 net
+plan, the field and the inflation.  Test modules import from here and never
+from each other.
 """
 
 import math
@@ -600,3 +603,134 @@ def old_rearrange_radial(u: radial.RadialProfile, tol: float = 1e-6):
     taus[-1] = 1.0
     values = np.concatenate(([vmax], np.minimum.accumulate(lams)))
     return rearrange.RearrangedFunction(taus, values, "loglin")
+
+
+# -- whole-array kernels: the pairing on materialized differences, the remainder norm ------
+# -- with a stable prefix sort, the int32 net plan, the field and the inflation -----------
+
+def old_stack(us) -> tuple:
+    """The factors of functions of one grid and order, stacked: us[0], then
+    their radial and cyclic angular differences and cap rows rings[0] - center,
+    unshifted and shifted by a column, on a leading axis; a stack as is."""
+    if isinstance(us, tuple):
+        return us
+    if not us:
+        raise ValueError("no probes to pair with")
+    V = us[0].rings
+    A, G, a0, a1 = (np.empty((len(us),) + x.shape) for x in (V[1:], V, V[0], V[0]))
+    for p, u in enumerate(us):
+        disc._check_operands(us[0], u)  # before its arrays are written
+        V = u.rings
+        np.subtract(V[1:], V[:-1], out=A[p])
+        np.subtract(V[:, 1:], V[:, :-1], out=G[p, :, :-1])
+        np.subtract(V[:, 0], V[:, -1], out=G[p, :, -1])
+        np.subtract(V[0], u.center, out=a0[p])
+    a1[:, :-1], a1[:, -1] = a0[:, 1:], a0[:, 0]
+    return us[0], A, G, a0, a1
+
+
+def old_pair(fu: tuple, fvs: tuple) -> np.ndarray:
+    """Dirichlet bilinear form of a factored bilinear interpolant with each
+    factor of a stack, exact cap included: one value per stacked factor."""
+    (u, *one), (v, Av, Gv, a0v, a1v) = fu, fvs
+    Au, Gu, a0u, a1u = (x[0] for x in one)
+    disc._check_operands(u, v)
+    s, dth = disc._ring_s(u.grid), u.grid.dtheta
+    ds = s[:-1] - s[1:]  # positive
+    rowdot = disc._rowdot
+    cross = ((rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
+             + (rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
+    radial_ = 2.0 * rowdot(Au, Av) + 0.5 * cross
+    e_s = np.array([np.dot(dth / ds, row) for row in radial_]) / 3.0
+    P = rowdot(Gu, Gv)
+    Q = rowdot(Gu[:-1], Gv[:, 1:]) + rowdot(Gu[1:], Gv[:, :-1])
+    e_t = np.array([np.dot(ds / dth, row) for row in P[:, :-1] + P[:, 1:] + 0.5 * Q]) / 3.0
+    cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v, axis=1) / 6.0
+    cap_t = 0.5 * P[:, 0] / dth
+    return u.order * (e_s + e_t + cap_r + cap_t)
+
+
+def old_expl2_prefix(mags, areas, total, mask, start):
+    """Sup over the masked cells taken in rearrange_disc's order, by a stable sort."""
+    sel = np.flatnonzero(mask)
+    order = sel[np.argsort(mags[sel], kind="stable")[::-1]]
+    vals = mags[order]
+    taus = np.cumsum(np.concatenate(([start], areas[order])))[1:]
+    best = float(np.max(vals * rearrange._expl2_weight(taus / total)))
+    return best, float(vals[-1]), float(taus[-1])
+
+
+def old_expl2_disc(u) -> float:
+    """expl2_quasinorm(rearrange_disc(u)), sorting only the cells that can win."""
+    values, areas = u.cell_values_and_areas()
+    mags = np.abs(values, out=values)
+    vmax = float(mags.max())
+    if vmax == 0.0:
+        return 0.0
+    nb = rearrange._EXPL2_BUCKETS
+    bucket = np.minimum((mags / vmax * nb).astype(np.intp), nb - 1)
+    hist = np.bincount(bucket, weights=areas, minlength=nb)
+    total = float(areas.sum())
+    w_reach = rearrange._expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
+    edges = np.arange(nb + 1) * (vmax / nb)
+    first = int(np.argmax(edges[:-1] * w_reach))
+    best, v_last, s_last = old_expl2_prefix(mags, areas, total, bucket >= first, 0.0)
+    bound = np.minimum(edges[1:first + 1], v_last) * w_reach[:first]
+    can_win = np.flatnonzero((bound > best) & (hist[:first] > 0))
+    if can_win.size:
+        run = (bucket >= can_win[0]) & (bucket < first)
+        best = max(best, old_expl2_prefix(mags, areas, total, run, s_last)[0])
+    return best
+
+
+def old_net_plan(grid, width: int, z) -> tuple:
+    """(plan, cap, outside) of a net with int32 indices: four corner indices and the
+    weights 1 - xi, xi, 1 - eta, eta; the cap points' indices and weights."""
+    def angular_index(theta):
+        y = theta / grid.dtheta
+        floor = np.floor(y)
+        m = floor.astype(np.int32)
+        m[m >= width] %= width
+        return m, np.where(m == width - 1, 0, m + 1), y - floor
+
+    z = np.asarray(z, dtype=complex)
+    r, theta = np.abs(z.ravel()), np.angle(z.ravel())
+    theta[theta < 0.0] += 2.0 * math.pi
+    r0 = disc._ring_radii(grid)[0]
+    cap = np.flatnonzero(r < r0)
+    m, m1, eta = angular_index(theta[cap])
+    cap_plan = (cap, m, m1, 1 - eta, eta, r[cap] / r0)
+    outside = np.flatnonzero(~(r < 1.0))
+    r[cap], r[outside], theta[outside] = r0, 1.0, 0.0
+    x = np.clip((grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1)), 0, grid.n_r - 1)
+    i = np.minimum(x.astype(np.int32), grid.n_r - 2)
+    xi = x - i
+    m, m1, eta = angular_index(theta)
+    k, k1 = i * width + m, i * width + m1
+    return (k, k + width, k1, k1 + width, 1 - xi, xi, 1 - eta, eta), cap_plan, outside
+
+
+def old_log_distance(grid, zeta: complex) -> np.ndarray:
+    """-log|z - zeta| at the ring nodes by whole-grid passes; at the origin one column."""
+    radii = disc._ring_radii(grid)
+    thetas = disc._thetas(grid)[: 1 if zeta == 0 else None]
+    zx, zy = zeta.real, zeta.imag
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    d2 = np.multiply(2.0 * radii[:, None], (zx * cos_t + zy * sin_t)[None, :])
+    np.subtract(radii[:, None] ** 2 + (zx * zx + zy * zy), d2, out=d2)
+    np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+    with np.errstate(divide="ignore"):
+        return np.negative(np.log(d2, out=d2), out=d2)
+
+
+def old_inflated(w, d, grid, order: int = 1):
+    """j^{1/2} w(-log|z - zeta| / j) on the whole grid at once: (rings, center)."""
+    j, zeta = d.j, d.zeta
+    rings = w.value_at(old_log_distance(grid, zeta) / j)
+    rings *= math.sqrt(j)
+    if rings.shape[1] == 1:
+        rings = np.repeat(rings, grid.n_theta // order, axis=1)
+    rings[-1, :] = 0.0
+    with np.errstate(divide="ignore"):
+        t_c = math.inf if zeta == 0 else -math.log(abs(zeta)) / j
+    return rings, math.sqrt(j) * float(w.value_at(t_c))

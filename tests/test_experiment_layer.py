@@ -217,9 +217,9 @@ def _place_counting_fits(members, starts, grid):
     """(placement, members after it, the tracks fitted), from owned copies of the members."""
     fits, fit = [], profiles._fit_term
 
-    def counted_fit(members, track, w, grid):
+    def counted_fit(tail, track, *args):
         fits.append(track)
-        return fit(members, track, w, grid)
+        return fit(tail, track, *args)
 
     members = [disc._owned_copy(u) for u in members]
     with pytest.MonkeyPatch.context() as mp:

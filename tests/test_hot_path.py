@@ -1,6 +1,7 @@
 """The extractor's hot path: the batched matched filter, one bubble per (j, zeta)
-group and one -log|z - zeta| field per center (in the extractor and in the
-superposition generator), and disc results built on fresh arrays without a copy.
+group and one -log|z - zeta| field per center in the superposition generator
+(the extractor's fields are counted in test_extract_scratch.py), and disc
+results built on fresh arrays without a copy.
 
 The matched filter is checked against the `h1_inner(gauge_apply(...))` loop it
 replaces; the members after a placement are checked bit for bit against the
@@ -78,16 +79,15 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         [profiles.ProfileTerm(w, jt, [z] * 6) for z in (0.2 + 0.0j, -0.2 + 0.0j)],
         0.01, seed=11, grid=grid, k_list=list(range(1, 7)),
     )
-    count = {"inflate": 0, "field": 0, "fit": 0}
+    count = {"inflate": 0, "fit": 0}
     built = []  # weak references to the bubbles
     groups = []  # (distinct (j, zeta) pairs, distinct zeta, members touched) per application
-    tail_stacks = []  # per placement, the factorizations of its tail member
-    inflated, log_distance, stack = disc._inflated, disc._log_distance, disc._stack
+    tail_stacks = []  # per placement, the stacks of its tail member
+    inflated, stack = disc._inflated, disc._stack
     fit_term, apply_bubbles = profiles._fit_term, profiles._apply_bubbles
     place_term = profiles._place_term
 
-    # every bubble, `disc.inflate`'s included, is built by `_inflated`, and
-    # every -log|z - zeta| field by `_log_distance`
+    # every bubble, `disc.inflate`'s included, is built by `_inflated`
     def counted_inflated(*args, **kwargs):
         # one bubble alive at a time: every earlier one is freed
         assert all(ref() is None for ref in built)
@@ -96,27 +96,22 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         built.append(weakref.ref(u))
         return u
 
-    def counted_field(*args, **kwargs):
-        count["field"] += 1
-        return log_distance(*args, **kwargs)
-
     def counted_fit(*args, **kwargs):
         count["fit"] += 1
         return fit_term(*args, **kwargs)
 
-    def counted_apply(op, members, term, grid):
+    def counted_apply(op, members, term, grid, fields=None):
         indices = range(len(members))
-        before, fields_before, ops = count["inflate"], count["field"], []
+        before, ops = count["inflate"], []
 
         def counted_op(u, v):
             ops.append(None)
             return op(u, v)
 
-        apply_bubbles(counted_op, members, term, grid)
+        apply_bubbles(counted_op, members, term, grid, fields)
         pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
         centers = {term.zeta_track[i] for i in indices}
         assert count["inflate"] - before == len(pairs)
-        assert count["field"] - fields_before == len(centers)
         assert len(ops) == len(indices)
         groups.append((len(pairs), len(centers), len(indices)))
 
@@ -132,7 +127,6 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
             return place_term(members, *args)
 
     monkeypatch.setattr(disc, "_inflated", counted_inflated)
-    monkeypatch.setattr(disc, "_log_distance", counted_field)
     monkeypatch.setattr(profiles, "_fit_term", counted_fit)
     monkeypatch.setattr(profiles, "_apply_bubbles", counted_apply)
     monkeypatch.setattr(profiles, "_place_term", counted_place)
@@ -144,9 +138,8 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
     # two greedy subtractions, then add-backs (and accepted refits) per sweep
     assert len(groups) > 2
     assert count["inflate"] == count["fit"] + sum(n for n, _, _ in groups)
-    assert count["field"] == count["fit"] + sum(c for _, c, _ in groups)
     # the tracks repeat (j, zeta): fewer bubbles than members touched, and
-    # fewer fields than bubbles
+    # fewer centers than bubbles
     assert sum(c for _, c, _ in groups) < sum(n for n, _, _ in groups)
     assert sum(n for n, _, _ in groups) < sum(m for _, _, m in groups)
 

@@ -82,6 +82,27 @@ class TestTypes:
         assert profiles.ProfileTerm(w, [1.0, np.int64(2)], [0.0] * 2).j_track == (1, 2)
         assert profiles.FunctionSequence([u, u], [1.0, 3]).k_list == (1, 3)
 
+    @pytest.mark.parametrize("track, reason", [
+        ([[False, False]], r"^zeta_track\[0\]: False is not a real number$"),
+        ([[0.1, 0.0], [0.1, 0.0, "x"]], r"^zeta_track\[1\]: \[0\.1, 0\.0, 'x'\] is not a pair"),
+        ([[0.1, 0.0], [0.1]], r"^zeta_track\[1\]: \[0\.1\] is not a pair of real numbers$"),
+        ([[0.0, None]], r"^zeta_track\[0\]: None is not a real number$"),
+        ([["0.1", 0.0]], r"^zeta_track\[0\]: '0\.1' is not a real number$"),
+        (["01"], r"^zeta_track\[0\]: '01' is not a pair of real numbers$"),
+    ], ids=["bools", "three", "one", "null", "string", "text"])
+    def test_profile_term_record_reads_each_center_as_two_reals(self, track, reason):
+        w = radial.moser_annular(1.0, 0.5)
+        record = profiles.ProfileTerm(w, [1] * len(track), [0j] * len(track)).to_dict()
+        record["zeta_track"] = track
+        with pytest.raises(ValueError, match=reason):
+            profiles.ProfileTerm.from_dict(record)
+        # ints and floats are centers, and a term's own record reads back as the term
+        record["zeta_track"] = [[0, 0.5], [0.25, -0.125]][:len(track)]
+        term = profiles.ProfileTerm.from_dict(record)
+        assert term.zeta_track == (0.5j, 0.25 - 0.125j)[:len(track)]
+        again = profiles.ProfileTerm.from_dict(term.to_dict())
+        assert again.zeta_track == term.zeta_track and again.j_track == term.j_track
+
     def test_decomposition_energy_budget(self):
         w = radial.moser_annular(1.0, 0.5)
         term = profiles.ProfileTerm(w, [1, 2], [0.0] * 2)
