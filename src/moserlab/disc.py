@@ -7,9 +7,10 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
     int |grad u|^2 dx = int int (u_s^2 + u_theta^2) ds dtheta  (+ center cap),
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
-interpolant in (s, theta), cap included.  `_pair` pairs one operand's factor
-(a `_stack` of one: its differences and cap rows) with a `_stack` of factors:
-`energy` and `grad_inner` pair with a stack of one, `max_pairing` with probes.
+interpolant in (s, theta), cap included.  `_pair` pairs the first function
+of a `_stack` with each function of a `_stack`, taking their differences in
+blocks of rings that stay in cache: `energy` and `grad_inner` pair with a
+stack of one, `max_pairing` with probes, whose differences are kept whole.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -30,8 +31,8 @@ interpolation error.  The operands of a form (energy, grad_inner) or a sum
 paired with make_probes(w.grid, count, w.order).  Powers z^j are computed as
 (|z|^j, j*theta), never by repeated complex multiplication.  Inflation
 j^{1/2} w(|z - zeta|^{1/j}) of a radial profile is its closed form on the
-field -log|z - zeta|, which a call site builds once per center, shares over
-the scales j and frees; at the origin the field is one ring column.
+field -log|z - zeta|, which a call site builds once per center and shares
+over the scales j; at the origin the field is one ring column.
 Out-of-domain reads are zero everywhere (extension by zero).
 """
 
@@ -318,11 +319,9 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
 
 
 def _stack(us, keep: bool = False) -> tuple:
-    """Functions of one grid and order stacked for `_pair`: the first, their
-    ring arrays (not copied), their centers and the buffers that each pairing
-    with the stack reuses; an entry that is a stack adds its functions, and a
-    stack is returned as is.  With `keep`, for a stack paired many times (the
-    probes), the differences of its functions are taken once, whole."""
+    """Functions of one grid and order (or stacks of them) stacked for `_pair`:
+    the first, their ring arrays and their centers; with `keep`, for many
+    pairings, also their differences, taken whole."""
     if isinstance(us, tuple):
         return us
     if not us:
@@ -330,13 +329,11 @@ def _stack(us, keep: bool = False) -> tuple:
     parts = [u if isinstance(u, tuple) else (u, [u.rings], [u.center]) for u in us]
     for part in parts:
         _check_operands(parts[0][0], part[0])
-    rings = [r for part in parts for r in part[1]]
-    scratch = {}
+    rings, whole = [r for part in parts for r in part[1]], None
     if keep:
-        n, w = rings[0].shape
-        scratch["whole"] = _differences(
-            rings, 0, n - 1, np.empty((len(rings), n - 1, w)), np.empty((len(rings), n, w)))
-    return parts[0][0], rings, np.array([c for part in parts for c in part[2]], dtype=float), scratch
+        (n, w), p = rings[0].shape, len(rings)
+        whole = _differences(rings, 0, n - 1, np.empty((p, n - 1, w)), np.empty((p, n, w)))
+    return parts[0][0], rings, np.array([c for part in parts for c in part[2]], dtype=float), whole
 
 
 def _differences(Vs, a: int, b: int, A: np.ndarray, G: np.ndarray) -> tuple:
@@ -365,25 +362,21 @@ def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
     are those of the whole arrays.  Of j-fold functions each cyclic row sum is
     j times the sum over one block: the form is j times the block's.
     """
-    (u, Ru, cu, _), (v, Rv, cv, scratch) = fu, fvs
+    (u, Ru, cu, _), (v, Rv, cv, whole) = fu, fvs
     _check_operands(u, v)
     Vu, shared = Ru[0], Rv[0] is Ru[0]
     n, w = Vu.shape
     s, dth = _ring_s(u.grid), u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
     radial, Q, P = np.empty((len(Rv), n - 1)), np.empty((len(Rv), n - 1)), np.empty((len(Rv), n))
-    whole = scratch.get("whole")
     step = max(1, _BLOCK // (w * (1 if whole else len(Rv))))
-    if shared not in scratch:  # the differences of the stack's functions, and of u unless shared
-        scratch[shared] = [(np.empty((k, step, w)), np.empty((k, step + 1, w)))
-                           for k in (0 if whole else len(Rv), 1 - shared)]
-    bufs = scratch[shared]
+    # block buffers for the differences of the stack's functions, and of u unless shared
+    bufs = [(np.empty((k, step, w)), np.empty((k, step + 1, w)))
+            for k in (0 if whole else len(Rv), 1 - shared)]
     for a in range(0, n - 1, step):
         b = min(a + step, n - 1)
-        if whole:
-            Av, Gv = whole[0][:, a:b], whole[1][:, a:b + 1]
-        else:
-            Av, Gv = _differences(Rv, a, b, *bufs[0])
+        Av, Gv = ((whole[0][:, a:b], whole[1][:, a:b + 1]) if whole
+                  else _differences(Rv, a, b, *bufs[0]))
         Au, Gu = (x[0] for x in ((Av, Gv) if shared else _differences([Vu], a, b, *bufs[1])))
         cross = ((_rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
                  + (_rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
@@ -486,28 +479,21 @@ def inflate(
 def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
     """-log|z - zeta| at the ring nodes, n_theta columns wide; at the origin,
     where 0 cos theta and 0 sin theta are +-0, one column."""
-    radii = _ring_radii(grid)[:, None]
+    radii = _ring_radii(grid)
     thetas = _thetas(grid)[: 1 if zeta == 0 else None]
     zx, zy = zeta.real, zeta.imag
-    proj = (zx * np.cos(thetas) + zy * np.sin(thetas))[None, :]
-    field = np.empty((len(radii), len(thetas)))
-    step = max(1, _BLOCK // len(thetas))
-    for a in range(0, len(radii), step):  # in blocks of rings that stay in cache
-        r, d2 = radii[a:a + step], field[a:a + step]
-        np.multiply(2.0 * r, proj, out=d2)
-        np.subtract(r ** 2 + (zx * zx + zy * zy), d2, out=d2)
-        np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-        with np.errstate(divide="ignore"):
-            np.negative(np.log(d2, out=d2), out=d2)
-    return field
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+    d2 = np.multiply(2.0 * radii[:, None], (zx * cos_t + zy * sin_t)[None, :])
+    np.subtract(radii[:, None] ** 2 + (zx * zx + zy * zy), d2, out=d2)
+    np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+    with np.errstate(divide="ignore"):
+        return np.negative(np.log(d2, out=d2), out=d2)
 
 
 def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
-    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given, or on
-    `field(d.zeta)` if it is a function, called once the support fits; a
-    one-column field (the origin) is evaluated once and repeated across the
-    block.  The field is read in blocks of rings, so that its scaled copy and
-    the profile's values never take a grid-sized temporary."""
+    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given, read in
+    blocks of rings; a one-column field (the origin) is evaluated once and
+    repeated across the block."""
     j, zeta = d.j, d.zeta
     R_inf = math.exp(-w.support_log_radius()) ** j
     if R_inf > 1.0 - abs(zeta) + 1e-12:
@@ -516,7 +502,6 @@ def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None
             f"(available {1.0 - abs(zeta):.6g})"
         )
     field = _log_distance(grid, zeta) if field is None else field
-    field = field(zeta) if callable(field) else field
     rings = np.empty(field.shape)
     rings[-1] = 0.0  # the boundary ring, which the profile's values below skip
     scaled = np.empty((max(1, _BLOCK // field.shape[1]), field.shape[1]))
@@ -790,7 +775,7 @@ def _detect(u, rows, eps, j_max, refine, top_k):
     results = []
     for score, j, zeta in kept:
         if refine:
-            score, zeta = _refine_center(u, zeta, j, score)
+            score, zeta = _refine_centers([u], zeta, [j], score)[0]
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
             scores = _scores([u], js, zeta)[0]
             k = int(np.argmax(scores))
@@ -817,29 +802,25 @@ def _scores(us, js, zs) -> np.ndarray:
     return np.abs(_ball_means(us, radii, zs)) * (1.0 / np.sqrt(js))
 
 
-def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
-    """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
-
-    A stencil point replaces the current center only if it beats `score`.
-    """
-    return _refine_centers([u], zeta, [j], score)[0]
-
-
 def _refine_centers(us, zeta, js, score=-math.inf) -> list:
-    """_refine_center(us[k], zeta, js[k], score) for every k: the members at one
-    stencil and scale, the coarse one above all, share its net."""
-    best = [(score, complex(zeta))] * len(us)
-    live = range(len(us))
+    """(score, center) of every us[k]: the local maximum of j^{-1/2}
+    |A_{RHO^j} us[k]| at j = js[k] over stencils inside |z| <= 1/2, from zeta.
+
+    A stencil point replaces a center only if it beats its score, and an
+    empty stencil ends a search.  The functions at one stencil and scale (all
+    of them at the coarse one) share its net.
+    """
+    best, live = [(score, complex(zeta))] * len(us), range(len(us))
     for spacing in _REFINE_SPACINGS:
         groups: dict = {}
         for k in live:
             groups.setdefault((best[k][1], js[k]), []).append(k)
         live = []
-        for (center, j), ks in groups.items():
-            zs = center + spacing * _STENCIL
+        for (z, j), ks in groups.items():
+            zs = z + spacing * _STENCIL
             zs = zs[np.abs(zs) <= 0.5]
             if zs.size == 0:
-                continue  # an empty stencil ends the search of its members
+                continue
             live += ks
             for k, scores in zip(ks, _scores([us[k] for k in ks], j, zs)):
                 i = int(np.argmax(scores))

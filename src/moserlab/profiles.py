@@ -42,7 +42,7 @@ from .disc import _integer, _real
 from .functional import tail_decayed
 from .radial import OMEGA, RadialProfile, gauge_apply, grad_norm
 from .radial import profile_from_dict, profile_to_dict
-from .rearrange import _RemainderNorm, expl2_disc
+from .rearrange import expl2_disc
 
 __all__ = [
     "FunctionSequence",
@@ -288,41 +288,34 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     return track, w
 
 
-class _Fields:
-    """The fields -log|z - zeta| of one grid that an `extract` call keeps: the
-    last one asked for and the one of the center held, each built once while
-    kept.  Any other is freed before a field is built; `clear` frees them all."""
+class _Fields(dict):
+    """The fields -log|z - zeta| that an `extract` call keeps, by center: the
+    last one built and the one of the center `held`; any other is freed first."""
 
     def __init__(self, grid):
-        self.grid, self.kept, self.held = grid, {}, None
+        super().__init__()
+        self.grid, self.held = grid, None
 
     def __call__(self, zeta: complex) -> np.ndarray:
-        if zeta not in self.kept:
-            self.kept = {z: f for z, f in self.kept.items() if z == self.held}
-            self.kept[zeta] = disc._log_distance(self.grid, zeta)
-        return self.kept[zeta]
-
-    def hold(self, zeta) -> None:
-        self.held = zeta
-
-    def clear(self) -> None:
-        self.kept, self.held = {}, None
+        if zeta not in self:
+            for z in [z for z in self if z != self.held]:
+                del self[z]
+            self[zeta] = disc._log_distance(self.grid, zeta)
+        return self[zeta]
 
 
 def _apply_bubbles(op, members, term: ProfileTerm, grid, fields=None) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for every idx.
 
     The bubble depends only on (j, zeta): the field -log|z - zeta| is built
-    once per distinct center, the bubble once per distinct pair, and each
-    bubble is freed before the next one is built.  With `fields`, a `_Fields`,
-    the centers it keeps go first and it keeps the last one; without, each
-    field is freed before the next one is built.
+    once per distinct center (by `fields`, a `_Fields`, if given: the centers
+    it keeps go first), the bubble once per distinct pair, and each is freed
+    before the next one is built.
     """
     groups: dict = {}
     for idx in range(len(members)):
         groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
-    kept = fields.kept if fields is not None else {}
-    for zeta in sorted(groups, key=lambda z: z not in kept):
+    for zeta in sorted(groups, key=lambda z: z not in (fields or {})):
         field = disc._log_distance(grid, zeta) if fields is None else fields(zeta)
         for j, group in groups[zeta].items():
             bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
@@ -336,16 +329,16 @@ def _fit_term(tail, track, w, grid, fields=None):
     """(term, tail energy it leaves) fitted to a tracked (track, w), or None.
 
     `tail` is the tail member m's stack and its energy E(m).  The candidate
-    bubble s is w inflated at the track's last (j, zeta), on `fields` if
-    given; the term is beta w, and the energy it leaves is E(m - beta s) in
-    closed form, E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is
-    subtracted here.
+    bubble s is w inflated at the track's last (j, zeta), on `fields`; the
+    term is beta w, and the energy it leaves is E(m - beta s) in closed form,
+    E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is subtracted here.
     """
     fm, em = tail
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
-        bubble = disc._inflated(w, disc.DislocationParam(*track[-1]), grid, fields)
+        d = disc.DislocationParam(*track[-1])
+        bubble = disc._inflated(w, d, grid, None if fields is None else fields(d.zeta))
     except disc.SupportError:
         return None
     # least-squares amplitude against the tail member: the coefficient the
@@ -371,8 +364,8 @@ def _place_term(members, starts, j_max, grid, fits_budget, fields=None):
     `fits_budget` rejects, or whose track repeats an earlier one (track and
     profile fix the fit) are skipped.  Returns (closed-form tail energy,
     term), subtracted in place from the members, or None, members untouched.
-    The fits and the subtraction share `fields` (a `_Fields` of the grid, or
-    one of their own), which holds the best fit's center until the end.
+    The fits and the subtraction share `fields` (a `_Fields`, or their own),
+    which holds the best fit's field.
     """
     fields = _Fields(grid) if fields is None else fields
     # the members do not change between starts: one tail stack and one memo serve them all
@@ -395,8 +388,8 @@ def _place_term(members, starts, j_max, grid, fits_budget, fields=None):
                term.j_track, [(z.real, z.imag) for z in term.zeta_track])
         if chosen is None or key < chosen[0]:
             chosen = (key, term)
-            fields.hold(zl)
-    fields.hold(None)
+            fields.held = zl
+    fields.held = None
     if chosen is None:
         return None
     key, term = chosen
@@ -441,9 +434,7 @@ def extract(
     members = [disc._owned_copy(u) for u in seq.members]
     grid = members[0].grid
     input_limsup = max(seq.energies)
-    # the fields of the call, kept over a placement (or a refine step) and freed
-    # before each detection and the final norms
-    fields = _Fields(grid)
+    fields = _Fields(grid)  # kept over a placement or a refine step, freed before a detection
 
     terms: list[ProfileTerm] = []
     status = "converged"
@@ -503,11 +494,8 @@ def extract(
                 else:
                     terms[i] = placed[1]
     fields.clear()
-
-    # one scratch for the norms of every member; the tail's is reused if still current
-    norm = _RemainderNorm()
-    remainder = tuple(norm(u) for u in members[:-1])
-    remainder += (norm(members[-1]) if tail_norm is None else tail_norm,)
+    remainder = tuple(expl2_disc(u) for u in members[:-1])
+    remainder += (expl2_disc(members[-1]) if tail_norm is None else tail_norm,)
     return Decomposition(
         terms=tuple(terms),
         remainder_expl2=remainder,

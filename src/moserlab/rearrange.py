@@ -474,46 +474,6 @@ def _expl2_prefix(mags, areas, total, mask, start):
     return float(taus.max()), float(desc[-1]), s_last
 
 
-class _RemainderNorm:
-    """`expl2_disc` that keeps its grid-sized scratch, the bucket index of
-    every cell, and the total cell area between calls: the remainder norm of
-    one owner, an `extract` call's final tuple."""
-
-    def __init__(self):
-        self.bucket, self.areas, self.total = np.empty(0, np.intp), None, 0.0
-
-    def __call__(self, u) -> float:
-        values, areas = u.cell_values_and_areas()
-        mags = np.abs(values, out=values)
-        vmax = float(mags.max())
-        if vmax == 0.0:
-            return 0.0
-        if areas is not self.areas:
-            self.areas, self.total = areas, float(areas.sum())
-        total, nb = self.total, _EXPL2_BUCKETS
-        if self.bucket.size != mags.size:
-            self.bucket = np.empty(mags.size, np.intp)
-        bucket, scaled = self.bucket, np.empty(min(_BLOCK, mags.size))
-        for a in range(0, mags.size, _BLOCK):
-            # mags / vmax lies in [0, 1]: no overflow, however small vmax is
-            x = np.divide(mags[a:a + _BLOCK], vmax, out=scaled[:mags.size - a])
-            x *= nb
-            bucket[a:a + _BLOCK] = x  # truncated, as by astype
-            np.minimum(bucket[a:a + _BLOCK], nb - 1, out=bucket[a:a + _BLOCK])
-        hist = np.bincount(bucket, weights=areas, minlength=nb)
-        w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
-        edges = np.arange(nb + 1) * (vmax / nb)
-        first = int(np.argmax(edges[:-1] * w_reach))
-        best, v_last, s_last = _expl2_prefix(mags, areas, total, bucket >= first, 0.0)
-        # every cell below `first` has |v| < v_last (the index is monotone in |v|)
-        bound = np.minimum(edges[1:first + 1], v_last) * w_reach[:first]
-        can_win = np.flatnonzero((bound > best) & (hist[:first] > 0))
-        if can_win.size:
-            run = (bucket >= can_win[0]) & (bucket < first)
-            best = max(best, _expl2_prefix(mags, areas, total, run, s_last)[0])
-        return best
-
-
 def expl2_disc(u) -> float:
     """expl2_quasinorm(rearrange_disc(u)), sorting only the cells that can win.
 
@@ -531,7 +491,33 @@ def expl2_disc(u) -> float:
     one descending order, which the default sort finds; the stable sort runs
     only on a prefix with ties.
     """
-    return _RemainderNorm()(u)
+    values, areas = u.cell_values_and_areas()
+    mags = np.abs(values, out=values)
+    vmax = float(mags.max())
+    if vmax == 0.0:
+        return 0.0
+    nb = _EXPL2_BUCKETS
+    # the index fits in 16 bits: a quarter of an intp array to write and compare
+    bucket, scaled = np.empty(mags.size, np.int16), np.empty(min(_BLOCK, mags.size))
+    for a in range(0, mags.size, _BLOCK):  # in blocks that stay in cache
+        # mags / vmax lies in [0, 1]: no overflow, however small vmax is
+        x = np.divide(mags[a:a + _BLOCK], vmax, out=scaled[:mags.size - a])
+        x *= nb
+        np.minimum(x, nb - 1, out=bucket[a:a + _BLOCK], casting="unsafe")  # truncated, as by astype
+    hist = np.zeros(nb)
+    np.add.at(hist, bucket, areas)  # in cell order, as bincount
+    total = float(areas.sum())
+    w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
+    edges = np.arange(nb + 1) * (vmax / nb)
+    first = int(np.argmax(edges[:-1] * w_reach))
+    best, v_last, s_last = _expl2_prefix(mags, areas, total, bucket >= first, 0.0)
+    # every cell below `first` has |v| < v_last (the index is monotone in |v|)
+    bound = np.minimum(edges[1:first + 1], v_last) * w_reach[:first]
+    can_win = np.flatnonzero((bound > best) & (hist[:first] > 0))
+    if can_win.size:
+        run = (bucket >= can_win[0]) & (bucket < first)
+        best = max(best, _expl2_prefix(mags, areas, total, run, s_last)[0])
+    return best
 
 
 def lp_mass_rearranged(f: RearrangedFunction, p: int) -> float:

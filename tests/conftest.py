@@ -11,7 +11,7 @@ Moser family as the generator and each demo built it on its own, the
 radial rearrangement with its point-by-point worklist, and the whole-array
 kernels that the blocked ones replaced: the pairing on materialized
 differences, the remainder norm with its stable prefix sort, the int32 net
-plan, the field and the inflation.  Test modules import from here and never
+plan and the inflation.  Test modules import from here and never
 from each other.
 """
 
@@ -606,7 +606,7 @@ def old_rearrange_radial(u: radial.RadialProfile, tol: float = 1e-6):
 
 
 # -- whole-array kernels: the pairing on materialized differences, the remainder norm ------
-# -- with a stable prefix sort, the int32 net plan, the field and the inflation -----------
+# -- with a stable prefix sort, the int32 net plan and the inflation ----------------------
 
 def old_stack(us) -> tuple:
     """The factors of functions of one grid and order, stacked: us[0], then
@@ -710,23 +710,10 @@ def old_net_plan(grid, width: int, z) -> tuple:
     return (k, k + width, k1, k1 + width, 1 - xi, xi, 1 - eta, eta), cap_plan, outside
 
 
-def old_log_distance(grid, zeta: complex) -> np.ndarray:
-    """-log|z - zeta| at the ring nodes by whole-grid passes; at the origin one column."""
-    radii = disc._ring_radii(grid)
-    thetas = disc._thetas(grid)[: 1 if zeta == 0 else None]
-    zx, zy = zeta.real, zeta.imag
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    d2 = np.multiply(2.0 * radii[:, None], (zx * cos_t + zy * sin_t)[None, :])
-    np.subtract(radii[:, None] ** 2 + (zx * zx + zy * zy), d2, out=d2)
-    np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    with np.errstate(divide="ignore"):
-        return np.negative(np.log(d2, out=d2), out=d2)
-
-
 def old_inflated(w, d, grid, order: int = 1):
     """j^{1/2} w(-log|z - zeta| / j) on the whole grid at once: (rings, center)."""
     j, zeta = d.j, d.zeta
-    rings = w.value_at(old_log_distance(grid, zeta) / j)
+    rings = w.value_at(disc._log_distance(grid, zeta) / j)
     rings *= math.sqrt(j)
     if rings.shape[1] == 1:
         rings = np.repeat(rings, grid.n_theta // order, axis=1)

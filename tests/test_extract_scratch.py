@@ -1,8 +1,8 @@
 """What one `extract` call owns, and how often it builds and evaluates.
 
-The call owns its running residual, its -log|z - zeta| fields and the scratch
-of its remainder norms: nothing outlives it, and a second call on the same
-input gives the same decomposition.  A placement builds one field per center
+The call owns its running residual and its -log|z - zeta| fields: nothing
+outlives it, and a second call on the same input gives the same
+decomposition.  A placement builds one field per center
 for its fits and its subtraction, and the tail's remainder norm is computed
 once while no bubble changes the members.
 """
@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from moserlab import disc, profiles, rearrange, seqgen
+from moserlab import disc, profiles, seqgen
 from conftest import smooth_plateau_profile
 
 
@@ -65,7 +65,7 @@ def test_nothing_outlives_the_call(two_term_seq):
     finally:
         tracemalloc.stop()
     assert len(dec.terms) == 2
-    # the residual, the fields and the norm scratch are freed with the call
+    # the residual and the fields are freed with the call
     assert after - before <= member
 
 
@@ -113,13 +113,13 @@ def test_a_placement_builds_one_field_per_center(two_term_seq, monkeypatch):
 
 def test_the_tail_norm_is_computed_once_while_the_members_stand(one_term_seq, monkeypatch):
     calls = []
-    norm = rearrange._RemainderNorm.__call__
+    norm = profiles.expl2_disc
 
-    def counted(self, u):
+    def counted(u):
         calls.append(u)
-        return norm(self, u)
+        return norm(u)
 
-    monkeypatch.setattr(rearrange._RemainderNorm, "__call__", counted)
+    monkeypatch.setattr(profiles, "expl2_disc", counted)
     dec = profiles.extract(one_term_seq, eps_stop=0.05, max_terms=3, j_max=12)
     assert dec.status == "converged" and len(dec.terms) == 1
     # two loop checks of the tail, then the other nine members: 11, not 12
