@@ -619,7 +619,9 @@ class _Net:
         xi = x - i
         m, m1, eta = _angular_index(grid, theta, width)
         i *= width
-        self.width, self.plan = width, (i + m, i + m1, 1 - xi, xi, 1 - eta, eta)
+        m += i  # the flat indices, in place
+        m1 += i
+        self.width, self.plan = width, (m, m1, 1 - xi, xi, 1 - eta, eta)
 
     def sample(self, u: DiscFunction) -> np.ndarray:
         """u at the points, in their shape."""
