@@ -333,6 +333,7 @@ def _stack(us, keep: bool = False) -> tuple:
     if keep:
         (n, w), p = rings[0].shape, len(rings)
         whole = _differences(rings, 0, n - 1, np.empty((p, n - 1, w)), np.empty((p, n, w)))
+        rings = [r[:1].copy() for r in rings]  # a pairing reads only their cap rows then
     return parts[0][0], rings, np.array([c for part in parts for c in part[2]], dtype=float), whole
 
 

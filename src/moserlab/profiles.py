@@ -325,20 +325,21 @@ def _apply_bubbles(op, members, term: ProfileTerm, grid, fields=None) -> None:
         del field
 
 
-def _fit_term(tail, track, w, grid, fields=None):
+def _fit_term(tail, track, w, grid, fields):
     """(term, tail energy it leaves) fitted to a tracked (track, w), or None.
 
     `tail` is the tail member m's stack and its energy E(m).  The candidate
-    bubble s is w inflated at the track's last (j, zeta), on `fields`; the
-    term is beta w, and the energy it leaves is E(m - beta s) in closed form,
-    E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is subtracted here.
+    bubble s is w inflated at the track's last (j, zeta), on its field from
+    `fields` (a `_Fields`); the term is beta w, and the energy it leaves is
+    E(m - beta s) in closed form, E(m) - 2 beta <m, s> + beta^2 <s, s>: no
+    bubble is subtracted here.
     """
     fm, em = tail
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
         d = disc.DislocationParam(*track[-1])
-        bubble = disc._inflated(w, d, grid, None if fields is None else fields(d.zeta))
+        bubble = disc._inflated(w, d, grid, fields(d.zeta))
     except disc.SupportError:
         return None
     # least-squares amplitude against the tail member: the coefficient the
@@ -474,13 +475,13 @@ def extract(
         if tail_norm >= eps_stop:
             status = "max-terms"
 
-    if len(terms) > 1 and status != "diverged" and refine_sweeps > 0:
-        tail_norm = None
-        for _ in range(refine_sweeps):
+    if len(terms) > 1 and status != "diverged":
+        for _ in range(max(0, refine_sweeps)):
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
                 _apply_bubbles(_ADD, members, old, grid, fields)
+                tail_norm = None
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
                     members, [d0], j_max, grid,

@@ -67,12 +67,13 @@ def test_pair_matches_the_materialized_differences(n_r, n_theta, width, seed, co
     with blocked(block):
         fu = disc._stack([u])
         probes = disc._pair(fu, disc._stack(vs))
+        kept = disc._pair(fu, disc._stack(vs, keep=True))  # differences taken whole, once
         own = disc._pair(fu, fu)  # the differences taken once for both operands
         # a stack of a function and a stack: the fit's pairing of its bubble
         # with (bubble, tail) gives <s, s> and <s, m> in one pass
         fit = disc._pair(*[disc._stack([vs[0], fu])] * 2)
     fo = old_stack([u])
-    assert as_bytes(probes) == as_bytes(old_pair(fo, old_stack(vs)))
+    assert as_bytes(probes) == as_bytes(kept) == as_bytes(old_pair(fo, old_stack(vs)))
     assert as_bytes(own) == as_bytes(old_pair(fo, fo))
     fs = old_stack(vs[:1])
     assert as_bytes(fit) == as_bytes([old_pair(fs, fs)[0], old_pair(fo, fs)[0]])

@@ -72,7 +72,8 @@ def placement_setup():
     ]
     tail = (disc._stack(members[-1:]), disc.energy(members[-1]))
     energies = sorted(
-        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8), grid)[0]
+        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8), grid,
+                           profiles._Fields(grid))[0]
         .energy()
         for d in starts
     )

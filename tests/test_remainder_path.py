@@ -241,7 +241,8 @@ def test_fit_energy_is_the_energy_the_bubble_rule_leaves(
     em = disc.energy(m)
     zeta = complex(r * math.cos(theta), r * math.sin(theta))
     w = radial.scale(smooth_plateau_profile(t_start, 1.0), math.exp(log_c))
-    term, tail_energy = profiles._fit_term((disc._stack([m]), em), [(j, zeta)], w, grid)
+    term, tail_energy = profiles._fit_term((disc._stack([m]), em), [(j, zeta)], w, grid,
+                                           profiles._Fields(grid))
     left = [m]
     profiles._apply_bubbles(disc.subtract_disc, left, term, grid)
     assert abs(tail_energy - disc.energy(left[0])) <= 1e-12 * em
