@@ -8,9 +8,9 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
 interpolant in (s, theta), cap included.  `_pair` pairs the first function
-of a `_stack` with each function of a `_stack`, taking their differences in
-blocks of rings that stay in cache: `energy` and `grad_inner` pair with a
-stack of one, `max_pairing` with probes, whose differences are kept whole.
+of a `_stack` with each function of a `_stack`, in blocks of rings: `energy`
+and `grad_inner` pair with a stack of one, `max_pairing` with probes, whose
+stack keeps their differences whole.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -224,8 +224,7 @@ class DiscFunction:
     def _owned(cls, grid, center, rings, support_radius=1.0, zero_trace=True, order=1, peak=None):
         """The constructor for a fresh float array that no caller holds.
 
-        Same checks as the public constructor; only the copy is skipped, and
-        the extremes are not taken again if the caller gives their `peak`.
+        Same checks as the public constructor (on `peak`, see `_own`); no copy.
         """
         u = object.__new__(cls)
         for name, value in (("grid", grid), ("center", center),
@@ -320,8 +319,8 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
 
 def _stack(us, keep: bool = False) -> tuple:
     """Functions of one grid and order (or stacks of them) stacked for `_pair`:
-    the first, their ring arrays and their centers; with `keep`, for many
-    pairings, also their differences, taken whole."""
+    the first, their ring arrays and their centers; with `keep`, for a probe
+    stack paired many times, also their differences, taken whole once."""
     if isinstance(us, tuple):
         return us
     if not us:
@@ -358,10 +357,9 @@ def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
     A cell's edge differences (A, B radial; C, D angular) enter as
     (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3, with B the A of the next
     column and C, D rows i, i+1 of the angular difference G: each term is a
-    row dot product.  The differences are taken in blocks of rings that stay
-    in cache, once for a function that is in both stacks, and each row's sums
-    are those of the whole arrays.  Of j-fold functions each cyclic row sum is
-    j times the sum over one block: the form is j times the block's.
+    row dot product, summed per row as over the whole arrays but taken in
+    blocks of rings that stay in cache.  Of j-fold functions each cyclic row
+    sum is j times the sum over one block: the form is j times the block's.
     """
     (u, Ru, cu, _), (v, Rv, cv, whole) = fu, fvs
     _check_operands(u, v)
@@ -419,10 +417,8 @@ def _blockwise(op, out: np.ndarray, *ins) -> float:
 def _owned_copy(u: DiscFunction) -> DiscFunction:
     """u's copy for an in-place `_combine`: its rings view, read-only, a
     writable array that no caller holds."""
-    rings = np.empty(u.rings.shape)
-    peak = _blockwise(np.positive, rings, u.rings)  # +x is x, bit for bit
-    return DiscFunction._owned(u.grid, u.center, rings[...], u.support_radius, u.zero_trace,
-                               u.order, peak)
+    rings = np.array(u.rings)[...]
+    return DiscFunction._owned(u.grid, u.center, rings, u.support_radius, u.zero_trace, u.order)
 
 
 def _combine(u: DiscFunction, v: DiscFunction, op, in_place=False) -> DiscFunction:
@@ -492,9 +488,8 @@ def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
 
 
 def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
-    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given, read in
-    blocks of rings; a one-column field (the origin) is evaluated once and
-    repeated across the block."""
+    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given, in blocks;
+    a one-column field (the origin) is evaluated once and repeated across the block."""
     j, zeta = d.j, d.zeta
     R_inf = math.exp(-w.support_log_radius()) ** j
     if R_inf > 1.0 - abs(zeta) + 1e-12:
@@ -505,10 +500,9 @@ def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None
     field = _log_distance(grid, zeta) if field is None else field
     rings = np.empty(field.shape)
     rings[-1] = 0.0  # the boundary ring, which the profile's values below skip
-    scaled = np.empty((max(1, _BLOCK // field.shape[1]), field.shape[1]))
 
-    def values(x, out):
-        return np.multiply(w.value_at(np.divide(x, j, out=scaled[:len(x)])), math.sqrt(j), out=out)
+    def values(x, out):  # x / j is written to out, then read by the profile
+        return np.multiply(w.value_at(np.divide(x, j, out=out)), math.sqrt(j), out=out)
 
     peak = _blockwise(values, rings[:-1], field[:-1])
     if rings.shape[1] == 1:
@@ -778,7 +772,7 @@ def _detect(u, rows, eps, j_max, refine, top_k):
     results = []
     for score, j, zeta in kept:
         if refine:
-            score, zeta = _refine_centers([u], zeta, [j], score)[0]
+            score, zeta = _refine_center(u, zeta, j, score)
             js = np.arange(max(1, j // 2), min(j_max, 2 * j) + 1)
             scores = _scores([u], js, zeta)[0]
             k = int(np.argmax(scores))
@@ -805,30 +799,21 @@ def _scores(us, js, zs) -> np.ndarray:
     return np.abs(_ball_means(us, radii, zs)) * (1.0 / np.sqrt(js))
 
 
-def _refine_centers(us, zeta, js, score=-math.inf) -> list:
-    """(score, center) of every us[k]: the local maximum of j^{-1/2}
-    |A_{RHO^j} us[k]| at j = js[k] over stencils inside |z| <= 1/2, from zeta.
+def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
+    """Local maximum of j^{-1/2} |A_{RHO^j} u| over stencils inside |z| <= 1/2.
 
-    A stencil point replaces a center only if it beats its score, and an
-    empty stencil ends a search.  The functions at one stencil and scale (all
-    of them at the coarse one) share its net.
+    A stencil point replaces the current center only if it beats `score`.
     """
-    best, live = [(score, complex(zeta))] * len(us), range(len(us))
+    best = (score, complex(zeta))
     for spacing in _REFINE_SPACINGS:
-        groups: dict = {}
-        for k in live:
-            groups.setdefault((best[k][1], js[k]), []).append(k)
-        live = []
-        for (z, j), ks in groups.items():
-            zs = z + spacing * _STENCIL
-            zs = zs[np.abs(zs) <= 0.5]
-            if zs.size == 0:
-                continue
-            live += ks
-            for k, scores in zip(ks, _scores([us[k] for k in ks], j, zs)):
-                i = int(np.argmax(scores))
-                if scores[i] > best[k][0]:
-                    best[k] = (float(scores[i]), complex(zs[i]))
+        zs = best[1] + spacing * _STENCIL
+        zs = zs[np.abs(zs) <= 0.5]
+        if zs.size == 0:
+            break
+        scores = _scores([u], j, zs)[0]
+        k = int(np.argmax(scores))
+        if scores[k] > best[0]:
+            best = (float(scores[k]), complex(zs[k]))
     return best
 
 

@@ -136,9 +136,8 @@ class ProfileTerm:
 
     @staticmethod
     def from_dict(d: dict) -> "ProfileTerm":
-        """The term of a record with an inline profile; "energy" is not read.
-
-        Each center is a pair of real numbers (no bool, string or null)."""
+        """The term of a record with an inline profile, each center a pair of
+        real numbers (no bool, string or null); "energy" is not read."""
         zetas = []
         for i, z in enumerate(d["zeta_track"]):
             what = f"zeta_track[{i}]"
@@ -268,7 +267,7 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     """
     scan = disc._scores(members, np.arange(1, j_max + 1), d0.zeta)  # one net
     js = [1 + int(k) for k in np.argmax(scan, axis=1)]
-    zetas = [z for _, z in disc._refine_centers(members, d0.zeta, js)]
+    zetas = [disc._refine_center(u, d0.zeta, j)[1] for u, j in zip(members, js)]
     memo = {} if memo is None else memo
     new = [(k, z) for k, z in enumerate(zetas) if (k, z) not in memo]
     memo.update(zip(new, disc._angular_profiles([members[k] for k, _ in new],
@@ -308,9 +307,8 @@ def _apply_bubbles(op, members, term: ProfileTerm, grid, fields=None) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for every idx.
 
     The bubble depends only on (j, zeta): the field -log|z - zeta| is built
-    once per distinct center (by `fields`, a `_Fields`, if given: the centers
-    it keeps go first), the bubble once per distinct pair, and each is freed
-    before the next one is built.
+    once per distinct center (by `fields`, if given, whose centers go first),
+    the bubble once per distinct pair, and each is freed before the next one.
     """
     groups: dict = {}
     for idx in range(len(members)):
@@ -344,8 +342,7 @@ def _fit_term(tail, track, w, grid, fields):
         return None
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
-    # profile estimate overshooting the energy budget; one pairing of the
-    # bubble with the stack (bubble, tail) gives <s, s> and <s, m>
+    # profile estimate overshooting the energy budget; <s, s> and <s, m> in one pairing
     fs = disc._stack([bubble, fm])
     ss, ms = (float(x) for x in disc._pair(fs, fs))
     beta = min(1.25, max(0.5, ms / ss)) if ss > 0 else 1.0
@@ -355,7 +352,7 @@ def _fit_term(tail, track, w, grid, fields):
     return term, em - 2.0 * beta * ms + beta * beta * ss
 
 
-def _place_term(members, starts, j_max, grid, fits_budget, fields=None):
+def _place_term(members, starts, j_max, grid, fits_budget, fields):
     """Fit a term from each start and subtract the best one from every member.
 
     The best term leaves the least tail energy, ties broken by smaller scale,
@@ -365,10 +362,8 @@ def _place_term(members, starts, j_max, grid, fits_budget, fields=None):
     `fits_budget` rejects, or whose track repeats an earlier one (track and
     profile fix the fit) are skipped.  Returns (closed-form tail energy,
     term), subtracted in place from the members, or None, members untouched.
-    The fits and the subtraction share `fields` (a `_Fields`, or their own),
-    which holds the best fit's field.
+    The fits and the subtraction share `fields`, which holds the best fit's.
     """
-    fields = _Fields(grid) if fields is None else fields
     # the members do not change between starts: one tail stack and one memo serve them all
     fm = disc._stack([members[-1]])
     tail = (fm, float(disc._pair(fm, fm)[0]))

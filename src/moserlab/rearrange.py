@@ -66,13 +66,13 @@ _TAU_FLOOR = 1e-280
 _CHORD_TOL = 1e-6
 
 
-def _ell(tau):
-    return 1.0 - np.log(np.maximum(tau, 1e-300))
+def _ell(tau, out=None):
+    return np.subtract(1.0, np.log(np.maximum(tau, 1e-300, out=out), out=out), out=out)
 
 
-def _expl2_weight(tau):
+def _expl2_weight(tau, out=None):
     """Weight ell^{-1/2} of the working norm: at most 1, increasing in tau."""
-    return np.power(_ell(tau), -0.5)
+    return np.power(_ell(tau, out), -0.5, out=out)
 
 
 @dataclass(frozen=True)
@@ -466,10 +466,7 @@ def _expl2_prefix(mags, areas, total, mask, start):
     taus[0] += start
     np.cumsum(taus, out=taus)
     s_last = float(taus[-1])
-    # desc * _expl2_weight(taus / total), in place
-    taus /= total
-    np.log(np.maximum(taus, 1e-300, out=taus), out=taus)
-    np.power(np.subtract(1.0, taus, out=taus), -0.5, out=taus)
+    _expl2_weight(np.divide(taus, total, out=taus), out=taus)
     taus *= desc
     return float(taus.max()), float(desc[-1]), s_last
 
@@ -487,9 +484,7 @@ def expl2_disc(u) -> float:
     bounded by min(top edge, last value) x weight; those whose bound beats
     the sup are sorted as a continuation of the same prefix.  The cumulative
     areas are those of the full sort: the result differs from it only through
-    the summation order of the total area.  A prefix without equal values has
-    one descending order, which the default sort finds; the stable sort runs
-    only on a prefix with ties.
+    the summation order of the total area.  Only a prefix with ties is sorted stably.
     """
     values, areas = u.cell_values_and_areas()
     mags = np.abs(values, out=values)

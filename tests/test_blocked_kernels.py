@@ -3,10 +3,10 @@
 The pairing takes its differences in blocks of rings, the in-place member
 update validates each block as it writes it, the inflation runs in blocks,
 the remainder norm sorts with the default sort unless its prefix holds equal
-values, the net plans index with intp, and the members at one stencil share
-its net.  Each is checked bit for bit against its oracle in
-conftest, with the block size forced down so that every kernel crosses block
-boundaries, on ring arrays down to one and two columns wide.
+values and the net plans index with intp.  Each is checked bit for bit
+against its oracle in conftest, with the block size forced down so that every
+kernel crosses block boundaries, on ring arrays down to one and two columns
+wide.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from moserlab import disc, rearrange
 from conftest import (
     old_combine, old_expl2_disc, old_expl2_prefix, old_inflated, old_interpolate, old_net_plan,
-    old_pair, old_refine_center, old_stack, points, same_disc, seeds, smooth_plateau_profile,
+    old_pair, old_stack, points, same_disc, seeds, smooth_plateau_profile,
 )
 
 # nodes per block: a few rings of a small grid, a fraction of a ring, and the default
@@ -192,7 +192,7 @@ def test_remainder_norm_of_disc_samples(n_r, n_theta, width, seed, block):
     assert as_bytes(new) == as_bytes(old_expl2_disc(u))
 
 
-# -- the net plan and the shared stencil ---------------------------------------------------
+# -- the net plan -------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(16, 48), st.sampled_from([32, 48, 64]), WIDTHS, seeds)
@@ -216,11 +216,3 @@ def test_net_plan_is_the_int32_plan_in_intp(n_r, n_theta, width, seed):
     u = rough(grid, seed, order)
     assert net.sample(u).tobytes() == old_interpolate(u, z).tobytes()
 
-
-@settings(max_examples=15, deadline=None)
-@given(seeds, points(0.45), st.lists(st.integers(1, 4), min_size=1, max_size=5))
-def test_shared_stencils_refine_as_one_member_at_a_time(seed, zeta, js):
-    grid = disc.PolarGrid(n_r=64, n_theta=64, s_max=5.0)
-    us = [rough(grid, seed + k, 1) for k in range(len(js))]
-    got = disc._refine_centers(us, zeta, js)
-    assert got == [old_refine_center(u, zeta, j) for u, j in zip(us, js)]

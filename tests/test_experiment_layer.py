@@ -224,7 +224,8 @@ def _place_counting_fits(members, starts, grid):
     members = [disc._owned_copy(u) for u in members]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "_fit_term", counted_fit)
-        placed = profiles._place_term(members, starts, 8, grid, lambda t: True)
+        placed = profiles._place_term(members, starts, 8, grid, lambda t: True,
+                                      profiles._Fields(grid))
     return placed, members, fits
 
 

@@ -84,7 +84,7 @@ def placement_setup():
 def place(members, starts, grid, limit):
     members = [disc._owned_copy(u) for u in members]
     placed = profiles._place_term(
-        members, starts, 8, grid, lambda t: t.energy() <= limit
+        members, starts, 8, grid, lambda t: t.energy() <= limit, profiles._Fields(grid)
     )
     return placed, members
 

@@ -215,7 +215,7 @@ def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run):
     cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
     members = [disc._owned_copy(u) for u in seq.members]
     tail_energy, term = profiles._place_term(
-        members, [d for d, _ in cands], 8, grid, lambda t: True
+        members, [d for d, _ in cands], 8, grid, lambda t: True, profiles._Fields(grid)
     )
     rebuilt = list(seq.members)
     profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, grid)
