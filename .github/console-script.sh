@@ -37,6 +37,9 @@ rejects "$tmp/rejected-zero" 1 "superposition term 0: the profile has zero energ
 echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1, 2], "values": [0, 0, 1]}, "j_track": [1], "zeta_track": [[false, false]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/bool_center.json"
 rejects "$tmp/rejected-bool-center" 1 "zeta_track[0]: False is not a real number" \
   generate --kind superposition --params "$tmp/bool_center.json"
+echo '{"s_values": ["0.3"], "centers": [[0, 0]], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/string_s.json"
+rejects "$tmp/rejected-moser" 1 "s_values[0]: '0.3' is not a real number" \
+  generate --kind moser --params "$tmp/string_s.json"
 moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
 moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
 moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"

@@ -7,10 +7,9 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
     int |grad u|^2 dx = int int (u_s^2 + u_theta^2) ds dtheta  (+ center cap),
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
-interpolant in (s, theta), cap included.  `_pair` pairs the first function
-of a `_stack` with each function of a `_stack`, in blocks of rings: `energy`
-and `grad_inner` pair with a stack of one, `max_pairing` with probes, whose
-stack keeps their differences whole.
+interpolant in (s, theta), cap included.  `_pair(u, vs)` pairs u with each
+function of a list, their differences taken in blocks of rings, or of a
+`_ProbeStack`, whose differences are taken whole once for many pairings.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -26,7 +25,7 @@ of symmetry order j keeps the full grid but only one block of n_theta/j
 columns, and the forms, interpolation and rearrangement work on that
 block.  With that convention the deflation of a function sampled around its
 own center is energy-exact, and off-center deflations lose only bilinear
-interpolation error.  The operands of a form (energy, grad_inner) or a sum
+interpolation error.  The operands of a form (energy, max_pairing) or a sum
 (add, subtract_disc) share one grid and one symmetry order: a deflation w is
 paired with make_probes(w.grid, count, w.order).  Powers z^j are computed as
 (|z|^j, j*theta), never by repeated complex multiplication.  Inflation
@@ -54,10 +53,8 @@ __all__ = [
     "GridResolutionError",
     "inflate",
     "deflate",
-    "angular_profile_around",
     "energy",
     "grad_norm_disc",
-    "grad_inner",
     "add",
     "subtract_disc",
     "scale_disc",
@@ -107,6 +104,13 @@ def _real(x, what: str) -> float:
     except OverflowError:
         pass
     raise ValueError(f"{what}: {x!r} is not a real number")
+
+
+def _point(z, what: str) -> complex:
+    """z as a complex number if a pair of reals (see `_real`); else a ValueError."""
+    if not isinstance(z, (list, tuple)) or len(z) != 2:
+        raise ValueError(f"{what}: {z!r} is not a pair of real numbers")
+    return complex(_real(z[0], what), _real(z[1], what))
 
 
 def _reals(x, what: str) -> np.ndarray:
@@ -317,25 +321,6 @@ def _check_operands(u: DiscFunction, v: DiscFunction) -> None:
         raise ValueError("disc functions have different symmetry orders")
 
 
-def _stack(us, keep: bool = False) -> tuple:
-    """Functions of one grid and order (or stacks of them) stacked for `_pair`:
-    the first, their ring arrays and their centers; with `keep`, for a probe
-    stack paired many times, also their differences, taken whole once."""
-    if isinstance(us, tuple):
-        return us
-    if not us:
-        raise ValueError("no probes to pair with")
-    parts = [u if isinstance(u, tuple) else (u, [u.rings], [u.center]) for u in us]
-    for part in parts:
-        _check_operands(parts[0][0], part[0])
-    rings, whole = [r for part in parts for r in part[1]], None
-    if keep:
-        (n, w), p = rings[0].shape, len(rings)
-        whole = _differences(rings, 0, n - 1, np.empty((p, n - 1, w)), np.empty((p, n, w)))
-        rings = [r[:1].copy() for r in rings]  # a pairing reads only their cap rows then
-    return parts[0][0], rings, np.array([c for part in parts for c in part[2]], dtype=float), whole
-
-
 def _differences(Vs, a: int, b: int, A: np.ndarray, G: np.ndarray) -> tuple:
     """The radial differences of rings a .. b - 1 and the cyclic angular
     differences of rings a .. b of each ring array in Vs, written into the
@@ -350,9 +335,31 @@ def _differences(Vs, a: int, b: int, A: np.ndarray, G: np.ndarray) -> tuple:
     return A, G
 
 
-def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
-    """Dirichlet bilinear form of the first function of a stack with each
-    function of a stack, exact cap included: one value per stacked function.
+def _caps(vs) -> np.ndarray:
+    """The cap rows rings[0] - center of the functions vs, stacked."""
+    return np.array([v.rings[0] for v in vs]) - np.array([[v.center] for v in vs], dtype=float)
+
+
+class _ProbeStack:
+    """Probes of one grid and order, stacked once for `_pair` with many
+    functions: their differences taken whole, and their cap rows."""
+
+    def __init__(self, probes):
+        if not probes:
+            raise ValueError("no probes to pair with")
+        for v in probes:
+            _check_operands(probes[0], v)
+        self.grid, self.order = probes[0].grid, probes[0].order
+        (n, w), p = probes[0].rings.shape, len(probes)
+        self.whole = _differences([v.rings for v in probes], 0, n - 1,
+                                  np.empty((p, n - 1, w)), np.empty((p, n, w)))
+        self.caps = _caps(probes)
+
+
+def _pair(u: DiscFunction, vs) -> np.ndarray:
+    """Dirichlet bilinear form of u with each function of vs, exact cap
+    included: one value per function of a sequence (their differences taken
+    in blocks of rings, once for u if it is vs[0]) or of a `_ProbeStack`.
 
     A cell's edge differences (A, B radial; C, D angular) enter as
     (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3, with B the A of the next
@@ -361,32 +368,36 @@ def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
     blocks of rings that stay in cache.  Of j-fold functions each cyclic row
     sum is j times the sum over one block: the form is j times the block's.
     """
-    (u, Ru, cu, _), (v, Rv, cv, whole) = fu, fvs
-    _check_operands(u, v)
-    Vu, shared = Ru[0], Rv[0] is Ru[0]
+    if not vs:
+        raise ValueError("no probes to pair with")
+    stack = isinstance(vs, _ProbeStack)
+    for v in ([vs] if stack else vs):
+        _check_operands(u, v)
+    a0v = vs.caps if stack else _caps(vs)
+    Vu, shared, count = u.rings, not stack and vs[0] is u, len(a0v)
     n, w = Vu.shape
     s, dth = _ring_s(u.grid), u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
-    radial, Q, P = np.empty((len(Rv), n - 1)), np.empty((len(Rv), n - 1)), np.empty((len(Rv), n))
-    step = max(1, _BLOCK // (w * (1 if whole else len(Rv))))
-    # block buffers for the differences of the stack's functions, and of u unless shared
+    radial, Q, P = np.empty((count, n - 1)), np.empty((count, n - 1)), np.empty((count, n))
+    step = max(1, _BLOCK // (w * (1 if stack else count)))
+    # block buffers for the differences of vs, and of u unless shared
     bufs = [(np.empty((k, step, w)), np.empty((k, step + 1, w)))
-            for k in (0 if whole else len(Rv), 1 - shared)]
+            for k in (0 if stack else count, 1 - shared)]
     for a in range(0, n - 1, step):
         b = min(a + step, n - 1)
-        Av, Gv = ((whole[0][:, a:b], whole[1][:, a:b + 1]) if whole
-                  else _differences(Rv, a, b, *bufs[0]))
+        Av, Gv = ((vs.whole[0][:, a:b], vs.whole[1][:, a:b + 1]) if stack
+                  else _differences([v.rings for v in vs], a, b, *bufs[0]))
         Au, Gu = (x[0] for x in ((Av, Gv) if shared else _differences([Vu], a, b, *bufs[1])))
         cross = ((_rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
                  + (_rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
         radial[:, a:b] = 2.0 * _rowdot(Au, Av) + 0.5 * cross
         P[:, a:b + 1] = _rowdot(Gu, Gv)
         Q[:, a:b] = _rowdot(Gu[:-1], Gv[:, 1:]) + _rowdot(Gu[1:], Gv[:, :-1])
-    # one np.dot per stacked function, as for one: a matrix product sums in another order
+    # one np.dot per function, as for one: a matrix product sums in another order
     e_s = np.array([np.dot(dth / ds, row) for row in radial]) / 3.0
     e_t = np.array([np.dot(ds / dth, row) for row in P[:, :-1] + P[:, 1:] + 0.5 * Q]) / 3.0
-    # the cap rows rings[0] - center, unshifted and shifted by a column
-    a0u, a0v = Vu[0] - cu[0], np.array([V[0] for V in Rv]) - cv[:, None]
+    # the cap rows, unshifted and shifted by a column
+    a0u = Vu[0] - u.center
     a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1, axis=1)
     cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v, axis=1) / 6.0
     cap_t = 0.5 * P[:, 0] / dth
@@ -395,8 +406,7 @@ def _pair(fu: tuple, fvs: tuple) -> np.ndarray:
 
 def energy(u: DiscFunction) -> float:
     """Dirichlet energy of the bilinear interpolant, exact cap included."""
-    fu = _stack([u])
-    return float(_pair(fu, fu)[0])
+    return float(_pair(u, [u])[0])
 
 
 def grad_norm_disc(u: DiscFunction) -> float:
@@ -449,11 +459,6 @@ def scale_disc(u: DiscFunction, c: float) -> DiscFunction:
     return DiscFunction._owned(
         u.grid, c * u.center, c * u.rings, u.support_radius, u.zero_trace, u.order
     )
-
-
-def grad_inner(u: DiscFunction, v: DiscFunction) -> float:
-    """Dirichlet inner product: the bilinear form of the discrete energy."""
-    return float(_pair(_stack([u]), _stack([v]))[0])
 
 
 # -- dislocations --------------------------------------------------------------
@@ -556,26 +561,20 @@ def _deflated(u: DiscFunction, d: DislocationParam, vals: np.ndarray) -> DiscFun
     )
 
 
-def angular_profile_around(
-    u: DiscFunction, zeta: complex, n_phi: int | None = None
-) -> RadialProfile:
-    """Angular mean of u in log-polar coordinates centered at zeta.
+def _angular_profiles(us, zetas, n_phi: int) -> list[RadialProfile]:
+    """The angular mean of each us[k] around zetas[k], over min(n_phi, n_theta)
+    angles in log-polar coordinates: one net per distinct center.
 
     This is the scale-1 deflation profile; the profile of any integer scale j
     follows from it by the exact radial dilation, since the angular mean of
     u(zeta + e^{-j s} e^{i j theta}) over theta runs through full periods.
     """
-    return _angular_profiles([u], [zeta], n_phi)[0]
-
-
-def _angular_profiles(us, zetas, n_phi: int | None = None) -> list[RadialProfile]:
-    """angular_profile_around(us[k], zetas[k], n_phi) for every k: one net per distinct center."""
     groups: dict = {}
     for k, (u, zeta) in enumerate(zip(us, zetas)):
         groups.setdefault((complex(zeta), u.grid), []).append(k)
     profiles = [None] * len(us)
     for (zeta, grid), ks in groups.items():
-        n = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
+        n = min(n_phi, grid.n_theta)
         sigma = grid.s_max * (grid.n_r - 1 - np.arange(grid.n_r)) / (grid.n_r - 1)
         pts = _polar_points(zeta, np.exp(-sigma), 2.0 * math.pi * np.arange(n) / n)
         for i, vals in _each_sample([us[k] for k in ks], pts):
@@ -885,8 +884,8 @@ def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFun
 
 
 def max_pairing(u: DiscFunction, probes) -> float:
-    """max |<u, phi>| over the probes (disc functions or their `_stack`): the proxy."""
-    return float(np.max(np.abs(_pair(_stack([u]), _stack(probes)))))
+    """max |<u, phi>| over the probes (disc functions or their `_ProbeStack`): the proxy."""
+    return float(np.max(np.abs(_pair(u, probes))))
 
 
 # -- serialization ----------------------------------------------------------------

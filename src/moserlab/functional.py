@@ -300,7 +300,7 @@ def _default_grid(n_theta: int, extent: float) -> "disc.PolarGrid":
 def _demo_report(grid, cases, probe_count, notes) -> WeakDiscontinuityReport:
     """Both demos: each case (row labels, w, dislocation d, profile for J) gives
     the member inflate(w, d), paired against the probes, and an exact J."""
-    probes = disc._stack(disc.make_probes(grid, probe_count), keep=True)
+    probes = disc._ProbeStack(disc.make_probes(grid, probe_count))
     rows, pairings, j_values = [], [], []
     max_energy = 0.0
     for labels, w, d, j_profile in cases:

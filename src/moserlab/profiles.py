@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import disc
-from .disc import _integer, _real
+from .disc import _integer, _point
 from .functional import tail_decayed
 from .radial import OMEGA, RadialProfile, gauge_apply, grad_norm
 from .radial import profile_from_dict, profile_to_dict
@@ -138,12 +138,7 @@ class ProfileTerm:
     def from_dict(d: dict) -> "ProfileTerm":
         """The term of a record with an inline profile, each center a pair of
         real numbers (no bool, string or null); "energy" is not read."""
-        zetas = []
-        for i, z in enumerate(d["zeta_track"]):
-            what = f"zeta_track[{i}]"
-            if not isinstance(z, (list, tuple)) or len(z) != 2:
-                raise ValueError(f"{what}: {z!r} is not a pair of real numbers")
-            zetas.append(complex(_real(z[0], what), _real(z[1], what)))
+        zetas = [_point(z, f"zeta_track[{i}]") for i, z in enumerate(d["zeta_track"])]
         return ProfileTerm(profile_from_dict(d["profile"]), d["j_track"], zetas)
 
 
@@ -288,8 +283,9 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
 
 
 class _Fields(dict):
-    """The fields -log|z - zeta| that an `extract` call keeps, by center: the
-    last one built and the one of the center `held`; any other is freed first."""
+    """The fields -log|z - zeta| on a grid that an `extract` call or a
+    superposition keeps, by center: the last one built and the one of the
+    center `held`; any other is freed first."""
 
     def __init__(self, grid):
         super().__init__()
@@ -303,48 +299,46 @@ class _Fields(dict):
         return self[zeta]
 
 
-def _apply_bubbles(op, members, term: ProfileTerm, grid, fields=None) -> None:
+def _apply_bubbles(op, members, term: ProfileTerm, fields: _Fields) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for every idx.
 
-    The bubble depends only on (j, zeta): the field -log|z - zeta| is built
-    once per distinct center (by `fields`, if given, whose centers go first),
-    the bubble once per distinct pair, and each is freed before the next one.
+    The bubble depends only on (j, zeta): the field -log|z - zeta| is taken
+    once per distinct center from `fields` (whose centers go first), the
+    bubble built once per distinct pair and freed before the next one.
     """
     groups: dict = {}
     for idx in range(len(members)):
         groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
-    for zeta in sorted(groups, key=lambda z: z not in (fields or {})):
-        field = disc._log_distance(grid, zeta) if fields is None else fields(zeta)
+    for zeta in sorted(groups, key=lambda z: z not in fields):
         for j, group in groups[zeta].items():
-            bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
+            d = disc.DislocationParam(j, zeta)
+            bubble = disc._inflated(term.w, d, fields.grid, fields(zeta))
             for idx in group:
                 members[idx] = op(members[idx], bubble)
             del bubble
-        del field
 
 
-def _fit_term(tail, track, w, grid, fields):
+def _fit_term(tail, track, w, fields):
     """(term, tail energy it leaves) fitted to a tracked (track, w), or None.
 
-    `tail` is the tail member m's stack and its energy E(m).  The candidate
+    `tail` is the tail member m and its energy E(m).  The candidate
     bubble s is w inflated at the track's last (j, zeta), on its field from
     `fields` (a `_Fields`); the term is beta w, and the energy it leaves is
     E(m - beta s) in closed form, E(m) - 2 beta <m, s> + beta^2 <s, s>: no
     bubble is subtracted here.
     """
-    fm, em = tail
+    m, em = tail
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
         d = disc.DislocationParam(*track[-1])
-        bubble = disc._inflated(w, d, grid, fields(d.zeta))
+        bubble = disc._inflated(w, d, fields.grid, fields(d.zeta))
     except disc.SupportError:
         return None
     # least-squares amplitude against the tail member: the coefficient the
     # weak limit would assign to this template, and a guard against the
     # profile estimate overshooting the energy budget; <s, s> and <s, m> in one pairing
-    fs = disc._stack([bubble, fm])
-    ss, ms = (float(x) for x in disc._pair(fs, fs))
+    ss, ms = (float(x) for x in disc._pair(bubble, [bubble, m]))
     beta = min(1.25, max(0.5, ms / ss)) if ss > 0 else 1.0
     if beta != 1.0:
         w = RadialProfile(w.nodes, beta * w.values)
@@ -352,7 +346,7 @@ def _fit_term(tail, track, w, grid, fields):
     return term, em - 2.0 * beta * ms + beta * beta * ss
 
 
-def _place_term(members, starts, j_max, grid, fits_budget, fields):
+def _place_term(members, starts, j_max, fits_budget, fields):
     """Fit a term from each start and subtract the best one from every member.
 
     The best term leaves the least tail energy, ties broken by smaller scale,
@@ -364,9 +358,8 @@ def _place_term(members, starts, j_max, grid, fits_budget, fields):
     term), subtracted in place from the members, or None, members untouched.
     The fits and the subtraction share `fields`, which holds the best fit's.
     """
-    # the members do not change between starts: one tail stack and one memo serve them all
-    fm = disc._stack([members[-1]])
-    tail = (fm, float(disc._pair(fm, fm)[0]))
+    # the members do not change between starts: one tail energy and one memo serve them all
+    tail = (members[-1], float(disc._pair(members[-1], members[-1:])[0]))
     chosen = None
     tracks = []
     memo: dict = {}
@@ -375,7 +368,7 @@ def _place_term(members, starts, j_max, grid, fits_budget, fields):
         if track in tracks:
             continue
         tracks.append(track)
-        fit = _fit_term(tail, track, w, grid, fields)
+        fit = _fit_term(tail, track, w, fields)
         if fit is None or not fits_budget(fit[0]):
             continue
         term, tail_energy = fit
@@ -389,7 +382,7 @@ def _place_term(members, starts, j_max, grid, fits_budget, fields):
     if chosen is None:
         return None
     key, term = chosen
-    _apply_bubbles(_SUBTRACT, members, term, grid, fields)
+    _apply_bubbles(_SUBTRACT, members, term, fields)
     return key[0], term
 
 
@@ -428,9 +421,8 @@ def extract(
     if any(u.order > 1 for u in seq.members):
         raise ValueError("extraction operates on members of symmetry order 1")
     members = [disc._owned_copy(u) for u in seq.members]
-    grid = members[0].grid
     input_limsup = max(seq.energies)
-    fields = _Fields(grid)  # kept over a placement or a refine step, freed before a detection
+    fields = _Fields(members[0].grid)  # kept over a placement or a refine step, not a detection
 
     terms: list[ProfileTerm] = []
     status = "converged"
@@ -447,7 +439,7 @@ def extract(
         )
         shortlist = [d0 for d0, score in cands if score >= 0.5 * cands[0][1]]
         placed = _place_term(
-            members, shortlist, j_max, grid,
+            members, shortlist, j_max,
             lambda t: _within_budget(terms + [t], input_limsup), fields,
         )
         fields.clear()
@@ -475,18 +467,18 @@ def extract(
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
-                _apply_bubbles(_ADD, members, old, grid, fields)
+                _apply_bubbles(_ADD, members, old, fields)
                 tail_norm = None
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
-                    members, [d0], j_max, grid,
+                    members, [d0], j_max,
                     lambda t: _within_budget(
                         terms[:i] + [t] + terms[i + 1:], input_limsup
                     ),
                     fields,
                 )
                 if placed is None:
-                    _apply_bubbles(_SUBTRACT, members, old, grid, fields)
+                    _apply_bubbles(_SUBTRACT, members, old, fields)
                 else:
                     terms[i] = placed[1]
     fields.clear()
@@ -573,7 +565,7 @@ def dweak_test(
             key = (w.grid, w.order)
             if key not in probes:
                 probes.clear()
-                probes[key] = disc._stack(disc.make_probes(w.grid, probe_count, w.order), keep=True)
+                probes[key] = disc._ProbeStack(disc.make_probes(w.grid, probe_count, w.order))
             pairings[k, t] = disc.max_pairing(w, probes[key])
 
     per_member = []

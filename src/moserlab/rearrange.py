@@ -449,12 +449,8 @@ def expl2_quasinorm(f: RearrangedFunction) -> float:
 _EXPL2_BUCKETS = 4096
 
 
-def _expl2_prefix(mags, areas, total, mask, start):
-    """Sup over the masked cells taken in rearrange_disc's order.
-
-    The mask must select a run of that order whose predecessors have total
-    area `start`.  Returns the sup, the last value and its cumulative area.
-    """
+def _expl2_prefix(mags, areas, total, mask) -> float:
+    """Sup over the masked cells, a prefix of rearrange_disc's order."""
     sel = np.flatnonzero(mask)
     vals = mags[sel]
     order = vals.argsort()[::-1]
@@ -463,28 +459,22 @@ def _expl2_prefix(mags, areas, total, mask, start):
         # equal values: the order of their cells, and with it the areas summed, is the stable sort's
         order = vals.argsort(kind="stable")[::-1]
     taus = areas[sel[order]]
-    taus[0] += start
     np.cumsum(taus, out=taus)
-    s_last = float(taus[-1])
     _expl2_weight(np.divide(taus, total, out=taus), out=taus)
     taus *= desc
-    return float(taus.max()), float(desc[-1]), s_last
+    return float(taus.max())
 
 
 def expl2_disc(u) -> float:
     """expl2_quasinorm(rearrange_disc(u)), sorting only the cells that can win.
 
-    The bucket index of |v| is nondecreasing in |v|, so the cells of buckets
-    >= b are a prefix of the descending order, and an area-weighted histogram
-    gives the area of that prefix: no cell of bucket b sorts past it, so none
-    carries a larger weight.  The bucket with the best (lower edge) x
-    (weight) is the guess for the sup; the cells from there up are sorted and
-    their exact sup taken.  Every cell below has |v| under the last value
-    sorted, whatever the rounding of the index, so each lower bucket is
-    bounded by min(top edge, last value) x weight; those whose bound beats
-    the sup are sorted as a continuation of the same prefix.  The cumulative
-    areas are those of the full sort: the result differs from it only through
-    the summation order of the total area.  Only a prefix with ties is sorted stably.
+    In units of vmax / NB, the cells of bucket b of the |v| histogram lie in
+    [b, b + 1) and end, in descending order, at the weight w_b of the area of
+    buckets >= b: the sup is at least max_b b w_b, and only the prefix from
+    the lowest bucket with (b + 1) w_b >= max_b b w_b is sorted, compared with
+    a relative margin of 1e-6, far above the rounding of the index and of the
+    histogram's sums (n eps), so that rounding can only add buckets.  The
+    cumulative areas are the full sort's; a prefix with ties is sorted stably.
     """
     values, areas = u.cell_values_and_areas()
     mags = np.abs(values, out=values)
@@ -503,16 +493,9 @@ def expl2_disc(u) -> float:
     np.add.at(hist, bucket, areas)  # in cell order, as bincount
     total = float(areas.sum())
     w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
-    edges = np.arange(nb + 1) * (vmax / nb)
-    first = int(np.argmax(edges[:-1] * w_reach))
-    best, v_last, s_last = _expl2_prefix(mags, areas, total, bucket >= first, 0.0)
-    # every cell below `first` has |v| < v_last (the index is monotone in |v|)
-    bound = np.minimum(edges[1:first + 1], v_last) * w_reach[:first]
-    can_win = np.flatnonzero((bound > best) & (hist[:first] > 0))
-    if can_win.size:
-        run = (bucket >= can_win[0]) & (bucket < first)
-        best = max(best, _expl2_prefix(mags, areas, total, run, s_last)[0])
-    return best
+    lower = np.arange(nb) * w_reach
+    start = int(np.argmax((lower + w_reach) * (1.0 + 1e-6) >= lower.max()))
+    return _expl2_prefix(mags, areas, total, bucket >= start)
 
 
 def lp_mass_rearranged(f: RearrangedFunction, p: int) -> float:

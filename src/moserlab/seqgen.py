@@ -22,7 +22,7 @@ import numpy as np
 
 from . import disc
 from .functional import _default_grid, _moser_family
-from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
+from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, _Fields, orthogonality_check
 from .radial import (
     RadialProfile,
     gauge_apply,
@@ -215,9 +215,9 @@ def synthetic_superposition(
         raise ValueError("term tracks must cover the index list")
     # term by term, one bubble per (term, j, zeta); each member sums its
     # pieces in term order, then its noise
-    members = [None] * len(ks)
+    members, fields = [None] * len(ks), _Fields(grid)
     for t in terms:
-        _apply_bubbles(_accumulate, members, t, grid)
+        _apply_bubbles(_accumulate, members, t, fields)
     rng = np.random.default_rng(seed)
     for idx, k in enumerate(ks):
         if noise_energy > 0:
@@ -239,6 +239,7 @@ def synthetic_superposition(
 def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
     """Construct the sequence described by a generator spec; returns manifest too."""
     p = dict(spec.params)
+    malformed = f"malformed {spec.kind} parameters: "
     try:
         if spec.kind != "counterexample":
             g = p["grid"]
@@ -248,9 +249,12 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
         elif "grid" in p:
             raise ValueError("counterexample members are radial profiles and take no grid")
         if spec.kind == "moser":
-            seq = moser_sequence(
-                p["s_values"], p["centers"], grid=grid, form=p.get("form", "translate")
-            )
+            try:
+                s_values = [disc._real(s, f"s_values[{i}]") for i, s in enumerate(p["s_values"])]
+                centers = [disc._point(z, f"centers[{i}]") for i, z in enumerate(p["centers"])]
+            except ValueError as exc:
+                raise ValueError(f"{malformed}{exc}") from exc
+            seq = moser_sequence(s_values, centers, grid=grid, form=p.get("form", "translate"))
             params = {k: v for k, v in p.items() if k != "grid"}
             manifest = {"generator": "moser", "params": params}
         elif spec.kind == "counterexample":
@@ -278,7 +282,7 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
                 k_list=p.get("k_list"),
             )
     except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed {spec.kind} parameters: {exc}") from exc
+        raise ValueError(f"{malformed}{exc}") from exc
     manifest["seed"] = spec.seed
     return seq, manifest
 

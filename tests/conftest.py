@@ -124,6 +124,11 @@ def same_disc(a, b) -> bool:
     )
 
 
+def pairing(u, v) -> float:
+    """The Dirichlet inner product <u, v>: the form of the discrete energy."""
+    return float(disc._pair(u, [v])[0])
+
+
 @st.composite
 def grids(draw):
     return disc.PolarGrid(

@@ -1,9 +1,10 @@
 """The extractor's lean kernels against the whole-array code they replaced.
 
-The pairing takes its differences in blocks of rings, the in-place member
-update validates each block as it writes it, the inflation runs in blocks,
-the remainder norm sorts with the default sort unless its prefix holds equal
-values and the net plans index with intp.  Each is checked bit for bit
+The pairing takes its differences in blocks of rings (or whole, once, for a
+probe stack), the in-place member update validates each block as it writes
+it, the inflation runs in blocks, the remainder norm sorts one prefix with
+the default sort unless it holds equal values and the net plans index with
+intp.  Each is checked bit for bit
 against its oracle in conftest, with the block size forced down so that every
 kernel crosses block boundaries, on ring arrays down to one and two columns
 wide.
@@ -23,6 +24,7 @@ from conftest import (
     old_pair, old_stack, points, same_disc, seeds, smooth_plateau_profile,
 )
 
+NB = rearrange._EXPL2_BUCKETS
 # nodes per block: a few rings of a small grid, a fraction of a ring, and the default
 BLOCKS = st.sampled_from([7, 96, disc._BLOCK])
 # ring arrays of full width, a quarter, two columns and one
@@ -65,15 +67,15 @@ def test_pair_matches_the_materialized_differences(n_r, n_theta, width, seed, co
     order = order_of(n_theta, width)
     u, *vs = [rough(grid, seed + k, order) for k in range(count + 1)]
     with blocked(block):
-        fu = disc._stack([u])
-        probes = disc._pair(fu, disc._stack(vs))
-        kept = disc._pair(fu, disc._stack(vs, keep=True))  # differences taken whole, once
-        own = disc._pair(fu, fu)  # the differences taken once for both operands
-        # a stack of a function and a stack: the fit's pairing of its bubble
-        # with (bubble, tail) gives <s, s> and <s, m> in one pass
-        fit = disc._pair(*[disc._stack([vs[0], fu])] * 2)
+        listed = disc._pair(u, vs)
+        tupled = disc._pair(u, tuple(vs))
+        kept = disc._pair(u, disc._ProbeStack(vs))  # differences taken whole, once
+        own = disc._pair(u, [u])  # the differences taken once for both operands
+        # the fit's pairing of its bubble with (bubble, tail): <s, s> and <s, m> in one pass
+        fit = disc._pair(vs[0], [vs[0], u])
     fo = old_stack([u])
-    assert as_bytes(probes) == as_bytes(kept) == as_bytes(old_pair(fo, old_stack(vs)))
+    assert as_bytes(listed) == as_bytes(tupled) == as_bytes(kept) == as_bytes(
+        old_pair(fo, old_stack(vs)))
     assert as_bytes(own) == as_bytes(old_pair(fo, fo))
     fs = old_stack(vs[:1])
     assert as_bytes(fit) == as_bytes([old_pair(fs, fs)[0], old_pair(fo, fs)[0]])
@@ -138,7 +140,7 @@ class Cells:
 @st.composite
 def cells(draw):
     n = draw(st.integers(1, 400))
-    kind = draw(st.sampled_from(["signed", "plateau", "subnormal"]))
+    kind = draw(st.sampled_from(["signed", "plateau", "subnormal", "edge"]))
     if kind == "signed":
         values = draw(st.lists(st.floats(-50.0, 50.0, allow_subnormal=False),
                                min_size=n, max_size=n))
@@ -147,9 +149,16 @@ def cells(draw):
         levels = draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False),
                                min_size=1, max_size=4))
         values = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
-    else:
+    elif kind == "subnormal":
         # a subnormal sup: small multiples of the least subnormal, ties among them
         values = [k * 5e-324 for k in draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))]
+    else:
+        # next to the bucket edges k vmax / NB: one ulp above or below each
+        vmax = draw(st.floats(0.1, 10.0))
+        ks = draw(st.lists(st.integers(0, NB), min_size=n, max_size=n))
+        ups = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        values = [vmax] + [float(np.nextafter(k * (vmax / NB), math.inf if up else -math.inf))
+                           for k, up in zip(ks[1:], ups[1:])]
     # equal areas as on one ring, or drawn per cell
     area = draw(st.floats(0.05, 3.0))
     areas = [area] * n if draw(st.booleans()) else draw(
@@ -169,17 +178,33 @@ def test_remainder_norm_matches_the_stable_sort(c, block):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=60),
-       st.lists(st.floats(0.05, 3.0), min_size=60, max_size=60), st.floats(0.0, 2.0))
-def test_prefix_with_ties_is_the_stable_sorts(vals, areas, start):
+       st.lists(st.floats(0.05, 3.0), min_size=60, max_size=60))
+def test_prefix_with_ties_is_the_stable_sorts(vals, areas):
     # equal values with distinct areas: their order changes the areas summed,
     # and only the stable sort gives the full sort's
     mags, areas = np.asarray(vals), np.asarray(areas[:len(vals)])
     mask = mags > 0.0
     if not mask.any():
         return
-    total = float(areas.sum()) + start
-    got = rearrange._expl2_prefix(mags, areas, total, mask, start)
-    assert as_bytes(got) == as_bytes(old_expl2_prefix(mags, areas, total, mask, start))
+    total = float(areas.sum())
+    got = rearrange._expl2_prefix(mags, areas, total, mask)
+    assert as_bytes(got) == as_bytes(old_expl2_prefix(mags, areas, total, mask, 0.0)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells())
+def test_remainder_norm_sorts_one_prefix(c):
+    calls = []
+    prefix = rearrange._expl2_prefix
+
+    def counted(*args):
+        calls.append(args)
+        return prefix(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rearrange, "_expl2_prefix", counted)
+        rearrange.expl2_disc(c)
+    assert len(calls) == (0 if not c.values.any() else 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -229,6 +229,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("kind, params", [
         ("moser", {"s_values": 0.5, "centers": [0]}),
         ("moser", {"s_values": [0.5], "centers": [[0.1]]}),
+        ("moser", {"s_values": ["0.3"], "centers": [[0.1, 0.0]]}),
+        ("moser", {"s_values": [0.3], "centers": ["0.1"]}),
+        ("moser", {"s_values": [0.3], "centers": [[0.1, 0.0, "x"]]}),
+        ("moser", {"s_values": [0.3], "centers": [[0.1, True]]}),
         ("vanishing", {
             "k_values": 3,
             "bump_profile": {"n": 2, "nodes": [0.0, 1.0], "values": [0.0, 1.0]},
@@ -240,7 +244,8 @@ class TestMalformedInput:
         ("superposition", {"terms": 3}),
         ("superposition", {"terms": [3]}),
         ("moser", [1, 2]),
-    ], ids=["s-values-number", "center-one-coordinate", "k-values-number",
+    ], ids=["s-values-number", "center-one-coordinate", "s-value-string", "center-string",
+            "center-three-coordinates", "center-bool", "k-values-number",
             "j-track-number", "terms-number", "term-number", "not-an-object"])
     def test_generator_params_with_wrong_types(self, tmp_path, capsys, kind, params):
         path = tmp_path / "p.json"

@@ -21,6 +21,7 @@ from conftest import (
     old_dilation_concentration_demo,
     old_moser_sequence,
     old_weak_discontinuity_demo,
+    pairing,
     same_disc,
     smooth_plateau_profile,
 )
@@ -37,10 +38,10 @@ def test_constant_sequence_demo_matches_old():
     rep = functional.weak_discontinuity_demo([s] * 5, [z] * 5, grid=grid, probe_count=8)
     prof = radial.moser_annular(-math.log(s), -math.log1p(-z))
     member = disc.inflate(prof, disc.DislocationParam(1, z), grid)
-    pairing = max(abs(disc.grad_inner(member, phi)) for phi in disc.make_probes(grid, 8))
-    row = {"s": s, "center": [z, 0.0], "pairing": pairing, "J": functional.j_direct(prof)}
+    best = max(abs(pairing(member, phi)) for phi in disc.make_probes(grid, 8))
+    row = {"s": s, "center": [z, 0.0], "pairing": best, "J": functional.j_direct(prof)}
     assert rep.rows == [row] * 5
-    assert rep.classification == functional._classify([pairing] * 5, [row["J"]] * 5)
+    assert rep.classification == functional._classify([best] * 5, [row["J"]] * 5)
     assert rep.classification == "non-concentrating"
     assert rep.max_discrete_grad_norm == math.sqrt(disc.energy(member))
     assert rep.notes == {}
@@ -224,8 +225,7 @@ def _place_counting_fits(members, starts, grid):
     members = [disc._owned_copy(u) for u in members]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "_fit_term", counted_fit)
-        placed = profiles._place_term(members, starts, 8, grid, lambda t: True,
-                                      profiles._Fields(grid))
+        placed = profiles._place_term(members, starts, 8, lambda t: True, profiles._Fields(grid))
     return placed, members, fits
 
 

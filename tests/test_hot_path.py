@@ -82,8 +82,8 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
     count = {"inflate": 0, "fit": 0}
     built = []  # weak references to the bubbles
     groups = []  # (distinct (j, zeta) pairs, distinct zeta, members touched) per application
-    tail_stacks = []  # per placement, the stacks of its tail member
-    inflated, stack = disc._inflated, disc._stack
+    tail_energies = []  # per placement, the pairings of its tail member with itself
+    inflated, pair = disc._inflated, disc._pair
     fit_term, apply_bubbles = profiles._fit_term, profiles._apply_bubbles
     place_term = profiles._place_term
 
@@ -100,7 +100,7 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         count["fit"] += 1
         return fit_term(*args, **kwargs)
 
-    def counted_apply(op, members, term, grid, fields=None):
+    def counted_apply(op, members, term, fields):
         indices = range(len(members))
         before, ops = count["inflate"], []
 
@@ -108,7 +108,7 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
             ops.append(None)
             return op(u, v)
 
-        apply_bubbles(counted_op, members, term, grid, fields)
+        apply_bubbles(counted_op, members, term, fields)
         pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
         centers = {term.zeta_track[i] for i in indices}
         assert count["inflate"] - before == len(pairs)
@@ -116,14 +116,14 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         groups.append((len(pairs), len(centers), len(indices)))
 
     def counted_place(members, *args):
-        tail_stacks.append(0)
+        tail_energies.append(0)
 
-        def counted_stack(us):
-            tail_stacks[-1] += isinstance(us, list) and any(u is members[-1] for u in us)
-            return stack(us)
+        def counted_pair(u, vs):
+            tail_energies[-1] += u is members[-1] and len(vs) == 1 and vs[0] is u
+            return pair(u, vs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(disc, "_stack", counted_stack)
+            mp.setattr(disc, "_pair", counted_pair)
             return place_term(members, *args)
 
     monkeypatch.setattr(disc, "_inflated", counted_inflated)
@@ -133,8 +133,8 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
 
     assert len(dec.terms) == 2
-    # each placement factors its tail member once, for all of its fits
-    assert len(tail_stacks) > 2 and tail_stacks == [1] * len(tail_stacks)
+    # each placement takes its tail member's energy once, for all of its fits
+    assert len(tail_energies) > 2 and tail_energies == [1] * len(tail_energies)
     # two greedy subtractions, then add-backs (and accepted refits) per sweep
     assert len(groups) > 2
     assert count["inflate"] == count["fit"] + sum(n for n, _, _ in groups)
@@ -151,9 +151,9 @@ def test_superposition_builds_one_bubble_per_term_j_and_zeta(monkeypatch):
     built, fields, held = [], [], []  # bubble (term, j, zeta, weakref); fields; member lists
     inflated, log_distance, apply_bubbles = disc._inflated, disc._log_distance, seqgen._apply_bubbles
 
-    def counted_apply(op, members, term, grid):
+    def counted_apply(op, members, term, fields):
         held.append((members, term))
-        return apply_bubbles(op, members, term, grid)
+        return apply_bubbles(op, members, term, fields)
 
     def counted_inflated(w, d, *args, **kwargs):
         # no bubble outlives its group, except as a member itself: the first

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moserlab import disc, functional, radial
-from conftest import old_energy, old_grad_inner, rough_disc, seeds
+from moserlab import disc, functional, profiles, radial
+from conftest import old_energy, old_grad_inner, pairing, rough_disc, seeds
 
 
 # -- inputs ------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_grad_inner_matches_polarization(name):
     for u in funcs:
         for v in funcs:
             scale = old_energy(u) + old_energy(v)
-            assert abs(disc.grad_inner(u, v) - old_grad_inner(u, v)) <= 1e-12 * scale
+            assert abs(pairing(u, v) - old_grad_inner(u, v)) <= 1e-12 * scale
 
 
 pairing_lists = st.lists(
@@ -88,7 +88,7 @@ grid_names = st.sampled_from(sorted(GRIDS))
 @given(grid_names, seeds, seeds)
 def test_form_is_symmetric(name, a, b):
     u, v = rough_disc(GRIDS[name], a), rough_disc(GRIDS[name], b)
-    assert disc.grad_inner(u, v) == disc.grad_inner(v, u)
+    assert pairing(u, v) == pairing(v, u)
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,8 +96,8 @@ def test_form_is_symmetric(name, a, b):
 def test_form_is_bilinear(name, a, b, c, x, y):
     grid = GRIDS[name]
     u, w, v = rough_disc(grid, a), rough_disc(grid, b), rough_disc(grid, c)
-    lhs = disc.grad_inner(disc.add(disc.scale_disc(u, x), disc.scale_disc(w, y)), v)
-    rhs = x * disc.grad_inner(u, v) + y * disc.grad_inner(w, v)
+    lhs = pairing(disc.add(disc.scale_disc(u, x), disc.scale_disc(w, y)), v)
+    rhs = x * pairing(u, v) + y * pairing(w, v)
     bound = (abs(x) * math.sqrt(disc.energy(u)) + abs(y) * math.sqrt(disc.energy(w)))
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + bound * math.sqrt(disc.energy(v)))
 
@@ -108,34 +108,47 @@ def test_form_on_diagonal_is_the_energy(name, a):
     u = rough_disc(GRIDS[name], a)
     twin = disc.DiscFunction(u.grid, u.center, u.rings.copy())
     e = disc.energy(u)
-    assert disc.grad_inner(u, u) == e >= 0.0
-    # each operand factored on its own gives the shared-factor energy, bit for bit
-    assert disc.grad_inner(u, twin) == e
+    assert pairing(u, u) == e >= 0.0
+    # each operand's differences taken on their own give the shared-operand energy, bit for bit
+    assert pairing(u, twin) == e
 
 
 @settings(max_examples=40, deadline=None)
 @given(grid_names, st.sampled_from([1, 2, 4]), seeds, st.lists(seeds, min_size=1, max_size=8))
 def test_a_probe_stack_pairs_as_stacks_of_one(name, order, a, bs):
-    """One stack of P probes gives, bit for bit, the values of P stacks of one."""
+    """P probes paired at once give, bit for bit, the values of P pairings with one."""
     u = rough_disc(GRIDS[name], a, order)
     probes = [rough_disc(GRIDS[name], b, order) for b in bs]
-    fu = disc._stack([u])
-    stacked = disc._pair(fu, disc._stack(probes))
-    ones = np.concatenate([disc._pair(fu, disc._stack([phi])) for phi in probes])
+    stacked = disc._pair(u, probes)
+    ones = np.concatenate([disc._pair(u, [phi]) for phi in probes])
     assert stacked.shape == (len(probes),)
     assert stacked.tobytes() == ones.tobytes()
-    # the two-argument form and the proxy pair through the same stacks
-    assert [disc.grad_inner(u, phi) for phi in probes] == ones.tolist()
+    # the probe stack and the proxy pair as the list
+    assert disc._pair(u, disc._ProbeStack(probes)).tobytes() == ones.tobytes()
     assert disc.max_pairing(u, probes) == max(abs(x) for x in ones.tolist())
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 6])
+def test_a_tuple_of_probes_pairs_as_a_list(count):
+    """A list, a tuple, a sequence's members and a probe stack give the same bits."""
+    grid = GRIDS["geometric"]
+    u = rough_disc(grid, 5)
+    probes = disc.make_probes(grid, count)
+    members = profiles.FunctionSequence(probes, range(1, count + 1)).members
+    assert isinstance(members, tuple)
+    want = disc._pair(u, probes).tobytes()
+    for vs in (tuple(probes), members, disc._ProbeStack(probes)):
+        assert disc._pair(u, vs).tobytes() == want
+        assert disc.max_pairing(u, vs) == disc.max_pairing(u, probes)
 
 
 def test_form_rejects_grid_mismatch():
     u = rough_disc(GRIDS["geometric"], 0)
     v = rough_disc(GRIDS["shallow"], 0)
     with pytest.raises(ValueError, match="different grids"):
-        disc.grad_inner(u, v)
+        pairing(u, v)
     with pytest.raises(ValueError, match="different grids"):
-        disc.grad_inner(v, u)
+        pairing(v, u)
 
 
 @pytest.mark.parametrize("other, order, match", [

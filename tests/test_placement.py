@@ -70,10 +70,9 @@ def placement_setup():
     starts = [d for d, _ in cands] + [
         disc.DislocationParam(1, 0.0), disc.DislocationParam(3, 0.05 - 0.3j)
     ]
-    tail = (disc._stack(members[-1:]), disc.energy(members[-1]))
+    tail = (members[-1], disc.energy(members[-1]))
     energies = sorted(
-        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8), grid,
-                           profiles._Fields(grid))[0]
+        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8), profiles._Fields(grid))[0]
         .energy()
         for d in starts
     )
@@ -84,7 +83,7 @@ def placement_setup():
 def place(members, starts, grid, limit):
     members = [disc._owned_copy(u) for u in members]
     placed = profiles._place_term(
-        members, starts, 8, grid, lambda t: t.energy() <= limit, profiles._Fields(grid)
+        members, starts, 8, lambda t: t.energy() <= limit, profiles._Fields(grid)
     )
     return placed, members
 

@@ -35,11 +35,12 @@ def test_deflate_is_bit_equal(grid, seed, zeta, j, order):
 @settings(max_examples=40, deadline=None)
 @given(grids(), seeds, points(0.95), st.sampled_from([None, 16, 64]))
 def test_angular_profile_is_bit_equal(grid, seed, zeta, n_phi):
-    """The mean over n_phi angles (at most n_theta) at each ring's log radius,
-    pinned to 0 at t = 0."""
+    """The mean over n_phi angles (at most n_theta; None: n_theta) at each
+    ring's log radius, pinned to 0 at t = 0."""
     u = rough_disc(grid, seed)
-    new = disc.angular_profile_around(u, zeta, n_phi)
-    n = grid.n_theta if n_phi is None else min(n_phi, grid.n_theta)
+    n_phi = grid.n_theta if n_phi is None else n_phi
+    new = disc._angular_profiles([u], [zeta], n_phi)[0]
+    n = min(n_phi, grid.n_theta)
     sigma = grid.s_max * np.arange(grid.n_r) / (grid.n_r - 1)
     phis = 2.0 * math.pi * np.arange(n) / n
     pts = zeta + np.exp(-sigma)[:, None] * np.exp(1j * phis)[None, :]

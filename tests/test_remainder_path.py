@@ -40,22 +40,14 @@ def assert_matches_full_sort(cells):
 # -- the step closed form -----------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 39))
-def test_step_closed_form_matches_sup_pieces(seed, pieces, split):
-    # the closed form in expl2_disc, on the steps of a rearranged function:
-    # in one prefix, and as a prefix plus its continuation
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_step_closed_form_matches_sup_pieces(seed, pieces):
+    # the closed form in expl2_disc, on the steps of a rearranged function in one prefix
     f = rearrange.random_rearranged(np.random.default_rng(seed), pieces=pieces)
     vals = f.values
     areas = np.diff(f.breakpoints, prepend=0.0)
-    expect = expl2_quasinorm(f)
-    whole = rearrange._expl2_prefix(vals, areas, 1.0, vals >= 0.0, 0.0)[0]
-    assert whole == pytest.approx(expect, rel=REL, abs=0.0)
-    head = vals >= vals[min(split, vals.size - 1)]
-    best, _, s_last = rearrange._expl2_prefix(vals, areas, 1.0, head, 0.0)
-    if not head.all():
-        rest = rearrange._expl2_prefix(vals, areas, 1.0, ~head, s_last)[0]
-        best = max(best, rest)
-    assert best == pytest.approx(expect, rel=REL, abs=0.0)
+    whole = rearrange._expl2_prefix(vals, areas, 1.0, vals >= 0.0)
+    assert whole == pytest.approx(expl2_quasinorm(f), rel=REL, abs=0.0)
 
 
 # -- per-cell values and areas ----------------------------------------------------------
@@ -203,7 +195,7 @@ def test_running_residual_matches_rebuild_from_originals(two_term_run):
         # each term's bubbles subtracted from the originals, by the extractor's bubble rule
         rebuilt = list(seq.members)
         for t in d.terms:
-            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, grid)
+            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, profiles._Fields(grid))
         expect = [expl2_quasinorm(rearrange_disc(u)) for u in rebuilt]
         assert d.remainder_expl2 == pytest.approx(expect, rel=REL, abs=0.0)
 
@@ -215,10 +207,10 @@ def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run):
     cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
     members = [disc._owned_copy(u) for u in seq.members]
     tail_energy, term = profiles._place_term(
-        members, [d for d, _ in cands], 8, grid, lambda t: True, profiles._Fields(grid)
+        members, [d for d, _ in cands], 8, lambda t: True, profiles._Fields(grid)
     )
     rebuilt = list(seq.members)
-    profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, grid)
+    profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, profiles._Fields(grid))
     # every member, the tail included, bit for bit
     for u, v in zip(members, rebuilt):
         assert u.center == v.center and np.array_equal(u.rings, v.rings)
@@ -241,10 +233,9 @@ def test_fit_energy_is_the_energy_the_bubble_rule_leaves(
     em = disc.energy(m)
     zeta = complex(r * math.cos(theta), r * math.sin(theta))
     w = radial.scale(smooth_plateau_profile(t_start, 1.0), math.exp(log_c))
-    term, tail_energy = profiles._fit_term((disc._stack([m]), em), [(j, zeta)], w, grid,
-                                           profiles._Fields(grid))
+    term, tail_energy = profiles._fit_term((m, em), [(j, zeta)], w, profiles._Fields(grid))
     left = [m]
-    profiles._apply_bubbles(disc.subtract_disc, left, term, grid)
+    profiles._apply_bubbles(disc.subtract_disc, left, term, profiles._Fields(grid))
     assert abs(tail_energy - disc.energy(left[0])) <= 1e-12 * em
 
 

@@ -258,6 +258,14 @@ class TestGeneratorContract:
          "^counterexample members are radial profiles and take no grid$"),
         ("moser", {"s_values": [0.3], "centers": [[0.0, 0.0]]},
          "^malformed moser parameters: 'grid'$"),
+        ("moser", {"s_values": [0.3, "0.2"], "centers": [[0.0, 0.0]] * 2, "grid": {"n_r": 16, "n_theta": 32}},
+         r"^malformed moser parameters: s_values\[1\]: '0\.2' is not a real number$"),
+        ("moser", {"s_values": [0.3], "centers": ["0.1"], "grid": {"n_r": 16, "n_theta": 32}},
+         r"^malformed moser parameters: centers\[0\]: '0\.1' is not a pair of real numbers$"),
+        ("moser", {"s_values": [0.3], "centers": [[0.1, 0.0, "x"]], "grid": {"n_r": 16, "n_theta": 32}},
+         r"^malformed moser parameters: centers\[0\]: \[0\.1, 0\.0, 'x'\] is not a pair"),
+        ("moser", {"s_values": [0.3], "centers": [[0.1, None]], "grid": {"n_r": 16, "n_theta": 32}},
+         r"^malformed moser parameters: centers\[0\]: None is not a real number$"),
         ("vanishing", {"k_values": [1], "bump_profile": {}},
          "^malformed vanishing parameters: 'grid'$"),
         ("superposition", [1, 2], "^malformed superposition parameters: not a JSON object$"),
@@ -270,7 +278,8 @@ class TestGeneratorContract:
             for v in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
         ], "grid": {"n_r": 16, "n_theta": 32}},
          "^superposition term 1: the profile has zero energy$"),
-    ], ids=["counterexample-grid", "moser-no-grid", "vanishing-no-grid", "not-a-dict",
+    ], ids=["counterexample-grid", "moser-no-grid", "moser-string-s", "moser-string-center",
+            "moser-three-coordinates", "moser-null-coordinate", "vanishing-no-grid", "not-a-dict",
             "terms-object", "zero-profile"])
     def test_spec_rejections(self, kind, params, reason):
         with pytest.raises(ValueError, match=reason):

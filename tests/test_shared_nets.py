@@ -148,9 +148,10 @@ def test_grouped_deflations_are_the_one_member_ones(grid, members, zeta, j):
 def test_grouped_angular_profiles_are_the_one_member_ones(grid, members, centers, n_phi):
     us = [rough_disc(grid, seed) for seed, _ in members]
     zetas = [centers[c] for _, c in members]  # centers repeat across members
+    n_phi = grid.n_theta if n_phi is None else n_phi
     got = disc._angular_profiles(us, zetas, n_phi)
     for u, zeta, prof in zip(us, zetas, got):
-        one = disc.angular_profile_around(u, zeta, n_phi)
+        one = disc._angular_profiles([u], [zeta], n_phi)[0]
         assert np.array_equal(prof.nodes, one.nodes) and np.array_equal(prof.values, one.values)
 
 
@@ -284,7 +285,7 @@ def test_one_member_calls_free_their_nets(nets):
     grid = disc.PolarGrid(n_r=48, n_theta=64, s_max=4.0)
     u = rough_disc(grid, 3)
     disc.deflate(u, disc.DislocationParam(3, 0.1 + 0.1j))
-    disc.angular_profile_around(u, 0.05, 16)
+    disc._angular_profiles([u], [0.05], 16)
     disc.concentration_detect(u, 1e-3, j_max=4, top_k=2)
     u.interpolate(np.linspace(0, 1, 9))
     assert nets and all(ref() is None for ref in nets)
@@ -299,18 +300,18 @@ def test_a_repeated_start_builds_no_angular_profile_net(nets, monkeypatch):
     d0 = disc.concentration_detect(members[-1], eps=0.0125, j_max=8, top_k=1)[0][0]
     angular_profiles, built = disc._angular_profiles, []
 
-    def recorded(us, zetas, n_phi=None):
+    def recorded(us, zetas, n_phi):
         before = len(nets)
         out = angular_profiles(us, zetas, n_phi)
         built.append(len(nets) - before)
         return out
 
     monkeypatch.setattr(disc, "_angular_profiles", recorded)
-    once = profiles._place_term([disc._owned_copy(u) for u in members], [d0], 8, grid,
+    once = profiles._place_term([disc._owned_copy(u) for u in members], [d0], 8,
                                 lambda t: True, profiles._Fields(grid))
     assert sum(built) > 0
     first = built.copy()
-    twice = profiles._place_term([disc._owned_copy(u) for u in members], [d0, d0], 8, grid,
+    twice = profiles._place_term([disc._owned_copy(u) for u in members], [d0, d0], 8,
                                  lambda t: True, profiles._Fields(grid))
     assert built[len(first):] == first + [0]
     assert once[0] == twice[0] and once[1].zeta_track == twice[1].zeta_track

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, rearrange, seqgen
 from conftest import (
-    nonradial_test_function, old_deflate, old_dweak_test, rough_disc, same_disc, seeds,
+    nonradial_test_function, old_deflate, old_dweak_test, pairing, rough_disc, same_disc, seeds,
 )
 
 REL = 1e-12
@@ -55,14 +55,14 @@ def test_forms_equal_the_tiled_forms(order, seed_u, seed_v):
     u, v = _block(order, seed_u), _block(order, seed_v)
     eu, ev = disc.energy(u), disc.energy(v)
     assert _close(eu, disc.energy(_twin(u)), eu)
-    assert _close(disc.grad_inner(u, v), disc.grad_inner(_twin(u), _twin(v)),
+    assert _close(pairing(u, v), pairing(_twin(u), _twin(v)),
                   math.sqrt(eu * ev))
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 1), (2, 8), (32, 3)])
 def test_mixed_orders_are_rejected(a, b):
     u, v = _block(a, 1), _block(b, 2)
-    for op in (disc.grad_inner, disc.add, disc.subtract_disc):
+    for op in (pairing, disc.add, disc.subtract_disc):
         with pytest.raises(ValueError, match="different symmetry orders"):
             op(u, v)
 
@@ -82,7 +82,7 @@ def test_odd_modes_pair_to_zero_with_a_2_fold_function(rng):
     u = _twin(_block(2, 7))
     for mode in (1, 3):
         odd = disc.DiscFunction(GRID, 0.0, prof[:, None] * np.cos(mode * th)[None, :])
-        assert abs(disc.grad_inner(u, odd)) <= REL * math.sqrt(disc.energy(u) * disc.energy(odd))
+        assert abs(pairing(u, odd)) <= REL * math.sqrt(disc.energy(u) * disc.energy(odd))
 
 
 # -- evaluation, arithmetic and serialization -------------------------------------------
@@ -197,7 +197,7 @@ def test_dweak_pairings_match_the_tiled_path(j):
         w = disc.deflate(u, disc.DislocationParam(j, zeta))
         new_val = disc.max_pairing(w, disc.make_probes(w.grid, 8, w.order))
         twin = _twin(w)
-        tiled_val = max(abs(disc.grad_inner(twin, phi)) for phi in disc.make_probes(w.grid, 8))
+        tiled_val = max(abs(pairing(twin, phi)) for phi in disc.make_probes(w.grid, 8))
         assert new_val == pytest.approx(tiled_val, rel=REL, abs=0.0)
 
 
