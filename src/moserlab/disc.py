@@ -475,7 +475,7 @@ def inflate(
     """
     if order > 1 and d.zeta != 0:
         raise ValueError("only a bubble at the origin has angular symmetry")
-    return _inflated(w, d, grid, order=order)
+    return _inflated(w, d, grid, _log_distance(grid, d.zeta), order=order)
 
 
 def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
@@ -492,9 +492,9 @@ def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
         return np.negative(np.log(d2, out=d2), out=d2)
 
 
-def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None, order=1):
-    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, if given, in blocks;
-    a one-column field (the origin) is evaluated once and repeated across the block."""
+def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field, order=1):
+    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, in blocks; a
+    one-column field (the origin) is evaluated once and repeated across the block."""
     j, zeta = d.j, d.zeta
     R_inf = math.exp(-w.support_log_radius()) ** j
     if R_inf > 1.0 - abs(zeta) + 1e-12:
@@ -502,7 +502,6 @@ def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field=None
             f"inflated support radius {R_inf:.6g} around {zeta} leaves the disc "
             f"(available {1.0 - abs(zeta):.6g})"
         )
-    field = _log_distance(grid, zeta) if field is None else field
     rings = np.empty(field.shape)
     rings[-1] = 0.0  # the boundary ring, which the profile's values below skip
 

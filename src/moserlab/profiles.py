@@ -25,8 +25,9 @@ adds a term's bubbles back and refits, then subtracts the refit, or the old
 bubbles if it is rejected.  A fit is ranked without a subtraction, by the
 closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the tail energy it
 leaves, s its tail bubble.  A bubble depends only on the term's (scale,
-center) at an index, and a track repeats few of them, so each is built once
-per distinct (j, zeta) group and applied to every member of the group.
+center) at an index, and a track repeats few of them, so each application
+builds one field -log|z - zeta| per distinct center and one bubble per
+distinct (j, zeta), applied to every member of its group.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _dilation_pairings(base: RadialProfile, ref: RadialProfile, j_max: int):
     return OMEGA / np.sqrt(js) * (rises @ ref.slopes)
 
 
-def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
+def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo: dict):
     """Per-member (scale, center) plus the averaged profile for one detection.
 
     Each member's opening scale maximizes its detector score at the
@@ -263,7 +264,6 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     scan = disc._scores(members, np.arange(1, j_max + 1), d0.zeta)  # one net
     js = [1 + int(k) for k in np.argmax(scan, axis=1)]
     zetas = [disc._refine_center(u, d0.zeta, j)[1] for u, j in zip(members, js)]
-    memo = {} if memo is None else memo
     new = [(k, z) for k, z in enumerate(zetas) if (k, z) not in memo]
     memo.update(zip(new, disc._angular_profiles([members[k] for k, _ in new],
                                                 [z for _, z in new], n_phi=64)))
@@ -282,57 +282,39 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo=None):
     return track, w
 
 
-class _Fields(dict):
-    """The fields -log|z - zeta| on a grid that an `extract` call or a
-    superposition keeps, by center: the last one built and the one of the
-    center `held`; any other is freed first."""
-
-    def __init__(self, grid):
-        super().__init__()
-        self.grid, self.held = grid, None
-
-    def __call__(self, zeta: complex) -> np.ndarray:
-        if zeta not in self:
-            for z in [z for z in self if z != self.held]:
-                del self[z]
-            self[zeta] = disc._log_distance(self.grid, zeta)
-        return self[zeta]
-
-
-def _apply_bubbles(op, members, term: ProfileTerm, fields: _Fields) -> None:
+def _apply_bubbles(op, members, term: ProfileTerm, grid) -> None:
     """members[idx] = op(members[idx], bubble of term at idx), for every idx.
 
-    The bubble depends only on (j, zeta): the field -log|z - zeta| is taken
-    once per distinct center from `fields` (whose centers go first), the
-    bubble built once per distinct pair and freed before the next one.
+    The bubble depends only on (j, zeta): the field -log|z - zeta| is built
+    once per distinct center, the bubble once per distinct pair, and each is
+    freed before the next one is built.
     """
     groups: dict = {}
     for idx in range(len(members)):
         groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
-    for zeta in sorted(groups, key=lambda z: z not in fields):
-        for j, group in groups[zeta].items():
-            d = disc.DislocationParam(j, zeta)
-            bubble = disc._inflated(term.w, d, fields.grid, fields(zeta))
+    for zeta, by_j in groups.items():
+        field = disc._log_distance(grid, zeta)
+        for j, group in by_j.items():
+            bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
             for idx in group:
                 members[idx] = op(members[idx], bubble)
             del bubble
+        del field
 
 
-def _fit_term(tail, track, w, fields):
+def _fit_term(tail, track, w):
     """(term, tail energy it leaves) fitted to a tracked (track, w), or None.
 
     `tail` is the tail member m and its energy E(m).  The candidate
-    bubble s is w inflated at the track's last (j, zeta), on its field from
-    `fields` (a `_Fields`); the term is beta w, and the energy it leaves is
-    E(m - beta s) in closed form, E(m) - 2 beta <m, s> + beta^2 <s, s>: no
-    bubble is subtracted here.
+    bubble s is w inflated at the track's last (j, zeta), on m's grid; the
+    term is beta w, and the energy it leaves is E(m - beta s) in closed form,
+    E(m) - 2 beta <m, s> + beta^2 <s, s>: no bubble is subtracted here.
     """
     m, em = tail
     t_min = max(-math.log1p(-abs(z)) / j for j, z in track)
     w = _trim_profile_support(w, t_min * (1.0 + 1e-9))
     try:
-        d = disc.DislocationParam(*track[-1])
-        bubble = disc._inflated(w, d, fields.grid, fields(d.zeta))
+        bubble = disc.inflate(w, disc.DislocationParam(*track[-1]), m.grid)
     except disc.SupportError:
         return None
     # least-squares amplitude against the tail member: the coefficient the
@@ -346,7 +328,7 @@ def _fit_term(tail, track, w, fields):
     return term, em - 2.0 * beta * ms + beta * beta * ss
 
 
-def _place_term(members, starts, j_max, fits_budget, fields):
+def _place_term(members, starts, j_max, fits_budget):
     """Fit a term from each start and subtract the best one from every member.
 
     The best term leaves the least tail energy, ties broken by smaller scale,
@@ -356,7 +338,6 @@ def _place_term(members, starts, j_max, fits_budget, fields):
     `fits_budget` rejects, or whose track repeats an earlier one (track and
     profile fix the fit) are skipped.  Returns (closed-form tail energy,
     term), subtracted in place from the members, or None, members untouched.
-    The fits and the subtraction share `fields`, which holds the best fit's.
     """
     # the members do not change between starts: one tail energy and one memo serve them all
     tail = (members[-1], float(disc._pair(members[-1], members[-1:])[0]))
@@ -368,7 +349,7 @@ def _place_term(members, starts, j_max, fits_budget, fields):
         if track in tracks:
             continue
         tracks.append(track)
-        fit = _fit_term(tail, track, w, fields)
+        fit = _fit_term(tail, track, w)
         if fit is None or not fits_budget(fit[0]):
             continue
         term, tail_energy = fit
@@ -377,12 +358,10 @@ def _place_term(members, starts, j_max, fits_budget, fields):
                term.j_track, [(z.real, z.imag) for z in term.zeta_track])
         if chosen is None or key < chosen[0]:
             chosen = (key, term)
-            fields.held = zl
-    fields.held = None
     if chosen is None:
         return None
     key, term = chosen
-    _apply_bubbles(_SUBTRACT, members, term, fields)
+    _apply_bubbles(_SUBTRACT, members, term, members[0].grid)
     return key[0], term
 
 
@@ -422,7 +401,6 @@ def extract(
         raise ValueError("extraction operates on members of symmetry order 1")
     members = [disc._owned_copy(u) for u in seq.members]
     input_limsup = max(seq.energies)
-    fields = _Fields(members[0].grid)  # kept over a placement or a refine step, not a detection
 
     terms: list[ProfileTerm] = []
     status = "converged"
@@ -440,9 +418,8 @@ def extract(
         shortlist = [d0 for d0, score in cands if score >= 0.5 * cands[0][1]]
         placed = _place_term(
             members, shortlist, j_max,
-            lambda t: _within_budget(terms + [t], input_limsup), fields,
+            lambda t: _within_budget(terms + [t], input_limsup),
         )
-        fields.clear()
         if placed is None:
             status = "no-candidates"
             break
@@ -467,7 +444,7 @@ def extract(
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
-                _apply_bubbles(_ADD, members, old, fields)
+                _apply_bubbles(_ADD, members, old, members[0].grid)
                 tail_norm = None
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(
@@ -475,13 +452,11 @@ def extract(
                     lambda t: _within_budget(
                         terms[:i] + [t] + terms[i + 1:], input_limsup
                     ),
-                    fields,
                 )
                 if placed is None:
-                    _apply_bubbles(_SUBTRACT, members, old, fields)
+                    _apply_bubbles(_SUBTRACT, members, old, members[0].grid)
                 else:
                     terms[i] = placed[1]
-    fields.clear()
     remainder = tuple(expl2_disc(u) for u in members[:-1])
     remainder += (expl2_disc(members[-1]) if tail_norm is None else tail_norm,)
     return Decomposition(
@@ -535,6 +510,12 @@ def dweak_test(
     vanishing; a large one is a certificate of concentration, reported with
     its witnessing track.
     """
+    if j_max < 1:
+        raise ValueError("the scale cap must be at least 1 (j_max >= 1)")
+    if probe_count < 1:
+        raise ValueError("the probe count must be at least 1 (probe_count >= 1)")
+    if n_random_tracks < 0:
+        raise ValueError("the random track count must be nonnegative")
     members = _as_disc_members(seq)
     rng = np.random.default_rng(seed)
     probes: dict = {}  # the probe stack of one output (grid, order): the groups run in increasing j

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disc import _BLOCK, _reals
+from .disc import _reals
 from .radial import RadialProfile, _abs_segments, _exp_moment
 
 __all__ = [
@@ -482,13 +482,9 @@ def expl2_disc(u) -> float:
     if vmax == 0.0:
         return 0.0
     nb = _EXPL2_BUCKETS
-    # the index fits in 16 bits: a quarter of an intp array to write and compare
-    bucket, scaled = np.empty(mags.size, np.int16), np.empty(min(_BLOCK, mags.size))
-    for a in range(0, mags.size, _BLOCK):  # in blocks that stay in cache
-        # mags / vmax lies in [0, 1]: no overflow, however small vmax is
-        x = np.divide(mags[a:a + _BLOCK], vmax, out=scaled[:mags.size - a])
-        x *= nb
-        np.minimum(x, nb - 1, out=bucket[a:a + _BLOCK], casting="unsafe")  # truncated, as by astype
+    # mags / vmax lies in [0, 1]: no overflow, however small vmax is; the 16-bit
+    # loop truncates before the min, which gives the min's truncation (x >= 0)
+    bucket = np.minimum(mags / vmax * nb, nb - 1, dtype=np.int16, casting="unsafe")
     hist = np.zeros(nb)
     np.add.at(hist, bucket, areas)  # in cell order, as bincount
     total = float(areas.sum())

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import disc
 from .functional import _default_grid, _moser_family
-from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, _Fields, orthogonality_check
+from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
 from .radial import (
     RadialProfile,
     gauge_apply,
@@ -215,9 +215,9 @@ def synthetic_superposition(
         raise ValueError("term tracks must cover the index list")
     # term by term, one bubble per (term, j, zeta); each member sums its
     # pieces in term order, then its noise
-    members, fields = [None] * len(ks), _Fields(grid)
+    members = [None] * len(ks)
     for t in terms:
-        _apply_bubbles(_accumulate, members, t, fields)
+        _apply_bubbles(_accumulate, members, t, grid)
     rng = np.random.default_rng(seed)
     for idx, k in enumerate(ks):
         if noise_energy > 0:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from moserlab import cli, disc, functional, profiles, radial, seqgen
+from moserlab import cli, disc, functional, profiles, radial, seqgen, verify
 
 
 def run(args) -> int:
@@ -37,6 +37,19 @@ class TestVerifyCommand:
         code = run(["verify", "--profile", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_a_failing_check_is_reported(self, tmp_path, capsys, monkeypatch):
+        failing = {"check": "planted-failure", "ok": False, "detail": "by design"}
+        monkeypatch.setitem(verify.SUITES, "seqgen", lambda: [failing])
+        assert run(["verify", "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert "[FAIL] seqgen" in out.splitlines() and "[ok] radial" in out.splitlines()
+        assert err.splitlines() == [
+            "    failing: planted-failure by design", "verification failed at: planted-failure",
+        ]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["ok"] is False
+        assert report["suites"]["seqgen"] == {"ok": False, "checks": [failing]}
 
 
 class TestMoserLimitCommand:

@@ -194,19 +194,17 @@ def superposed():
     w = smooth_plateau_profile(0.69, 1.0)
     terms = [profiles.ProfileTerm(w, [1, 2, 2, 3], [z] * 4)
              for z in (0.2 + 0.0j, -0.15 + 0.1j)]
-    seq, _ = seqgen.synthetic_superposition(terms, 0.01, seed=3, grid=grid)
-    return seq, grid
+    return seqgen.synthetic_superposition(terms, 0.01, seed=3, grid=grid)[0]
 
 
 def test_sequence_keeps_member_energies(superposed):
-    seq = superposed[0]
-    assert seq.energies == tuple(disc.energy(u) for u in seq.members)
+    assert superposed.energies == tuple(disc.energy(u) for u in superposed.members)
     ce = seqgen.counterexample_sequence(3)
     assert ce.energies == tuple(grad_norm(m) ** 2 for m in ce.members)
 
 
 def test_sequence_bound_is_on_the_gradient_norm(superposed):
-    u = superposed[0].members[0]
+    u = superposed.members[0]
     big = disc.scale_disc(u, 10.0 / math.sqrt(disc.energy(u)) * 1.001)
     with pytest.raises(ValueError, match="uniformly bounded"):
         profiles.FunctionSequence([big], [1])
@@ -214,7 +212,7 @@ def test_sequence_bound_is_on_the_gradient_norm(superposed):
     assert profiles.FunctionSequence([ok], [1]).energies[0] < 100.0
 
 
-def _place_counting_fits(members, starts, grid):
+def _place_counting_fits(members, starts):
     """(placement, members after it, the tracks fitted), from owned copies of the members."""
     fits, fit = [], profiles._fit_term
 
@@ -225,16 +223,15 @@ def _place_counting_fits(members, starts, grid):
     members = [disc._owned_copy(u) for u in members]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "_fit_term", counted_fit)
-        placed = profiles._place_term(members, starts, 8, lambda t: True, profiles._Fields(grid))
+        placed = profiles._place_term(members, starts, 8, lambda t: True)
     return placed, members, fits
 
 
 @pytest.fixture(scope="module")
 def distinct_placement(superposed):
-    seq, grid = superposed
-    cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
+    cands = disc.concentration_detect(superposed.members[-1], eps=0.0125, j_max=8, top_k=4)
     starts = [d for d, _ in cands] + [disc.DislocationParam(1, 0.0)]
-    return starts, _place_counting_fits(seq.members, starts, grid)
+    return starts, _place_counting_fits(superposed.members, starts)
 
 
 @settings(max_examples=6, deadline=None)
@@ -242,10 +239,9 @@ def distinct_placement(superposed):
 def test_repeated_starts_place_as_the_distinct_ones(superposed, distinct_placement, data):
     """Placing S plus repeats of its starts gives S's result, bit for bit, and
     fits each distinct track once."""
-    seq, grid = superposed
     starts, (ref, ref_members, ref_fits) = distinct_placement
     repeats = data.draw(st.lists(st.sampled_from(starts), min_size=1, max_size=3))
-    got, got_members, fits = _place_counting_fits(seq.members, starts + repeats, grid)
+    got, got_members, fits = _place_counting_fits(superposed.members, starts + repeats)
     assert len(fits) == len(set(map(tuple, fits))) < len(starts + repeats)
     assert fits == ref_fits
     assert got[0] == ref[0]

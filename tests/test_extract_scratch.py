@@ -2,9 +2,9 @@
 
 The call owns its running residual and its -log|z - zeta| fields: nothing
 outlives it, and a second call on the same input gives the same
-decomposition.  A placement builds one field per center
-for its fits and its subtraction, and the tail's remainder norm is computed
-once while no bubble changes the members.
+decomposition.  Each fit builds one field, each bubble application one per
+center of its term, and the tail's remainder norm is computed once while no
+bubble changes the members.
 """
 
 import json
@@ -69,46 +69,34 @@ def test_nothing_outlives_the_call(two_term_seq):
     assert after - before <= member
 
 
-def test_a_placement_builds_one_field_per_center(two_term_seq, monkeypatch):
-    built, requested, placements = [], [], []
-    uses = []  # a field per fit and per center of a subtraction or add-back, as each built its own
-    log_distance, fit, apply, place = (
-        disc._log_distance, profiles._fit_term, profiles._apply_bubbles, profiles._place_term)
+def test_each_fit_and_each_application_builds_its_own_fields(two_term_seq, monkeypatch):
+    built, calls = [], []  # centers of the fields built; (function, built, expected) per call
+    log_distance, fit, apply = disc._log_distance, profiles._fit_term, profiles._apply_bubbles
 
     def counted_field(grid, zeta):
         built.append(zeta)
         return log_distance(grid, zeta)
 
-    def counted_fit(tail, track, *args):
-        requested.append(track[-1][1])
-        uses.append(track[-1][1])
-        return fit(tail, track, *args)
-
-    def counted_apply(op, members, term, *args):
-        requested.extend(term.zeta_track)
-        uses.extend(set(term.zeta_track))
-        return apply(op, members, term, *args)
-
-    def counted_place(members, starts, *args):
-        b, r = len(built), len(requested)
-        got = place(members, starts, *args)
-        placements.append((built[b:], set(requested[r:]), starts))
-        return got
+    def counted(f, centers):
+        def call(*args):
+            b = len(built)
+            got = f(*args)
+            calls.append((f, built[b:], centers(*args)))
+            return got
+        return call
 
     monkeypatch.setattr(disc, "_log_distance", counted_field)
-    monkeypatch.setattr(profiles, "_fit_term", counted_fit)
-    monkeypatch.setattr(profiles, "_apply_bubbles", counted_apply)
-    monkeypatch.setattr(profiles, "_place_term", counted_place)
+    # a fit inflates at its track's tail; an application once per distinct center, in track order
+    monkeypatch.setattr(profiles, "_fit_term", counted(fit, lambda tail, track, w: [track[-1][1]]))
+    monkeypatch.setattr(profiles, "_apply_bubbles", counted(
+        apply, lambda op, members, term, grid: list(dict.fromkeys(term.zeta_track))))
     dec = profiles.extract(two_term_seq, **KW)
-    assert len(dec.terms) == 2 and len(placements) > 2
-    for k, (fields, centers, starts) in enumerate(placements):
-        # the fits and the subtraction of a placement: each center's field once
-        assert len(set(fields)) == len(fields) and set(fields) <= centers
-        if k < 2:  # a greedy placement starts with no field
-            assert set(fields) == centers
-        else:  # a refit starts from the term's tail, whose field its add-back built
-            assert len(starts) == 1 and starts[0].zeta not in fields
-    assert len(built) < len(uses)
+    assert len(dec.terms) == 2
+    # two greedy subtractions, then add-backs and refits per sweep
+    assert sum(f is apply for f, _, _ in calls) > 2 and sum(f is fit for f, _, _ in calls) > 2
+    for _, fields, centers in calls:
+        assert fields == centers
+    assert len(built) == sum(len(fields) for _, fields, _ in calls)
 
 
 def test_the_tail_norm_is_computed_once_while_the_members_stand(one_term_seq, monkeypatch):

@@ -100,7 +100,7 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         count["fit"] += 1
         return fit_term(*args, **kwargs)
 
-    def counted_apply(op, members, term, fields):
+    def counted_apply(op, members, term, grid):
         indices = range(len(members))
         before, ops = count["inflate"], []
 
@@ -108,7 +108,7 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
             ops.append(None)
             return op(u, v)
 
-        apply_bubbles(counted_op, members, term, fields)
+        apply_bubbles(counted_op, members, term, grid)
         pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
         centers = {term.zeta_track[i] for i in indices}
         assert count["inflate"] - before == len(pairs)
@@ -151,9 +151,9 @@ def test_superposition_builds_one_bubble_per_term_j_and_zeta(monkeypatch):
     built, fields, held = [], [], []  # bubble (term, j, zeta, weakref); fields; member lists
     inflated, log_distance, apply_bubbles = disc._inflated, disc._log_distance, seqgen._apply_bubbles
 
-    def counted_apply(op, members, term, fields):
+    def counted_apply(op, members, term, grid):
         held.append((members, term))
-        return apply_bubbles(op, members, term, fields)
+        return apply_bubbles(op, members, term, grid)
 
     def counted_inflated(w, d, *args, **kwargs):
         # no bubble outlives its group, except as a member itself: the first

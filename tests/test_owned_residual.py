@@ -61,7 +61,7 @@ def test_in_place_bubbles_equal_the_fresh_array_path():
     for live, old, term in ((profiles._SUBTRACT, old_subtract, a),
                             (profiles._ADD, old_add, b),
                             (profiles._SUBTRACT, old_subtract, b)):
-        profiles._apply_bubbles(live, owned, term, profiles._Fields(GRID))
+        profiles._apply_bubbles(live, owned, term, GRID)
         old_apply_bubbles(old, ref, term, GRID)
         assert all(same_disc(u, v) for u, v in zip(owned, ref))
     # the same objects, read-only to every kernel; the inputs untouched

@@ -72,32 +72,30 @@ def placement_setup():
     ]
     tail = (members[-1], disc.energy(members[-1]))
     energies = sorted(
-        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8), profiles._Fields(grid))[0]
+        profiles._fit_term(tail, *profiles._track_candidate(members, d, 8, {}))[0]
         .energy()
         for d in starts
     )
     limits = [math.inf] + energies + [0.0]  # 0.0 rejects every start
-    return members, starts, grid, limits, {}
+    return members, starts, limits, {}
 
 
-def place(members, starts, grid, limit):
+def place(members, starts, limit):
     members = [disc._owned_copy(u) for u in members]
-    placed = profiles._place_term(
-        members, starts, 8, lambda t: t.energy() <= limit, profiles._Fields(grid)
-    )
+    placed = profiles._place_term(members, starts, 8, lambda t: t.energy() <= limit)
     return placed, members
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_placement_ignores_the_order_of_starts(placement_setup, data):
-    members, starts, grid, limits, cache = placement_setup
+    members, starts, limits, cache = placement_setup
     limit = data.draw(st.sampled_from(limits))
     order = data.draw(st.permutations(range(len(starts))))
     if limit not in cache:
-        cache[limit] = place(members, starts, grid, limit)
+        cache[limit] = place(members, starts, limit)
     ref, ref_members = cache[limit]
-    got, got_members = place(members, [starts[k] for k in order], grid, limit)
+    got, got_members = place(members, [starts[k] for k in order], limit)
     if ref is None:
         assert got is None
         assert all(same_disc(a, b) for a, b in zip(got_members, members))

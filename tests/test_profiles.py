@@ -267,3 +267,18 @@ class TestDWeak:
         rep = profiles.dweak_test(seq, probe_count=4, n_random_tracks=2, j_max=8)
         assert rep.verdict == "non-vanishing"
         assert rep.witness["kind"] in ("identity", "detector")
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(j_max=0), r"scale cap must be at least 1 \(j_max >= 1\)"),
+        (dict(j_max=0, n_random_tracks=0), r"scale cap must be at least 1"),
+        (dict(probe_count=0), r"probe count must be at least 1 \(probe_count >= 1\)"),
+        (dict(n_random_tracks=-1), r"random track count must be nonnegative"),
+    ])
+    def test_options_are_checked_before_the_scan(self, kw, message, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(disc, "_scan", no_scan)
+        seq = seqgen.counterexample_sequence(4)
+        with pytest.raises(ValueError, match=message):
+            profiles.dweak_test(seq, **kw)

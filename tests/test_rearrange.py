@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from conftest import old_rearrange_radial
 from moserlab import disc, radial, rearrange, seqgen
@@ -317,6 +318,41 @@ class TestQuasinorms:
         brute = float(np.max(taus**0.25 * f.value_at(taus)))
         assert val == pytest.approx(brute, rel=1e-3)
         assert val >= brute - 1e-12  # the exact sup dominates any sample
+
+    @pytest.mark.parametrize("kind, values", [
+        ("loglin", [3.0, 2.5, 1.0, 0.25]), ("step", [2.0, 1.0, 0.5]),
+    ])
+    @pytest.mark.parametrize("p, q, alpha", [
+        (2.0, 1.5, 0.5), (4.0, 3.0, -0.5), (1.5, 1.0, 0.0), (INF, 2.0, -1.25), (INF, 1.0, -3.0),
+    ])
+    def test_integral_form_matches_quadrature_in_tau(self, kind, values, p, q, alpha):
+        # pieces 9.2 and 4.6 wide in ell, split into unit panels; finite p weights them
+        f = rearrange.RearrangedFunction([1e-6, 1e-2, 1.0], values, kind)
+        invp = 0.0 if p == INF else 1.0 / p
+
+        def integrand(s):  # [tau^{1/p} ell^alpha f*(tau)]^q at tau = e^s, dtau/tau = ds
+            return (math.exp(s * invp) * (1.0 - s) ** alpha * f.value_at(math.exp(s))) ** q
+
+        # with p = inf the cap's integral runs out to ell = inf; with finite p
+        # tau^{q/p} makes what lies below tau = 1e-300 negligible
+        edges = [-INF if p == INF else math.log(1e-300)] + [math.log(b) for b in f.breakpoints]
+        ref = sum(integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+                  for a, b in zip(edges, edges[1:])) ** (1.0 / q)
+        got = rearrange.lz_quasinorm(f, rearrange.LZIndex(p, q, alpha))
+        assert got == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("p, alpha", [(8.0, 2.5), (2.0, 10.0)])
+    def test_sup_form_peaks_inside_the_cap(self, p, alpha):
+        # the cap's weight ell^alpha e^{(1-ell)/p} peaks at ell = alpha p = 20 > ell0
+        f = rearrange.RearrangedFunction([1e-6, 1e-2, 1.0], [3.0, 2.5, 1.0, 0.25], "loglin")
+        val = rearrange.lz_quasinorm(f, rearrange.LZIndex(p, INF, alpha))
+        ells = np.linspace(1.0, 200.0, 2_000_001)
+        taus = np.exp(1.0 - ells)
+        dense = float(np.max(taus ** (1.0 / p) * ells ** alpha * f.value_at(taus)))
+        ell0 = 1.0 - math.log(1e-6)
+        assert val >= 1.1 * 3.0 * math.exp((1.0 - ell0) / p) * ell0 ** alpha
+        assert dense <= val * (1.0 + 1e-12)
+        assert val == pytest.approx(dense, rel=1e-9)
 
     @pytest.mark.parametrize("breakpoints, values, message", [
         (["0.5", 1.0], [1.0, 0.5], "breakpoints: entries of type str are not real numbers"),

@@ -195,7 +195,7 @@ def test_running_residual_matches_rebuild_from_originals(two_term_run):
         # each term's bubbles subtracted from the originals, by the extractor's bubble rule
         rebuilt = list(seq.members)
         for t in d.terms:
-            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, profiles._Fields(grid))
+            profiles._apply_bubbles(disc.subtract_disc, rebuilt, t, grid)
         expect = [expl2_quasinorm(rearrange_disc(u)) for u in rebuilt]
         assert d.remainder_expl2 == pytest.approx(expect, rel=REL, abs=0.0)
 
@@ -207,10 +207,10 @@ def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run):
     cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
     members = [disc._owned_copy(u) for u in seq.members]
     tail_energy, term = profiles._place_term(
-        members, [d for d, _ in cands], 8, lambda t: True, profiles._Fields(grid)
+        members, [d for d, _ in cands], 8, lambda t: True
     )
     rebuilt = list(seq.members)
-    profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, profiles._Fields(grid))
+    profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, grid)
     # every member, the tail included, bit for bit
     for u, v in zip(members, rebuilt):
         assert u.center == v.center and np.array_equal(u.rings, v.rings)
@@ -233,9 +233,9 @@ def test_fit_energy_is_the_energy_the_bubble_rule_leaves(
     em = disc.energy(m)
     zeta = complex(r * math.cos(theta), r * math.sin(theta))
     w = radial.scale(smooth_plateau_profile(t_start, 1.0), math.exp(log_c))
-    term, tail_energy = profiles._fit_term((m, em), [(j, zeta)], w, profiles._Fields(grid))
+    term, tail_energy = profiles._fit_term((m, em), [(j, zeta)], w)
     left = [m]
-    profiles._apply_bubbles(disc.subtract_disc, left, term, profiles._Fields(grid))
+    profiles._apply_bubbles(disc.subtract_disc, left, term, grid)
     assert abs(tail_energy - disc.energy(left[0])) <= 1e-12 * em
 
 

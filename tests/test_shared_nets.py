@@ -308,11 +308,11 @@ def test_a_repeated_start_builds_no_angular_profile_net(nets, monkeypatch):
 
     monkeypatch.setattr(disc, "_angular_profiles", recorded)
     once = profiles._place_term([disc._owned_copy(u) for u in members], [d0], 8,
-                                lambda t: True, profiles._Fields(grid))
+                                lambda t: True)
     assert sum(built) > 0
     first = built.copy()
     twice = profiles._place_term([disc._owned_copy(u) for u in members], [d0, d0], 8,
-                                 lambda t: True, profiles._Fields(grid))
+                                 lambda t: True)
     assert built[len(first):] == first + [0]
     assert once[0] == twice[0] and once[1].zeta_track == twice[1].zeta_track
     assert once[1].w.values.tobytes() == twice[1].w.values.tobytes()
