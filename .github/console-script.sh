@@ -19,6 +19,10 @@ rejects() {
 moserlab counterexample --k-max 4 --out "$tmp/ce"
 moserlab verify --out "$tmp/verify"
 moserlab generate --kind superposition --grid-nr 96 --grid-ntheta 96 --out "$tmp/seq"
+# a rerun of the generator writes the same files with the same bytes
+moserlab generate --kind superposition --grid-nr 96 --grid-ntheta 96 --out "$tmp/seq-again"
+test "$(ls "$tmp/seq")" = "$(ls "$tmp/seq-again")"
+for f in "$tmp"/seq/*.json; do cmp "$f" "$tmp/seq-again/$(basename "$f")"; done
 moserlab norms --input "$tmp/seq/member_0006.json" --out "$tmp/norms"
 rejects "$tmp/rejected" 1 "third index must be finite" norms --input "$tmp/seq/member_0006.json" --indices "inf,inf,nan"
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); d["center"] = "0.5"; json.dump(d, open(sys.argv[2], "w"))' \
@@ -40,6 +44,12 @@ rejects "$tmp/rejected-bool-center" 1 "zeta_track[0]: False is not a real number
 echo '{"s_values": ["0.3"], "centers": [[0, 0]], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/string_s.json"
 rejects "$tmp/rejected-moser" 1 "s_values[0]: '0.3' is not a real number" \
   generate --kind moser --params "$tmp/string_s.json"
+echo '{"noise_energy": "0.01", "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/string_noise.json"
+rejects "$tmp/rejected-noise" 1 "noise_energy: '0.01' is not a real number" \
+  generate --kind superposition --params "$tmp/string_noise.json"
+echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1, 2], "values": [0, 0, 1]}, "j_track": [1], "zeta_track": [[NaN, 0]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/nan_center.json"
+rejects "$tmp/rejected-nan-center" 1 "centers must stay in the closed half-disc" \
+  generate --kind superposition --params "$tmp/nan_center.json"
 moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
 moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
 moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"

@@ -298,7 +298,7 @@ class DislocationParam:
         object.__setattr__(self, "zeta", complex(self.zeta))
         if self.j < 1:
             raise ValueError("scale exponent must be a positive integer")
-        if abs(self.zeta) > 1.0 + 1e-12:
+        if not abs(self.zeta) <= 1.0 + 1e-12:  # NaN fails it too
             raise ValueError("center must lie in the closed disc")
 
 
@@ -723,7 +723,6 @@ def concentration_detect(
     u: DiscFunction,
     eps: float,
     j_max: int = 64,
-    refine: bool = True,
     top_k: int = 8,
 ) -> list[tuple[DislocationParam, float]]:
     """Scan (j, zeta) for scores j^{-1/2} |A_{RHO^j} u(zeta)| >= eps.
@@ -732,7 +731,9 @@ def concentration_detect(
     values (the scan intentionally runs past the resolving exponent; planted
     scales beyond j_max would be reported at the cap).  Candidates closer
     than max(RHO^j, _MERGE_RADIUS) with log-scale gap below log 2 are merged,
-    keeping the higher score.  An empty list is a valid outcome.
+    keeping the higher score.  Each kept candidate is refined: a stencil
+    search of its center, then a scan of j/2 .. 2j at that center.  An empty
+    list is a valid outcome.
     """
     if not eps > 0:
         raise ValueError("detection threshold must be positive")
@@ -740,7 +741,7 @@ def concentration_detect(
         raise ValueError("at least one detection must be requested")
     if j_max < 1:
         raise ValueError("the scan needs at least one scale exponent (j_max >= 1)")
-    return _detect(u, _scan([u], j_max)[0], eps, j_max, refine, top_k)
+    return _detect(u, _scan([u], j_max)[0], eps, j_max, refine=True, top_k=top_k)
 
 
 def _scan(us, j_max) -> np.ndarray:
@@ -752,7 +753,8 @@ def _scan(us, j_max) -> np.ndarray:
 
 
 def _detect(u, rows, eps, j_max, refine, top_k):
-    """concentration_detect of u from its `_scan` rows: ranked, merged, then refined."""
+    """concentration_detect of u from its `_scan` rows: ranked, merged, then
+    refined unless `refine` is false (`dweak_test` takes the raw candidates)."""
     jj, cc = np.nonzero(rows >= eps)
     score, zeta = rows[jj, cc], _CENTERS[cc]
     kept: list[tuple[float, int, complex]] = []
@@ -818,6 +820,7 @@ def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
 # -- angular modes and the probe set ------------------------------------------------
 
 _PROBE_T_CAP = 6.0  # the largest log-radial extent of the probe layout
+_PROBE_COUNT = 6  # the probe set size of the concentration demos and of `dweak_test`
 
 
 def _modulated(base: DiscFunction, mode: int, phase: float = 0.0) -> DiscFunction:
@@ -833,7 +836,7 @@ def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.
     return _modulated(inflate(w, DislocationParam(1, 0.0), grid), mode, phase)
 
 
-def make_probes(grid: PolarGrid, count: int = 6, order: int = 1) -> list[DiscFunction]:
+def make_probes(grid: PolarGrid, count: int = _PROBE_COUNT, order: int = 1) -> list[DiscFunction]:
     """Deterministic unit-energy probes on a fixed log-radial layout.
 
     Ramp-to-plateau probes carry net elevation (they pair against long

@@ -271,9 +271,6 @@ def _classify(pairings, j_values) -> str:
     return "subcritical-vanishing"
 
 
-_PROBE_COUNT = 6
-
-
 def _moser_family(s_list, centers):
     """The translated Moser family: one (s, center, L, profile) row per member,
     L = log(1/s) and the annular profile whose translate by the center fits in
@@ -284,7 +281,7 @@ def _moser_family(s_list, centers):
         raise ValueError("need one center per concentration parameter")
     if any(not (0.0 < s < 1.0) for s in s_arr):
         raise ValueError("concentration parameters must lie in (0,1)")
-    if any(abs(z) > 0.5 for z in zetas):
+    if not all(abs(z) <= 0.5 for z in zetas):  # NaN fails it too
         raise ValueError("centers must stay in the closed half-disc")
     L_arr = [-math.log(s) for s in s_arr]
     pads = [-math.log1p(-abs(z)) for z in zetas]
@@ -297,10 +294,10 @@ def _default_grid(n_theta: int, extent: float) -> "disc.PolarGrid":
     return disc.PolarGrid(n_r=512, n_theta=n_theta, s_max=extent + 2.0)
 
 
-def _demo_report(grid, cases, probe_count, notes) -> WeakDiscontinuityReport:
+def _demo_report(grid, cases, notes) -> WeakDiscontinuityReport:
     """Both demos: each case (row labels, w, dislocation d, profile for J) gives
     the member inflate(w, d), paired against the probes, and an exact J."""
-    probes = disc._ProbeStack(disc.make_probes(grid, probe_count))
+    probes = disc._ProbeStack(disc.make_probes(grid, disc._PROBE_COUNT))
     rows, pairings, j_values = [], [], []
     max_energy = 0.0
     for labels, w, d, j_profile in cases:
@@ -321,7 +318,6 @@ def weak_discontinuity_demo(
     s_list,
     centers,
     grid: "disc.PolarGrid | None" = None,
-    probe_count: int = _PROBE_COUNT,
 ) -> WeakDiscontinuityReport:
     """Translated concentrating sequence: weak-limit proxies vs. J values.
 
@@ -334,7 +330,7 @@ def weak_discontinuity_demo(
     grid = grid or _default_grid(256, extent)
     cases = [({"s": s, "center": [z.real, z.imag]}, prof, disc.DislocationParam(1, z), prof)
              for s, z, _L, prof in rows]
-    return _demo_report(grid, cases, probe_count, {})
+    return _demo_report(grid, cases, {})
 
 
 def dilation_concentration_demo(
@@ -356,6 +352,4 @@ def dilation_concentration_demo(
         ({"j": j}, base, disc.DislocationParam(j, 0.0), gauge_apply(base, 1.0 / j))
         for j in js
     ]
-    return _demo_report(
-        grid, cases, _PROBE_COUNT, {"base_grad_norm": grad_norm(base)}
-    )
+    return _demo_report(grid, cases, {"base_grad_norm": grad_norm(base)})

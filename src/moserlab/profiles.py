@@ -59,6 +59,7 @@ __all__ = [
 
 
 _GRAD_NORM_BOUND = 10.0
+_REFINE_SWEEPS = 2  # `extract`'s re-estimation sweeps after the greedy pass
 # the two updates of the extractor's running residual, in place on `disc._owned_copy`s
 _SUBTRACT, _ADD = (partial(disc._combine, op=op, in_place=True) for op in (np.subtract, np.add))
 
@@ -120,7 +121,7 @@ class ProfileTerm:
             raise ValueError("scales must be positive integers")
         if any(b < a for a, b in zip(self.j_track, self.j_track[1:])):
             raise ValueError("concentrating scale tracks must be nondecreasing")
-        if any(abs(z) > 0.5 + 1e-9 for z in self.zeta_track):
+        if not all(abs(z) <= 0.5 + 1e-9 for z in self.zeta_track):  # NaN fails it too
             raise ValueError("centers must stay in the closed half-disc")
 
     def energy(self) -> float:
@@ -380,7 +381,6 @@ def extract(
     eps_stop: float = 0.05,
     max_terms: int = 4,
     j_max: int = 24,
-    refine_sweeps: int = 2,
 ) -> Decomposition:
     """Iterative detect / deflate / subtract extraction of concentration terms.
 
@@ -389,8 +389,8 @@ def extract(
     or max_terms are placed with the tail still above it ("max-terms").  When
     the subtraction raises the tail remainder energy twice in a row, it stops
     with status "diverged" and the terms placed so far, the last one included,
-    and skips the refinement.  Otherwise `refine_sweeps` re-estimation sweeps
-    refit each term against the members with all other terms removed, which
+    and skips the refinement.  Otherwise two re-estimation sweeps refit each
+    term against the members with all other terms removed, which
     suppresses the first-order cross-talk between separated terms.  Neither
     pass accepts terms whose energies exceed the input budget.
     """
@@ -440,7 +440,7 @@ def extract(
             status = "max-terms"
 
     if len(terms) > 1 and status != "diverged":
-        for _ in range(max(0, refine_sweeps)):
+        for _ in range(_REFINE_SWEEPS):
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
@@ -471,6 +471,9 @@ def extract(
 
 _DWEAK_SLOW_RATIO = 0.5
 _DWEAK_FLOOR = 0.05
+# the random tracks: this many (scale, center) draws from this seed
+_DWEAK_TRACKS = 6
+_DWEAK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -490,38 +493,28 @@ def _as_disc_members(seq: FunctionSequence):
     ]
 
 
-def dweak_test(
-    seq: FunctionSequence,
-    probe_count: int = 6,
-    seed: int = 0,
-    n_random_tracks: int = 6,
-    j_max: int = 24,
-) -> DWeakReport:
+def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
     """Search dislocation tracks for a non-vanishing deflated pairing.
 
-    Tracks come from the identity dislocation, the concentration detector on
-    each member, and seeded random (scale, center) draws; pairings are taken
-    against a fixed probe set in the Dirichlet form.  One detector scan covers
-    all members, and the (member, track) pairs are deflated in groups of one
-    (j, zeta): each polar net is built once.  A scale-j deflation is
-    j-fold symmetric, so on its grid the probes are order-j blocks, without
-    the entries whose angular mode j does not divide (they pair to 0).  A
-    small maximal tail pairing is numerical evidence of dislocation-weak
-    vanishing; a large one is a certificate of concentration, reported with
-    its witnessing track.
+    Tracks come from the identity dislocation, the unrefined concentration
+    detector on each member, and six random (scale, center) draws from seed
+    0; pairings are taken against the six probes of `disc.make_probes` in
+    the Dirichlet form.  One detector scan covers all members, and the
+    (member, track) pairs are deflated in groups of one (j, zeta): each
+    polar net is built once.  A scale-j deflation is j-fold symmetric, so on
+    its grid the probes are order-j blocks, without the entries whose
+    angular mode j does not divide (they pair to 0).  A small maximal tail
+    pairing is numerical evidence of dislocation-weak vanishing; a large one
+    is a certificate of concentration, reported with its witnessing track.
     """
     if j_max < 1:
         raise ValueError("the scale cap must be at least 1 (j_max >= 1)")
-    if probe_count < 1:
-        raise ValueError("the probe count must be at least 1 (probe_count >= 1)")
-    if n_random_tracks < 0:
-        raise ValueError("the random track count must be nonnegative")
     members = _as_disc_members(seq)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DWEAK_SEED)
     probes: dict = {}  # the probe stack of one output (grid, order): the groups run in increasing j
 
     tracks: list[tuple[int, complex, str]] = [(1, 0.0 + 0.0j, "identity")]
-    for _ in range(n_random_tracks):
+    for _ in range(_DWEAK_TRACKS):
         j = int(rng.integers(1, j_max + 1))
         zeta = complex(*(rng.uniform(-0.35, 0.35, size=2)))
         tracks.append((j, zeta, "random"))
@@ -546,7 +539,7 @@ def dweak_test(
             key = (w.grid, w.order)
             if key not in probes:
                 probes.clear()
-                probes[key] = disc._ProbeStack(disc.make_probes(w.grid, probe_count, w.order))
+                probes[key] = disc._ProbeStack(disc.make_probes(w.grid, disc._PROBE_COUNT, w.order))
             pairings[k, t] = disc.max_pairing(w, probes[key])
 
     per_member = []

@@ -178,6 +178,11 @@ def _noise_member(grid, rng, k: int, noise_energy: float) -> disc.DiscFunction:
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     noisy = disc.angular_mode(prof, grid, mode, phase)
     e = disc.energy(noisy)
+    if e == 0.0:
+        raise ValueError(
+            f"the noise profile lives on {prof.nodes[1]} < t < {prof.nodes[-1]} and "
+            f"vanishes on a grid with s_max {grid.s_max}"
+        )
     return disc.scale_disc(noisy, math.sqrt(noise_energy / e))
 
 
@@ -199,8 +204,8 @@ def synthetic_superposition(
     ground truth for extractor scoring.
     """
     terms = list(terms)
-    if noise_energy < 0:
-        raise ValueError("noise energy must be nonnegative")
+    if not 0.0 <= noise_energy < math.inf:
+        raise ValueError(f"noise energy must be finite and nonnegative, got {noise_energy!r}")
     for i in range(len(terms)):
         for m in range(i + 1, len(terms)):
             if not orthogonality_check(terms[i], terms[m]):
@@ -277,9 +282,12 @@ def build_sequence(spec: GeneratorSpec) -> tuple[FunctionSequence, dict]:
                 raise ValueError(f"superposition term {norms.index(0.0)}: the profile has zero energy")
             terms = [ProfileTerm(scale(t.w, 1.0 / n), t.j_track, t.zeta_track)
                      for t, n in zip(terms, norms)]
+            try:
+                noise_energy = disc._real(p.get("noise_energy", 0.0), "noise_energy")
+            except ValueError as exc:
+                raise ValueError(f"{malformed}{exc}") from exc
             seq, manifest = synthetic_superposition(
-                terms, float(p.get("noise_energy", 0.0)), spec.seed, grid,
-                k_list=p.get("k_list"),
+                terms, noise_energy, spec.seed, grid, k_list=p.get("k_list"),
             )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"{malformed}{exc}") from exc

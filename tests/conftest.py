@@ -129,6 +129,30 @@ def pairing(u, v) -> float:
     return float(disc._pair(u, [v])[0])
 
 
+def detections(us, eps, j_max, refine, top_k):
+    """concentration_detect of every member, from one scan of them all;
+    with `refine` false, the ranked and merged candidates before the refine step."""
+    return [disc._detect(u, rows, eps, j_max, refine, top_k)
+            for u, rows in zip(us, disc._scan(us, j_max))]
+
+
+def greedy_extract(seq, **kw):
+    """`profiles.extract` with no refine sweep: its greedy pass alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "_REFINE_SWEEPS", 0)
+        return profiles.extract(seq, **kw)
+
+
+def dweak_test_at(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
+    """`profiles.dweak_test` with its probe count, random track count and seed
+    set to the given values: the settings that `old_dweak_test` takes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disc, "_PROBE_COUNT", probe_count)
+        mp.setattr(profiles, "_DWEAK_SEED", seed)
+        mp.setattr(profiles, "_DWEAK_TRACKS", n_random_tracks)
+        return profiles.dweak_test(seq, j_max=j_max)
+
+
 @st.composite
 def grids(draw):
     return disc.PolarGrid(
@@ -450,7 +474,7 @@ def old_moser_sequence(s_list, centers, grid=None, form="translate"):
     return profiles.FunctionSequence(members, range(1, len(members) + 1))
 
 
-def old_weak_discontinuity_demo(s_list, centers, grid=None, probe_count=6):
+def old_weak_discontinuity_demo(s_list, centers, grid=None):
     """The translate demo's cases on its own 512 x 256 default grid, each
     profile scaled by the gradient budget 1, through the shared pipeline."""
     s_arr = [float(s) for s in s_list]
@@ -465,7 +489,7 @@ def old_weak_discontinuity_demo(s_list, centers, grid=None, probe_count=6):
     for s, L, z in zip(s_arr, L_arr, zetas):
         prof = radial.scale(radial.moser_annular(L, -math.log1p(-abs(z))), 1.0)
         cases.append(({"s": s, "center": [z.real, z.imag]}, prof, disc.DislocationParam(1, z), prof))
-    return functional._demo_report(grid, cases, probe_count, {"gradient_budget": 1.0})
+    return functional._demo_report(grid, cases, {"gradient_budget": 1.0})
 
 
 def old_dilation_concentration_demo(base, j_list):
@@ -474,7 +498,7 @@ def old_dilation_concentration_demo(base, j_list):
     grid = disc.PolarGrid(n_r=512, n_theta=128, s_max=float(base.nodes[-1]) * max(js) + 2.0)
     cases = [({"j": j}, base, disc.DislocationParam(j, 0.0), radial.gauge_apply(base, 1.0 / j))
              for j in js]
-    return functional._demo_report(grid, cases, 6, {"base_grad_norm": radial.grad_norm(base)})
+    return functional._demo_report(grid, cases, {"base_grad_norm": radial.grad_norm(base)})
 
 
 # -- the radial rearrangement with a Python worklist and a two-branch measure kernel ---------

@@ -224,6 +224,13 @@ class TestInflate:
 
 
 class TestDeflate:
+    @pytest.mark.parametrize("zeta", [complex(math.nan, 0.0), complex(0.1, math.nan),
+                                      complex(math.inf, 0.0), 1.5],
+                             ids=["nan", "nan-imag", "inf", "far"])
+    def test_dislocation_center_outside_the_closed_disc_is_rejected(self, zeta):
+        with pytest.raises(ValueError, match="^center must lie in the closed disc$"):
+            disc.DislocationParam(1, zeta)
+
     def test_identity_is_exact(self, bump):
         w = disc.deflate(bump, disc.DislocationParam(1, 0.0))
         assert np.max(np.abs(w.rings - bump.rings)) <= 1e-10
@@ -419,7 +426,7 @@ class TestDetect:
                 prof.values, 2,
             )
             u = disc.inflate(moved, disc.DislocationParam(1, 0.0), grid)
-            cands = disc.concentration_detect(u, eps=1e-4, j_max=12, refine=False)
+            cands = disc.concentration_detect(u, eps=1e-4, j_max=12)
             tops.append(cands[0][1] if cands else 0.0)
         assert tops[2] < tops[0]
 

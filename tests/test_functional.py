@@ -135,3 +135,8 @@ class TestConcentrationDemos:
     def test_center_near_boundary_rejected(self):
         with pytest.raises(ValueError, match="half-disc"):
             functional.weak_discontinuity_demo([0.2], [0.7 + 0.0j])
+
+    def test_nan_center_rejected(self):
+        for center in (complex(math.nan, 0.0), (0.1, math.nan)):
+            with pytest.raises(ValueError, match="^centers must stay in the closed half-disc$"):
+                functional.weak_discontinuity_demo([0.2], [center])

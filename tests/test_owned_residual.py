@@ -15,7 +15,8 @@ import pytest
 
 from moserlab import disc, profiles, seqgen
 from conftest import (
-    old_add, old_apply_bubbles, old_subtract, rough_disc, same_disc, smooth_plateau_profile,
+    greedy_extract, old_add, old_apply_bubbles, old_subtract, rough_disc, same_disc,
+    smooth_plateau_profile,
 )
 
 REL = 1e-12
@@ -114,13 +115,13 @@ def two_term_seq():
         0.01, seed=11, grid=grid, k_list=list(range(1, 7)),
     )
     kw = dict(eps_stop=0.05, max_terms=4, j_max=8)
-    return seq, kw, profiles.extract(seq, refine_sweeps=0, **kw)
+    return seq, kw, greedy_extract(seq, **kw)
 
 
 def test_extract_never_writes_its_inputs(two_term_seq):
     seq, kw, greedy = two_term_seq
     snap = snapshot(seq.members)
-    dec = profiles.extract(seq, refine_sweeps=2, **kw)
+    dec = profiles.extract(seq, **kw)
     # refits were accepted: the residual was updated
     assert len(dec.terms) == 2 and [t.to_dict() for t in dec.terms] != [
         t.to_dict() for t in greedy.terms]
@@ -142,7 +143,7 @@ def test_a_rejected_refit_leaves_the_greedy_residual(two_term_seq, monkeypatch):
 
     monkeypatch.setattr(profiles, "_place_term", rejecting)
     snap = snapshot(seq.members)
-    dec = profiles.extract(seq, refine_sweeps=2, **kw)
+    dec = profiles.extract(seq, **kw)
     assert len(rejected) == 2 * len(greedy.terms)
     # the terms are the greedy ones exactly; each residual is back up to rounding
     assert [t.to_dict() for t in dec.terms] == [t.to_dict() for t in greedy.terms]

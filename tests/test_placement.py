@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, profiles, seqgen
-from conftest import old_concentration_detect, same_disc, smooth_plateau_profile
+from conftest import detections, old_concentration_detect, same_disc, smooth_plateau_profile
 
 
 def superposition(grid, zetas, jt, seed):
@@ -44,16 +44,17 @@ def detector_inputs():
     return {"two": two, "noisy": noisy, "zero": zero}
 
 
-@pytest.mark.parametrize("kw", [
-    dict(eps=0.01, j_max=16, top_k=4),
-    dict(eps=0.01, j_max=16, top_k=4, refine=False),
-    dict(eps=1e-4, j_max=12, top_k=2, refine=False),
-    dict(eps=0.05),
+@pytest.mark.parametrize("kw, refine", [
+    (dict(eps=0.01, j_max=16, top_k=4), True),
+    (dict(eps=0.01, j_max=16, top_k=4), False),
+    (dict(eps=1e-4, j_max=12, top_k=2), False),
+    (dict(eps=0.05), True),
 ], ids=["refine", "raw", "dweak", "defaults"])
-def test_detector_matches_old_exactly(kw):
+def test_detector_matches_old_exactly(kw, refine):
     for name, u in detector_inputs().items():
-        new = disc.concentration_detect(u, **kw)
-        assert new == old_concentration_detect(u, **kw)
+        new = (disc.concentration_detect(u, **kw) if refine
+               else detections([u], refine=False, **kw)[0])
+        assert new == old_concentration_detect(u, refine=refine, **kw)
         assert bool(new) == (name != "zero")
 
 

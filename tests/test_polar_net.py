@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from moserlab import disc
 from conftest import (
-    bumps, detector_cases, grids, old_average_many, old_concentration_detect, old_deflate,
-    old_interpolate, old_scores, points, rough_disc, same_disc, seeds,
+    bumps, detections, detector_cases, grids, old_average_many, old_concentration_detect,
+    old_deflate, old_interpolate, old_scores, points, rough_disc, same_disc, seeds,
 )
 
 
@@ -92,8 +92,8 @@ def test_average_many_many_radii_one_center(grid, seed, zeta, js):
 def test_detector_scan_is_bit_equal(case, eps):
     grid, seed, centers, js, noise = case
     u = bumps(grid, seed, centers, js, noise)
-    kw = dict(eps=eps, j_max=16, refine=False, top_k=6)
-    assert disc.concentration_detect(u, **kw) == old_concentration_detect(u, **kw)
+    kw = dict(eps=eps, j_max=16, top_k=6)
+    assert detections([u], refine=False, **kw)[0] == old_concentration_detect(u, refine=False, **kw)
 
 
 @settings(max_examples=15, deadline=None)

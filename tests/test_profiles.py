@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moserlab import cli, disc, profiles, radial, rearrange, seqgen
-from conftest import smooth_plateau_profile, synthesized_term_error
+from conftest import greedy_extract, smooth_plateau_profile, synthesized_term_error
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,13 @@ class TestTypes:
             profiles.ProfileTerm(w, [3, 2, 1], [0.0] * 3)
         with pytest.raises(ValueError, match="half-disc"):
             profiles.ProfileTerm(w, [1, 2, 3], [0.9] * 3)
+
+    @pytest.mark.parametrize("zeta", [complex(math.nan, 0.0), complex(0.1, math.nan),
+                                      complex(math.inf, 0.0)], ids=["nan", "nan-imag", "inf"])
+    def test_profile_term_rejects_a_nonfinite_center(self, zeta):
+        w = radial.moser_annular(1.0, 0.5)
+        with pytest.raises(ValueError, match="^centers must stay in the closed half-disc$"):
+            profiles.ProfileTerm(w, [1, 2], [0.1, zeta])
 
     def test_fractional_indices_are_rejected_not_truncated(self, small_grid):
         w = radial.moser_annular(1.0, 0.5)
@@ -203,8 +210,7 @@ class TestExtract:
 
     def test_two_rises_of_the_tail_energy_are_a_status(self, two_planted, tmp_path,
                                                        monkeypatch):
-        greedy = profiles.extract(two_planted, eps_stop=0.05, max_terms=2, j_max=12,
-                                  refine_sweeps=0)
+        greedy = greedy_extract(two_planted, eps_stop=0.05, max_terms=2, j_max=12)
         place, rises = profiles._place_term, itertools.count(1)
 
         def rising(*args):  # every placement reports a higher tail energy
@@ -247,7 +253,7 @@ class TestLedger:
 class TestDWeak:
     def test_counterexample_is_dweak_null(self):
         seq = seqgen.counterexample_sequence(12)
-        rep = profiles.dweak_test(seq, probe_count=4, n_random_tracks=4, j_max=12)
+        rep = profiles.dweak_test(seq, j_max=12)
         assert rep.verdict == "dweak-null-evidence"
         assert rep.per_member[-1] < rep.per_member[0]
 
@@ -255,7 +261,7 @@ class TestDWeak:
         seq = seqgen.moser_sequence(
             [math.exp(-k) for k in (1, 2, 3, 4, 5)], [0.0] * 5
         )
-        rep = profiles.dweak_test(seq, probe_count=4, n_random_tracks=2, j_max=8)
+        rep = profiles.dweak_test(seq, j_max=8)
         assert rep.verdict == "non-vanishing"
         assert rep.per_member[-1] >= 0.8  # self-pairing of the profile
         assert rep.witness is not None
@@ -264,15 +270,12 @@ class TestDWeak:
         prof = radial.moser_annular(1.0, 0.3)
         u = disc.inflate(prof, disc.DislocationParam(1, 0.1), small_grid)
         seq = profiles.FunctionSequence([u] * 4, range(1, 5))
-        rep = profiles.dweak_test(seq, probe_count=4, n_random_tracks=2, j_max=8)
+        rep = profiles.dweak_test(seq, j_max=8)
         assert rep.verdict == "non-vanishing"
         assert rep.witness["kind"] in ("identity", "detector")
 
     @pytest.mark.parametrize("kw, message", [
         (dict(j_max=0), r"scale cap must be at least 1 \(j_max >= 1\)"),
-        (dict(j_max=0, n_random_tracks=0), r"scale cap must be at least 1"),
-        (dict(probe_count=0), r"probe count must be at least 1 \(probe_count >= 1\)"),
-        (dict(n_random_tracks=-1), r"random track count must be nonnegative"),
     ])
     def test_options_are_checked_before_the_scan(self, kw, message, monkeypatch):
         def no_scan(*args, **kwargs):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, rearrange, seqgen
 from moserlab.rearrange import expl2_quasinorm, rearrange_disc
-from conftest import old_cell_values_and_areas, smooth_plateau_profile
+from conftest import greedy_extract, old_cell_values_and_areas, smooth_plateau_profile
 
 REL = 1e-12
 NB = rearrange._EXPL2_BUCKETS
@@ -178,8 +178,8 @@ def two_term_run():
         0.01, seed=11, grid=grid, k_list=list(range(1, 7)),
     )
     kw = dict(eps_stop=0.05, max_terms=4, j_max=8)
-    refined = profiles.extract(seq, refine_sweeps=2, **kw)
-    greedy = profiles.extract(seq, refine_sweeps=0, **kw)
+    refined = profiles.extract(seq, **kw)
+    greedy = greedy_extract(seq, **kw)
     return seq, grid, refined, greedy
 
 

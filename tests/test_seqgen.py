@@ -92,7 +92,7 @@ class TestCounterexample:
 
     def test_dweak_pairings_vanish(self):
         seq = seqgen.counterexample_sequence(10)
-        rep = profiles.dweak_test(seq, probe_count=3, n_random_tracks=3, j_max=10)
+        rep = profiles.dweak_test(seq, j_max=10)
         assert rep.verdict == "dweak-null-evidence"
 
 
@@ -160,6 +160,16 @@ class TestSuperposition:
         t2 = profiles.ProfileTerm(w, [1, 2, 3], [0.06] * 3)
         with pytest.raises(ValueError, match="collide"):
             seqgen.synthetic_superposition([t1, t2], 0.0, 0, grid)
+
+    def test_noise_that_vanishes_on_the_grid_is_an_error(self):
+        # the noise tent lives on 0.8 < t < 2.6, past this grid's last ring
+        grid = disc.PolarGrid(n_r=64, n_theta=64, s_max=0.5)
+        with pytest.raises(ValueError, match=r"^the noise profile lives on 0\.8 < t < 2\.6 and "
+                                             r"vanishes on a grid with s_max 0\.5$"):
+            seqgen.synthetic_superposition([], 0.01, seed=0, grid=grid, k_list=[1, 2])
+        seq, manifest = seqgen.synthetic_superposition([], 0.0, seed=0, grid=grid, k_list=[1, 2])
+        assert [disc.energy(m) for m in seq.members] == [0.0, 0.0]
+        assert manifest["noise_energy"] == 0.0
 
     def test_noise_energy_exact(self):
         grid = disc.PolarGrid(n_r=192, n_theta=96, s_max=4.0)
@@ -231,6 +241,9 @@ class TestSuperposition:
         assert np.array_equal(loaded.members[2].values, seq.members[2].values)
 
 
+SMALL_GRID = {"n_r": 16, "n_theta": 32}
+
+
 class TestGeneratorContract:
     """build_sequence alone decides what valid generator input is."""
 
@@ -278,9 +291,26 @@ class TestGeneratorContract:
             for v in ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
         ], "grid": {"n_r": 16, "n_theta": 32}},
          "^superposition term 1: the profile has zero energy$"),
+        ("moser", {"s_values": [0.3], "centers": [[math.nan, 0.0]], "grid": SMALL_GRID},
+         "^centers must stay in the closed half-disc$"),
+        ("superposition", {"terms": [
+            {"profile": {"n": 2, "nodes": [0.0, 1.0, 2.0], "values": [0.0, 0.0, 1.0]},
+             "j_track": [1], "zeta_track": [[math.nan, 0.0]]}], "grid": SMALL_GRID},
+         "^centers must stay in the closed half-disc$"),
+        ("superposition", {"noise_energy": "0.01", "k_list": [1], "grid": SMALL_GRID},
+         r"^malformed superposition parameters: noise_energy: '0\.01' is not a real number$"),
+        ("superposition", {"noise_energy": True, "k_list": [1], "grid": SMALL_GRID},
+         "^malformed superposition parameters: noise_energy: True is not a real number$"),
+        ("superposition", {"noise_energy": math.nan, "k_list": [1], "grid": SMALL_GRID},
+         "^noise energy must be finite and nonnegative, got nan$"),
+        ("superposition", {"noise_energy": math.inf, "k_list": [1], "grid": SMALL_GRID},
+         "^noise energy must be finite and nonnegative, got inf$"),
+        ("superposition", {"noise_energy": -0.01, "k_list": [1], "grid": SMALL_GRID},
+         r"^noise energy must be finite and nonnegative, got -0\.01$"),
     ], ids=["counterexample-grid", "moser-no-grid", "moser-string-s", "moser-string-center",
             "moser-three-coordinates", "moser-null-coordinate", "vanishing-no-grid", "not-a-dict",
-            "terms-object", "zero-profile"])
+            "terms-object", "zero-profile", "moser-nan-center", "nan-zeta-track", "string-noise",
+            "bool-noise", "nan-noise", "infinite-noise", "negative-noise"])
     def test_spec_rejections(self, kind, params, reason):
         with pytest.raises(ValueError, match=reason):
             seqgen.build_sequence(seqgen.GeneratorSpec(kind, params))

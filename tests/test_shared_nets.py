@@ -20,16 +20,10 @@ from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, seqgen
 from conftest import (
-    bumps, detector_cases, grids, old_concentration_detect, old_deflate, old_dweak_test,
-    old_interpolate, old_scores, points, rough_disc, same_disc, seeds, smooth_plateau_profile,
-    zero_member,
+    bumps, detections, detector_cases, dweak_test_at, grids, old_concentration_detect, old_deflate,
+    old_dweak_test, old_interpolate, old_scores, points, rough_disc, same_disc, seeds,
+    smooth_plateau_profile, zero_member,
 )
-
-
-def detections(us, eps, j_max, refine, top_k):
-    """concentration_detect of every member, from one scan of them all."""
-    return [disc._detect(u, rows, eps, j_max, refine, top_k)
-            for u, rows in zip(us, disc._scan(us, j_max))]
 
 
 # -- one net, sampled bit-equal to the old interpolation ------------------------------
@@ -119,11 +113,11 @@ def test_detections_of_many_members_are_the_old_ones(case, seed, eps, top_k):
     grid, seed0, centers, js, noise = case
     us = [bumps(grid, seed0, centers, js, noise), rough_disc(grid, seed),
           bumps(grid, seed0 + 1, centers[::-1], js, noise)]
-    kw = dict(eps=eps, j_max=10, refine=False, top_k=top_k)
-    assert detections(us, **kw) == [old_concentration_detect(u, **kw) for u in us]
+    kw = dict(eps=eps, j_max=10, top_k=top_k)
+    assert detections(us, refine=False, **kw) == [
+        old_concentration_detect(u, refine=False, **kw) for u in us]
     # refined, every member's detections are its one-member ones
-    kw["refine"] = True
-    assert detections(us, **kw) == [disc.concentration_detect(u, **kw) for u in us]
+    assert detections(us, refine=True, **kw) == [disc.concentration_detect(u, **kw) for u in us]
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,7 +191,7 @@ DWEAK_CASES = [
                          ids=["counterexample", "moser", "zero-members", "mixed-orders", "radial"])
 def test_dweak_test_is_exactly_the_old_one(make_seq, kw):
     seq = make_seq()
-    new, old = profiles.dweak_test(seq, **kw), old_dweak_test(seq, **kw)
+    new, old = dweak_test_at(seq, **kw), old_dweak_test(seq, **kw)
     assert new == old
 
 
@@ -219,9 +213,9 @@ def test_a_deflation_failing_for_one_member_skips_only_that_pair(monkeypatch):
             raise ValueError("this deflation fails")
         return owned(grid, center, rings, *args, **kwargs)
 
-    clean = profiles.dweak_test(seq, **kw)
+    clean = dweak_test_at(seq, **kw)
     monkeypatch.setattr(disc.DiscFunction, "_owned", staticmethod(failing))
-    new = profiles.dweak_test(seq, **kw)
+    new = dweak_test_at(seq, **kw)
     old = old_dweak_test(seq, **kw)
     assert len(hits) == 2  # one (member, track) pair, once in each test
     assert new == old
@@ -256,19 +250,19 @@ def test_the_scan_builds_one_net_per_scale_and_width_and_frees_it(nets):
 
 def test_dweak_builds_one_net_per_scale_and_per_track_and_frees_them(nets):
     seq = seqgen.counterexample_sequence(5)
-    kw = dict(probe_count=3, n_random_tracks=3, j_max=6, seed=1)
-    rep = profiles.dweak_test(seq, **kw)
+    j_max = 6
+    rep = profiles.dweak_test(seq, j_max=j_max)
     assert all(ref() is None for ref in nets)
     built = len(nets)
     members = profiles._as_disc_members(seq)
-    dets = detections(members, 1e-4, kw["j_max"], refine=False, top_k=2)
-    rng = np.random.default_rng(kw["seed"])
+    dets = detections(members, 1e-4, j_max, refine=False, top_k=2)
+    rng = np.random.default_rng(profiles._DWEAK_SEED)
     tracks = {(1, 0j)}
-    for _ in range(kw["n_random_tracks"]):
-        j = int(rng.integers(1, kw["j_max"] + 1))
+    for _ in range(profiles._DWEAK_TRACKS):
+        j = int(rng.integers(1, j_max + 1))
         tracks.add((j, complex(*(rng.uniform(-0.35, 0.35, size=2)))))
     tracks |= {(c[0].j, c[0].zeta) for cands in dets for c in cands}
-    assert built == kw["j_max"] + len(tracks)
+    assert built == j_max + len(tracks)
     assert rep.per_member
 
 
@@ -334,7 +328,7 @@ def test_dweak_builds_each_probe_set_once_in_increasing_j_and_frees_it(monkeypat
 
     monkeypatch.setattr(disc, "make_probes", recorded)
     seq = seqgen.moser_sequence([math.exp(-k) for k in range(1, 5)], [0.1 + 0.05j] * 4)
-    rep = profiles.dweak_test(seq, probe_count=4, n_random_tracks=4, j_max=8, seed=3)
+    rep = profiles.dweak_test(seq, j_max=8)
     assert rep.per_member
     assert len(built) == len(set(built)) > 2
     orders = [order for _, order in built]  # a scale-j deflation has order j

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, rearrange, seqgen
 from conftest import (
-    nonradial_test_function, old_deflate, old_dweak_test, pairing, rough_disc, same_disc, seeds,
+    dweak_test_at, nonradial_test_function, old_deflate, old_dweak_test, pairing, rough_disc,
+    same_disc, seeds,
 )
 
 REL = 1e-12
@@ -241,7 +242,7 @@ def test_dweak_test_to_scale_32_matches_the_tiled_path():
         [math.exp(-k) for k in (1, 2, 3)], [0.1 + 0.05j] * 3, grid=MOSER_GRID
     )
     kw = dict(probe_count=6, n_random_tracks=4, j_max=32, seed=1)
-    assert profiles.dweak_test(seq, **kw) == old_dweak_test(seq, **kw)
+    assert dweak_test_at(seq, **kw) == old_dweak_test(seq, **kw)
 
 
 # -- memory is bounded in j ------------------------------------------------------------------
