@@ -50,6 +50,7 @@ rejects "$tmp/rejected-noise" 1 "noise_energy: '0.01' is not a real number" \
 echo '{"terms": [{"profile": {"n": 2, "nodes": [0, 1, 2], "values": [0, 0, 1]}, "j_track": [1], "zeta_track": [[NaN, 0]]}], "grid": {"n_r": 32, "n_theta": 32}}' > "$tmp/nan_center.json"
 rejects "$tmp/rejected-nan-center" 1 "centers must stay in the closed half-disc" \
   generate --kind superposition --params "$tmp/nan_center.json"
+rejects "$tmp/rejected-seed" 1 "seed: -1 is negative" generate --kind superposition --seed -1
 moserlab generate --kind superposition --params "$tmp/float_grid.json" --out "$tmp/float-grid"
 moserlab generate --kind vanishing --grid-nr 96 --grid-ntheta 96 --out "$tmp/van"
 moserlab norms --input "$tmp/van/member_0004.json" --out "$tmp/van-norms"

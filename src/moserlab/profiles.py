@@ -9,25 +9,27 @@ the weak limit, subtract the synthesized term from every member, and repeat
 until the remainder is small in the working exponential-class quasinorm or a
 term cap is reached.
 
-One placement step, `_place_term`, fits and subtracts for both passes: it
-fits a term from each starting (scale, center) and keeps, among the terms
-that fit the input energy budget, the one whose subtraction leaves the least
-tail energy, ties broken by smaller scale, then lexicographic center, then
-the whole track.  The greedy pass starts it from every detection scoring at
-least half the best one; two consecutive increases of the tail remainder
-energy stop it with status "diverged", unrefined.  A refine sweep starts it
-from a term's last (scale, center) on the members cleaned of every other term.
+One placement step, `_place_term`, fits and chooses for both passes, and
+only reads the members: it fits a term from each starting (scale, center)
+and chooses, among the terms that fit the input energy budget, the one whose
+subtraction leaves the least tail energy, ties broken by smaller scale, then
+lexicographic center, then the whole track.  The greedy pass starts it from
+every detection scoring at least half the best one; a refine sweep, from a
+term's last (scale, center) on the members cleaned of every other term.
 
 The members carry one running residual, an owned copy of the inputs made
-once, and `_apply_bubbles` alone changes it, in place: it subtracts the
-chosen term's bubbles from every member, the tail included.  A refine sweep
-adds a term's bubbles back and refits, then subtracts the refit, or the old
-bubbles if it is rejected.  A fit is ranked without a subtraction, by the
-closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the tail energy it
-leaves, s its tail bubble.  A bubble depends only on the term's (scale,
-center) at an index, and a track repeats few of them, so each application
-builds one field -log|z - zeta| per distinct center and one bubble per
-distinct (j, zeta), applied to every member of its group.
+once, and `extract` makes every update of it, in place, by `_apply_bubbles`:
+the greedy pass subtracts each chosen term from every member, the tail
+included; a refine step adds its term back, refits, then subtracts the
+refit, or the old term if the refit is rejected.  Each greedy iteration
+checks, in order: the tail remainder below eps_stop ("converged"), the term
+cap ("max-terms"), no placement ("no-candidates"), a second rise in a row
+of the tail energy ("diverged", unrefined).  A fit is ranked without a
+subtraction, by the closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the
+tail energy it leaves, s its tail bubble.  A bubble depends only on the
+term's (scale, center) at an index, and a track repeats few of them, so each
+application builds one field -log|z - zeta| per distinct center and one
+bubble per distinct (j, zeta), applied to every member of its group.
 """
 
 from __future__ import annotations
@@ -330,20 +332,18 @@ def _fit_term(tail, track, w):
 
 
 def _place_term(members, starts, j_max, fits_budget):
-    """Fit a term from each start and subtract the best one from every member.
+    """The best term fitted from the starts: (closed-form tail energy, term), or None.
 
     The best term leaves the least tail energy, ties broken by smaller scale,
     then lexicographic center at the tail, then the whole track (two starts
     can refine to the same tail bubble but different early centers), so the
     order of the starts never decides.  Starts whose fit fails, whose term
     `fits_budget` rejects, or whose track repeats an earlier one (track and
-    profile fix the fit) are skipped.  Returns (closed-form tail energy,
-    term), subtracted in place from the members, or None, members untouched.
+    profile fix the fit) are skipped.  The members are only read.
     """
     # the members do not change between starts: one tail energy and one memo serve them all
     tail = (members[-1], float(disc._pair(members[-1], members[-1:])[0]))
-    chosen = None
-    tracks = []
+    tracks, fits = [], []  # every distinct track; (key, term) of each kept fit
     memo: dict = {}
     for d0 in starts:
         track, w = _track_candidate(members, d0, j_max, memo)
@@ -351,18 +351,14 @@ def _place_term(members, starts, j_max, fits_budget):
             continue
         tracks.append(track)
         fit = _fit_term(tail, track, w)
-        if fit is None or not fits_budget(fit[0]):
-            continue
-        term, tail_energy = fit
-        zl = term.zeta_track[-1]
-        key = (tail_energy, term.j_track[-1], zl.real, zl.imag,
-               term.j_track, [(z.real, z.imag) for z in term.zeta_track])
-        if chosen is None or key < chosen[0]:
-            chosen = (key, term)
-    if chosen is None:
+        if fit is not None and fits_budget(fit[0]):
+            term, tail_energy = fit
+            zl = term.zeta_track[-1]
+            fits.append(((tail_energy, term.j_track[-1], zl.real, zl.imag, term.j_track,
+                          [(z.real, z.imag) for z in term.zeta_track]), term))
+    if not fits:
         return None
-    key, term = chosen
-    _apply_bubbles(_SUBTRACT, members, term, members[0].grid)
+    key, term = min(fits, key=lambda fit: fit[0])
     return key[0], term
 
 
@@ -384,15 +380,15 @@ def extract(
 ) -> Decomposition:
     """Iterative detect / deflate / subtract extraction of concentration terms.
 
-    Stops when the tail remainder drops below eps_stop in the exponential
-    quasinorm (status "converged"), no candidate is placed ("no-candidates"),
-    or max_terms are placed with the tail still above it ("max-terms").  When
-    the subtraction raises the tail remainder energy twice in a row, it stops
-    with status "diverged" and the terms placed so far, the last one included,
-    and skips the refinement.  Otherwise two re-estimation sweeps refit each
-    term against the members with all other terms removed, which
-    suppresses the first-order cross-talk between separated terms.  Neither
-    pass accepts terms whose energies exceed the input budget.
+    Stops, checked in this order, when the tail remainder is below eps_stop
+    in the exponential quasinorm (status "converged"), max_terms are placed
+    ("max-terms"), no candidate is placed ("no-candidates"), or a placement
+    raised the tail remainder energy, as did the one before it ("diverged":
+    the terms placed so far are kept, the last one included, unrefined).
+    Otherwise two re-estimation sweeps refit each term against the members
+    with all other terms removed, which suppresses the first-order
+    cross-talk between separated terms.  Neither pass accepts terms whose
+    energies exceed the input budget.
     """
     _check_options(eps_stop, max_terms, j_max)
     if not seq.is_disc():
@@ -400,63 +396,51 @@ def extract(
     if any(u.order > 1 for u in seq.members):
         raise ValueError("extraction operates on members of symmetry order 1")
     members = [disc._owned_copy(u) for u in seq.members]
+    grid = members[0].grid
     input_limsup = max(seq.energies)
 
     terms: list[ProfileTerm] = []
-    status = "converged"
-    prev_tail_energy = seq.energies[-1]
-    increases = 0
-    tail_norm = None  # the tail's remainder norm, while no bubble has changed the members since
-
-    for _ in range(max_terms):
+    tail_energies = [seq.energies[-1]]  # the tail's energy at the start and after each placement
+    while True:
+        # the tail's remainder norm, kept while no bubble changes the members
         tail_norm = expl2_disc(members[-1])
         if tail_norm < eps_stop:
+            status = "converged"
+            break
+        if len(terms) == max_terms:
+            status = "max-terms"
             break
         cands = disc.concentration_detect(
             members[-1], eps=eps_stop / 4.0, j_max=j_max, top_k=4
         )
         shortlist = [d0 for d0, score in cands if score >= 0.5 * cands[0][1]]
-        placed = _place_term(
-            members, shortlist, j_max,
-            lambda t: _within_budget(terms + [t], input_limsup),
-        )
+        placed = _place_term(members, shortlist, j_max,
+                             lambda t: _within_budget(terms + [t], input_limsup))
         if placed is None:
             status = "no-candidates"
             break
-        tail_norm = None
         tail_energy, term = placed
+        _apply_bubbles(_SUBTRACT, members, term, grid)
         terms.append(term)
-        if tail_energy > prev_tail_energy + 1e-12:
-            increases += 1
-            if increases >= 2:
-                status = "diverged"
-                break
-        else:
-            increases = 0
-        prev_tail_energy = tail_energy
-    else:  # every placement ran
-        tail_norm = expl2_disc(members[-1])
-        if tail_norm >= eps_stop:
-            status = "max-terms"
+        tail_energies.append(tail_energy)
+        rises = [b > a + 1e-12 for a, b in zip(tail_energies, tail_energies[1:])]
+        if rises[-2:] == [True, True]:
+            status, tail_norm = "diverged", None
+            break
 
     if len(terms) > 1 and status != "diverged":
+        tail_norm = None
         for _ in range(_REFINE_SWEEPS):
             for i in range(len(terms)):
                 old = terms[i]
                 # the running residual plus term i: every other term removed
-                _apply_bubbles(_ADD, members, old, members[0].grid)
-                tail_norm = None
+                _apply_bubbles(_ADD, members, old, grid)
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
-                placed = _place_term(
-                    members, [d0], j_max,
-                    lambda t: _within_budget(
-                        terms[:i] + [t] + terms[i + 1:], input_limsup
-                    ),
-                )
-                if placed is None:
-                    _apply_bubbles(_SUBTRACT, members, old, members[0].grid)
-                else:
+                placed = _place_term(members, [d0], j_max, lambda t: _within_budget(
+                    terms[:i] + [t] + terms[i + 1:], input_limsup))
+                if placed is not None:
                     terms[i] = placed[1]
+                _apply_bubbles(_SUBTRACT, members, terms[i], grid)
     remainder = tuple(expl2_disc(u) for u in members[:-1])
     remainder += (expl2_disc(members[-1]) if tail_norm is None else tail_norm,)
     return Decomposition(
@@ -511,7 +495,8 @@ def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
         raise ValueError("the scale cap must be at least 1 (j_max >= 1)")
     members = _as_disc_members(seq)
     rng = np.random.default_rng(_DWEAK_SEED)
-    probes: dict = {}  # the probe stack of one output (grid, order): the groups run in increasing j
+    # the probe stack of one output (grid, order) and its key: the groups run in increasing j
+    probe_key, probes = None, None
 
     tracks: list[tuple[int, complex, str]] = [(1, 0.0 + 0.0j, "identity")]
     for _ in range(_DWEAK_TRACKS):
@@ -536,24 +521,20 @@ def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
                 w = disc._deflated(members[k], d, vals)
             except ValueError:
                 continue
-            key = (w.grid, w.order)
-            if key not in probes:
-                probes.clear()
-                probes[key] = disc._ProbeStack(disc.make_probes(w.grid, disc._PROBE_COUNT, w.order))
-            pairings[k, t] = disc.max_pairing(w, probes[key])
+            if (w.grid, w.order) != probe_key:
+                probe_key, probes = (w.grid, w.order), None  # the old stack is freed first
+                probes = disc._ProbeStack(disc.make_probes(w.grid, disc._PROBE_COUNT, w.order))
+            pairings[k, t] = disc.max_pairing(w, probes)
 
-    per_member = []
-    witness = None
+    per_member, witness = [], None
     for k, lst in enumerate(local):
-        best = 0.0
-        best_track = None
-        for t, (j, zeta, kind) in enumerate(lst):
-            val = pairings.get((k, t), 0.0)  # a failed deflation pairs to nothing
-            if val > best:
-                best = val
-                best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
+        # the first largest pairing above 0; a failed deflation pairs to nothing
+        best, track = max([(0.0, None)] + [(pairings.get((k, t), 0.0), x)
+                                           for t, x in enumerate(lst)], key=lambda c: c[0])
         per_member.append(best)
-        witness = best_track if best_track is not None else witness
+        if track is not None:
+            j, zeta, kind = track
+            witness = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
     if tail_decayed(per_member, _DWEAK_SLOW_RATIO, _DWEAK_FLOOR):
         verdict = "dweak-null-evidence"
     else:

@@ -338,15 +338,11 @@ def _gl_panel(lo, hi, f_lo, f_hi, p, q, alpha):
 
 
 def _integrate_pieces(lo, hi, f_lo, f_hi, p, q, alpha) -> float:
-    total = 0.0
-    cap = np.isinf(hi)
-    for k in np.nonzero(cap)[0]:
-        part = _cap_integral(lo[k], f_lo[k], p, q, alpha)
-        if math.isinf(part):
-            return math.inf
-        total += part
-    fin = ~cap
-    lo_f, hi_f, a_f, b_f = lo[fin], hi[fin], f_lo[fin], f_hi[fin]
+    """Integral over `pieces()`: the cap is piece 0, the finite pieces follow."""
+    total = _cap_integral(lo[0], f_lo[0], p, q, alpha)
+    if math.isinf(total):
+        return math.inf
+    lo_f, hi_f, a_f, b_f = lo[1:], hi[1:], f_lo[1:], f_hi[1:]
     if lo_f.size == 0:
         return total
     if p == math.inf:
@@ -378,6 +374,7 @@ def _integrate_pieces(lo, hi, f_lo, f_hi, p, q, alpha) -> float:
 
 
 def _sup_pieces(lo, hi, f_lo, f_hi, p, alpha) -> float:
+    """Weighted sup over `pieces()`: the cap is piece 0, the finite pieces follow."""
     invp = 0.0 if p == math.inf else 1.0 / p
 
     def weight(ell):
@@ -386,24 +383,15 @@ def _sup_pieces(lo, hi, f_lo, f_hi, p, alpha) -> float:
             w = w * np.exp((1.0 - ell) * invp)
         return w
 
-    best = 0.0
-    cap = np.isinf(hi)
-    for k in np.nonzero(cap)[0]:
-        w0 = f_lo[k]
-        if w0 <= 0.0:
-            continue
-        if invp == 0.0:
-            if alpha > 0.0:
-                return math.inf
-            best = max(best, w0 * float(weight(lo[k])))
-        else:
-            cands = [lo[k]]
-            crit = alpha / invp
-            if crit > lo[k]:
-                cands.append(crit)
-            best = max(best, w0 * float(np.max(weight(np.array(cands)))))
-    fin = ~cap
-    la, lb, fa, fb = lo[fin], hi[fin], f_lo[fin], f_hi[fin]
+    best, w0 = 0.0, f_lo[0]
+    if w0 > 0.0 and invp == 0.0:
+        if alpha > 0.0:
+            return math.inf
+        best = max(best, w0 * float(weight(lo[0])))
+    elif w0 > 0.0:
+        cands = [lo[0]] + ([alpha / invp] if alpha / invp > lo[0] else [])
+        best = max(best, w0 * float(np.max(weight(np.array(cands)))))
+    la, lb, fa, fb = lo[1:], hi[1:], f_lo[1:], f_hi[1:]
     if la.size == 0:
         return best
     B = (fb - fa) / (lb - la)

@@ -59,6 +59,9 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if not isinstance(self.params, dict):
             raise ValueError(f"malformed {self.kind} parameters: not a JSON object")
+        object.__setattr__(self, "seed", disc._integer(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed: {self.seed} is negative")
 
 
 # -- concentrating ramp sequences ------------------------------------------------
@@ -204,6 +207,7 @@ def synthetic_superposition(
     ground truth for extractor scoring.
     """
     terms = list(terms)
+    noise_energy = disc._real(noise_energy, "noise_energy")
     if not 0.0 <= noise_energy < math.inf:
         raise ValueError(f"noise energy must be finite and nonnegative, got {noise_energy!r}")
     for i in range(len(terms)):

@@ -208,7 +208,7 @@ def test_sequence_bound_is_on_the_gradient_norm(superposed):
 
 
 def _place_counting_fits(members, starts):
-    """(placement, members after it, the tracks fitted), from owned copies of the members."""
+    """(placement, members less its term, the tracks fitted), from owned copies of the members."""
     fits, fit = [], profiles._fit_term
 
     def counted_fit(tail, track, *args):
@@ -219,6 +219,7 @@ def _place_counting_fits(members, starts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "_fit_term", counted_fit)
         placed = profiles._place_term(members, starts, 8, lambda t: True)
+    profiles._apply_bubbles(profiles._SUBTRACT, members, placed[1], members[0].grid)
     return placed, members, fits
 
 

@@ -82,9 +82,20 @@ def placement_setup():
 
 
 def place(members, starts, limit):
+    """The placement and the members less its term, as `extract` subtracts it."""
     members = [disc._owned_copy(u) for u in members]
     placed = profiles._place_term(members, starts, 8, lambda t: t.energy() <= limit)
+    if placed is not None:
+        profiles._apply_bubbles(profiles._SUBTRACT, members, placed[1], members[0].grid)
     return placed, members
+
+
+def test_placement_only_reads_the_members(placement_setup):
+    members, starts = placement_setup[:2]
+    owned = [disc._owned_copy(u) for u in members]
+    assert profiles._place_term(owned, starts, 8, lambda t: True) is not None
+    for u, v in zip(owned, members):
+        assert u.center == v.center and np.array_equal(u.rings, v.rings)
 
 
 @settings(max_examples=25, deadline=None)

@@ -235,6 +235,32 @@ class TestExtract:
         assert sorted(p.name for p in out.glob("term_*.json")) == ["term_00.json", "term_01.json"]
 
 
+    @pytest.mark.parametrize("steps, status, n_terms", [
+        ([1.0, -0.5, 1.0], "no-candidates", 3),  # rise, fall, rise
+        ([1.0, 1.0, -1.0], "diverged", 2),  # two rises in a row: it stops after the second
+        ([-1.0, 1.0, 1.0, -1.0], "diverged", 3),
+        ([1e-12, 1e-12, 1e-12], "no-candidates", 3),  # a step of 1e-12 is no rise
+    ])
+    def test_the_stop_rule_reads_the_last_two_steps_of_the_tail_energy(
+            self, steps, status, n_terms, monkeypatch):
+        grid = disc.PolarGrid(n_r=64, n_theta=64, s_max=4.5)
+        w, jt, zt = smooth_plateau_profile(0.69, 1.0), [1, 2, 2, 3], [0.2] * 4
+        seq, _ = seqgen.synthetic_superposition([profiles.ProfileTerm(w, jt, zt)], 0.0,
+                                                seed=0, grid=grid)
+        tiny = profiles.ProfileTerm(radial.scale(w, 1e-3), jt, zt)  # the tail norm stays up
+        # the tail energies the placements report, one step after another
+        energies = list(itertools.accumulate(steps, initial=seq.energies[-1]))[1:]
+        calls = []
+
+        def place(*args):  # one report per placement; none once they run out
+            calls.append(None)
+            return (energies.pop(0), tiny) if energies else None
+
+        monkeypatch.setattr(profiles, "_place_term", place)
+        dec = greedy_extract(seq, eps_stop=0.05, max_terms=10, j_max=8)
+        assert dec.status == status and len(dec.terms) == n_terms
+        assert len(calls) == n_terms + (status == "no-candidates")
+
 class TestLedger:
     def test_empty_decomposition(self):
         dec = profiles.Decomposition((), (0.0,), input_energy_limsup=1.0)

@@ -198,6 +198,19 @@ def test_nan_and_infinite_indices_rejected(p, q, alpha, reason):
         rearrange.LZIndex(p, q, alpha)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["step", "loglin"]),
+       st.lists(st.floats(1e-300, 1.0, exclude_max=True), max_size=30, unique=True), st.data())
+def test_pieces_have_one_cap_at_index_0(kind, inner, data):
+    # the quasinorm integrators read piece 0 as the cap and the rest as finite pieces
+    bp = sorted(inner) + [1.0]
+    n = len(bp) + (kind == "loglin")
+    values = sorted(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)), reverse=True)
+    lo, hi, f_lo, f_hi = rearrange.RearrangedFunction(bp, values, kind).pieces()
+    assert np.isinf(hi).tolist() == [True] + [False] * (len(bp) - 1)
+    assert np.isfinite(lo).all() and f_lo[0] == f_hi[0] == values[0]
+
+
 @pytest.mark.parametrize("kind, values", [
     ("step", [3.0, 2.0, 0.5]),
     ("loglin", [3.0, 2.5, 1.0, 0.0]),

@@ -202,19 +202,33 @@ def test_running_residual_matches_rebuild_from_originals(two_term_run):
 
 # -- one bubble rule for every member -----------------------------------------------------
 
-def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run):
+def test_placement_subtracts_by_the_bubble_rule_alone(two_term_run, monkeypatch):
     seq, grid = two_term_run[:2]
-    cands = disc.concentration_detect(seq.members[-1], eps=0.0125, j_max=8, top_k=4)
-    members = [disc._owned_copy(u) for u in seq.members]
-    tail_energy, term = profiles._place_term(
-        members, [d for d, _ in cands], 8, lambda t: True
-    )
+    residuals, placed = [], []
+    apply, place = profiles._apply_bubbles, profiles._place_term
+
+    def recorded_apply(op, members, term, grid):
+        residuals.append(members)
+        apply(op, members, term, grid)
+
+    def recorded_place(*args):
+        placed.append(place(*args))
+        return placed[-1]
+
+    monkeypatch.setattr(profiles, "_apply_bubbles", recorded_apply)
+    monkeypatch.setattr(profiles, "_place_term", recorded_place)
+    greedy = greedy_extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
+    assert greedy.status == "converged" and len(greedy.terms) == 2
+    # `extract` subtracts each placed term from its one running residual
+    assert len(residuals) == 2 and residuals[0] is residuals[1]
     rebuilt = list(seq.members)
-    profiles._apply_bubbles(disc.subtract_disc, rebuilt, term, grid)
+    for t in greedy.terms:
+        apply(disc.subtract_disc, rebuilt, t, grid)
     # every member, the tail included, bit for bit
-    for u, v in zip(members, rebuilt):
+    for u, v in zip(residuals[0], rebuilt):
         assert u.center == v.center and np.array_equal(u.rings, v.rings)
-    assert tail_energy == pytest.approx(disc.energy(members[-1]), rel=1e-12)
+    assert len(placed) == 2 and all(p[1] is t for p, t in zip(placed, greedy.terms))
+    assert placed[-1][0] == pytest.approx(disc.energy(rebuilt[-1]), rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

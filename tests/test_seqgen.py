@@ -171,6 +171,11 @@ class TestSuperposition:
         assert [disc.energy(m) for m in seq.members] == [0.0, 0.0]
         assert manifest["noise_energy"] == 0.0
 
+    def test_noise_energy_is_read_as_a_real_number(self):
+        grid = disc.PolarGrid(n_r=16, n_theta=32)
+        with pytest.raises(ValueError, match="^noise_energy: True is not a real number$"):
+            seqgen.synthetic_superposition([], True, seed=0, grid=grid, k_list=[1])
+
     def test_noise_energy_exact(self):
         grid = disc.PolarGrid(n_r=192, n_theta=96, s_max=4.0)
         seq, _ = seqgen.synthetic_superposition(
@@ -314,3 +319,13 @@ class TestGeneratorContract:
     def test_spec_rejections(self, kind, params, reason):
         with pytest.raises(ValueError, match=reason):
             seqgen.build_sequence(seqgen.GeneratorSpec(kind, params))
+
+    @pytest.mark.parametrize("seed, reason", [
+        (True, "^seed: True is not an integer$"),
+        (1.5, r"^seed: 1\.5 is not an integer$"),
+        (-1, "^seed: -1 is negative$"),
+        ("0", "^seed: '0' is not an integer$"),
+    ], ids=["bool", "fraction", "negative", "string"])
+    def test_the_seed_is_a_nonnegative_integer(self, seed, reason):
+        with pytest.raises(ValueError, match=reason):
+            seqgen.GeneratorSpec("superposition", {"k_list": [1], "grid": SMALL_GRID}, seed=seed)
