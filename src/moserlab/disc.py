@@ -30,8 +30,8 @@ interpolation error.  The operands of a form (energy, max_pairing) or a sum
 paired with make_probes(w.grid, count, w.order).  Powers z^j are computed as
 (|z|^j, j*theta), never by repeated complex multiplication.  Inflation
 j^{1/2} w(|z - zeta|^{1/j}) of a radial profile is its closed form on the
-field -log|z - zeta|, which a call site builds once per center and shares
-over the scales j; at the origin the field is one ring column.
+field -log|z - zeta|, built one block of rings at a time, once per center,
+and shared over the scales j; at the origin the field is one ring column.
 Out-of-domain reads are zero everywhere (extension by zero).
 """
 
@@ -304,7 +304,7 @@ class DislocationParam:
 
 # -- energy and inner products ------------------------------------------------
 
-# nodes per block of a pass in blocks (`_pair`, `_inflated`, `expl2_disc`): its scratch stays in L2
+# nodes per block of a blocked pass (`_pair`, `_log_distance`, `expl2_disc`): scratch stays in L2
 _BLOCK = 1 << 15
 
 
@@ -413,38 +413,24 @@ def grad_norm_disc(u: DiscFunction) -> float:
     return math.sqrt(energy(u))
 
 
-def _blockwise(op, out: np.ndarray, *ins) -> float:
-    """op(*ins, out=out) in blocks of rings, each one's extremes taken while it
-    is in cache: max(out.max(), -out.min()), NaN if out holds one."""
-    peak = np.float64(0.0)
-    step = max(1, _BLOCK // out.shape[1])
-    for a in range(0, len(out), step):
-        block = op(*(x[a:a + step] for x in ins), out=out[a:a + step])
-        peak = np.maximum(peak, np.maximum(block.max(), -block.min()))
-    return float(peak)
+def _peak(x: np.ndarray):
+    """max(x.max(), -x.min()), NaN if x holds one: the largest magnitude."""
+    return np.maximum(x.max(), -x.min())
 
 
 def _owned_copy(u: DiscFunction) -> DiscFunction:
-    """u's copy for an in-place `_combine`: its rings view, read-only, a
+    """u's copy for an in-place update: its rings view, read-only, a
     writable array that no caller holds."""
     rings = np.array(u.rings)[...]
     return DiscFunction._owned(u.grid, u.center, rings, u.support_radius, u.zero_trace, u.order)
 
 
-def _combine(u: DiscFunction, v: DiscFunction, op, in_place=False) -> DiscFunction:
-    """op of two functions of one grid and one symmetry order, blockwise; in
-    place, u (an `_owned_copy`) becomes the result, with the same checks."""
+def _combine(u: DiscFunction, v: DiscFunction, op) -> DiscFunction:
+    """op of two functions of one grid and one symmetry order."""
     _check_operands(u, v)
-    fields = dict(center=float(op(u.center, v.center)), zero_trace=u.zero_trace and v.zero_trace,
-                  support_radius=max(u.support_radius, v.support_radius))
-    if not in_place:
-        return DiscFunction._owned(u.grid, rings=op(u.rings, v.rings), order=u.order, **fields)
-    if u.rings.base is None:
-        raise TypeError("an in-place update needs an `_owned_copy`")
-    peak = _blockwise(op, u.rings.base, u.rings.base, v.rings)
-    vars(u).update(fields)
-    u._own(u.rings, peak)
-    return u
+    return DiscFunction._owned(u.grid, float(op(u.center, v.center)), op(u.rings, v.rings),
+                               max(u.support_radius, v.support_radius),
+                               u.zero_trace and v.zero_trace, u.order)
 
 
 def add(u: DiscFunction, v: DiscFunction) -> DiscFunction:
@@ -475,49 +461,61 @@ def inflate(
     """
     if order > 1 and d.zeta != 0:
         raise ValueError("only a bubble at the origin has angular symmetry")
-    return _inflated(w, d, grid, _log_distance(grid, d.zeta), order=order)
+    return _inflated(w, d.zeta, [d.j], grid, order)[0]
 
 
-def _log_distance(grid: PolarGrid, zeta: complex) -> np.ndarray:
-    """-log|z - zeta| at the ring nodes, n_theta columns wide; at the origin,
-    where 0 cos theta and 0 sin theta are +-0, one column."""
-    radii = _ring_radii(grid)
+def _log_distance(grid: PolarGrid, zeta: complex):
+    """-log|z - zeta| at rings 0 .. n_r - 2 in blocks (a, b, rings a .. b - 1) of at most
+    n_r rows, each written over the one before, cos and sin taken once: n_theta columns
+    wide, or at the origin, where 0 cos theta and 0 sin theta are +-0, one."""
+    radii, n = _ring_radii(grid), grid.n_r - 1
     thetas = _thetas(grid)[: 1 if zeta == 0 else None]
     zx, zy = zeta.real, zeta.imag
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    d2 = np.multiply(2.0 * radii[:, None], (zx * cos_t + zy * sin_t)[None, :])
-    np.subtract(radii[:, None] ** 2 + (zx * zx + zy * zy), d2, out=d2)
-    np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
-    with np.errstate(divide="ignore"):
-        return np.negative(np.log(d2, out=d2), out=d2)
+    proj, zz = (zx * np.cos(thetas) + zy * np.sin(thetas))[None, :], zx * zx + zy * zy
+    buf = np.empty((min(n, max(1, _BLOCK // thetas.size)), thetas.size))
+    for a in range(0, n, len(buf)):
+        r = radii[a:min(a + len(buf), n), None]
+        d2 = np.multiply(2.0 * r, proj, out=buf[:len(r)])
+        np.subtract(r ** 2 + zz, d2, out=d2)
+        np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+        with np.errstate(divide="ignore"):
+            np.negative(np.log(d2, out=d2), out=d2)
+        yield a, a + len(r), d2
 
 
-def _inflated(w: RadialProfile, d: DislocationParam, grid: PolarGrid, field, order=1):
-    """`inflate` on `field` = `_log_distance(grid, d.zeta)`, in blocks; a
-    one-column field (the origin) is evaluated once and repeated across the block."""
+def _bubble(w: RadialProfile, d: DislocationParam) -> tuple:
+    """(center value, support radius) of w inflated at d; a SupportError unless
+    that support B(zeta, R^j) fits in the disc."""
     j, zeta = d.j, d.zeta
     R_inf = math.exp(-w.support_log_radius()) ** j
     if R_inf > 1.0 - abs(zeta) + 1e-12:
-        raise SupportError(
-            f"inflated support radius {R_inf:.6g} around {zeta} leaves the disc "
-            f"(available {1.0 - abs(zeta):.6g})"
-        )
-    rings = np.empty(field.shape)
-    rings[-1] = 0.0  # the boundary ring, which the profile's values below skip
+        raise SupportError(f"inflated support radius {R_inf:.6g} around {zeta} leaves the "
+                           f"disc (available {1.0 - abs(zeta):.6g})")
+    t_c = math.inf if zeta == 0 else -math.log(abs(zeta)) / j
+    return math.sqrt(j) * float(w.value_at(t_c)), min(1.0, abs(zeta) + R_inf)
 
-    def values(x, out):  # x / j is written to out, then read by the profile
-        return np.multiply(w.value_at(np.divide(x, j, out=out)), math.sqrt(j), out=out)
 
-    peak = _blockwise(values, rings[:-1], field[:-1])
-    if rings.shape[1] == 1:
-        rings = np.repeat(rings, grid.n_theta // order, axis=1)
-    dist_c = abs(zeta)
-    with np.errstate(divide="ignore"):
-        t_c = math.inf if dist_c == 0.0 else -math.log(dist_c) / j
-    center = math.sqrt(j) * float(w.value_at(t_c))
-    return DiscFunction._owned(
-        grid, center, rings, support_radius=min(1.0, abs(zeta) + R_inf), order=order, peak=peak
-    )
+def _bubble_rows(w: RadialProfile, j: int, field: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """j^{1/2} w(field / j) into out: field / j is written there, then read by the profile."""
+    return np.multiply(w.value_at(np.divide(field, j, out=out)), math.sqrt(j), out=out)
+
+
+def _inflated(w: RadialProfile, zeta: complex, js, grid: PolarGrid, order=1) -> list:
+    """`inflate` at (j, zeta) for each j of js, each block of the field -log|z - zeta|
+    evaluated for every j; at the origin a bubble is one column, repeated after, and
+    the boundary ring, which the blocks skip, is 0."""
+    frames = [_bubble(w, DislocationParam(j, zeta)) for j in js]
+    rings = [np.empty((grid.n_r, 1 if zeta == 0 else grid.n_theta)) for _ in js]
+    for r in rings:
+        r[-1] = 0.0
+    peaks = [np.float64(0.0)] * len(js)
+    for a, b, field in _log_distance(grid, zeta):
+        for k, j in enumerate(js):
+            peaks[k] = np.maximum(peaks[k], _peak(_bubble_rows(w, j, field, rings[k][a:b])))
+    if zeta == 0:
+        rings = [np.repeat(r, grid.n_theta // order, axis=1) for r in rings]
+    return [DiscFunction._owned(grid, center, r, support, order=order, peak=float(peak))
+            for r, (center, support), peak in zip(rings, frames, peaks)]
 
 
 def deflate(u: DiscFunction, d: DislocationParam) -> DiscFunction:

@@ -21,22 +21,23 @@ The members carry one running residual, an owned copy of the inputs made
 once, and `extract` makes every update of it, in place, by `_apply_bubbles`:
 the greedy pass subtracts each chosen term from every member, the tail
 included; a refine step adds its term back, refits, then subtracts the
-refit, or the old term if the refit is rejected.  Each greedy iteration
-checks, in order: the tail remainder below eps_stop ("converged"), the term
-cap ("max-terms"), no placement ("no-candidates"), a second rise in a row
-of the tail energy ("diverged", unrefined).  A fit is ranked without a
-subtraction, by the closed form E(m) - 2 beta <m, s> + beta^2 <s, s> of the
-tail energy it leaves, s its tail bubble.  A bubble depends only on the
-term's (scale, center) at an index, and a track repeats few of them, so each
-application builds one field -log|z - zeta| per distinct center and one
-bubble per distinct (j, zeta), applied to every member of its group.
+refit if it leaves less tail energy than the old term did, else the old
+term.  Each greedy iteration checks, in order: the tail remainder below
+eps_stop ("converged"), the term cap ("max-terms"), no placement
+("no-candidates"), a second rise in a row of the tail energy ("diverged",
+unrefined).  A fit is ranked without a subtraction, by the closed form
+E(m) - 2 beta <m, s> + beta^2 <s, s> of the tail energy it leaves, s its
+tail bubble.  A bubble depends only on the term's (scale, center) at an
+index, and a track repeats few of them, so an application builds the field
+-log|z - zeta| of each distinct center and the bubble of each distinct
+(j, zeta) a block of rings at a time, applied to every member of its group
+while in cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -62,8 +63,6 @@ __all__ = [
 
 _GRAD_NORM_BOUND = 10.0
 _REFINE_SWEEPS = 2  # `extract`'s re-estimation sweeps after the greedy pass
-# the two updates of the extractor's running residual, in place on `disc._owned_copy`s
-_SUBTRACT, _ADD = (partial(disc._combine, op=op, in_place=True) for op in (np.subtract, np.add))
 
 
 @dataclass(frozen=True)
@@ -285,24 +284,36 @@ def _track_candidate(members, d0: disc.DislocationParam, j_max: int, memo: dict)
     return track, w
 
 
-def _apply_bubbles(op, members, term: ProfileTerm, grid) -> None:
-    """members[idx] = op(members[idx], bubble of term at idx), for every idx.
-
-    The bubble depends only on (j, zeta): the field -log|z - zeta| is built
-    once per distinct center, the bubble once per distinct pair, and each is
-    freed before the next one is built.
-    """
+def _groups(term: ProfileTerm) -> dict:
+    """{zeta: {j: indices}}: the indices of each distinct (j, zeta) of the track."""
     groups: dict = {}
-    for idx in range(len(members)):
-        groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
-    for zeta, by_j in groups.items():
-        field = disc._log_distance(grid, zeta)
-        for j, group in by_j.items():
-            bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
-            for idx in group:
-                members[idx] = op(members[idx], bubble)
-            del bubble
-        del field
+    for idx, (j, zeta) in enumerate(zip(term.j_track, term.zeta_track)):
+        groups.setdefault(zeta, {}).setdefault(j, []).append(idx)
+    return groups
+
+
+def _apply_bubbles(op, members, term: ProfileTerm, grid) -> None:
+    """members[idx] = op(members[idx], bubble of term at idx) in place, for every idx, op
+    np.add or np.subtract, each member an `_owned_copy`; the supports are checked first.
+    Per center the field -log|z - zeta| is built a block of rings at a time, and per block
+    each j's bubble block once, applied to its (j, zeta) group while in cache (bubbles are 0
+    on the boundary ring, which takes op(x, 0)); each member then gets a new function's checks."""
+    if any(u.rings.base is None for u in members):
+        raise TypeError("an in-place update needs an `_owned_copy`")
+    frames = [disc._bubble(term.w, disc.DislocationParam(*d))  # (center, support radius)
+              for d in zip(term.j_track, term.zeta_track)]
+    peaks = [disc._peak(op(u.rings.base[-1], 0.0, out=u.rings.base[-1])) for u in members]
+    for zeta, by_j in _groups(term).items():
+        for a, b, field in disc._log_distance(grid, zeta):
+            buf = np.empty_like(field) if a == 0 else buf  # the first block is the largest
+            for j, group in by_j.items():
+                block = disc._bubble_rows(term.w, j, field, buf[:b - a])
+                for idx in group:  # a one-column block (the origin) spans the rows
+                    rows = members[idx].rings.base[a:b]
+                    peaks[idx] = np.maximum(peaks[idx], disc._peak(op(rows, block, out=rows)))
+    for u, (c, r), peak in zip(members, frames, peaks):
+        vars(u).update(center=float(op(u.center, c)), support_radius=max(u.support_radius, r))
+        u._own(u.rings, float(peak))
 
 
 def _fit_term(tail, track, w):
@@ -386,9 +397,9 @@ def extract(
     raised the tail remainder energy, as did the one before it ("diverged":
     the terms placed so far are kept, the last one included, unrefined).
     Otherwise two re-estimation sweeps refit each term against the members
-    with all other terms removed, which suppresses the first-order
-    cross-talk between separated terms.  Neither pass accepts terms whose
-    energies exceed the input budget.
+    with all other terms removed, which suppresses the first-order cross-talk
+    between separated terms; a refit replaces its term only if it leaves less
+    tail energy.  Neither pass accepts terms whose energies exceed the budget.
     """
     _check_options(eps_stop, max_terms, j_max)
     if not seq.is_disc():
@@ -420,7 +431,7 @@ def extract(
             status = "no-candidates"
             break
         tail_energy, term = placed
-        _apply_bubbles(_SUBTRACT, members, term, grid)
+        _apply_bubbles(np.subtract, members, term, grid)
         terms.append(term)
         tail_energies.append(tail_energy)
         rises = [b > a + 1e-12 for a, b in zip(tail_energies, tail_energies[1:])]
@@ -433,14 +444,15 @@ def extract(
         for _ in range(_REFINE_SWEEPS):
             for i in range(len(terms)):
                 old = terms[i]
+                kept = float(disc._pair(members[-1], members[-1:])[0])  # tail energy with term i
                 # the running residual plus term i: every other term removed
-                _apply_bubbles(_ADD, members, old, grid)
+                _apply_bubbles(np.add, members, old, grid)
                 d0 = disc.DislocationParam(old.j_track[-1], old.zeta_track[-1])
                 placed = _place_term(members, [d0], j_max, lambda t: _within_budget(
                     terms[:i] + [t] + terms[i + 1:], input_limsup))
-                if placed is not None:
+                if placed is not None and placed[0] < kept:
                     terms[i] = placed[1]
-                _apply_bubbles(_SUBTRACT, members, terms[i], grid)
+                _apply_bubbles(np.subtract, members, terms[i], grid)
     remainder = tuple(expl2_disc(u) for u in members[:-1])
     remainder += (expl2_disc(members[-1]) if tail_norm is None else tail_norm,)
     return Decomposition(

@@ -26,9 +26,10 @@ The working norm (inf, inf; -1/2) has a closed form on step data: its weight
 ell^{-1/2} is at most 1 and falls as ell grows, so on each step it peaks at
 the large-tau end and the norm is max_i v_i ell(tau_i)^{-1/2}.  `expl2_disc`
 evaluates that closed form on a disc sample without sorting every cell: an
-area-weighted histogram of |v| bounds what each bucket of values can
-contribute, and only the prefix of the descending order that can still reach
-the sup is sorted.  `expl2_quasinorm` keeps the general stationary-point
+area-weighted histogram of |v|, built in blocks of cells, bounds what each
+bucket of values can contribute, and only the cells of the run of buckets
+that can still hold the sup are sorted, the buckets above it entering as
+their total area.  `expl2_quasinorm` keeps the general stationary-point
 search for every rearranged function.
 """
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import disc
 from .disc import _reals
 from .radial import RadialProfile, _abs_segments, _exp_moment
 
@@ -437,8 +439,8 @@ def expl2_quasinorm(f: RearrangedFunction) -> float:
 _EXPL2_BUCKETS = 4096
 
 
-def _expl2_prefix(mags, areas, total, mask) -> float:
-    """Sup over the masked cells, a prefix of rearrange_disc's order."""
+def _expl2_prefix(mags, areas, total, mask, above) -> float:
+    """Sup over the masked cells, a run of rearrange_disc's order after cells of area `above`."""
     sel = np.flatnonzero(mask)
     vals = mags[sel]
     order = vals.argsort()[::-1]
@@ -447,6 +449,7 @@ def _expl2_prefix(mags, areas, total, mask) -> float:
         # equal values: the order of their cells, and with it the areas summed, is the stable sort's
         order = vals.argsort(kind="stable")[::-1]
     taus = areas[sel[order]]
+    taus[0] += above
     np.cumsum(taus, out=taus)
     _expl2_weight(np.divide(taus, total, out=taus), out=taus)
     taus *= desc
@@ -456,30 +459,35 @@ def _expl2_prefix(mags, areas, total, mask) -> float:
 def expl2_disc(u) -> float:
     """expl2_quasinorm(rearrange_disc(u)), sorting only the cells that can win.
 
-    In units of vmax / NB, the cells of bucket b of the |v| histogram lie in
-    [b, b + 1) and end, in descending order, at the weight w_b of the area of
-    buckets >= b: the sup is at least max_b b w_b, and only the prefix from
-    the lowest bucket with (b + 1) w_b >= max_b b w_b is sorted, compared with
-    a relative margin of 1e-6, far above the rounding of the index and of the
-    histogram's sums (n eps), so that rounding can only add buckets.  The
-    cumulative areas are the full sort's; a prefix with ties is sorted stably.
+    In units of vmax / NB, the cells of bucket b of the |v| histogram (built in
+    blocks of cells) lie in [b, b + 1) and end, in descending order, at the
+    weight w_b of the area of buckets >= b: the sup is at least max_b b w_b, and
+    only buckets with (b + 1) w_b >= max_b b w_b can hold it, compared with a
+    relative margin of 1e-6, far above the rounding of the index and of the
+    histogram's sums (n eps), so that rounding can only add buckets.  The run
+    from the first such bucket to the last is sorted, stably if it holds ties,
+    after the area of the buckets above it.
     """
     values, areas = u.cell_values_and_areas()
     mags = np.abs(values, out=values)
     vmax = float(mags.max())
     if vmax == 0.0:
         return 0.0
-    nb = _EXPL2_BUCKETS
-    # mags / vmax lies in [0, 1]: no overflow, however small vmax is; the 16-bit
-    # loop truncates before the min, which gives the min's truncation (x >= 0)
-    bucket = np.minimum(mags / vmax * nb, nb - 1, dtype=np.int16, casting="unsafe")
-    hist = np.zeros(nb)
-    np.add.at(hist, bucket, areas)  # in cell order, as bincount
+    nb, step = _EXPL2_BUCKETS, disc._BLOCK
+    bucket, hist = np.empty(mags.size, np.int16), np.zeros(nb)
+    for a in range(0, mags.size, step):
+        # mags / vmax lies in [0, 1]: no overflow, however small vmax is; the 16-bit
+        # loop truncates before the min, which gives the min's truncation (x >= 0)
+        b = np.minimum(mags[a:a + step] / vmax * nb, nb - 1, out=bucket[a:a + step],
+                       dtype=np.int16, casting="unsafe")
+        np.add.at(hist, b, areas[a:a + step])  # in cell order, as bincount
     total = float(areas.sum())
-    w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
+    reach = np.cumsum(hist[::-1])[::-1]
+    w_reach = _expl2_weight(reach / total)
     lower = np.arange(nb) * w_reach
-    start = int(np.argmax((lower + w_reach) * (1.0 + 1e-6) >= lower.max()))
-    return _expl2_prefix(mags, areas, total, bucket >= start)
+    start, top = np.flatnonzero((lower + w_reach) * (1.0 + 1e-6) >= lower.max())[[0, -1]].tolist()
+    above = float(reach[top + 1]) if top + 1 < nb else 0.0
+    return _expl2_prefix(mags, areas, total, (bucket >= start) & (bucket <= top), above)
 
 
 def lp_mass_rearranged(f: RearrangedFunction, p: int) -> float:

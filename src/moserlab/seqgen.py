@@ -22,7 +22,7 @@ import numpy as np
 
 from . import disc
 from .functional import _default_grid, _moser_family
-from .profiles import FunctionSequence, ProfileTerm, _apply_bubbles, orthogonality_check
+from .profiles import FunctionSequence, ProfileTerm, _groups, orthogonality_check
 from .radial import (
     RadialProfile,
     gauge_apply,
@@ -206,7 +206,7 @@ def synthetic_superposition(
     colliding terms are rejected.  The returned manifest records the planted
     ground truth for extractor scoring.
     """
-    terms = list(terms)
+    terms, seed = list(terms), GeneratorSpec("superposition", seed=seed).seed  # the spec's rule
     noise_energy = disc._real(noise_energy, "noise_energy")
     if not 0.0 <= noise_energy < math.inf:
         raise ValueError(f"noise energy must be finite and nonnegative, got {noise_energy!r}")
@@ -222,11 +222,13 @@ def synthetic_superposition(
     ks = [disc._integer(k, "k_list") for k in k_list]
     if terms and any(len(t.j_track) != len(ks) for t in terms):
         raise ValueError("term tracks must cover the index list")
-    # term by term, one bubble per (term, j, zeta); each member sums its
-    # pieces in term order, then its noise
+    # per term one field per zeta, one bubble per (j, zeta); summed in term order, then noise
     members = [None] * len(ks)
     for t in terms:
-        _apply_bubbles(_accumulate, members, t, grid)
+        for zeta, by_j in _groups(t).items():
+            for group, bubble in zip(by_j.values(), disc._inflated(t.w, zeta, list(by_j), grid)):
+                for idx in group:
+                    members[idx] = _accumulate(members[idx], bubble)
     rng = np.random.default_rng(seed)
     for idx, k in enumerate(ks):
         if noise_energy > 0:

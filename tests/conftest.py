@@ -428,19 +428,12 @@ def old_add(u, v):
 
 
 def old_apply_bubbles(op, members, term, grid) -> None:
-    """members[idx] = op(members[idx], bubble of term at idx), for every idx: one
-    field per center, one bubble per (j, zeta), each freed before the next."""
-    groups: dict = {}
-    for idx in range(len(members)):
-        groups.setdefault(term.zeta_track[idx], {}).setdefault(term.j_track[idx], []).append(idx)
-    for zeta, by_j in groups.items():
-        field = disc._log_distance(grid, zeta)
-        for j, group in by_j.items():
-            bubble = disc._inflated(term.w, disc.DislocationParam(j, zeta), grid, field)
-            for idx in group:
-                members[idx] = op(members[idx], bubble)
-            del bubble
-        del field
+    """members[idx] = op(members[idx], bubble of term at idx), for every idx: each
+    bubble inflated on the whole grid, once per index."""
+    for idx, (j, zeta) in enumerate(zip(term.j_track, term.zeta_track)):
+        rings, center = old_inflated(term.w, disc.DislocationParam(j, zeta), grid)
+        support = min(1.0, abs(zeta) + math.exp(-term.w.support_log_radius()) ** j)
+        members[idx] = op(members[idx], disc.DiscFunction(grid, center, rings, support))
 
 
 def old_cell_values_and_areas(u):
@@ -739,10 +732,22 @@ def old_net_plan(grid, width: int, z) -> tuple:
     return (k, k + width, k1, k1 + width, 1 - xi, xi, 1 - eta, eta), cap_plan, outside
 
 
+def old_field(grid, zeta):
+    """-log|z - zeta| at every ring node at once, n_theta columns wide; at the
+    origin, where 0 cos theta and 0 sin theta are +-0, one column."""
+    radii = disc._ring_radii(grid)[:, None]
+    thetas = disc._thetas(grid)[: 1 if zeta == 0 else None]
+    zx, zy = zeta.real, zeta.imag
+    proj = zx * np.cos(thetas) + zy * np.sin(thetas)
+    d2 = radii ** 2 + (zx * zx + zy * zy) - 2.0 * radii * proj
+    with np.errstate(divide="ignore"):
+        return -np.log(np.sqrt(np.maximum(d2, 0.0)))
+
+
 def old_inflated(w, d, grid, order: int = 1):
     """j^{1/2} w(-log|z - zeta| / j) on the whole grid at once: (rings, center)."""
     j, zeta = d.j, d.zeta
-    rings = w.value_at(disc._log_distance(grid, zeta) / j)
+    rings = w.value_at(old_field(grid, zeta) / j)
     rings *= math.sqrt(j)
     if rings.shape[1] == 1:
         rings = np.repeat(rings, grid.n_theta // order, axis=1)

@@ -1,13 +1,14 @@
 """The extractor's lean kernels against the whole-array code they replaced.
 
 The pairing takes its differences in blocks of rings (or whole, once, for a
-probe stack), the in-place member update validates each block as it writes
-it, the inflation runs in blocks, the remainder norm sorts one prefix with
-the default sort unless it holds equal values and the net plans index with
-intp.  Each is checked bit for bit
-against its oracle in conftest, with the block size of the blocked kernels
-forced down so that they cross block boundaries, on ring arrays down to one
-and two columns wide.
+probe stack), the in-place bubble update builds and applies its bubbles in
+blocks of rings and validates each member as it writes it, the inflation
+runs in blocks, the remainder norm sorts one run of buckets with the default
+sort unless it holds equal values and the net plans index with intp.  Each
+is checked bit for bit against its oracle in conftest (the remainder norm up
+to the area above its run, which it sums by bucket), with the block size of
+the blocked kernels forced down so that they cross block boundaries, on ring
+arrays down to one and two columns wide.
 """
 
 import contextlib
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moserlab import disc, rearrange
+from moserlab import disc, profiles, radial, rearrange
 from conftest import (
-    old_combine, old_expl2_disc, old_expl2_prefix, old_inflated, old_interpolate, old_net_plan,
-    old_pair, old_stack, points, same_disc, seeds, smooth_plateau_profile,
+    old_add, old_apply_bubbles, old_expl2_disc, old_expl2_prefix, old_inflated, old_interpolate,
+    old_net_plan, old_pair, old_stack, old_subtract, points, same_disc, seeds,
+    smooth_plateau_profile,
 )
 
 NB = rearrange._EXPL2_BUCKETS
@@ -82,24 +84,32 @@ def test_pair_matches_the_materialized_differences(n_r, n_theta, width, seed, co
 
 # -- the in-place member update ------------------------------------------------------------
 
+def bubble_track(zeta):
+    """Four members' (j, zeta): through the origin (a one-column field) and off it."""
+    return [1, 2, 2, 3], [0j, zeta, zeta, 0j]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(16, 48), st.sampled_from([32, 64]), WIDTHS, seeds, BLOCKS,
-       st.sampled_from([np.add, np.subtract]))
-def test_in_place_update_matches_the_fresh_sum(n_r, n_theta, width, seed, block, op):
+@given(st.integers(16, 48), st.sampled_from([32, 48, 64]), seeds, BLOCKS, points(0.2),
+       st.floats(0.3, 1.5), st.sampled_from([(np.add, old_add), (np.subtract, old_subtract)]))
+def test_in_place_update_matches_the_fresh_sum(n_r, n_theta, seed, block, zeta, t_start, ops):
     grid = disc.PolarGrid(n_r=n_r, n_theta=n_theta, s_max=4.0)
-    order = order_of(n_theta, width)
-    u, v = rough(grid, seed, order), rough(grid, seed + 1, order)
+    term = profiles.ProfileTerm(smooth_plateau_profile(t_start, 1.0), *bubble_track(zeta))
+    members = [rough(grid, seed + k, 1) for k in range(4)]
+    live = [disc._owned_copy(u) for u in members]
     with blocked(block):
-        got = disc._combine(disc._owned_copy(u), v, op, in_place=True)
-    assert same_disc(got, old_combine(u, v, op))
+        profiles._apply_bubbles(ops[0], live, term, grid)
+    old_apply_bubbles(ops[1], members, term, grid)
+    assert all(same_disc(u, v) for u, v in zip(live, members))
 
 
 def test_in_place_update_rejects_a_nan_in_any_block():
     grid = disc.PolarGrid(n_r=40, n_theta=32, s_max=4.0)
-    u, nan = rough(grid, 1, 1), disc._owned_copy(rough(grid, 2, 1))
-    nan.rings.base[23, 5] = math.nan  # past the first blocks, behind the checks
+    term = profiles.ProfileTerm(smooth_plateau_profile(0.5, 1.0), *bubble_track(0.1j))
+    members = [disc._owned_copy(rough(grid, k, 1)) for k in range(4)]
+    members[2].rings.base[23, 5] = math.nan  # past the first blocks, behind the checks
     with blocked(96), pytest.raises(ValueError, match="finite"):
-        disc._combine(disc._owned_copy(u), nan, np.add, in_place=True)
+        profiles._apply_bubbles(np.add, members, term, grid)
 
 
 # -- the inflation ----------------------------------------------------------------------
@@ -117,10 +127,13 @@ def test_inflation_matches_the_whole_grid(n_r, n_theta, zeta, j, order, t_start,
             u = disc.inflate(w, d, grid, order)
         except disc.SupportError:
             return
-        shared = disc._inflated(w, d, grid, disc._log_distance(grid, zeta), order=order)
+        # the scales of one center on one field: j + 1 fits where j does
+        shared = disc._inflated(w, zeta, [j, j + 1], grid, order)
     rings, center = old_inflated(w, d, grid, order)
     assert u.rings.tobytes() == rings.tobytes() and u.center == center
-    assert same_disc(shared, u)
+    assert same_disc(shared[0], u)
+    rings, center = old_inflated(w, disc.DislocationParam(j + 1, zeta), grid, order)
+    assert shared[1].rings.tobytes() == rings.tobytes() and shared[1].center == center
 
 
 # -- the remainder norm ----------------------------------------------------------------------
@@ -165,12 +178,46 @@ def cells(draw):
     return Cells(values, areas)
 
 
+def norm_and_prefixes(c):
+    """expl2_disc(c) and the arguments of each prefix it sorts."""
+    calls, prefix = [], rearrange._expl2_prefix
+
+    def recorded(*args):
+        calls.append(args)
+        return prefix(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rearrange, "_expl2_prefix", recorded)
+        return rearrange.expl2_disc(c), calls
+
+
 @settings(max_examples=200, deadline=None)
 @given(cells())
 @example(Cells([1.0, 1.0, 0.5, 1.0, 0.25], [0.1, 0.2, 0.3, 0.4, 0.5]))
 @example(Cells([2e-323, 0.0, 1e-323, 2e-323], [1.0, 2.0, 3.0, 4.0]))
-def test_remainder_norm_matches_the_stable_sort(c):
-    assert as_bytes(rearrange.expl2_disc(c)) == as_bytes(old_expl2_disc(c))
+@example(Cells([2.0] + [1.0] * 99, [1e-6] + [1.0] * 99))  # the cell of 2 cannot win
+def test_remainder_norm_is_the_stable_sorts_up_to_the_area_above_its_run(c):
+    got, calls = norm_and_prefixes(c)
+    if not calls or calls[0][-1] == 0.0:
+        # no cell lies above the sorted run (its top is the last bucket): every
+        # cumulative area is summed as before
+        assert as_bytes(got) == as_bytes(old_expl2_disc(c))
+    else:
+        # the cells above enter as one area, summed by bucket
+        assert got == pytest.approx(old_expl2_disc(c), rel=1e-12, abs=0.0)
+
+
+def test_remainder_norm_sorts_only_the_run_that_can_hold_the_sup():
+    # a plateau of 1 on the outer rings, 0.02 < t < 0.2, carries the sup at its large-tau
+    # end; the interior above it rises to 1.5 and holds most cells of the log-polar grid
+    # on little area, so none of them can win
+    grid = disc.PolarGrid(n_r=256, n_theta=256, s_max=5.5)
+    p = radial.RadialProfile(np.array([0.0, 0.02, 0.2, 5.5]), np.array([0.0, 1.0, 1.0, 1.5]))
+    u = disc.inflate(p, disc.DislocationParam(1, 0j), grid)
+    got, ((mags, _, _, mask, above),) = norm_and_prefixes(u)
+    assert np.count_nonzero(mask) <= 0.05 * mags.size and above > 0.0
+    assert got == pytest.approx(rearrange.expl2_quasinorm(rearrange.rearrange_disc(u)),
+                                rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,7 +231,7 @@ def test_prefix_with_ties_is_the_stable_sorts(vals, areas):
     if not mask.any():
         return
     total = float(areas.sum())
-    got = rearrange._expl2_prefix(mags, areas, total, mask)
+    got = rearrange._expl2_prefix(mags, areas, total, mask, 0.0)
     assert as_bytes(got) == as_bytes(old_expl2_prefix(mags, areas, total, mask, 0.0)[0])
 
 

@@ -219,7 +219,7 @@ def _place_counting_fits(members, starts):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(profiles, "_fit_term", counted_fit)
         placed = profiles._place_term(members, starts, 8, lambda t: True)
-    profiles._apply_bubbles(profiles._SUBTRACT, members, placed[1], members[0].grid)
+    profiles._apply_bubbles(np.subtract, members, placed[1], members[0].grid)
     return placed, members, fits
 
 

@@ -1,15 +1,16 @@
 """What one `extract` call owns, and how often it builds and evaluates.
 
-The call owns its running residual and its -log|z - zeta| fields: nothing
-outlives it, and a second call on the same input gives the same
-decomposition.  Each fit builds one field, each bubble application one per
-center of its term, and the tail's remainder norm is computed once while no
-bubble changes the members.
+The call owns its running residual: nothing outlives it, and a second call
+on the same input gives the same decomposition.  The remainder norm, a
+bubble application and a fit's inflation each need at most block scratch
+beside their inputs and results, and the tail's remainder norm is computed
+once while no bubble changes the members.
 """
 
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from moserlab import disc, profiles, seqgen
@@ -69,34 +70,35 @@ def test_nothing_outlives_the_call(two_term_seq):
     assert after - before <= member
 
 
-def test_each_fit_and_each_application_builds_its_own_fields(two_term_seq, monkeypatch):
-    built, calls = [], []  # centers of the fields built; (function, built, expected) per call
-    log_distance, fit, apply = disc._log_distance, profiles._fit_term, profiles._apply_bubbles
+# Peak traced allocation of one call at 1024 x 1024, in member-sized arrays (8 MiB).
+# Measured: the remainder norm 1.55 (its cell values, 16-bit bucket index and
+# mask), a bubble application 0.10, the fit's inflation 1.06 (its bubble); with
+# whole-grid scratch they were 2.25, 2.03 and 2.03.
+_CALL_MEMBERS = {"norm": 1.75, "apply": 0.25, "inflate": 1.25}
 
-    def counted_field(grid, zeta):
-        built.append(zeta)
-        return log_distance(grid, zeta)
 
-    def counted(f, centers):
-        def call(*args):
-            b = len(built)
-            got = f(*args)
-            calls.append((f, built[b:], centers(*args)))
-            return got
-        return call
-
-    monkeypatch.setattr(disc, "_log_distance", counted_field)
-    # a fit inflates at its track's tail; an application once per distinct center, in track order
-    monkeypatch.setattr(profiles, "_fit_term", counted(fit, lambda tail, track, w: [track[-1][1]]))
-    monkeypatch.setattr(profiles, "_apply_bubbles", counted(
-        apply, lambda op, members, term, grid: list(dict.fromkeys(term.zeta_track))))
-    dec = profiles.extract(two_term_seq, **KW)
-    assert len(dec.terms) == 2
-    # two greedy subtractions, then add-backs and refits per sweep
-    assert sum(f is apply for f, _, _ in calls) > 2 and sum(f is fit for f, _, _ in calls) > 2
-    for _, fields, centers in calls:
-        assert fields == centers
-    assert len(built) == sum(len(fields) for _, fields, _ in calls)
+def test_one_call_of_each_kernel_needs_at_most_block_scratch():
+    grid = disc.PolarGrid(n_r=1024, n_theta=1024, s_max=5.5)
+    term = profiles.ProfileTerm(smooth_plateau_profile(0.3, 1.0), [2, 2, 3, 4],
+                                [0.15 + 0.06j] * 4)
+    seq, _ = seqgen.synthetic_superposition([term], 0.01, seed=7, grid=grid, k_list=range(1, 5))
+    members = [disc._owned_copy(u) for u in seq.members]
+    calls = {
+        "norm": lambda: profiles.expl2_disc(members[-1]),
+        # subtract, then add back: the members end as they began
+        "apply": lambda: [profiles._apply_bubbles(op, members, term, grid)
+                          for op in (np.subtract, np.add)],
+        "inflate": lambda: disc.inflate(term.w, disc.DislocationParam(4, 0.15 + 0.06j), grid),
+    }
+    for name, call in calls.items():
+        call()  # the grid's cached arrays are built outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / members[0].rings.nbytes <= _CALL_MEMBERS[name], name
 
 
 def test_the_tail_norm_is_computed_once_while_the_members_stand(one_term_seq, monkeypatch):

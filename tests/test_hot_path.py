@@ -1,7 +1,6 @@
-"""The extractor's hot path: the batched matched filter, one bubble per (j, zeta)
-group and one -log|z - zeta| field per center in the superposition generator
-(the extractor's fields are counted in test_extract_scratch.py), and disc
-results built on fresh arrays without a copy.
+"""The extractor's hot path: the batched matched filter, one tail energy per
+placement, one -log|z - zeta| field per term and center in the superposition
+generator, and disc results built on fresh arrays without a copy.
 
 The matched filter is checked against the `h1_inner(gauge_apply(...))` loop it
 replaces; the members after a placement are checked bit for bit against the
@@ -9,7 +8,6 @@ one bubble rule in test_remainder_path.py.
 """
 
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, seqgen
-from conftest import smooth_plateau_profile
+from conftest import old_add, old_apply_bubbles, same_disc, smooth_plateau_profile
 
 REL = 1e-12
 
@@ -69,9 +67,9 @@ def test_extractor_makes_no_h1_pairings(monkeypatch):
     assert len(profiles.extract(seq, eps_stop=0.05, max_terms=2, j_max=8).terms) == 1
 
 
-# -- one bubble per (j, zeta) group -------------------------------------------------
+# -- one tail energy per placement, one field per center ------------------------------
 
-def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
+def test_each_placement_takes_its_tail_energy_once(monkeypatch):
     grid = disc.PolarGrid(n_r=192, n_theta=128, s_max=4.5)
     w = smooth_plateau_profile(0.69, 1.0)
     jt = [1, 2, 2, 2, 3, 3]
@@ -79,41 +77,8 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
         [profiles.ProfileTerm(w, jt, [z] * 6) for z in (0.2 + 0.0j, -0.2 + 0.0j)],
         0.01, seed=11, grid=grid, k_list=list(range(1, 7)),
     )
-    count = {"inflate": 0, "fit": 0}
-    built = []  # weak references to the bubbles
-    groups = []  # (distinct (j, zeta) pairs, distinct zeta, members touched) per application
     tail_energies = []  # per placement, the pairings of its tail member with itself
-    inflated, pair = disc._inflated, disc._pair
-    fit_term, apply_bubbles = profiles._fit_term, profiles._apply_bubbles
-    place_term = profiles._place_term
-
-    # every bubble, `disc.inflate`'s included, is built by `_inflated`
-    def counted_inflated(*args, **kwargs):
-        # one bubble alive at a time: every earlier one is freed
-        assert all(ref() is None for ref in built)
-        count["inflate"] += 1
-        u = inflated(*args, **kwargs)
-        built.append(weakref.ref(u))
-        return u
-
-    def counted_fit(*args, **kwargs):
-        count["fit"] += 1
-        return fit_term(*args, **kwargs)
-
-    def counted_apply(op, members, term, grid):
-        indices = range(len(members))
-        before, ops = count["inflate"], []
-
-        def counted_op(u, v):
-            ops.append(None)
-            return op(u, v)
-
-        apply_bubbles(counted_op, members, term, grid)
-        pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
-        centers = {term.zeta_track[i] for i in indices}
-        assert count["inflate"] - before == len(pairs)
-        assert len(ops) == len(indices)
-        groups.append((len(pairs), len(centers), len(indices)))
+    pair, place_term = disc._pair, profiles._place_term
 
     def counted_place(members, *args):
         tail_energies.append(0)
@@ -126,60 +91,31 @@ def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
             mp.setattr(disc, "_pair", counted_pair)
             return place_term(members, *args)
 
-    monkeypatch.setattr(disc, "_inflated", counted_inflated)
-    monkeypatch.setattr(profiles, "_fit_term", counted_fit)
-    monkeypatch.setattr(profiles, "_apply_bubbles", counted_apply)
     monkeypatch.setattr(profiles, "_place_term", counted_place)
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
-
     assert len(dec.terms) == 2
-    # each placement takes its tail member's energy once, for all of its fits
+    # the greedy placements and the refits: one tail energy each, for all of its fits
     assert len(tail_energies) > 2 and tail_energies == [1] * len(tail_energies)
-    # two greedy subtractions, then add-backs (and accepted refits) per sweep
-    assert len(groups) > 2
-    assert count["inflate"] == count["fit"] + sum(n for n, _, _ in groups)
-    # the tracks repeat (j, zeta): fewer bubbles than members touched, and
-    # fewer centers than bubbles
-    assert sum(c for _, c, _ in groups) < sum(n for n, _, _ in groups)
-    assert sum(n for n, _, _ in groups) < sum(m for _, _, m in groups)
 
 
-def test_superposition_builds_one_bubble_per_term_j_and_zeta(monkeypatch):
+def test_superposition_builds_one_field_per_term_and_center(monkeypatch):
     grid = disc.PolarGrid(n_r=96, n_theta=64, s_max=4.5)
     w = smooth_plateau_profile(0.69, 1.0)
     terms = [profiles.ProfileTerm(w, [1, 2, 2, 2, 3, 3], [z] * 6) for z in (0.2, -0.2)]
-    built, fields, held = [], [], []  # bubble (term, j, zeta, weakref); fields; member lists
-    inflated, log_distance, apply_bubbles = disc._inflated, disc._log_distance, seqgen._apply_bubbles
+    fields, log_distance = [], disc._log_distance
 
-    def counted_apply(op, members, term, grid):
-        held.append((members, term))
-        return apply_bubbles(op, members, term, grid)
-
-    def counted_inflated(w, d, *args, **kwargs):
-        # no bubble outlives its group, except as a member itself: the first
-        # term's bubbles are the members until the second term is added
-        members, term = held[-1] if held else ([], None)
-        for *_, ref in built:
-            assert ref() is None or any(ref() is m for m in members)
-        u = inflated(w, d, *args, **kwargs)
-        built.append((terms.index(term) if term else None, d.j, d.zeta, weakref.ref(u)))
-        return u
-
-    def counted_field(grid, zeta, *args, **kwargs):
+    def counted_field(grid, zeta):
         fields.append(zeta)
-        return log_distance(grid, zeta, *args, **kwargs)
+        return log_distance(grid, zeta)
 
-    monkeypatch.setattr(disc, "_inflated", counted_inflated)
     monkeypatch.setattr(disc, "_log_distance", counted_field)
-    monkeypatch.setattr(seqgen, "_apply_bubbles", counted_apply)
     seq, _ = seqgen.synthetic_superposition(terms, 0.0, seed=3, grid=grid)
-
-    distinct = {(i, j, z) for i, t in enumerate(terms) for j, z in zip(t.j_track, t.zeta_track)}
-    assert len(built) == len(distinct) == 6
-    assert {(i, j, z) for i, j, z, _ in built} == distinct
     assert fields == [0.2, -0.2]
-    assert all(ref() is None for *_, ref in built)  # every member is a sum
-    assert len(seq.members) == 6
+    # each member is the sum, in term order, of its whole-grid bubbles
+    expect = [None] * 6
+    for t in terms:
+        old_apply_bubbles(lambda acc, b: b if acc is None else old_add(acc, b), expect, t, grid)
+    assert all(same_disc(u, v) for u, v in zip(seq.members, expect))
 
 
 # -- disc results own fresh arrays -----------------------------------------------------

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moserlab import disc, profiles, seqgen
+from moserlab import disc, profiles, radial, seqgen
 from conftest import (
     greedy_extract, old_add, old_apply_bubbles, old_subtract, rough_disc, same_disc,
     smooth_plateau_profile,
@@ -59,9 +59,9 @@ def test_in_place_bubbles_equal_the_fresh_array_path():
     ids = [id(u) for u in owned]
     ref = list(originals)
     # subtract, add, subtract: the greedy step and a refine sweep's add-back and refit
-    for live, old, term in ((profiles._SUBTRACT, old_subtract, a),
-                            (profiles._ADD, old_add, b),
-                            (profiles._SUBTRACT, old_subtract, b)):
+    for live, old, term in ((np.subtract, old_subtract, a),
+                            (np.add, old_add, b),
+                            (np.subtract, old_subtract, b)):
         profiles._apply_bubbles(live, owned, term, GRID)
         old_apply_bubbles(old, ref, term, GRID)
         assert all(same_disc(u, v) for u, v in zip(owned, ref))
@@ -72,11 +72,11 @@ def test_in_place_bubbles_equal_the_fresh_array_path():
 
 
 def test_in_place_update_writes_only_an_owned_copy():
-    u, v = inputs()[:2]
-    snap = snapshot([u])
+    members = inputs()
+    snap = snapshot(members)
     with pytest.raises(TypeError):
-        profiles._SUBTRACT(u, v)
-    assert unchanged([u], snap)
+        profiles._apply_bubbles(np.subtract, members, two_terms()[0], GRID)
+    assert unchanged(members, snap)
 
 
 def test_in_place_update_keeps_the_checks_of_a_fresh_result():
@@ -84,22 +84,24 @@ def test_in_place_update_keeps_the_checks_of_a_fresh_result():
     big = np.full((GRID.n_r, GRID.n_theta), 1e308)
     big[-1] = 0.0
     u = disc.DiscFunction(GRID, 0.0, big)
+    huge = radial.RadialProfile(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1e308]))
+    term = profiles.ProfileTerm(huge, [1], [0j])
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            old_add(u, u)
+            old_apply_bubbles(old_add, [u], term, GRID)
         with pytest.raises(ValueError, match="finite"):
-            profiles._ADD(disc._owned_copy(u), u)
+            profiles._apply_bubbles(np.add, [disc._owned_copy(u)], term, GRID)
     # zero trace: a boundary ring within 1e-9 of a large peak is not within 1e-9 of the
     # small difference
-    rings = np.full((GRID.n_r, GRID.n_theta), 1e6)
+    term = profiles.ProfileTerm(radial.scale(smooth_plateau_profile(0.69, 1.0), 1e6), [1], [0j])
+    bubble = disc.inflate(term.w, disc.DislocationParam(1, 0j), GRID)
+    rings = np.array(bubble.rings)
     rings[-1] = 1e-4
-    peak = disc.DiscFunction(GRID, 0.0, rings)
-    rings[-1] = 0.0
-    flat = disc.DiscFunction(GRID, 0.0, rings)
+    peak = disc.DiscFunction(GRID, bubble.center, rings)
     with pytest.raises(ValueError, match="zero trace"):
-        old_subtract(peak, flat)
+        old_apply_bubbles(old_subtract, [peak], term, GRID)
     with pytest.raises(ValueError, match="zero trace"):
-        profiles._SUBTRACT(disc._owned_copy(peak), flat)
+        profiles._apply_bubbles(np.subtract, [disc._owned_copy(peak)], term, GRID)
 
 
 # -- extract on its own copy ----------------------------------------------------------------
@@ -150,6 +152,32 @@ def test_a_rejected_refit_leaves_the_greedy_residual(two_term_seq, monkeypatch):
     assert dec.remainder_expl2 == pytest.approx(greedy.remainder_expl2, rel=REL, abs=0.0)
     assert dec.status == greedy.status
     assert unchanged(seq.members, snap)
+
+
+def test_a_refit_that_leaves_more_tail_energy_keeps_the_old_term(two_term_seq, monkeypatch):
+    seq, kw, greedy = two_term_seq
+    place, calls, worse = profiles._place_term, [], []
+
+    def worsening(members, starts, *args):
+        # the greedy pass places two terms; every later call is a refine sweep's refit,
+        # replaced by the refit at a thousandth of its amplitude and the tail energy it leaves
+        calls.append(None)
+        placed = place(members, starts, *args)
+        if len(calls) <= len(greedy.terms) or placed is None:
+            return placed
+        m, term = members[-1], placed[1]
+        small, energy = profiles._fit_term((m, disc.energy(m)), list(zip(
+            term.j_track, term.zeta_track)), radial.scale(term.w, 1e-3))
+        worse.append(energy)
+        return energy, small
+
+    monkeypatch.setattr(profiles, "_place_term", worsening)
+    dec = profiles.extract(seq, **kw)
+    assert len(worse) == 2 * len(greedy.terms)
+    # every refit is rejected: the greedy terms, and each residual back up to rounding
+    assert [t.to_dict() for t in dec.terms] == [t.to_dict() for t in greedy.terms]
+    assert dec.remainder_expl2 == pytest.approx(greedy.remainder_expl2, rel=REL, abs=0.0)
+    assert dec.status == greedy.status == "converged"
 
 
 # -- peak memory -------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def place(members, starts, limit):
     members = [disc._owned_copy(u) for u in members]
     placed = profiles._place_term(members, starts, 8, lambda t: t.energy() <= limit)
     if placed is not None:
-        profiles._apply_bubbles(profiles._SUBTRACT, members, placed[1], members[0].grid)
+        profiles._apply_bubbles(np.subtract, members, placed[1], members[0].grid)
     return placed, members
 
 

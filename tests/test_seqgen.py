@@ -176,6 +176,16 @@ class TestSuperposition:
         with pytest.raises(ValueError, match="^noise_energy: True is not a real number$"):
             seqgen.synthetic_superposition([], True, seed=0, grid=grid, k_list=[1])
 
+    @pytest.mark.parametrize("seed, reason", [
+        (True, "^seed: True is not an integer$"),
+        (-1, "^seed: -1 is negative$"),
+        (1.5, r"^seed: 1\.5 is not an integer$"),
+    ], ids=["bool", "negative", "fraction"])
+    def test_the_library_reads_the_seed_as_the_spec_does(self, seed, reason):
+        grid = disc.PolarGrid(n_r=16, n_theta=32)
+        with pytest.raises(ValueError, match=reason):
+            seqgen.synthetic_superposition([], 0.0, seed=seed, grid=grid, k_list=[1])
+
     def test_noise_energy_exact(self):
         grid = disc.PolarGrid(n_r=192, n_theta=96, s_max=4.0)
         seq, _ = seqgen.synthetic_superposition(
