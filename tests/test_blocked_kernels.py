@@ -196,7 +196,7 @@ def norm_and_prefixes(c):
 @example(Cells([1.0, 1.0, 0.5, 1.0, 0.25], [0.1, 0.2, 0.3, 0.4, 0.5]))
 @example(Cells([2e-323, 0.0, 1e-323, 2e-323], [1.0, 2.0, 3.0, 4.0]))
 @example(Cells([2.0] + [1.0] * 99, [1e-6] + [1.0] * 99))  # the cell of 2 cannot win
-def test_remainder_norm_is_the_stable_sorts_up_to_the_area_above_its_run(c):
+def test_remainder_norm_matches_the_stable_sort(c):
     got, calls = norm_and_prefixes(c)
     if not calls or calls[0][-1] == 0.0:
         # no cell lies above the sorted run (its top is the last bucket): every

@@ -1,7 +1,9 @@
 """What one `extract` call owns, and how often it builds and evaluates.
 
 The call owns its running residual: nothing outlives it, and a second call
-on the same input gives the same decomposition.  The remainder norm, a
+on the same input gives the same decomposition.  Each fit reads one
+-log|z - zeta| field, each bubble application one per center of its term,
+each taken a block of rings at a time.  The remainder norm, a
 bubble application and a fit's inflation each need at most block scratch
 beside their inputs and results, and the tail's remainder norm is computed
 once while no bubble changes the members.
@@ -68,6 +70,36 @@ def test_nothing_outlives_the_call(two_term_seq):
     assert len(dec.terms) == 2
     # the residual and the fields are freed with the call
     assert after - before <= member
+
+
+def test_each_fit_and_each_application_builds_its_own_fields(two_term_seq, monkeypatch):
+    built, calls = [], []  # centers of the fields built; (function, built, expected) per call
+    log_distance, fit, apply = disc._log_distance, profiles._fit_term, profiles._apply_bubbles
+
+    def counted_field(grid, zeta):
+        built.append(zeta)
+        return log_distance(grid, zeta)
+
+    def counted(f, centers):
+        def call(*args):
+            b = len(built)
+            got = f(*args)
+            calls.append((f, built[b:], centers(*args)))
+            return got
+        return call
+
+    monkeypatch.setattr(disc, "_log_distance", counted_field)
+    # a fit inflates at its track's tail; an application once per distinct center, in track order
+    monkeypatch.setattr(profiles, "_fit_term", counted(fit, lambda tail, track, w: [track[-1][1]]))
+    monkeypatch.setattr(profiles, "_apply_bubbles", counted(
+        apply, lambda op, members, term, grid: list(dict.fromkeys(term.zeta_track))))
+    dec = profiles.extract(two_term_seq, **KW)
+    assert len(dec.terms) == 2
+    # two greedy subtractions, then add-backs and refits per sweep
+    assert sum(f is apply for f, _, _ in calls) > 2 and sum(f is fit for f, _, _ in calls) > 2
+    for _, fields, centers in calls:
+        assert fields == centers
+    assert len(built) == sum(len(fields) for _, fields, _ in calls)
 
 
 # Peak traced allocation of one call at 1024 x 1024, in member-sized arrays (8 MiB).

@@ -1,6 +1,8 @@
-"""The extractor's hot path: the batched matched filter, one tail energy per
-placement, one -log|z - zeta| field per term and center in the superposition
-generator, and disc results built on fresh arrays without a copy.
+"""The extractor's hot path: the batched matched filter, one bubble per fit and
+one bubble block per (j, zeta) group and ring block in an application, one tail
+energy per placement, one bubble per (term, j, zeta) and one -log|z - zeta|
+field per term and center in the superposition generator, and disc results
+built on fresh arrays without a copy.
 
 The matched filter is checked against the `h1_inner(gauge_apply(...))` loop it
 replaces; the members after a placement are checked bit for bit against the
@@ -8,6 +10,7 @@ one bubble rule in test_remainder_path.py.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -67,9 +70,9 @@ def test_extractor_makes_no_h1_pairings(monkeypatch):
     assert len(profiles.extract(seq, eps_stop=0.05, max_terms=2, j_max=8).terms) == 1
 
 
-# -- one tail energy per placement, one field per center ------------------------------
+# -- one bubble per fit, one bubble block per (j, zeta) group and ring block ----------
 
-def test_each_placement_takes_its_tail_energy_once(monkeypatch):
+def test_extract_inflates_once_per_fit_and_per_group(monkeypatch):
     grid = disc.PolarGrid(n_r=192, n_theta=128, s_max=4.5)
     w = smooth_plateau_profile(0.69, 1.0)
     jt = [1, 2, 2, 2, 3, 3]
@@ -77,8 +80,56 @@ def test_each_placement_takes_its_tail_energy_once(monkeypatch):
         [profiles.ProfileTerm(w, jt, [z] * 6) for z in (0.2 + 0.0j, -0.2 + 0.0j)],
         0.01, seed=11, grid=grid, k_list=list(range(1, 7)),
     )
+    count = {"inflate": 0, "fit": 0}
+    built = []  # weak references to the fits' bubbles
+    field = []  # the (zeta, a, b) of the field block last read
+    rows = []  # the (j, zeta, a, b) of every bubble block built
+    groups = []  # (distinct (j, zeta) pairs, distinct zeta, members touched) per application
     tail_energies = []  # per placement, the pairings of its tail member with itself
-    pair, place_term = disc._pair, profiles._place_term
+    inflated, log_distance, bubble_rows, pair = (
+        disc._inflated, disc._log_distance, disc._bubble_rows, disc._pair)
+    fit_term, apply_bubbles = profiles._fit_term, profiles._apply_bubbles
+    place_term = profiles._place_term
+
+    # every whole-grid bubble, `disc.inflate`'s included, is built by `_inflated`
+    def counted_inflated(*args, **kwargs):
+        # one bubble alive at a time: every earlier one is freed
+        assert all(ref() is None for ref in built)
+        count["inflate"] += 1
+        us = inflated(*args, **kwargs)
+        built.extend(weakref.ref(u) for u in us)
+        return us
+
+    def counted_field(grid, zeta):
+        for a, b, block in log_distance(grid, zeta):
+            field[:] = [(zeta, a, b)]
+            yield a, b, block
+
+    def counted_rows(w, j, block, out):
+        rows.append((j, *field[0]))
+        return bubble_rows(w, j, block, out)
+
+    def counted_fit(*args, **kwargs):
+        count["fit"] += 1
+        return fit_term(*args, **kwargs)
+
+    def counted_apply(op, members, term, grid):
+        indices = range(len(members))
+        before, inflates = len(rows), count["inflate"]
+        apply_bubbles(op, members, term, grid)
+        pairs = {(term.j_track[i], term.zeta_track[i]) for i in indices}
+        centers = {term.zeta_track[i] for i in indices}
+        # no whole-grid bubble: each (j, zeta) is built once per ring block, and
+        # its blocks tile rings 0 .. n_r - 2 (the boundary ring is 0)
+        assert count["inflate"] == inflates
+        built_rows = rows[before:]
+        assert len(set(built_rows)) == len(built_rows)
+        assert {(j, z) for j, z, _, _ in built_rows} == pairs
+        for j, z in pairs:
+            spans = sorted((a, b) for jj, zz, a, b in built_rows if (jj, zz) == (j, z))
+            assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+            assert spans[-1][1] == grid.n_r - 1
+        groups.append((len(pairs), len(centers), len(indices)))
 
     def counted_place(members, *args):
         tail_energies.append(0)
@@ -91,26 +142,55 @@ def test_each_placement_takes_its_tail_energy_once(monkeypatch):
             mp.setattr(disc, "_pair", counted_pair)
             return place_term(members, *args)
 
+    # blocks of a few rings, so that each group spans several
+    monkeypatch.setattr(disc, "_BLOCK", 16 * grid.n_theta)
+    monkeypatch.setattr(disc, "_inflated", counted_inflated)
+    monkeypatch.setattr(disc, "_log_distance", counted_field)
+    monkeypatch.setattr(disc, "_bubble_rows", counted_rows)
+    monkeypatch.setattr(profiles, "_fit_term", counted_fit)
+    monkeypatch.setattr(profiles, "_apply_bubbles", counted_apply)
     monkeypatch.setattr(profiles, "_place_term", counted_place)
     dec = profiles.extract(seq, eps_stop=0.05, max_terms=4, j_max=8)
+
     assert len(dec.terms) == 2
     # the greedy placements and the refits: one tail energy each, for all of its fits
     assert len(tail_energies) > 2 and tail_energies == [1] * len(tail_energies)
+    # two greedy subtractions, then add-backs (and accepted refits) per sweep
+    assert len(groups) > 2
+    assert count["inflate"] == count["fit"]
+    # the tracks repeat (j, zeta): fewer bubbles than members touched, and
+    # fewer centers than bubbles
+    assert sum(c for _, c, _ in groups) < sum(n for n, _, _ in groups)
+    assert sum(n for n, _, _ in groups) < sum(m for _, _, m in groups)
 
 
-def test_superposition_builds_one_field_per_term_and_center(monkeypatch):
+def test_superposition_builds_one_bubble_per_term_j_and_zeta(monkeypatch):
     grid = disc.PolarGrid(n_r=96, n_theta=64, s_max=4.5)
     w = smooth_plateau_profile(0.69, 1.0)
     terms = [profiles.ProfileTerm(w, [1, 2, 2, 2, 3, 3], [z] * 6) for z in (0.2, -0.2)]
-    fields, log_distance = [], disc._log_distance
+    built, fields = [], []  # bubble (j, zeta, weakref); fields
+    inflated, log_distance = disc._inflated, disc._log_distance
+
+    def counted_inflated(w, zeta, js, *args, **kwargs):
+        us = inflated(w, zeta, js, *args, **kwargs)
+        built.extend((j, zeta, weakref.ref(u)) for j, u in zip(js, us))
+        return us
 
     def counted_field(grid, zeta):
         fields.append(zeta)
         return log_distance(grid, zeta)
 
+    monkeypatch.setattr(disc, "_inflated", counted_inflated)
     monkeypatch.setattr(disc, "_log_distance", counted_field)
     seq, _ = seqgen.synthetic_superposition(terms, 0.0, seed=3, grid=grid)
-    assert fields == [0.2, -0.2]
+
+    # each term's track has its own center, so (j, zeta) names the term
+    distinct = {(j, z) for t in terms for j, z in zip(t.j_track, t.zeta_track)}
+    assert len(built) == len(distinct) == 6
+    assert {(j, z) for j, z, _ in built} == distinct
+    assert fields == [0.2, -0.2]  # one field per term and center
+    assert all(ref() is None for *_, ref in built)  # every member is a sum
+    assert len(seq.members) == 6
     # each member is the sum, in term order, of its whole-grid bubbles
     expect = [None] * 6
     for t in terms:
