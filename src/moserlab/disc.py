@@ -8,8 +8,10 @@ In the coordinates (s, theta) the Dirichlet integrand is conformally flat,
 
 so the discrete energy is the exact Dirichlet energy of the bilinear
 interpolant in (s, theta), cap included.  `_pair(u, vs)` pairs u with each
-function of a list, their differences taken in blocks of rings, or of a
-`_ProbeStack`, whose differences are taken whole once for many pairings.
+function of a list, their differences taken in blocks of rings, or with each
+probe of a `_ProbeStack`: a probe is a radial column times cos(m theta), and
+the form is circulant in theta, so u's rings are projected on the probes'
+angular vectors in one matrix product and the rest is one pass over rings.
 
 Deflation, the angular profile around a center and the ball means A_r u(z)
 that the detector scores as j^{-1/2} |A_{RHO^j} u(z)| all sample u on polar
@@ -175,12 +177,15 @@ def _thetas(grid: PolarGrid) -> np.ndarray:
 def _angular_index(grid: PolarGrid, theta: np.ndarray, width: int):
     """(m, m + 1 mod width, eta): the angular nodes around theta in [0, 2 pi],
     as intp columns of a ring array `width` wide (n_theta, or the block width
-    of a j-fold function), and the weight eta of the second one."""
-    y = theta / grid.dtheta
+    of a j-fold function), and the weight eta of the second one, written over
+    theta."""
+    y = np.divide(theta, grid.dtheta, out=theta)
     floor = np.floor(y)
     m = floor.astype(np.intp)
     m[m >= width] %= width  # theta = 2 pi (an angle just below 0 rounds up), or a j-fold block
-    return m, np.where(m == width - 1, 0, m + 1), y - floor
+    m1 = m + 1
+    m1[m1 == width] = 0
+    return m, m1, np.subtract(y, floor, out=y)
 
 
 def cell_areas(grid: PolarGrid) -> tuple[float, np.ndarray]:
@@ -335,31 +340,18 @@ def _differences(Vs, a: int, b: int, A: np.ndarray, G: np.ndarray) -> tuple:
     return A, G
 
 
-def _caps(vs) -> np.ndarray:
-    """The cap rows rings[0] - center of the functions vs, stacked."""
-    return np.array([v.rings[0] for v in vs]) - np.array([[v.center] for v in vs], dtype=float)
-
-
-class _ProbeStack:
-    """Probes of one grid and order, stacked once for `_pair` with many
-    functions: their differences taken whole, and their cap rows."""
-
-    def __init__(self, probes):
-        if not probes:
-            raise ValueError("no probes to pair with")
-        for v in probes:
-            _check_operands(probes[0], v)
-        self.grid, self.order = probes[0].grid, probes[0].order
-        (n, w), p = probes[0].rings.shape, len(probes)
-        self.whole = _differences([v.rings for v in probes], 0, n - 1,
-                                  np.empty((p, n - 1, w)), np.empty((p, n, w)))
-        self.caps = _caps(probes)
+def _cap_terms(a0u: np.ndarray, a0v: np.ndarray, dth: float) -> np.ndarray:
+    """The cap's radial term of the form, for u's cap row a0u = rings[0] - center
+    and each stacked cap row of a0v, unshifted and shifted by a column."""
+    a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1, axis=1)
+    return dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v, axis=1) / 6.0
 
 
 def _pair(u: DiscFunction, vs) -> np.ndarray:
     """Dirichlet bilinear form of u with each function of vs, exact cap
     included: one value per function of a sequence (their differences taken
-    in blocks of rings, once for u if it is vs[0]) or of a `_ProbeStack`.
+    in blocks of rings, once for u if it is vs[0]) or per probe of a
+    `_ProbeStack` (see `_ProbeStack.pair`).
 
     A cell's edge differences (A, B radial; C, D angular) enter as
     (A_u A_v + (A_u B_v + B_u A_v)/2 + B_u B_v)/3, with B the A of the next
@@ -370,23 +362,22 @@ def _pair(u: DiscFunction, vs) -> np.ndarray:
     """
     if not vs:
         raise ValueError("no probes to pair with")
-    stack = isinstance(vs, _ProbeStack)
-    for v in ([vs] if stack else vs):
+    if isinstance(vs, _ProbeStack):
+        _check_operands(u, vs)
+        return vs.pair(u)
+    for v in vs:
         _check_operands(u, v)
-    a0v = vs.caps if stack else _caps(vs)
-    Vu, shared, count = u.rings, not stack and vs[0] is u, len(a0v)
+    Vu, shared, count = u.rings, vs[0] is u, len(vs)
     n, w = Vu.shape
     s, dth = _ring_s(u.grid), u.grid.dtheta
     ds = s[:-1] - s[1:]  # positive
     radial, Q, P = np.empty((count, n - 1)), np.empty((count, n - 1)), np.empty((count, n))
-    step = max(1, _BLOCK // (w * (1 if stack else count)))
+    step = max(1, _BLOCK // (w * count))
     # block buffers for the differences of vs, and of u unless shared
-    bufs = [(np.empty((k, step, w)), np.empty((k, step + 1, w)))
-            for k in (0 if stack else count, 1 - shared)]
+    bufs = [(np.empty((k, step, w)), np.empty((k, step + 1, w))) for k in (count, 1 - shared)]
     for a in range(0, n - 1, step):
         b = min(a + step, n - 1)
-        Av, Gv = ((vs.whole[0][:, a:b], vs.whole[1][:, a:b + 1]) if stack
-                  else _differences([v.rings for v in vs], a, b, *bufs[0]))
+        Av, Gv = _differences([v.rings for v in vs], a, b, *bufs[0])
         Au, Gu = (x[0] for x in ((Av, Gv) if shared else _differences([Vu], a, b, *bufs[1])))
         cross = ((_rowdot(Au[:, :-1], Av[:, :, 1:]) + Au[:, -1] * Av[:, :, 0])  # A_u B_v, cyclic
                  + (_rowdot(Au[:, 1:], Av[:, :, :-1]) + Av[:, :, -1] * Au[:, 0]))  # B_u A_v
@@ -396,10 +387,8 @@ def _pair(u: DiscFunction, vs) -> np.ndarray:
     # one np.dot per function, as for one: a matrix product sums in another order
     e_s = np.array([np.dot(dth / ds, row) for row in radial]) / 3.0
     e_t = np.array([np.dot(ds / dth, row) for row in P[:, :-1] + P[:, 1:] + 0.5 * Q]) / 3.0
-    # the cap rows, unshifted and shifted by a column
-    a0u = Vu[0] - u.center
-    a1u, a1v = np.roll(a0u, -1), np.roll(a0v, -1, axis=1)
-    cap_r = dth * np.sum(a0u * a0v + 0.5 * (a0u * a1v + a1u * a0v) + a1u * a1v, axis=1) / 6.0
+    a0v = np.array([v.rings[0] for v in vs]) - np.array([[v.center] for v in vs], dtype=float)
+    cap_r = _cap_terms(Vu[0] - u.center, a0v, dth)
     cap_t = 0.5 * P[:, 0] / dth
     return u.order * (e_s + e_t + cap_r + cap_t)
 
@@ -538,8 +527,13 @@ def _deflation_samples(us, d: DislocationParam):
     for every k, on one net per block width: the members share one grid."""
     grid = us[0].grid
     sigma = _ring_s(_deflated_grid(grid, d.j)) * d.j
-    pts = _polar_points(d.zeta, np.exp(-sigma), _thetas(grid))
-    return _each_sample(us, np.append(pts, d.zeta))
+    # the polar points zeta + r e^{i theta}, written in place, and zeta
+    pts = np.empty(grid.n_r * grid.n_theta + 1, dtype=complex)
+    ring = np.multiply(np.exp(-sigma)[:, None], np.exp(1j * _thetas(grid)),
+                       out=pts[:-1].reshape(grid.n_r, grid.n_theta))
+    ring += d.zeta
+    pts[-1] = d.zeta
+    return _each_sample(us, pts)
 
 
 def _deflated_grid(grid: PolarGrid, j: int) -> PolarGrid:
@@ -547,9 +541,9 @@ def _deflated_grid(grid: PolarGrid, j: int) -> PolarGrid:
 
 
 def _deflated(u: DiscFunction, d: DislocationParam, vals: np.ndarray) -> DiscFunction:
-    """deflate(u, d) from u's deflation samples."""
+    """deflate(u, d) from u's deflation samples, which it takes over."""
     j, grid = d.j, u.grid
-    vals = vals / math.sqrt(j)
+    vals /= math.sqrt(j)
     block = vals[:-1].reshape(grid.n_r, grid.n_theta)
     block[-1, :] = 0.0
     sup = min(1.0, (min(1.0, u.support_radius + abs(d.zeta))) ** (1.0 / j))
@@ -605,9 +599,15 @@ class _Net:
         self.cap = (cap, m, m1, 1 - eta, eta, r[cap] / r0)
         self.outside = np.flatnonzero(~(r < 1.0))
         r[cap], r[self.outside], theta[self.outside] = r0, 1.0, 0.0
-        x = np.clip((grid.s_max + np.log(r)) / (grid.s_max / (grid.n_r - 1)), 0, grid.n_r - 1)
-        i = np.minimum(x.astype(np.intp), grid.n_r - 2)
-        xi = x - i
+        # x = (s_max + log r) / ds, clipped to [0, n_r - 1], and its floor i, each
+        # taken in place: r becomes x, then xi = x - i
+        x = np.log(r, out=r)
+        x += grid.s_max
+        x /= grid.s_max / (grid.n_r - 1)
+        np.clip(x, 0, grid.n_r - 1, out=x)
+        i = x.astype(np.intp)
+        np.minimum(i, grid.n_r - 2, out=i)
+        xi = np.subtract(x, i, out=x)
         m, m1, eta = _angular_index(grid, theta, width)
         i *= width
         m += i  # the flat indices, in place
@@ -819,23 +819,125 @@ def _refine_center(u, zeta, j, score=-math.inf) -> tuple[float, complex]:
 
 _PROBE_T_CAP = 6.0  # the largest log-radial extent of the probe layout
 _PROBE_COUNT = 6  # the probe set size of the concentration demos and of `dweak_test`
-
-
-def _modulated(base: DiscFunction, mode: int, phase: float = 0.0) -> DiscFunction:
-    """A radial base times cos(mode theta + phase) on its block; center: angular mean."""
-    thetas = _thetas(base.grid)[: base.rings.shape[1]]
-    rings = base.rings * np.cos(mode * thetas + phase)[None, :]
-    center = base.center * math.cos(phase) if mode == 0 else 0.0
-    return DiscFunction._owned(base.grid, center, rings, base.support_radius, order=base.order)
+# the probe layout, cycled through: (kind, knee or support as fractions of the
+# log-radial extent, angular mode)
+_PROBE_LAYOUT = (
+    ("ramp", 0.35, 0),
+    ("tent", (0.08, 0.45), 0),
+    ("ramp", 0.7, 0),
+    ("tent", (0.3, 0.85), 1),
+    ("tent", (0.1, 0.6), 2),
+    ("tent", (0.45, 0.95), 1),
+    ("ramp", 0.15, 0),
+    ("tent", (0.2, 0.75), 3),
+)
 
 
 def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0):
     """w inflated at the origin times cos(mode theta + phase); center: angular mean."""
-    return _modulated(inflate(w, DislocationParam(1, 0.0), grid), mode, phase)
+    base = inflate(w, DislocationParam(1, 0.0), grid)
+    rings = base.rings * np.cos(mode * _thetas(grid) + phase)[None, :]
+    center = base.center * math.cos(phase) if mode == 0 else 0.0
+    return DiscFunction._owned(grid, center, rings, base.support_radius)
+
+
+class _ProbeStack:
+    """The probes of `make_probes(grid, count, order)`, held separably: probe i
+    is scale[i] * (p[i] outer c[i]) with center scale[i] * centers[i].
+
+    p[i] is the radial column of a layout entry inflated at the origin, c[i]
+    = cos(mode theta) on the block and scale[i] makes the probe's energy 1.
+    `basis` holds the angular vectors of each mode once, as columns: for a
+    mode m > 0, c, c rolled by -1 and by +1 and h (see `_form`); for mode 0
+    only c = 1, which is its own roll (its h is 0).  `columns` gives each
+    probe's four columns.  No array of the stack is as large as a grid.
+    """
+
+    def __init__(self, grid: PolarGrid, count: int = _PROBE_COUNT, order: int = 1):
+        self.grid, self.order = grid, order
+        s_ext = min(grid.s_max, _PROBE_T_CAP)
+        thetas = _thetas(grid)[: grid.n_theta // order]
+        bases, modes, first, vectors = [], [], {}, []
+        placed = k = 0
+        while placed < count:
+            kind, pos, mode = _PROBE_LAYOUT[k % len(_PROBE_LAYOUT)]
+            k += 1
+            if kind == "ramp":
+                prof = RadialProfile([0.0, pos * s_ext], [0.0, 1.0])
+            else:
+                lo, hi = pos[0] * s_ext, pos[1] * s_ext
+                prof = RadialProfile([0.0, lo, 0.5 * (lo + hi), hi], [0.0, 0.0, 1.0, 0.0])
+            # a radial bubble is one column: a block of order n_theta
+            base = inflate(prof, DislocationParam(1, 0.0), grid, grid.n_theta)
+            if not np.any(base.rings):
+                continue
+            placed += 1
+            if mode % order:
+                continue  # it pairs to 0 with every j-fold function
+            bases.append(base)
+            modes.append(mode)
+            if mode not in first:
+                first[mode] = len(vectors)
+                c = np.cos(mode * thetas)
+                g = np.roll(c, -1) - c
+                vectors += [c] if mode == 0 else [c, np.roll(c, -1), np.roll(c, 1), np.roll(g, 1) - g]
+        self.p = np.array([b.rings[:, 0] for b in bases])
+        self.c = np.array([vectors[first[m]] for m in modes])
+        self.centers = np.array([b.center if m == 0 else 0.0 for b, m in zip(bases, modes)])
+        self.supports = [b.support_radius for b in bases]
+        self.basis = np.array(vectors).T
+        self.columns = np.array([[first[m] + (r if m else 0) for m in modes] for r in range(4)])
+        self.flat = np.array([m == 0 for m in modes], dtype=bool)
+        # each probe's energy, from its own projections and cap row
+        self.scale = np.array([
+            1.0 / math.sqrt(self._form(np.outer(self.basis.T @ c, p), p[0] * c - center)[i])
+            for i, (p, c, center) in enumerate(zip(self.p, self.c, self.centers))])
+
+    def __len__(self) -> int:
+        return len(self.c)
+
+    def _form(self, S: np.ndarray, a0u: np.ndarray) -> np.ndarray:
+        """The form of u with each unscaled probe, from S, the projections of
+        u's rings on the basis columns (one row per column), and u's cap row
+        a0u = rings[0] - center.
+
+        For v = p outer c and u's rings U, `_pair`'s row sums are sums of U
+        against c and its rolls: with S_c = U c, S_+ and S_- for the rolls by
+        -1 and +1, g = roll(c, -1) - c and S_h = U h for h = roll(g, 1) - g,
+        radial_i = (p_{i+1} - p_i) (2 dS_c + (dS_+ + dS_-) / 2), each dS the
+        difference of rings i + 1 and i, P_i = p_i S_h(i) and
+        Q_i = p_{i+1} S_h(i) + p_i S_h(i + 1).  The rest is `_pair`'s.
+        """
+        p, (ic, ip, im, ih) = self.p, self.columns
+        s, dth = _ring_s(self.grid), self.grid.dtheta
+        ds = s[:-1] - s[1:]  # positive
+        dS = S[:, 1:] - S[:, :-1]
+        radial = (p[:, 1:] - p[:, :-1]) * (2.0 * dS[ic] + 0.5 * (dS[ip] + dS[im]))
+        Sh = S[ih]
+        Sh[self.flat] = 0.0
+        P = p * Sh
+        Q = p[:, 1:] * Sh[:, :-1] + p[:, :-1] * Sh[:, 1:]
+        e_s = radial @ (dth / ds) / 3.0
+        e_t = (P[:, :-1] + P[:, 1:] + 0.5 * Q) @ (ds / dth) / 3.0
+        cap_r = _cap_terms(a0u, p[:, :1] * self.c - self.centers[:, None], dth)
+        cap_t = 0.5 * P[:, 0] / dth
+        return self.order * (e_s + e_t + cap_r + cap_t)
+
+    def pair(self, u: DiscFunction) -> np.ndarray:
+        """The form of u with each probe: u's rings projected on the basis in one product."""
+        return self.scale * self._form((u.rings @ self.basis).T, u.rings[0] - u.center)
+
+    def probes(self) -> list[DiscFunction]:
+        """The stack materialized: probe i's rings scale[i] * (p[i] outer c[i])."""
+        return [DiscFunction._owned(self.grid, scale * center, np.multiply.outer(p, c) * scale,
+                                    support, order=self.order)
+                for p, c, center, scale, support
+                in zip(self.p, self.c, self.centers.tolist(), self.scale.tolist(), self.supports)]
 
 
 def make_probes(grid: PolarGrid, count: int = _PROBE_COUNT, order: int = 1) -> list[DiscFunction]:
-    """Deterministic unit-energy probes on a fixed log-radial layout.
+    """Deterministic unit-energy probes on a fixed log-radial layout: the
+    materialized `_ProbeStack(grid, count, order)`.
 
     Ramp-to-plateau probes carry net elevation (they pair against long
     concentrating ramps), tents with low angular modes probe localized and
@@ -851,40 +953,11 @@ def make_probes(grid: PolarGrid, count: int = _PROBE_COUNT, order: int = 1) -> l
     angular mode, since otherwise it pairs to 0 with every j-fold function.
     So the set is the order-1 set less the entries of the other modes.
     """
-    s_ext = min(grid.s_max, _PROBE_T_CAP)
-    layouts = [  # (kind, knee or support, angular mode)
-        ("ramp", 0.35, 0),
-        ("tent", (0.08, 0.45), 0),
-        ("ramp", 0.7, 0),
-        ("tent", (0.3, 0.85), 1),
-        ("tent", (0.1, 0.6), 2),
-        ("tent", (0.45, 0.95), 1),
-        ("ramp", 0.15, 0),
-        ("tent", (0.2, 0.75), 3),
-    ]
-    probes: list[DiscFunction] = []
-    placed = k = 0
-    while placed < count:
-        kind, pos, mode = layouts[k % len(layouts)]
-        k += 1
-        if kind == "ramp":
-            prof = RadialProfile([0.0, pos * s_ext], [0.0, 1.0])
-        else:
-            lo, hi = pos[0] * s_ext, pos[1] * s_ext
-            mid = 0.5 * (lo + hi)
-            prof = RadialProfile([0.0, lo, mid, hi], [0.0, 0.0, 1.0, 0.0])
-        base = inflate(prof, DislocationParam(1, 0.0), grid, order)
-        if not np.any(base.rings):
-            continue
-        placed += 1
-        if mode % order == 0:
-            cand = _modulated(base, mode)
-            probes.append(scale_disc(cand, 1.0 / math.sqrt(energy(cand))))
-    return probes
+    return _ProbeStack(grid, count, order).probes()
 
 
 def max_pairing(u: DiscFunction, probes) -> float:
-    """max |<u, phi>| over the probes (disc functions or their `_ProbeStack`): the proxy."""
+    """max |<u, phi>| over the probes, disc functions or a `_ProbeStack`: the proxy."""
     return float(np.max(np.abs(_pair(u, probes))))
 
 

@@ -297,7 +297,7 @@ def _default_grid(n_theta: int, extent: float) -> "disc.PolarGrid":
 def _demo_report(grid, cases, notes) -> WeakDiscontinuityReport:
     """Both demos: each case (row labels, w, dislocation d, profile for J) gives
     the member inflate(w, d), paired against the probes, and an exact J."""
-    probes = disc._ProbeStack(disc.make_probes(grid, disc._PROBE_COUNT))
+    probes = disc._ProbeStack(grid, disc._PROBE_COUNT)
     rows, pairings, j_values = [], [], []
     max_energy = 0.0
     for labels, w, d, j_profile in cases:

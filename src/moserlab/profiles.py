@@ -535,7 +535,7 @@ def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
                 continue
             if (w.grid, w.order) != probe_key:
                 probe_key, probes = (w.grid, w.order), None  # the old stack is freed first
-                probes = disc._ProbeStack(disc.make_probes(w.grid, disc._PROBE_COUNT, w.order))
+                probes = disc._ProbeStack(w.grid, disc._PROBE_COUNT, w.order)
             pairings[k, t] = disc.max_pairing(w, probes)
 
     per_member, witness = [], None

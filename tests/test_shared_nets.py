@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from moserlab import disc, profiles, radial, seqgen
 from conftest import (
     bumps, detections, detector_cases, dweak_test_at, grids, old_concentration_detect, old_deflate,
-    old_dweak_test, old_interpolate, old_scores, points, rough_disc, same_disc, seeds,
+    old_dweak_test, old_interpolate, old_scores, points, rough_disc, same_disc, same_dweak, seeds,
     smooth_plateau_profile, zero_member,
 )
 
@@ -190,9 +190,10 @@ DWEAK_CASES = [
 @pytest.mark.parametrize("make_seq, kw", DWEAK_CASES,
                          ids=["counterexample", "moser", "zero-members", "mixed-orders", "radial"])
 def test_dweak_test_is_exactly_the_old_one(make_seq, kw):
+    """The old verdict and witness (or a track tied with it to 1e-12);
+    per-member pairings to 1e-12 relative."""
     seq = make_seq()
-    new, old = dweak_test_at(seq, **kw), old_dweak_test(seq, **kw)
-    assert new == old
+    assert same_dweak(dweak_test_at(seq, **kw), *old_dweak_test(seq, **kw))
 
 
 def test_a_deflation_failing_for_one_member_skips_only_that_pair(monkeypatch):
@@ -218,7 +219,7 @@ def test_a_deflation_failing_for_one_member_skips_only_that_pair(monkeypatch):
     new = dweak_test_at(seq, **kw)
     old = old_dweak_test(seq, **kw)
     assert len(hits) == 2  # one (member, track) pair, once in each test
-    assert new == old
+    assert same_dweak(new, *old)
     assert new.per_member[1:] == clean.per_member[1:]
 
 
@@ -314,19 +315,18 @@ def test_a_repeated_start_builds_no_angular_profile_net(nets, monkeypatch):
 
 
 def test_dweak_builds_each_probe_set_once_in_increasing_j_and_frees_it(monkeypatch):
-    """One probe set per output (grid, order), built in nondecreasing j; when a
-    set is built, no probe of an earlier set is alive."""
+    """One probe stack per output (grid, order), built in nondecreasing j; when
+    a stack is built, the one before it is freed."""
     built, refs = [], []
-    make_probes = disc.make_probes
 
-    def recorded(grid, count=6, order=1):
-        assert all(ref() is None for ref in refs), "a probe set outlived the next build"
-        probes = make_probes(grid, count, order)
-        built.append((grid, order))
-        refs.extend(weakref.ref(p) for p in probes)
-        return probes
+    class Recorded(disc._ProbeStack):
+        def __init__(self, grid, count, order):
+            assert all(ref() is None for ref in refs), "a probe stack outlived the next build"
+            super().__init__(grid, count, order)
+            built.append((grid, order))
+            refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(disc, "make_probes", recorded)
+    monkeypatch.setattr(disc, "_ProbeStack", Recorded)
     seq = seqgen.moser_sequence([math.exp(-k) for k in range(1, 5)], [0.1 + 0.05j] * 4)
     rep = profiles.dweak_test(seq, j_max=8)
     assert rep.per_member
@@ -334,3 +334,4 @@ def test_dweak_builds_each_probe_set_once_in_increasing_j_and_frees_it(monkeypat
     orders = [order for _, order in built]  # a scale-j deflation has order j
     assert orders == sorted(orders)
     assert all(ref() is None for ref in refs)
+
