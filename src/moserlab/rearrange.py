@@ -28,9 +28,9 @@ the large-tau end and the norm is max_i v_i ell(tau_i)^{-1/2}.  `expl2_disc`
 evaluates that closed form on a disc sample without sorting every cell: an
 area-weighted histogram of |v|, built in blocks of cells, bounds what each
 bucket of values can contribute, and only the cells of the run of buckets
-that can still hold the sup are weighed, the cells above it entering as
-their total area, summed in sorted order.  `expl2_quasinorm` keeps the
-general stationary-point search for every rearranged function.
+that can still hold the sup are sorted, the buckets above it entering as
+their total area.  `expl2_quasinorm` keeps the general stationary-point
+search for every rearranged function.
 """
 
 from __future__ import annotations
@@ -439,8 +439,8 @@ def expl2_quasinorm(f: RearrangedFunction) -> float:
 _EXPL2_BUCKETS = 4096
 
 
-def _in_order(mags, mask):
-    """The masked cells in rearrange_disc's order, and their values, descending."""
+def _expl2_prefix(mags, areas, total, mask, above) -> float:
+    """Sup over the masked cells, a run of rearrange_disc's order after cells of area `above`."""
     sel = np.flatnonzero(mask)
     vals = mags[sel]
     order = vals.argsort()[::-1]
@@ -448,13 +448,7 @@ def _in_order(mags, mask):
     if (desc[1:] == desc[:-1]).any():
         # equal values: the order of their cells, and with it the areas summed, is the stable sort's
         order = vals.argsort(kind="stable")[::-1]
-    return sel[order], desc
-
-
-def _expl2_prefix(mags, areas, total, mask, above) -> float:
-    """Sup over the masked cells, a run of rearrange_disc's order after cells of area `above`."""
-    cells, desc = _in_order(mags, mask)
-    taus = areas[cells]
+    taus = areas[sel[order]]
     taus[0] += above
     np.cumsum(taus, out=taus)
     _expl2_weight(np.divide(taus, total, out=taus), out=taus)
@@ -472,10 +466,7 @@ def expl2_disc(u) -> float:
     relative margin of 1e-6, far above the rounding of the index and of the
     histogram's sums (n eps), so that rounding can only add buckets.  The run
     from the first such bucket to the last is sorted, stably if it holds ties,
-    and weighed after the area of the cells above it.  Those cannot win and are
-    not weighed, but their areas are summed in rearrange_disc's order, as the
-    full sort sums them, so that every cumulative area of the run, and the
-    norm, is the full stable sort's bit for bit.
+    after the area of the buckets above it.
     """
     values, areas = u.cell_values_and_areas()
     mags = np.abs(values, out=values)
@@ -495,10 +486,7 @@ def expl2_disc(u) -> float:
     w_reach = _expl2_weight(reach / total)
     lower = np.arange(nb) * w_reach
     start, top = np.flatnonzero((lower + w_reach) * (1.0 + 1e-6) >= lower.max())[[0, -1]].tolist()
-    above = 0.0
-    if top + 1 < nb:
-        ordered = areas[_in_order(mags, bucket > top)[0]]
-        above = float(np.cumsum(ordered, out=ordered)[-1])
+    above = float(reach[top + 1]) if top + 1 < nb else 0.0
     return _expl2_prefix(mags, areas, total, (bucket >= start) & (bucket <= top), above)
 
 
