@@ -841,23 +841,29 @@ def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.
     return DiscFunction._owned(grid, center, rings, base.support_radius)
 
 
+def _angular_columns(c: np.ndarray) -> list:
+    """c, c rolled by -1 and by +1, and h = roll(g, 1) - g for g = roll(c, -1) - c."""
+    g = np.roll(c, -1) - c
+    return [c, np.roll(c, -1), np.roll(c, 1), np.roll(g, 1) - g]
+
+
 class _ProbeStack:
     """The probes of `make_probes(grid, count, order)`, held separably: probe i
     is scale[i] * (p[i] outer c[i]) with center scale[i] * centers[i].
 
     p[i] is the radial column of a layout entry inflated at the origin, c[i]
     = cos(mode theta) on the block and scale[i] makes the probe's energy 1.
-    `basis` holds the angular vectors of each mode once, as columns: for a
-    mode m > 0, c, c rolled by -1 and by +1 and h (see `_form`); for mode 0
-    only c = 1, which is its own roll (its h is 0).  `columns` gives each
-    probe's four columns.  No array of the stack is as large as a grid.
+    `basis` holds the angular vectors of each mode once, as columns: c, c
+    rolled by -1 and by +1 and h (see `_form`; for mode 0, c = 1 and h = 0).
+    `columns` gives each probe's four columns.  No array of the stack is as
+    large as a grid.
     """
 
     def __init__(self, grid: PolarGrid, count: int = _PROBE_COUNT, order: int = 1):
         self.grid, self.order = grid, order
         s_ext = min(grid.s_max, _PROBE_T_CAP)
         thetas = _thetas(grid)[: grid.n_theta // order]
-        bases, modes, first, vectors = [], [], {}, []
+        bases, modes, first = [], [], {}  # first: a mode's first basis column
         placed = k = 0
         while placed < count:
             kind, pos, mode = _PROBE_LAYOUT[k % len(_PROBE_LAYOUT)]
@@ -876,25 +882,24 @@ class _ProbeStack:
                 continue  # it pairs to 0 with every j-fold function
             bases.append(base)
             modes.append(mode)
-            if mode not in first:
-                first[mode] = len(vectors)
-                c = np.cos(mode * thetas)
-                g = np.roll(c, -1) - c
-                vectors += [c] if mode == 0 else [c, np.roll(c, -1), np.roll(c, 1), np.roll(g, 1) - g]
+            first.setdefault(mode, 4 * len(first))
         self.p = np.array([b.rings[:, 0] for b in bases])
-        self.c = np.array([vectors[first[m]] for m in modes])
         self.centers = np.array([b.center if m == 0 else 0.0 for b, m in zip(bases, modes)])
         self.supports = [b.support_radius for b in bases]
-        self.basis = np.array(vectors).T
-        self.columns = np.array([[first[m] + (r if m else 0) for m in modes] for r in range(4)])
-        self.flat = np.array([m == 0 for m in modes], dtype=bool)
+        self.basis = np.reshape([v for m in first for v in _angular_columns(np.cos(m * thetas))],
+                                (4 * len(first), len(thetas))).T
+        self.columns = np.array([[first[m] + r for m in modes] for r in range(4)], dtype=np.intp)
         # each probe's energy, from its own projections and cap row
         self.scale = np.array([
             1.0 / math.sqrt(self._form(np.outer(self.basis.T @ c, p), p[0] * c - center)[i])
-            for i, (p, c, center) in enumerate(zip(self.p, self.c, self.centers))])
+            for i, (p, c, center) in enumerate(zip(self.p, self._angular(), self.centers))])
 
     def __len__(self) -> int:
-        return len(self.c)
+        return len(self.p)
+
+    def _angular(self) -> np.ndarray:
+        """Each probe's angular vector c, one row per probe."""
+        return self.basis[:, self.columns[0]].T
 
     def _form(self, S: np.ndarray, a0u: np.ndarray) -> np.ndarray:
         """The form of u with each unscaled probe, from S, the projections of
@@ -914,12 +919,11 @@ class _ProbeStack:
         dS = S[:, 1:] - S[:, :-1]
         radial = (p[:, 1:] - p[:, :-1]) * (2.0 * dS[ic] + 0.5 * (dS[ip] + dS[im]))
         Sh = S[ih]
-        Sh[self.flat] = 0.0
         P = p * Sh
         Q = p[:, 1:] * Sh[:, :-1] + p[:, :-1] * Sh[:, 1:]
         e_s = radial @ (dth / ds) / 3.0
         e_t = (P[:, :-1] + P[:, 1:] + 0.5 * Q) @ (ds / dth) / 3.0
-        cap_r = _cap_terms(a0u, p[:, :1] * self.c - self.centers[:, None], dth)
+        cap_r = _cap_terms(a0u, p[:, :1] * self._angular() - self.centers[:, None], dth)
         cap_t = 0.5 * P[:, 0] / dth
         return self.order * (e_s + e_t + cap_r + cap_t)
 
@@ -932,7 +936,8 @@ class _ProbeStack:
         return [DiscFunction._owned(self.grid, scale * center, np.multiply.outer(p, c) * scale,
                                     support, order=self.order)
                 for p, c, center, scale, support
-                in zip(self.p, self.c, self.centers.tolist(), self.scale.tolist(), self.supports)]
+                in zip(self.p, self._angular(), self.centers.tolist(), self.scale.tolist(),
+                       self.supports)]
 
 
 def make_probes(grid: PolarGrid, count: int = _PROBE_COUNT, order: int = 1) -> list[DiscFunction]:

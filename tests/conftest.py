@@ -153,16 +153,15 @@ def dweak_test_at(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
         return profiles.dweak_test(seq, j_max=j_max)
 
 
-def same_dweak(new, old, tied) -> bool:
-    """A dislocation-weak report agrees with the oracle's (`old_dweak_test`):
-    the same verdict, per-member pairings within 1e-12 relative and the same
-    witness, or one of the tracks `tied` with it to 1e-12.  The live test pairs
-    with the separable probe stack, the oracle with the materialized probes;
-    they differ by rounding, which may order two tracks of equal pairings
-    either way."""
-    return (new.verdict == old.verdict and (new.witness == old.witness or new.witness in tied)
-            and len(new.per_member) == len(old.per_member)
-            and all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(new.per_member, old.per_member)))
+def assert_same_dweak(new, old) -> None:
+    """A dislocation-weak report is the oracle's (`old_dweak_test`): the same
+    verdict and witness, per-member pairings within 1e-12 relative.  The live
+    test pairs with the separable probe stack, the oracle with the
+    materialized probes, and they differ by rounding."""
+    assert new.verdict == old.verdict
+    assert new.witness == old.witness
+    assert len(new.per_member) == len(old.per_member)
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(new.per_member, old.per_member))
 
 
 def close_pairings(got, want, bound=0.0) -> bool:
@@ -385,10 +384,7 @@ def old_deflate(u, d):
 
 
 def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
-    """`profiles.dweak_test` as it was: one detection and one deflation per
-    member.  Returns the report and the witnessing member's tracks whose
-    pairing is within 1e-12 relative of its best: the witnesses a rounding
-    of the pairings may pick instead."""
+    """`profiles.dweak_test` as it was: one detection and one deflation per member."""
     members = profiles._as_disc_members(seq)
     rng = np.random.default_rng(seed)
     probes: dict = {}
@@ -400,13 +396,12 @@ def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
         tracks.append((j, zeta, "random"))
 
     per_member = []
-    witness, tied = None, []
+    witness = None
     for u in members:
         cands = old_concentration_detect(u, eps=1e-4, j_max=j_max, top_k=2, refine=False)
         local = tracks + [(c[0].j, c[0].zeta, "detector") for c in cands]
         best = 0.0
         best_track = None
-        vals = []
         for j, zeta, kind in local:
             try:
                 w = old_deflate(u, disc.DislocationParam(j, zeta))
@@ -416,20 +411,16 @@ def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
             if key not in probes:
                 probes[key] = disc.make_probes(w.grid, probe_count, w.order)
             val = disc.max_pairing(w, probes[key])
-            track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
-            vals.append((val, track))
             if val > best:
                 best = val
-                best_track = track
+                best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
         per_member.append(best)
-        if best_track is not None:
-            witness = best_track
-            tied = [track for val, track in vals if val >= best * (1.0 - 1e-12)]
+        witness = best_track if best_track is not None else witness
     if functional.tail_decayed(per_member, 0.5, 0.05):
         verdict = "dweak-null-evidence"
     else:
         verdict = "non-vanishing"
-    return profiles.DWeakReport(tuple(per_member), witness, verdict), tied
+    return profiles.DWeakReport(tuple(per_member), witness, verdict)
 
 
 # -- member sums on fresh arrays, and the cell values by a rolled copy -----------------------

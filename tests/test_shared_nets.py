@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from moserlab import disc, profiles, radial, seqgen
 from conftest import (
-    bumps, detections, detector_cases, dweak_test_at, grids, old_concentration_detect, old_deflate,
-    old_dweak_test, old_interpolate, old_scores, points, rough_disc, same_disc, same_dweak, seeds,
-    smooth_plateau_profile, zero_member,
+    assert_same_dweak, bumps, detections, detector_cases, dweak_test_at, grids,
+    old_concentration_detect, old_deflate, old_dweak_test, old_interpolate, old_scores, points,
+    rough_disc, same_disc, seeds, smooth_plateau_profile, zero_member,
 )
 
 
@@ -190,10 +190,28 @@ DWEAK_CASES = [
 @pytest.mark.parametrize("make_seq, kw", DWEAK_CASES,
                          ids=["counterexample", "moser", "zero-members", "mixed-orders", "radial"])
 def test_dweak_test_is_exactly_the_old_one(make_seq, kw):
-    """The old verdict and witness (or a track tied with it to 1e-12);
-    per-member pairings to 1e-12 relative."""
+    """The old verdict and witness; per-member pairings to 1e-12 relative."""
     seq = make_seq()
-    assert same_dweak(dweak_test_at(seq, **kw), *old_dweak_test(seq, **kw))
+    assert_same_dweak(dweak_test_at(seq, **kw), old_dweak_test(seq, **kw))
+
+
+def test_a_tie_in_the_stack_pairings_is_broken_in_the_list_form(monkeypatch):
+    """A radial member deflated at its center pairs equally at j = 1 and 3 in
+    exact arithmetic.  Whichever way the stack's rounding orders the two, the
+    witness is the first largest pairing with the materialized probes; a
+    track alone near the best is not paired again."""
+    u = disc.inflate(radial.moser_annular(1.5, 0.2), disc.DislocationParam(2, 0.0), MIXED_GRID)
+    tracks = [(1, 0j, "identity"), (3, 0j, "detector"), (1, 0j, "detector")]
+    exact = [disc.max_pairing(w, disc.make_probes(w.grid, disc._PROBE_COUNT, w.order))
+             for w in (old_deflate(u, disc.DislocationParam(j, z)) for j, z, _ in tracks)]
+    best = max(exact)
+    assert exact[0] == exact[2] and exact[1] == pytest.approx(best, rel=1e-14)
+    want = tracks[exact.index(best)]
+    for vals in ([best, best * (1 + 1e-13), best], [best * (1 + 1e-13), best, best * (1 + 1e-13)]):
+        assert profiles._witness_track(u, tracks, vals) == want
+    monkeypatch.setattr(disc, "make_probes", None)
+    assert profiles._witness_track(u, tracks, [best, 0.5 * best, best]) == tracks[0]
+    assert profiles._witness_track(u, tracks, [0.5 * best, best, 0.5 * best]) == tracks[1]
 
 
 def test_a_deflation_failing_for_one_member_skips_only_that_pair(monkeypatch):
@@ -219,7 +237,7 @@ def test_a_deflation_failing_for_one_member_skips_only_that_pair(monkeypatch):
     new = dweak_test_at(seq, **kw)
     old = old_dweak_test(seq, **kw)
     assert len(hits) == 2  # one (member, track) pair, once in each test
-    assert same_dweak(new, *old)
+    assert_same_dweak(new, old)
     assert new.per_member[1:] == clean.per_member[1:]
 
 
@@ -334,4 +352,3 @@ def test_dweak_builds_each_probe_set_once_in_increasing_j_and_frees_it(monkeypat
     orders = [order for _, order in built]  # a scale-j deflation has order j
     assert orders == sorted(orders)
     assert all(ref() is None for ref in refs)
-
