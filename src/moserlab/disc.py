@@ -29,11 +29,12 @@ block.  With that convention the deflation of a function sampled around its
 own center is energy-exact, and off-center deflations lose only bilinear
 interpolation error.  The operands of a form (energy, max_pairing) or a sum
 (add, subtract_disc) share one grid and one symmetry order: a deflation w is
-paired with make_probes(w.grid, count, w.order).  Powers z^j are computed as
-(|z|^j, j*theta), never by repeated complex multiplication.  Inflation
-j^{1/2} w(|z - zeta|^{1/j}) of a radial profile is its closed form on the
-field -log|z - zeta|, built one block of rings at a time, once per center,
-and shared over the scales j; at the origin the field is one ring column.
+paired with _ProbeStack(w.grid, count, w.order), make_probes held separably.
+Powers z^j are computed as (|z|^j, j*theta), never by repeated complex
+multiplication.  Inflation j^{1/2} w(|z - zeta|^{1/j}) of a radial profile
+is its closed form on the field -log|z - zeta|, built one block of rings at
+a time, once per center, and shared over the scales j; at the origin the
+field is one ring column.
 Out-of-domain reads are zero everywhere (extension by zero).
 """
 
@@ -835,8 +836,8 @@ _PROBE_LAYOUT = (
 
 def angular_mode(w: RadialProfile, grid: PolarGrid, mode: int, phase: float = 0.0):
     """w inflated at the origin times cos(mode theta + phase); center: angular mean."""
-    base = inflate(w, DislocationParam(1, 0.0), grid)
-    rings = base.rings * np.cos(mode * _thetas(grid) + phase)[None, :]
+    base = inflate(w, DislocationParam(1, 0.0), grid, grid.n_theta)  # one ring column
+    rings = np.multiply.outer(base.rings[:, 0], np.cos(mode * _thetas(grid) + phase))
     center = base.center * math.cos(phase) if mode == 0 else 0.0
     return DiscFunction._owned(grid, center, rings, base.support_radius)
 

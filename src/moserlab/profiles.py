@@ -470,7 +470,7 @@ _DWEAK_FLOOR = 0.05
 # the random tracks: this many (scale, center) draws from this seed
 _DWEAK_TRACKS = 6
 _DWEAK_SEED = 0
-# the stack's pairings are the list form's to well within this, relative
+# pairings within this of the largest, relative, tie: far above their rounding
 _DWEAK_TIE = 1e-12
 
 
@@ -486,34 +486,14 @@ def _as_disc_members(seq: FunctionSequence):
         return list(seq.members)
     extent = max(float(m.nodes[-1]) for m in seq.members) + 1.0
     grid = disc.PolarGrid(n_r=256, n_theta=64, s_max=extent)
-    return [
-        disc.inflate(m, disc.DislocationParam(1, 0.0), grid) for m in seq.members
-    ]
+    return [disc.inflate(m, disc.DislocationParam(1, 0.0), grid) for m in seq.members]
 
 
-def _witness_track(u: disc.DiscFunction, tracks: list, vals: list) -> tuple:
-    """The first of u's tracks with the largest pairing in `disc._pair`'s list
-    form with `disc.make_probes`; vals are their probe-stack pairings.
-
-    The stack rounds otherwise than the list form, and tracks whose pairings
-    are equal in exact arithmetic (a radial member deflated at its center for
-    several j) are ordered by rounding, so only the tracks within `_DWEAK_TIE`
-    of the largest stack pairing can be the list form's first largest.  When
-    they span more than one (j, zeta), those are paired again in the list form.
-    """
+def _witness_track(tracks: list, vals: list) -> tuple:
+    """The first track whose pairing is within `_DWEAK_TIE` (relative) of the
+    largest: pairings equal in exact arithmetic are ordered by rounding."""
     best = max(vals)
-    near: dict = {}  # (j, zeta) -> its first track
-    for t, (j, zeta, _) in enumerate(tracks):
-        if vals[t] >= best * (1.0 - _DWEAK_TIE):
-            near.setdefault((j, zeta), t)
-    if len(near) == 1:
-        return tracks[next(iter(near.values()))]
-    exact = []
-    for (j, zeta), t in near.items():
-        w = disc.deflate(u, disc.DislocationParam(j, zeta))
-        exact.append((disc.max_pairing(w, disc.make_probes(w.grid, disc._PROBE_COUNT, w.order)), t))
-    top = max(v for v, _ in exact)
-    return tracks[min(t for v, t in exact if v == top)]
+    return next(t for t, v in zip(tracks, vals) if v >= best * (1.0 - _DWEAK_TIE))
 
 
 def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
@@ -521,17 +501,17 @@ def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
 
     Tracks come from the identity dislocation, the unrefined concentration
     detector on each member, and six random (scale, center) draws from seed
-    0; pairings are taken against the six probes of `disc.make_probes` in
-    the Dirichlet form.  One detector scan covers all members, and the
-    (member, track) pairs are deflated in groups of one (j, zeta): each
-    polar net is built once.  A scale-j deflation is j-fold symmetric, so on
-    its grid the probes are order-j blocks, without the entries whose
-    angular mode j does not divide (they pair to 0).  A small maximal tail
-    pairing is numerical evidence of dislocation-weak vanishing; a large one
-    is a certificate of concentration, reported with its witnessing track:
-    the last member's first track of the largest pairing, the pairings being
-    taken with the probe stack and near-ties decided with the materialized
-    probes (`_witness_track`), so that rounding does not pick the track.
+    0; pairings are taken in the Dirichlet form against the six probes of
+    `disc.make_probes`, held separably as `disc._ProbeStack`.  One detector
+    scan covers all members, and the (member, track) pairs are deflated in
+    groups of one (j, zeta): each polar net is built once.  A scale-j
+    deflation is j-fold symmetric, so on its grid the probes are order-j
+    blocks, without the entries whose angular mode j does not divide (they
+    pair to 0).  A small maximal tail pairing is numerical evidence of
+    dislocation-weak vanishing; a large one is a certificate of
+    concentration, reported with its witnessing track: the last member's
+    first track within `_DWEAK_TIE` (1e-12, relative) of its largest pairing,
+    so that rounding, and with it the BLAS kernel, does not pick the track.
     """
     if j_max < 1:
         raise ValueError("the scale cap must be at least 1 (j_max >= 1)")
@@ -568,18 +548,15 @@ def dweak_test(seq: FunctionSequence, j_max: int = 24) -> DWeakReport:
                 probes = disc._ProbeStack(w.grid, disc._PROBE_COUNT, w.order)
             pairings[k, t] = disc.max_pairing(w, probes)
 
-    probes = None  # freed before a tie is paired again
     # a failed deflation pairs to nothing
     vals = [[pairings.get((k, t), 0.0) for t in range(len(lst))] for k, lst in enumerate(local)]
     per_member = [max([0.0, *v]) for v in vals]
-    # the witness: the last member with a pairing above 0, at its first largest pairing
+    # the witness: the last member with a pairing above 0, at its first (near-)largest pairing
     witness = None
     k = max((k for k, best in enumerate(per_member) if best > 0.0), default=None)
     if k is not None:
-        j, zeta, kind = _witness_track(members[k], local[k], vals[k])
+        j, zeta, kind = _witness_track(local[k], vals[k])
         witness = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
-    if tail_decayed(per_member, _DWEAK_SLOW_RATIO, _DWEAK_FLOOR):
-        verdict = "dweak-null-evidence"
-    else:
-        verdict = "non-vanishing"
+    null = tail_decayed(per_member, _DWEAK_SLOW_RATIO, _DWEAK_FLOOR)
+    verdict = "dweak-null-evidence" if null else "non-vanishing"
     return DWeakReport(tuple(per_member), witness, verdict)

@@ -28,9 +28,9 @@ the large-tau end and the norm is max_i v_i ell(tau_i)^{-1/2}.  `expl2_disc`
 evaluates that closed form on a disc sample without sorting every cell: an
 area-weighted histogram of |v|, built in blocks of cells, bounds what each
 bucket of values can contribute, and only the cells of the run of buckets
-that can still hold the sup are sorted, the buckets above it entering as
-their total area.  `expl2_quasinorm` keeps the general stationary-point
-search for every rearranged function.
+that can still hold the sup are weighed, the cells above it entering as
+their area summed in sorted order.  `expl2_quasinorm` keeps the general
+stationary-point search for every rearranged function.
 """
 
 from __future__ import annotations
@@ -439,16 +439,36 @@ def expl2_quasinorm(f: RearrangedFunction) -> float:
 _EXPL2_BUCKETS = 4096
 
 
+def _in_order(mags, areas, mask) -> tuple:
+    """The masked cells' values and areas in rearrange_disc's order (value
+    descending, equal values by cell index descending).  A run of equal areas
+    among them (a ring) is a group, numbered in cell order; a value >= 0
+    orders as its bits, so one np.sort of the bits less the least, packed with
+    the group, orders them when that fits in 64 bits; else a stable sort does."""
+    run = areas[mask]
+    starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+    group = np.repeat(np.arange(starts.size, dtype=np.int64), np.diff(starts, append=run.size))
+    group_area = run[starts]
+    del run
+    key = mags[mask].view(np.uint64)  # a copy: packed and sorted in place
+    k, low = (starts.size - 1).bit_length(), key.min()
+    key -= low
+    if int(key.max()).bit_length() + k <= 64:
+        key <<= k
+        key |= group.view(np.uint64)
+        key.sort()
+        np.bitwise_and(key, (1 << k) - 1, out=group.view(np.uint64))
+        key >>= k
+    else:
+        order = key.argsort(kind="stable")
+        key, group = key[order], group[order]
+    key += low
+    return key.view(np.float64)[::-1], group_area[group[::-1]]
+
+
 def _expl2_prefix(mags, areas, total, mask, above) -> float:
     """Sup over the masked cells, a run of rearrange_disc's order after cells of area `above`."""
-    sel = np.flatnonzero(mask)
-    vals = mags[sel]
-    order = vals.argsort()[::-1]
-    desc = vals[order]  # descending, the same for any sort
-    if (desc[1:] == desc[:-1]).any():
-        # equal values: the order of their cells, and with it the areas summed, is the stable sort's
-        order = vals.argsort(kind="stable")[::-1]
-    taus = areas[sel[order]]
+    desc, taus = _in_order(mags, areas, mask)
     taus[0] += above
     np.cumsum(taus, out=taus)
     _expl2_weight(np.divide(taus, total, out=taus), out=taus)
@@ -465,8 +485,8 @@ def expl2_disc(u) -> float:
     only buckets with (b + 1) w_b >= max_b b w_b can hold it, compared with a
     relative margin of 1e-6, far above the rounding of the index and of the
     histogram's sums (n eps), so that rounding can only add buckets.  The run
-    from the first such bucket to the last is sorted, stably if it holds ties,
-    after the area of the buckets above it.
+    from the first such bucket to the last is sorted and weighed after the
+    area of the cells above it, summed in the same order (`_in_order`).
     """
     values, areas = u.cell_values_and_areas()
     mags = np.abs(values, out=values)
@@ -482,11 +502,11 @@ def expl2_disc(u) -> float:
                        dtype=np.int16, casting="unsafe")
         np.add.at(hist, b, areas[a:a + step])  # in cell order, as bincount
     total = float(areas.sum())
-    reach = np.cumsum(hist[::-1])[::-1]
-    w_reach = _expl2_weight(reach / total)
+    w_reach = _expl2_weight(np.cumsum(hist[::-1])[::-1] / total)
     lower = np.arange(nb) * w_reach
     start, top = np.flatnonzero((lower + w_reach) * (1.0 + 1e-6) >= lower.max())[[0, -1]].tolist()
-    above = float(reach[top + 1]) if top + 1 < nb else 0.0
+    seq = _in_order(mags, areas, bucket > top)[1] if top + 1 < nb else np.zeros(1)
+    above = float(np.cumsum(seq, out=seq)[-1])
     return _expl2_prefix(mags, areas, total, (bucket >= start) & (bucket <= top), above)
 
 

@@ -384,7 +384,10 @@ def old_deflate(u, d):
 
 
 def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
-    """`profiles.dweak_test` as it was: one detection and one deflation per member."""
+    """`profiles.dweak_test` as it was: one detection and one deflation per
+    member, pairings in the list form with `disc.make_probes`.  The witness is
+    the last member's first track within 1e-12 (relative) of its largest
+    pairing: tracks tied in exact arithmetic are not ordered by rounding."""
     members = profiles._as_disc_members(seq)
     rng = np.random.default_rng(seed)
     probes: dict = {}
@@ -400,22 +403,22 @@ def old_dweak_test(seq, probe_count=6, seed=0, n_random_tracks=6, j_max=24):
     for u in members:
         cands = old_concentration_detect(u, eps=1e-4, j_max=j_max, top_k=2, refine=False)
         local = tracks + [(c[0].j, c[0].zeta, "detector") for c in cands]
-        best = 0.0
-        best_track = None
+        vals = []
         for j, zeta, kind in local:
             try:
                 w = old_deflate(u, disc.DislocationParam(j, zeta))
             except ValueError:
+                vals.append(0.0)
                 continue
             key = (w.grid, w.order)
             if key not in probes:
                 probes[key] = disc.make_probes(w.grid, probe_count, w.order)
-            val = disc.max_pairing(w, probes[key])
-            if val > best:
-                best = val
-                best_track = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
+            vals.append(disc.max_pairing(w, probes[key]))
+        best = max([0.0, *vals])
         per_member.append(best)
-        witness = best_track if best_track is not None else witness
+        if best > 0.0:
+            j, zeta, kind = next(tr for tr, v in zip(local, vals) if v >= best * (1.0 - 1e-12))
+            witness = {"j": j, "zeta": [zeta.real, zeta.imag], "kind": kind}
     if functional.tail_decayed(per_member, 0.5, 0.05):
         verdict = "dweak-null-evidence"
     else:

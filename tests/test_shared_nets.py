@@ -195,23 +195,39 @@ def test_dweak_test_is_exactly_the_old_one(make_seq, kw):
     assert_same_dweak(dweak_test_at(seq, **kw), old_dweak_test(seq, **kw))
 
 
-def test_a_tie_in_the_stack_pairings_is_broken_in_the_list_form(monkeypatch):
+def test_tracks_tied_in_exact_arithmetic_give_the_first_as_witness():
     """A radial member deflated at its center pairs equally at j = 1 and 3 in
-    exact arithmetic.  Whichever way the stack's rounding orders the two, the
-    witness is the first largest pairing with the materialized probes; a
-    track alone near the best is not paired again."""
+    exact arithmetic.  However rounding orders their stack pairings, within
+    1e-13 (relative) either way, the witness is the first of the tied tracks;
+    a track well below the largest is never the witness."""
     u = disc.inflate(radial.moser_annular(1.5, 0.2), disc.DislocationParam(2, 0.0), MIXED_GRID)
     tracks = [(1, 0j, "identity"), (3, 0j, "detector"), (1, 0j, "detector")]
-    exact = [disc.max_pairing(w, disc.make_probes(w.grid, disc._PROBE_COUNT, w.order))
-             for w in (old_deflate(u, disc.DislocationParam(j, z)) for j, z, _ in tracks)]
-    best = max(exact)
-    assert exact[0] == exact[2] and exact[1] == pytest.approx(best, rel=1e-14)
-    want = tracks[exact.index(best)]
-    for vals in ([best, best * (1 + 1e-13), best], [best * (1 + 1e-13), best, best * (1 + 1e-13)]):
-        assert profiles._witness_track(u, tracks, vals) == want
-    monkeypatch.setattr(disc, "make_probes", None)
-    assert profiles._witness_track(u, tracks, [best, 0.5 * best, best]) == tracks[0]
-    assert profiles._witness_track(u, tracks, [0.5 * best, best, 0.5 * best]) == tracks[1]
+    stack = []
+    for j, zeta, _ in tracks:
+        w = disc.deflate(u, disc.DislocationParam(j, zeta))
+        stack.append(disc.max_pairing(w, disc._ProbeStack(w.grid, disc._PROBE_COUNT, w.order)))
+    best = max(stack)
+    assert stack[0] == stack[2] and stack[1] == pytest.approx(best, rel=1e-14)
+    assert profiles._witness_track(tracks, stack) == tracks[0]
+    for eps in (1e-13, -1e-13):
+        for vals in ([best, best * (1 + eps), best], [best * (1 + eps), best, best * (1 + eps)]):
+            assert profiles._witness_track(tracks, vals) == tracks[0]
+    assert profiles._witness_track(tracks, [0.5 * best, best, best * (1 - 1e-13)]) == tracks[1]
+    assert profiles._witness_track(tracks, [0.0, 0.5 * best, best]) == tracks[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.floats(0.0, 0.999), st.floats(-1e-13, 1e-13)),
+                min_size=1, max_size=12).filter(lambda es: any(tied for tied, _, _ in es)),
+       st.floats(1e-300, 1e300))
+def test_the_witness_is_the_first_of_the_tied_tracks(entries, top):
+    """Tracks tied at the top to 1e-13 (relative), the others at least 1e-3
+    below: the witness is the first tied track, in whatever order rounding
+    left their pairings."""
+    vals = [top * (1.0 + e) if tied else top * x for tied, x, e in entries]
+    tracks = [(i, 0j, "random") for i in range(len(vals))]
+    first = next(i for i, (tied, _, _) in enumerate(entries) if tied)
+    assert profiles._witness_track(tracks, vals) == tracks[first]
 
 
 def test_a_deflation_failing_for_one_member_skips_only_that_pair(monkeypatch):
